@@ -25,7 +25,7 @@ for name, phi in catalog.items():
     print(f"{name}: operator =")
     print(h.real)
     verdict = cp_verdict(phi)
-    print(f"  completely positive: {verdict.completely_positive} (min eigenvalue {verdict.min_eig:+.4f})")
+    print(f"  complete positivity: {verdict.kind} (min eigenvalue {verdict.value:+.4f})")
     bp = block_positivity(hermitian_part(h), 2, 2, restarts=16, seed=11)
     print(f"  block positivity search: {bp.kind}, min product value {bp.value:+.3e}\n")
 

@@ -39,7 +39,7 @@ for k in (1, 2):
 print("\n=== a decomposable map passes the block-matrix and corner conditions ===")
 rng = rng_stream(9)
 total, part_pos, part_copos = random_decomposable_map(rng, 3, 3)
-cert = dk_compose(part_pos, part_copos, 2, restarts=8, seed=1)
+cert = dk_compose(total, part_pos, part_copos, 2, restarts=8, seed=1)
 print(f"  decomposition certificate residual: {cert.residual:.1e}")
 print(f"  doubly-PSD image condition: {sk_check(total, 2, samples=200, seed=2).kind}")
 print(f"  corner condition: {pk_check(total, 2, projections=40, seed=3).kind}")

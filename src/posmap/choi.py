@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
 from .linalg import (
+    HERMITIAN_RTOL,
     as_matrix,
     check_hermitian,
     frobenius,
@@ -28,7 +29,7 @@ from .linalg import (
     random_unit_vector,
     rng_stream,
 )
-from .verdicts import EVIDENCE, VIOLATION, BlockPosVerdict, CpVerdict
+from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
 
 class MatrixMap:
@@ -116,23 +117,15 @@ class MatrixMap:
         """The map a -> phi(a^t); its Choi blocks are the originals swapped."""
         return MatrixMap(self.unit_images.transpose(1, 0, 2, 3))
 
-    def transpose_output(self) -> "MatrixMap":
-        """The map a -> phi(a)^t."""
-        return MatrixMap(self.unit_images.transpose(0, 1, 3, 2))
-
     def adjoint(self) -> "MatrixMap":
         """Hilbert-Schmidt adjoint phi*: Tr(phi(a)* b) = Tr(a* phi*(b))."""
         return MatrixMap(self.unit_images.transpose(2, 3, 0, 1).conj())
 
-    def hermiticity_defect(self) -> float:
-        """Frobenius distance of the Choi matrix from its adjoint; zero iff
-        phi(a*) = phi(a)* for all a."""
-        h = self.choi()
-        return frobenius(h - h.conj().T)
-
     def is_hermiticity_preserving(self, rtol: float = 1e-10) -> bool:
+        """phi(a*) = phi(a)* for all a: the Choi matrix is Hermitian within
+        rtol * max(1, ||h||_F) in Frobenius norm."""
         h = self.choi()
-        return self.hermiticity_defect() <= rtol * max(1.0, frobenius(h))
+        return frobenius(h - h.conj().T) <= rtol * max(1.0, frobenius(h))
 
     def norm_distance(self, other: "MatrixMap") -> float:
         return frobenius(self.unit_images - other.unit_images)
@@ -194,16 +187,20 @@ def kernel_transpose_gap(phi: MatrixMap) -> float:
     return frobenius(phi.choi() - trace_kernel(phi).T)
 
 
-def cp_verdict(phi: MatrixMap, rtol: float = 1e-8) -> CpVerdict:
-    """Exact complete-positivity test: phi is CP iff its Choi matrix is PSD."""
-    h = phi.choi()
-    if frobenius(h - h.conj().T) > rtol * max(1.0, frobenius(h)):
+def cp_verdict(phi: MatrixMap, rtol: float = HERMITIAN_RTOL) -> Verdict:
+    """Exact complete-positivity test: phi is CP iff its Choi matrix is PSD.
+
+    The verdict is "pass" or a "violation" whose witness {"vector"} is the
+    bottom eigenvector; `value` is the smallest Choi eigenvalue.
+    """
+    if not phi.is_hermiticity_preserving(rtol):
         raise NotHermitianError("map is not Hermiticity-preserving")
+    h = phi.choi()
     eig = herm_eig(h)
     min_eig = float(eig.eigenvalues[0])
     if min_eig >= -psd_tol(h):
-        return CpVerdict(True, min_eig, None)
-    return CpVerdict(False, min_eig, eig.eigenvectors[:, 0])
+        return Verdict(PASS, min_eig)
+    return Verdict(VIOLATION, min_eig, witness={"vector": eig.eigenvectors[:, 0]})
 
 
 def _row_matrix(h4: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -233,14 +230,14 @@ def block_positivity(
     improve_tol: float = 1e-12,
     seed: int = 0,
     tol: float | None = None,
-) -> BlockPosVerdict:
+) -> Verdict:
     """See-saw minimization of <x (x) y, h (x (x) y)> over unit product vectors.
 
     Fixing y reduces the objective to a Hermitian form on x whose minimizer is
     an extreme eigenvector, and symmetrically for x; the search alternates the
     two exact half-steps from multiple seeded restarts.  A negative optimum
-    below tolerance is an exact violation certificate; otherwise the verdict
-    is evidence with the search statistics attached.
+    below tolerance is an exact violation certificate with witness {"x", "y"};
+    otherwise the verdict is evidence with the search statistics attached.
     """
     hm = check_hermitian(h)
     if hm.shape != (m * n, m * n):
@@ -282,8 +279,8 @@ def block_positivity(
         "min_value": exact,
     }
     if exact < -tol:
-        return BlockPosVerdict(VIOLATION, exact, x, y, stats)
-    return BlockPosVerdict(EVIDENCE, exact, None, None, stats)
+        return Verdict(VIOLATION, exact, witness={"x": x, "y": y}, stats=stats)
+    return Verdict(EVIDENCE, exact, stats=stats)
 
 
 def block_positivity_forms(h, m: int, n: int, x, y) -> tuple[float, float, float]:

@@ -19,6 +19,7 @@ written when requested and lives in its own excluded field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -42,7 +43,7 @@ from .docio import (
     map_from_document,
     state_from_document,
 )
-from .errors import ParseError, PosmapError, StaleWitnessError
+from .errors import ParseError, PosmapError
 from .kpositivity import (
     decomposability_witness,
     is_k_copositive,
@@ -53,7 +54,6 @@ from .kpositivity import (
 from .linalg import (
     HERMITIAN_RTOL,
     PSD_RTOL,
-    frobenius,
     hermitian_part,
     random_faithful_state,
     rng_stream,
@@ -66,7 +66,7 @@ from .modular import (
     v_beta_duality_check,
 )
 from .report import add_record, new_report, verify_report, write_report
-from .verdicts import EVIDENCE, VIOLATION, KVerdict
+from .verdicts import EVIDENCE, PASS, Verdict
 
 DEFECT_LIMIT = 1e-9
 
@@ -82,26 +82,22 @@ def _emit(report: dict, out: str | None, timing: dict | None) -> None:
         sys.stdout.write("\n")
 
 
-def _verdict_record(report: dict, record_id: str, verdict, seed: int) -> None:
-    if verdict.is_violation:
-        add_record(
-            report,
-            record_id,
-            VIOLATION,
-            verdict.value,
-            witness=verdict.witness if verdict.witness else None,
-            stats=verdict.stats,
-            seed=seed,
-        )
-    else:
-        add_record(report, record_id, EVIDENCE, verdict.value, stats=verdict.stats, seed=seed)
+def _verdict_record(report: dict, record_id: str, verdict: Verdict, seed: int) -> None:
+    add_record(
+        report,
+        record_id,
+        verdict.kind,
+        verdict.value,
+        witness=verdict.witness if verdict.is_violation else None,
+        stats=verdict.stats,
+        seed=seed,
+    )
 
 
 def cmd_classify(args) -> int:
     doc = load_document(args.input)
     phi = map_from_document(doc)
-    h = phi.choi()
-    if frobenius(h - h.conj().T) > 1e-8 * max(1.0, frobenius(h)):
+    if not phi.is_hermiticity_preserving(HERMITIAN_RTOL):
         raise ParseError("map is not Hermiticity-preserving; positivity tests need a Hermitian Choi matrix")
     params = {
         "k_max": args.k_max,
@@ -114,23 +110,12 @@ def cmd_classify(args) -> int:
     }
     report = new_report(doc, args.seed, params)
     m, n = phi.m, phi.n
+    h = hermitian_part(phi.choi())
 
     cpv = cp_verdict(phi)
-    if cpv.completely_positive:
-        add_record(report, "cp", "pass", cpv.min_eig, seed=args.seed)
-    else:
-        add_record(
-            report, "cp", VIOLATION, cpv.min_eig, witness={"vector": cpv.witness}, seed=args.seed
-        )
-
-    bp = block_positivity(hermitian_part(h), m, n, restarts=args.restarts, seed=args.seed)
-    if bp.is_violation:
-        add_record(
-            report, "block_positivity", VIOLATION, bp.value,
-            witness={"x": bp.x, "y": bp.y}, stats=bp.stats, seed=args.seed,
-        )
-    else:
-        add_record(report, "block_positivity", EVIDENCE, bp.value, stats=bp.stats, seed=args.seed)
+    _verdict_record(report, "cp", cpv, args.seed)
+    bp = block_positivity(h, m, n, restarts=args.restarts, seed=args.seed)
+    _verdict_record(report, "block_positivity", bp, args.seed)
 
     summary_kpos: dict[str, str] = {}
     summary_kcopos: dict[str, str] = {}
@@ -141,21 +126,13 @@ def cmd_classify(args) -> int:
         # k >= n coincides with the exact test at k = n
         k_eff = min(k, n)
         kv = is_k_positive(phi, k_eff, restarts=args.restarts, seed=args.seed)
-        if k_eff != k:
-            kv = KVerdict(k, kv.kind, kv.value, kv.projection, kv.vector,
-                          dict(kv.stats, clamped_to=k_eff))
-        _verdict_record(
-            report,
-            f"k_positive_{k}",
-            _as_witnessed(kv),
-            args.seed,
-        )
-        summary_kpos[str(k)] = kv.kind
         kc = is_k_copositive(phi, k_eff, restarts=args.restarts, seed=args.seed)
         if k_eff != k:
-            kc = KVerdict(k, kc.kind, kc.value, kc.projection, kc.vector,
-                          dict(kc.stats, clamped_to=k_eff))
-        _verdict_record(report, f"k_copositive_{k}", _as_witnessed(kc), args.seed)
+            kv = dataclasses.replace(kv, stats=dict(kv.stats, clamped_to=k_eff))
+            kc = dataclasses.replace(kc, stats=dict(kc.stats, clamped_to=k_eff))
+        _verdict_record(report, f"k_positive_{k}", kv, args.seed)
+        summary_kpos[str(k)] = kv.kind
+        _verdict_record(report, f"k_copositive_{k}", kc, args.seed)
         summary_kcopos[str(k)] = kc.kind
         sv = sk_check(phi, k, samples=args.samples, seed=args.seed)
         _verdict_record(report, f"sk_{k}", sv, args.seed)
@@ -164,7 +141,7 @@ def cmd_classify(args) -> int:
         _verdict_record(report, f"pk_{k}", pv, args.seed)
         summary_pk[str(k)] = pv.kind
 
-    dec = decomposability_witness(hermitian_part(h), m, n, seed=args.seed)
+    dec = decomposability_witness(h, m, n, seed=args.seed)
     _verdict_record(report, "decomposability", dec, args.seed)
 
     def highest_evidence(table: dict[str, str]) -> int:
@@ -177,7 +154,7 @@ def cmd_classify(args) -> int:
         return best
 
     report["summary"] = {
-        "completely_positive": bool(cpv.completely_positive),
+        "completely_positive": cpv.kind == PASS,
         "block_positive": bp.kind,
         "highest_k_positive_evidence": highest_evidence(summary_kpos),
         "highest_k_copositive_evidence": highest_evidence(summary_kcopos),
@@ -189,23 +166,6 @@ def cmd_classify(args) -> int:
     }
     _emit(report, args.out, _timing(args))
     return 0
-
-
-class _WitnessedVerdict:
-    """Adapter exposing KVerdict witnesses in the record payload shape."""
-
-    def __init__(self, verdict):
-        self.kind = verdict.kind
-        self.value = verdict.value
-        self.stats = verdict.stats
-        self.is_violation = verdict.is_violation
-        self.witness = None
-        if verdict.is_violation:
-            self.witness = {"projection": verdict.projection, "vector": verdict.vector}
-
-
-def _as_witnessed(verdict) -> _WitnessedVerdict:
-    return _WitnessedVerdict(verdict)
 
 
 def cmd_modular_verify(args) -> int:
@@ -377,8 +337,9 @@ def cmd_verify(args) -> int:
 
 
 def _timing(args) -> dict | None:
+    """Seconds from the start of the command to the report write, under --timings."""
     if getattr(args, "timings", False):
-        return {"wall_clock": time.time()}
+        return {"elapsed_s": time.perf_counter() - args.started}
     return None
 
 
@@ -429,11 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
-    except StaleWitnessError as exc:
-        print(f"stale witness: {exc}", file=sys.stderr)
-        return 1
     except PosmapError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from .errors import (
     NotInPError,
 )
 from .linalg import (
+    alternate_ppt_projections,
     as_matrix,
     frobenius,
     hermitian_part,
@@ -76,10 +77,6 @@ class BipartiteConeContext:
     def utilde(self, xi) -> np.ndarray:
         """I (x) U_B: partial transpose on the second factor."""
         return partial_transpose(self._require(xi), self.dim_a, self.dim_b, side="second")
-
-    def u_total(self, xi) -> np.ndarray:
-        """U_A (x) U_B: full transpose."""
-        return self._require(xi).T
 
     def u_first(self, xi) -> np.ndarray:
         """U_A (x) I: partial transpose on the first factor."""
@@ -251,18 +248,10 @@ def sample_ppt_operator(
     Alternating PSD projections on the operator and its partial transpose;
     candidates that fail to converge are replaced by a separable draw.
     """
-
-    def proj_psd(c: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(hermitian_part(c))
-        return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
     d = dim_a * dim_b
     x = random_psd(rng, d)
     x = x / np.trace(x).real
-    for _ in range(rounds):
-        x = proj_psd(x)
-        x = partial_transpose(proj_psd(partial_transpose(x, dim_a, dim_b, "second")), dim_a, dim_b, "second")
-    x = proj_psd(x)
+    x = alternate_ppt_projections(x, dim_a, dim_b, "second", rounds)
     tr = np.trace(x).real
     x = x / tr if tr > 1e-12 else x
     pt_min = np.linalg.eigvalsh(hermitian_part(partial_transpose(x, dim_a, dim_b, "second")))[0]

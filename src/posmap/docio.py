@@ -73,13 +73,6 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def vector_from_doc(doc, where: str = "vector") -> np.ndarray:
-    m = matrix_from_doc(doc, where)
-    if 1 not in m.shape:
-        raise ParseError(f"{where}: expected a vector, got shape {m.shape}")
-    return m.reshape(-1)
-
-
 def map_to_document(phi: MatrixMap, encoding: str = "choi", metadata: dict | None = None) -> dict:
     if encoding not in ("choi", "unit-action"):
         raise ParseError(f"unsupported output encoding {encoding!r}")

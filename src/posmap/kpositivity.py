@@ -28,6 +28,8 @@ from .errors import (
     NotHermitianError,
 )
 from .linalg import (
+    HERMITIAN_RTOL,
+    alternate_ppt_projections,
     check_hermitian,
     frobenius,
     haar_isometry,
@@ -40,7 +42,7 @@ from .linalg import (
     random_psd,
     rng_stream,
 )
-from .verdicts import EVIDENCE, VIOLATION, DecompCertificate, KVerdict, Verdict
+from .verdicts import EVIDENCE, VIOLATION, DecompCertificate, Verdict
 
 
 def _compressed_choi(h4: np.ndarray, iso: np.ndarray) -> np.ndarray:
@@ -85,7 +87,7 @@ def k_block_min(
     improve_tol: float = 1e-12,
     seed: int = 0,
     tol: float | None = None,
-) -> KVerdict:
+) -> Verdict:
     """Minimize the smallest eigenvalue of (I (x) p) h (I (x) p) over rank-k
     projections p on the output space.
 
@@ -96,14 +98,17 @@ def k_block_min(
     local perturbation.  Restarts draw Haar-random projections (the first
     restart uses the coordinate projection).  With k equal to the output
     dimension the compression is the identity and the test is exact.
+
+    A violation carries the witness {"projection", "vector"}: the rank-<=k
+    output-side projection and the lifted eigenvector of the compressed Choi
+    matrix, whose Rayleigh quotient is the negative `value`.
     """
     m, n = phi.m, phi.n
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k} outside 1..{n}")
-    h = phi.choi()
-    if frobenius(h - h.conj().T) > 1e-8 * max(1.0, frobenius(h)):
+    if not phi.is_hermiticity_preserving(HERMITIAN_RTOL):
         raise NotHermitianError("map is not Hermiticity-preserving")
-    h = hermitian_part(h)
+    h = hermitian_part(phi.choi())
     if tol is None:
         tol = psd_tol(h)
     h4 = h.reshape(m, n, m, n)
@@ -113,8 +118,9 @@ def k_block_min(
         val = float(eig.eigenvalues[0])
         stats = {"restarts": 1, "alternations": 0, "seed": seed, "min_value": val, "exact": True}
         if val < -tol:
-            return KVerdict(k, VIOLATION, val, np.eye(n, dtype=complex), eig.eigenvectors[:, 0], stats)
-        return KVerdict(k, EVIDENCE, val, stats=stats)
+            witness = {"projection": np.eye(n, dtype=complex), "vector": eig.eigenvectors[:, 0]}
+            return Verdict(VIOLATION, val, witness=witness, stats=stats)
+        return Verdict(EVIDENCE, val, stats=stats)
 
     best_val = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
@@ -155,44 +161,21 @@ def k_block_min(
         "exact": False,
     }
     if exact < -tol:
-        return KVerdict(k, VIOLATION, exact, projection, lifted_vec, stats)
-    return KVerdict(k, EVIDENCE, exact, stats=stats)
+        witness = {"projection": projection, "vector": lifted_vec}
+        return Verdict(VIOLATION, exact, witness=witness, stats=stats)
+    return Verdict(EVIDENCE, exact, stats=stats)
 
 
-def is_k_positive(phi: MatrixMap, k: int, **search) -> KVerdict:
+def is_k_positive(phi: MatrixMap, k: int, **search) -> Verdict:
     """k-positivity via compressions; k equal to the output dimension is the
     exact complete-positivity test."""
     return k_block_min(phi, k, **search)
 
 
-def is_k_copositive(phi: MatrixMap, k: int, **search) -> KVerdict:
+def is_k_copositive(phi: MatrixMap, k: int, **search) -> Verdict:
     """k-copositivity: run the k-positivity search on the map precomposed with
     transposition (its Choi blocks are the originals swapped)."""
     return k_block_min(phi.compose_transposition(), k, **search)
-
-
-def reverify_k_witness(
-    phi: MatrixMap, verdict: KVerdict, *, copositive: bool = False, tol: float = 1e-10
-) -> float:
-    """Re-evaluate a violation witness; returns |stated - recomputed| value gap."""
-    if not verdict.is_violation or verdict.vector is None or verdict.projection is None:
-        raise ValueError("verdict carries no violation witness")
-    target = phi.compose_transposition() if copositive else phi
-    h = hermitian_part(target.choi())
-    p = verdict.projection
-    n = target.n
-    if np.trace(p).real > verdict.k + 1e-9:
-        raise ValueError("witness projection trace exceeds k")
-    if frobenius(p @ p - p) > 1e-9 or frobenius(p - p.conj().T) > 1e-9:
-        raise ValueError("witness projection is not a projection")
-    if p.shape != (n, n):
-        raise ValueError("witness projection has the wrong dimension")
-    z = verdict.vector
-    zp = np.kron(np.eye(target.m), p) @ z
-    if np.linalg.norm(zp - z) > 1e-8:
-        raise ValueError("witness vector is not supported by the projection")
-    value = float(np.vdot(z, h @ z).real / max(np.vdot(z, z).real, 1e-300))
-    return abs(value - verdict.value)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +209,7 @@ def sample_doubly_psd_block(
         if np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-14:
             return a
 
-    def proj_psd(c: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(hermitian_part(c))
-        return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-    a = random_psd(rng, k * m)
-    for _ in range(25):
-        a = proj_psd(a)
-        a = partial_transpose(proj_psd(partial_transpose(a, k, m, "first")), k, m, "first")
-    a = proj_psd(a)
+    a = alternate_ppt_projections(random_psd(rng, k * m), k, m, "first", 25)
     pt = partial_transpose(a, k, m, "first")
     if (
         np.trace(a).real < 1e-12
@@ -279,18 +254,21 @@ def sk_check(
 
 
 def dk_compose(
+    target: MatrixMap,
     phi1: MatrixMap,
     phi2: MatrixMap,
     k: int,
     **search,
 ) -> DecompCertificate:
-    """Certify phi1 + phi2 as a sum of a k-positive and a k-copositive map.
+    """Certify target = phi1 + phi2 as a sum of a k-positive and a
+    k-copositive map.
 
     The component checks are evidence-level searches; a violation verdict on
-    either component aborts with the corresponding error.
+    either component aborts with the corresponding error.  `residual` is the
+    Frobenius distance between the target and the sum of the parts.
     """
-    if (phi1.m, phi1.n) != (phi2.m, phi2.n):
-        raise ComponentNotKPositiveError("component dimensions differ")
+    if not (target.m, target.n) == (phi1.m, phi1.n) == (phi2.m, phi2.n):
+        raise ComponentNotKPositiveError("target and component dimensions differ")
     v1 = is_k_positive(phi1, k, **search)
     if v1.is_violation:
         raise ComponentNotKPositiveError(f"first part violates {k}-positivity: {v1.value:.3e}")
@@ -299,19 +277,13 @@ def dk_compose(
         raise ComponentNotKCopositiveError(
             f"second part violates {k}-copositivity: {v2.value:.3e}"
         )
-    total = phi1 + phi2
-    residual = total.norm_distance(phi1 + phi2)
+    residual = target.norm_distance(phi1 + phi2)
     return DecompCertificate(phi1, phi2, k, residual, v1, v2)
 
 
 # ---------------------------------------------------------------------------
 # witness search against decomposability
 # ---------------------------------------------------------------------------
-
-
-def _project_psd(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def decomposability_witness(
@@ -343,9 +315,7 @@ def decomposability_witness(
         tol = psd_tol(hm)
 
     def project_feasible(c: np.ndarray) -> np.ndarray:
-        c = _project_psd(c)
-        c = partial_transpose(_project_psd(partial_transpose(c, m, n, "first")), m, n, "first")
-        c = _project_psd(c)
+        c = alternate_ppt_projections(c, m, n, "first", 1)
         tr = np.trace(c).real
         return np.eye(d, dtype=complex) / d if tr <= 1e-14 else c / tr
 
@@ -412,35 +382,30 @@ def pk_check(
         if rank == 1:
             # scalar-valued corner: decomposability reduces to positivity of
             # the corner Choi matrix, tested exactly
-            min_eig = float(np.linalg.eigvalsh(hc)[0])
-            bound = psd_tol(hc) if tol is None else tol
-            worst = min(worst, min_eig)
-            if min_eig < -bound:
-                eig = herm_eig(hc)
-                state = np.outer(eig.eigenvectors[:, 0], eig.eigenvectors[:, 0].conj())
-                return Verdict(
-                    VIOLATION,
-                    min_eig,
-                    witness={"isometry": iso, "state": state, "rank": rank},
-                    stats={"projections": t + 1, "seed": seed, "min_value": min_eig},
-                )
-            continue
-        sub = decomposability_witness(
-            hc,
-            m,
-            rank,
-            max_iter=witness_iters,
-            seed=seed,
-            tol=tol,
-            stall_break=15,
-        )
-        worst = min(worst, sub.value)
-        if sub.is_violation:
+            value = float(np.linalg.eigvalsh(hc)[0])
+            violated = value < -(psd_tol(hc) if tol is None else tol)
+            if violated:
+                bottom = herm_eig(hc).eigenvectors[:, 0]
+                state = np.outer(bottom, bottom.conj())
+        else:
+            sub = decomposability_witness(
+                hc,
+                m,
+                rank,
+                max_iter=witness_iters,
+                seed=seed,
+                tol=tol,
+                stall_break=15,
+            )
+            value, violated = sub.value, sub.is_violation
+            state = sub.witness["state"] if violated else None
+        worst = min(worst, value)
+        if violated:
             return Verdict(
                 VIOLATION,
-                sub.value,
-                witness={"isometry": iso, "state": sub.witness["state"], "rank": rank},
-                stats={"projections": t + 1, "seed": seed, "min_value": sub.value},
+                value,
+                witness={"isometry": iso, "state": state, "rank": rank},
+                stats={"projections": t + 1, "seed": seed, "min_value": value},
             )
     return Verdict(
         EVIDENCE, worst, stats={"projections": projections, "seed": seed, "min_value": worst}

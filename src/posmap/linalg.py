@@ -129,6 +129,12 @@ def partial_transpose(h, dim_first: int, dim_second: int, side: str = "first") -
         raise DimensionMismatchError(
             f"matrix shape {m.shape} does not match {dim_first}x{dim_second} product"
         )
+    return _partial_transpose(m, dim_first, dim_second, side)
+
+
+def _partial_transpose(m: np.ndarray, dim_first: int, dim_second: int, side: str) -> np.ndarray:
+    """`partial_transpose` without input validation, for arrays built inside a search."""
+    d = dim_first * dim_second
     t = m.reshape(dim_first, dim_second, dim_first, dim_second)
     if side == "first":
         t = t.transpose(2, 1, 0, 3)
@@ -137,6 +143,29 @@ def partial_transpose(h, dim_first: int, dim_second: int, side: str = "first") -
     else:
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
     return np.ascontiguousarray(t.reshape(d, d))
+
+
+def project_psd(a: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix in Frobenius norm: the Hermitian part with its
+    negative eigenvalues clipped to zero."""
+    w, v = np.linalg.eigh(hermitian_part(a))
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
+def alternate_ppt_projections(
+    a: np.ndarray, dim_first: int, dim_second: int, side: str, rounds: int
+) -> np.ndarray:
+    """Alternate PSD projections of `a` and of its partial transpose on `side`.
+
+    Each of the `rounds` sweeps projects `a`, then its partial transpose, onto
+    the PSD cone; a last projection leaves the result PSD.  The result is
+    only approximately PPT, so callers test the partial transpose themselves.
+    """
+    for _ in range(rounds):
+        a = project_psd(a)
+        pt = _partial_transpose(a, dim_first, dim_second, side)
+        a = _partial_transpose(project_psd(pt), dim_first, dim_second, side)
+    return project_psd(a)
 
 
 def hs_inner(a, b) -> complex:
@@ -175,11 +204,6 @@ def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> n
     r = dim if rank is None else rank
     g = random_complex(rng, (dim, r))
     return g @ g.conj().T
-
-
-def random_state(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    p = random_psd(rng, dim, rank)
-    return p / np.trace(p).real
 
 
 def random_faithful_state(

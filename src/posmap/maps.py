@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .choi import MatrixMap
-from .linalg import partial_transpose, random_psd
+from .linalg import random_psd
 
 
 def identity_map(n: int) -> MatrixMap:
@@ -124,23 +124,3 @@ def ppt_state_family(b: float, c: float) -> np.ndarray:
     w = max_entangled_projector(3) + b * sig_p + c * sig_m
     return w / np.trace(w).real
 
-
-def is_ppt(w: np.ndarray, dim_first: int, dim_second: int, tol: float = 1e-12) -> bool:
-    pt = partial_transpose(w, dim_first, dim_second, side="first")
-    return bool(
-        np.linalg.eigvalsh((w + w.conj().T) / 2)[0] >= -tol
-        and np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0] >= -tol
-    )
-
-
-def random_ppt_state(
-    rng: np.random.Generator, dim_first: int, dim_second: int, max_tries: int = 200
-) -> np.ndarray | None:
-    """Rejection-sample a PPT state; None when the budget is exhausted."""
-    d = dim_first * dim_second
-    for _ in range(max_tries):
-        w = random_psd(rng, d)
-        w = w / np.trace(w).real
-        if is_ppt(w, dim_first, dim_second, tol=1e-14):
-            return w
-    return None

@@ -46,7 +46,7 @@ from .linalg import (
     random_psd,
     rng_stream,
 )
-from .verdicts import BlockPosVerdict
+from .verdicts import Verdict
 
 FAITHFUL_FLOOR = 1e-8
 CONDITION_GUARD = 1e6
@@ -116,10 +116,6 @@ def superop_from_function(f, dim: int, antilinear: bool = False) -> Superoperato
     return Superoperator(mat, antilinear)
 
 
-def identity_superop(dim: int) -> Superoperator:
-    return Superoperator(np.eye(dim * dim, dtype=complex), False)
-
-
 @dataclass(frozen=True)
 class GnsContext:
     """GNS and modular data of (B(C^d), omega_rho) with faithful rho."""
@@ -163,11 +159,6 @@ class GnsContext:
         """Superoperator of xi -> a xi for a frame operator a."""
         a = as_matrix(a_frame)
         return Superoperator(np.kron(a, np.eye(self.dim, dtype=complex)), False)
-
-    def right_mult(self, a_frame) -> Superoperator:
-        """Superoperator of xi -> xi a for a frame operator a."""
-        a = as_matrix(a_frame)
-        return Superoperator(np.kron(np.eye(self.dim, dtype=complex), a.T), False)
 
 
 def gns_context(rho, *, faithful_floor: float = FAITHFUL_FLOOR) -> GnsContext:
@@ -467,7 +458,7 @@ class BalanceAdjoint:
 
     adjoint_map: MatrixMap
     identity_defect: float
-    positivity: BlockPosVerdict
+    positivity: Verdict
 
 
 def db_adjoint(

@@ -2,9 +2,11 @@
 
 A report embeds its input document, a digest of the canonical input bytes,
 every tolerance and search parameter used, and one record per test.  Records
-for violations carry complete witnesses; `verify_report` re-evaluates each
+for violations carry complete witnesses.  `recheck_witness` re-evaluates a
 witness through plain quadratic forms and eigenvalue checks, never re-running
-any search, and reports records whose stored values have gone stale.
+any search, from one table of re-checks keyed by record id; `verify_report`
+runs it on every violation record of a report and reports the records whose
+stored values have gone stale.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -105,113 +107,118 @@ def report_body(report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _value_gap(stated: float, recomputed: float) -> float:
-    return abs(stated - recomputed)
+def _rayleigh(h: np.ndarray, z: np.ndarray) -> float:
+    return float(np.vdot(z, h @ z).real / max(np.vdot(z, z).real, 1e-300))
 
 
-def _check_close(record_id: str, stated: float, recomputed: float, failures: list) -> None:
-    if _value_gap(stated, recomputed) > VALUE_TOL * max(1.0, abs(stated)):
-        failures.append(
-            f"{record_id}: stated value {stated:.12e} re-evaluates to {recomputed:.12e}"
-        )
-
-
-def _witness_matrix(record: dict, key: str) -> np.ndarray:
-    return matrix_from_doc(record["witness"][key], f"witness[{key}]")
-
-
-def _verify_map_record(record: dict, phi: MatrixMap, failures: list) -> None:
-    rid = record["id"]
-    h = hermitian_part(phi.choi())
-    m, n = phi.m, phi.n
-    if rid == "cp":
-        z = _witness_matrix(record, "vector").reshape(-1)
-        val = float(np.vdot(z, h @ z).real / max(np.vdot(z, z).real, 1e-300))
-        _check_close(rid, record["value"], val, failures)
-        if val >= 0:
-            failures.append(f"{rid}: witness no longer certifies a negative eigenvalue")
-    elif rid == "block_positivity":
-        x = _witness_matrix(record, "x").reshape(-1)
-        y = _witness_matrix(record, "y").reshape(-1)
-        _check_close(rid, record["value"], product_form(h, m, n, x, y), failures)
-    elif rid.startswith("k_positive_") or rid.startswith("k_copositive_"):
-        k = int(rid.rsplit("_", 1)[1])
-        target = phi.compose_transposition() if rid.startswith("k_copositive_") else phi
-        ht = hermitian_part(target.choi())
-        p = _witness_matrix(record, "projection")
-        z = _witness_matrix(record, "vector").reshape(-1)
-        if np.trace(p).real > k + 1e-9 or frobenius(p @ p - p) > 1e-9:
-            failures.append(f"{rid}: stored projection is not a rank-<=k projection")
-            return
-        lifted = np.kron(np.eye(target.m), p) @ z
-        if np.linalg.norm(lifted - z) > 1e-8:
-            failures.append(f"{rid}: witness vector escapes the projection range")
-            return
-        val = float(np.vdot(z, ht @ z).real / max(np.vdot(z, z).real, 1e-300))
-        _check_close(rid, record["value"], val, failures)
-    elif rid.startswith("sk_"):
-        k = int(rid.rsplit("_", 1)[1])
-        a = _witness_matrix(record, "block")
-        amin = np.linalg.eigvalsh(hermitian_part(a))[0]
-        pt = partial_transpose(a, k, m, side="first")
-        ptmin = np.linalg.eigvalsh(hermitian_part(pt))[0]
-        if amin < -1e-9 or ptmin < -1e-9:
-            failures.append(f"{rid}: stored block is not PSD in both orderings")
-            return
-        image = hermitian_part(phi.apply_blockwise(a, k))
-        val = float(np.linalg.eigvalsh(image)[0])
-        _check_close(rid, record["value"], val, failures)
-    elif rid.startswith("pk_"):
-        iso = _witness_matrix(record, "isometry")
-        w = _witness_matrix(record, "state")
-        rank = iso.shape[1]
-        corner = MatrixMap.from_function(lambda x: iso.conj().T @ phi(x) @ iso, m, rank)
-        hc = hermitian_part(corner.choi())
-        _verify_ppt_pairing(rid, record, w, hc, m, rank, failures)
-    elif rid == "decomposability":
-        w = _witness_matrix(record, "state")
-        _verify_ppt_pairing(rid, record, w, h, m, n, failures)
-    else:
-        failures.append(f"{rid}: unknown record type for a map report")
-
-
-def _verify_ppt_pairing(
-    rid: str, record: dict, w: np.ndarray, h: np.ndarray, m: int, n: int, failures: list
-) -> None:
+def _ppt_pairing(w: np.ndarray, h: np.ndarray, m: int, n: int) -> float:
     wmin = np.linalg.eigvalsh(hermitian_part(w))[0]
     pt = partial_transpose(w, m, n, side="first")
     ptmin = np.linalg.eigvalsh(hermitian_part(pt))[0]
     if wmin < -1e-12 or ptmin < -1e-12:
-        failures.append(f"{rid}: stored witness state is not a PPT state")
-        return
-    val = float(np.trace(w @ h).real)
-    _check_close(rid, record["value"], val, failures)
+        raise StaleWitnessError("stored witness state is not a PPT state")
+    return float(np.trace(w @ h).real)
 
 
-def _verify_weakdec_record(record: dict, report: dict, failures: list) -> None:
-    rid = record["id"]
-    input_doc = report["input"]
-    phi = map_from_document(input_doc["map"])
-    rho_a = matrix_from_doc(input_doc["rho_a"], "rho_a")
-    n = int(record["witness"]["n"])
-    ctx_a = gns_context(rho_a)
-    bctx = bipartite_context(rho_a, np.eye(n, dtype=complex) / n)
-    eta = _witness_matrix(record, "eta")
-    xi = _witness_matrix(record, "xi")
-    if not cone_member(bctx, eta).in_intersection:
-        failures.append(f"{rid}: stored eta left the intersection cone")
-        return
-    if not cone_member(bctx, xi).in_p:
-        failures.append(f"{rid}: stored xi left the positive cone")
-        return
+def _recheck_cp(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    val = _rayleigh(hermitian_part(phi.choi()), witness["vector"].reshape(-1))
+    if val >= 0:
+        raise StaleWitnessError("witness no longer certifies a negative eigenvalue")
+    return val
+
+
+def _recheck_block_positivity(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    x = witness["x"].reshape(-1)
+    y = witness["y"].reshape(-1)
+    return product_form(hermitian_part(phi.choi()), phi.m, phi.n, x, y)
+
+
+def _recheck_k_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    k = int(record_id.rsplit("_", 1)[1])
+    target = phi.compose_transposition() if record_id.startswith("k_copositive_") else phi
+    p = witness["projection"]
+    z = witness["vector"].reshape(-1)
+    if p.shape != (target.n, target.n):
+        raise StaleWitnessError(f"stored projection has shape {p.shape}, expected {(target.n,) * 2}")
+    if (
+        np.trace(p).real > k + 1e-9
+        or frobenius(p @ p - p) > 1e-9
+        or frobenius(p - p.conj().T) > 1e-9
+    ):
+        raise StaleWitnessError("stored projection is not a rank-<=k orthogonal projection")
+    if np.linalg.norm(np.kron(np.eye(target.m), p) @ z - z) > 1e-8:
+        raise StaleWitnessError("witness vector escapes the projection range")
+    return _rayleigh(hermitian_part(target.choi()), z)
+
+
+def _recheck_sk(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    k = int(record_id.rsplit("_", 1)[1])
+    a = witness["block"]
+    amin = np.linalg.eigvalsh(hermitian_part(a))[0]
+    pt = partial_transpose(a, k, phi.m, side="first")
+    ptmin = np.linalg.eigvalsh(hermitian_part(pt))[0]
+    if amin < -1e-9 or ptmin < -1e-9:
+        raise StaleWitnessError("stored block is not PSD in both orderings")
+    image = hermitian_part(phi.apply_blockwise(a, k))
+    return float(np.linalg.eigvalsh(image)[0])
+
+
+def _recheck_pk(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    iso = witness["isometry"]
+    rank = iso.shape[1]
+    corner = MatrixMap.from_function(lambda x: iso.conj().T @ phi(x) @ iso, phi.m, rank)
+    return _ppt_pairing(witness["state"], hermitian_part(corner.choi()), phi.m, rank)
+
+
+def _recheck_decomposability(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    return _ppt_pairing(witness["state"], hermitian_part(phi.choi()), phi.m, phi.n)
+
+
+def _recheck_weakdec(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    n = int(witness["n"])
+    ctx_a = gns_context(witness["rho_a"])
+    bctx = bipartite_context(witness["rho_a"], np.eye(n, dtype=complex) / n)
+    if not cone_member(bctx, witness["eta"]).in_intersection:
+        raise StaleWitnessError("stored eta left the intersection cone")
+    if not cone_member(bctx, witness["xi"]).in_p:
+        raise StaleWitnessError("stored xi left the positive cone")
     with warnings.catch_warnings():
         # rebuilding the induced operator re-raises the invariance warning
         # that already fired when the report was produced
         warnings.simplefilter("ignore")
         t_star = t_phi(ctx_a, phi).operator.matrix.conj().T
-    zeta = bctx.apply_first_factor(t_star, xi)
-    val = float(np.vdot(eta, zeta).real)
-    _check_close(rid, record["value"], val, failures)
+    zeta = bctx.apply_first_factor(t_star, witness["xi"])
+    return float(np.vdot(witness["eta"], zeta).real)
+
+
+# One re-check per record kind, keyed by the record id with its trailing
+# order k stripped ("k_positive_2" -> "k_positive_").
+RECHECKS = {
+    "cp": _recheck_cp,
+    "block_positivity": _recheck_block_positivity,
+    "k_positive_": _recheck_k_witness,
+    "k_copositive_": _recheck_k_witness,
+    "sk_": _recheck_sk,
+    "pk_": _recheck_pk,
+    "decomposability": _recheck_decomposability,
+    "weakdec_": _recheck_weakdec,
+}
+
+
+def recheck_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    """Re-evaluate the violation witness of record `record_id` against `phi`.
+
+    `witness` holds arrays under the record's witness keys, as the verdicts
+    return them; a weakdec witness also needs the first-factor state under
+    "rho_a".  Returns the recomputed value for the caller to compare with the
+    stated one.  Raises StaleWitnessError for an unknown record id or a
+    structurally invalid witness (say, a projection that is not a rank-<=k
+    orthogonal projection, or a state that is not PPT).
+    """
+    recheck = RECHECKS.get(record_id.rstrip("0123456789"))
+    if recheck is None:
+        raise StaleWitnessError("unknown record type")
+    return recheck(record_id, phi, witness)
 
 
 def verify_report(report: dict) -> list[str]:
@@ -228,18 +235,25 @@ def verify_report(report: dict) -> list[str]:
             continue
         rid = record["id"]
         try:
+            witness = {
+                key: matrix_from_doc(val, f"witness[{key}]") if isinstance(val, dict) else val
+                for key, val in record["witness"].items()
+            }
+            subject = phi
             if rid.startswith("weakdec"):
-                _verify_weakdec_record(record, report, failures)
-            elif phi is not None:
-                _verify_map_record(record, phi, failures)
-            else:
-                failures.append(f"{rid}: no input map available to re-check the witness")
+                # a cone input carries the map and the first-factor state
+                subject = map_from_document(input_doc["map"])
+                witness["rho_a"] = matrix_from_doc(input_doc["rho_a"], "rho_a")
+            if subject is None:
+                raise StaleWitnessError("no input map available to re-check the witness")
+            value = recheck_witness(rid, subject, witness)
+        except StaleWitnessError as exc:
+            failures.append(f"{rid}: {exc}")
         except Exception as exc:  # malformed witness payloads are stale too
             failures.append(f"{rid}: witness re-evaluation failed ({exc})")
+        else:
+            if abs(record["value"] - value) > VALUE_TOL * max(1.0, abs(record["value"])):
+                failures.append(
+                    f"{rid}: stated value {record['value']:.12e} re-evaluates to {value:.12e}"
+                )
     return failures
-
-
-def require_fresh(report: dict) -> None:
-    failures = verify_report(report)
-    if failures:
-        raise StaleWitnessError("; ".join(failures))

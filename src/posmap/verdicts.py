@@ -1,73 +1,35 @@
-"""Shared result types for the asymmetric certification doctrine.
+"""The one result type of the asymmetric certification doctrine.
 
 A "violation" verdict is an exact certificate: it carries a witness whose
 defining quadratic form re-evaluates to the stated negative value.  An
 "evidence" verdict never claims a proof; it records the search statistics
-(minimum value seen, sample/restart counts, seed) that produced it.
+(minimum value seen, sample/restart counts, seed) that produced it.  A
+"pass" verdict comes only from an exact test (the spectral
+complete-positivity test) and is a proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+PASS = "pass"
 VIOLATION = "violation"
 EVIDENCE = "evidence"
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Generic asymmetric verdict."""
+    """Outcome of any certification test.
+
+    `witness` is None unless the verdict is a violation; its keys are the
+    record-payload names of the test that produced it (for example
+    {"vector"} for complete positivity, {"x", "y"} for block positivity and
+    {"projection", "vector"} for k-positivity).
+    """
 
     kind: str
     value: float
     witness: dict | None = None
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def is_violation(self) -> bool:
-        return self.kind == VIOLATION
-
-
-@dataclass(frozen=True)
-class CpVerdict:
-    """Outcome of the complete-positivity test (exact, spectral)."""
-
-    completely_positive: bool
-    min_eig: float
-    witness: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class BlockPosVerdict:
-    """Outcome of the block-positivity search over product vectors."""
-
-    kind: str
-    value: float
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def is_violation(self) -> bool:
-        return self.kind == VIOLATION
-
-
-@dataclass(frozen=True)
-class KVerdict:
-    """Outcome of a k-positivity (or k-copositivity) search.
-
-    For a violation, `projection` is the rank-<=k projection on the output
-    side, `vector` the lifted eigenvector of the compressed Choi matrix, and
-    `value` the negative compressed eigenvalue.
-    """
-
-    k: int
-    kind: str
-    value: float
-    projection: np.ndarray | None = None
-    vector: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -83,5 +45,5 @@ class DecompCertificate:
     phi2: object
     k: int
     residual: float
-    part1_verdict: KVerdict
-    part2_verdict: KVerdict
+    part1_verdict: Verdict
+    part2_verdict: Verdict

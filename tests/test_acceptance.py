@@ -111,8 +111,8 @@ def test_criterion_2_transposition_hierarchy():
     start = time.monotonic()
     phi = transposition_map(2)
     cp = cp_verdict(phi)
-    assert not cp.completely_positive
-    assert cp.min_eig == pytest.approx(-1.0, abs=1e-10)
+    assert cp.is_violation
+    assert cp.value == pytest.approx(-1.0, abs=1e-10)
     k1 = is_k_positive(phi, 1, restarts=64, seed=2001)
     assert k1.kind == EVIDENCE
     assert k1.value >= -1e-9
@@ -283,7 +283,7 @@ def test_criterion_6_block_condition_chain():
         m = int(rng.integers(2, 4))
         k = int(rng.integers(1, m + 1))
         total, phi1, phi2 = random_decomposable_map(rng, m, m)
-        cert = dk_compose(phi1, phi2, k, restarts=8, seed=6002 + t)
+        cert = dk_compose(total, phi1, phi2, k, restarts=8, seed=6002 + t)
         assert cert.residual <= 1e-10
         sv = sk_check(total, k, samples=500, seed=6003 + t)
         assert sv.kind == EVIDENCE, f"map {t}: block condition violated at {sv.value}"

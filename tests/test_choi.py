@@ -23,7 +23,7 @@ from posmap.maps import (
     trace_times_identity,
     transposition_map,
 )
-from posmap.verdicts import EVIDENCE, VIOLATION
+from posmap.verdicts import EVIDENCE, PASS, VIOLATION
 
 
 class TestChoiMatrix:
@@ -98,22 +98,22 @@ class TestTraceKernel:
 class TestCpVerdict:
     def test_identity_cp(self):
         v = cp_verdict(identity_map(2))
-        assert v.completely_positive
-        assert v.min_eig == pytest.approx(0.0, abs=1e-12)
+        assert v.kind == PASS
+        assert v.value == pytest.approx(0.0, abs=1e-12)
 
     def test_transposition_not_cp(self):
         v = cp_verdict(transposition_map(2))
-        assert not v.completely_positive
-        assert v.min_eig == pytest.approx(-1.0, abs=1e-12)
+        assert v.kind == VIOLATION
+        assert v.value == pytest.approx(-1.0, abs=1e-12)
         # witness is the antisymmetric unit vector, up to phase
-        z = v.witness
+        z = v.witness["vector"]
         anti = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
         assert abs(abs(np.vdot(anti, z)) - 1.0) <= 1e-10
 
     def test_trace_map_cp(self):
         v = cp_verdict(trace_times_identity(2))
-        assert v.completely_positive
-        assert v.min_eig == pytest.approx(1.0, abs=1e-12)
+        assert v.kind == PASS
+        assert v.value == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_hermiticity_preserving(self):
         units = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -141,7 +141,7 @@ class TestBlockPositivity:
         assert v.kind == VIOLATION
         assert v.value == pytest.approx(-1.0, abs=1e-10)
         # witness re-evaluates to its stated value
-        assert product_form(-np.eye(4), 2, 2, v.x, v.y) == pytest.approx(v.value, abs=1e-10)
+        assert product_form(-np.eye(4), 2, 2, v.witness["x"], v.witness["y"]) == pytest.approx(v.value, abs=1e-10)
 
     def test_psd_never_violates(self):
         rng = rng_stream(58)

@@ -1,15 +1,26 @@
 """CLI behavior: classification pipeline, modular suite, cone diagnostics,
 report determinism, and independent witness verification."""
 
+import ast
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from posmap import cli
 from posmap.cli import main
-from posmap.docio import dump_document, map_to_document, matrix_to_doc
+from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
 from posmap.maps import identity_map, transposition_map
-from posmap.report import report_body
+from posmap.report import RECHECKS, report_body
+from test_golden_corpus import GOLDEN, run_corpus
+
+CORPUS_VIOLATIONS = [
+    (name, record["id"])
+    for name, run in sorted(GOLDEN.items())
+    for record in run["records"]
+    if record["kind"] == "violation"
+]
 
 
 def write_map_doc(path, phi, **meta):
@@ -118,6 +129,7 @@ class TestDeterminism:
         report = load_report(out)
         assert "timing" in report
         assert "timing" not in report_body(report)
+        assert 0 <= report["timing"]["elapsed_s"] < 60
 
 
 class TestModularVerify:
@@ -248,3 +260,53 @@ class TestVerify:
         assert main(args + ["--out", str(out2)]) == 0
         assert main(["verify", str(out2)]) == 0
         assert report_body(load_report(out1)) == report_body(load_report(out2))
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        return run_corpus(str(tmp_path_factory.mktemp("corpus")))
+
+    def test_corpus_reports_verify(self, corpus):
+        for name, (_, path) in corpus.items():
+            assert main(["verify", path]) == 0, name
+
+    @pytest.mark.parametrize("name,record_id", CORPUS_VIOLATIONS)
+    def test_shifted_value_detected(self, corpus, tmp_path, name, record_id):
+        report = load_report(corpus[name][1])
+        record_by_id(report, record_id)["value"] += 0.1
+        out = tmp_path / "tampered.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+
+    def test_non_hermitian_projection_detected(self, corpus, tmp_path):
+        # an oblique rank-one idempotent v w* with w* v = 1 keeps the trace,
+        # idempotency, support and value of the witness; only Hermiticity fails
+        report = load_report(corpus["classify_neg_identity"][1])
+        record = record_by_id(report, "k_positive_1")
+        p = matrix_from_doc(record["witness"]["projection"])
+        v = np.linalg.eigh(p)[1][:, -1]
+        u = np.array([-v[1].conj(), v[0].conj()])
+        record["witness"]["projection"] = matrix_to_doc(np.outer(v, (v + u).conj()))
+        out = tmp_path / "oblique.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+
+    def test_every_witness_record_id_has_a_recheck(self):
+        # every record cli can emit with a witness goes through _verdict_record
+        # and has an entry in the re-check table
+        tree = ast.parse(inspect.getsource(cli))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        witness_writes = [
+            c for c in calls
+            if getattr(c.func, "id", None) == "add_record"
+            and any(kw.arg == "witness" for kw in c.keywords)
+        ]
+        assert len(witness_writes) == 1  # the one inside _verdict_record
+        record_ids = []
+        for c in calls:
+            if getattr(c.func, "id", None) == "_verdict_record":
+                arg = c.args[1]
+                # an f-string id "k_positive_{k}" contributes its prefix
+                record_ids.append(arg.values[0].value if isinstance(arg, ast.JoinedStr) else arg.value)
+        assert len(record_ids) >= 8
+        for record_id in record_ids:
+            assert record_id in RECHECKS, record_id

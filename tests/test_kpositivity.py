@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import posmap
-from posmap.choi import block_positivity, cp_verdict
+from posmap.choi import MatrixMap, block_positivity, cp_verdict
 from posmap.errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
@@ -18,7 +18,6 @@ from posmap.kpositivity import (
     is_k_positive,
     k_block_min,
     pk_check,
-    reverify_k_witness,
     sample_doubly_psd_block,
     sk_check,
 )
@@ -41,7 +40,8 @@ from posmap.maps import (
     swap_operator,
     transposition_map,
 )
-from posmap.verdicts import EVIDENCE, KVerdict, VIOLATION
+from posmap.report import recheck_witness
+from posmap.verdicts import EVIDENCE, VIOLATION
 
 
 class TestKBlockMin:
@@ -61,8 +61,9 @@ class TestKBlockMin:
         v = k_block_min(transposition_map(2), 2, seed=1)
         assert v.kind == VIOLATION
         assert v.value == pytest.approx(-1.0, abs=1e-10)
-        assert np.trace(v.projection).real <= 2 + 1e-9
-        assert reverify_k_witness(transposition_map(2), v) <= 1e-10
+        assert np.trace(v.witness["projection"]).real <= 2 + 1e-9
+        recomputed = recheck_witness("k_positive_2", transposition_map(2), v.witness)
+        assert abs(recomputed - v.value) <= 1e-10
 
     def test_rank_two_projection_found_in_larger_space(self):
         v = k_block_min(transposition_map(3), 2, restarts=16, seed=4)
@@ -99,8 +100,8 @@ class TestIsKPositive:
             phi = random_hermiticity_preserving(rng, m, n)
             kv = is_k_positive(phi, n, seed=t)
             cv = cp_verdict(phi)
-            assert kv.is_violation == (not cv.completely_positive)
-            assert kv.value == pytest.approx(cv.min_eig, abs=1e-10)
+            assert kv.is_violation == cv.is_violation
+            assert kv.value == pytest.approx(cv.value, abs=1e-10)
 
     def test_agrees_with_block_positivity_at_k1(self):
         agree = 0
@@ -116,8 +117,8 @@ class TestIsKPositive:
     def test_violation_witness_padded_to_larger_k(self):
         v = is_k_positive(transposition_map(3), 2, restarts=16, seed=4)
         assert v.kind == VIOLATION
-        padded = KVerdict(3, v.kind, v.value, v.projection, v.vector, v.stats)
-        assert reverify_k_witness(transposition_map(3), padded) <= 1e-10
+        recomputed = recheck_witness("k_positive_3", transposition_map(3), v.witness)
+        assert abs(recomputed - v.value) <= 1e-10
 
 
 class TestIsKCopositive:
@@ -169,8 +170,12 @@ class TestBlockMatrixCondition:
 
 class TestDkCompose:
     def test_identity_plus_transposition(self):
-        cert = dk_compose(identity_map(2), transposition_map(2), 2, restarts=8, seed=1)
+        target = MatrixMap.from_function(lambda a: a + a.T, 2, 2)
+        cert = dk_compose(target, identity_map(2), transposition_map(2), 2, restarts=8, seed=1)
         assert cert.residual <= 1e-10
+        # the residual measures the target, not the sum against itself
+        wrong = dk_compose(identity_map(2), identity_map(2), transposition_map(2), 2, restarts=8, seed=1)
+        assert wrong.residual == pytest.approx(2.0, abs=1e-12)
         assert cert.part1_verdict.kind == EVIDENCE
         assert cert.part2_verdict.kind == EVIDENCE
 
@@ -178,18 +183,18 @@ class TestDkCompose:
         rng = rng_stream(505)
         phi1 = random_cp_map(rng, 2, 2)
         zero = 0.0 * identity_map(2)
-        cert = dk_compose(phi1, zero, 2, restarts=8, seed=2)
+        cert = dk_compose(phi1, phi1, zero, 2, restarts=8, seed=2)
         assert cert.residual <= 1e-10
 
     def test_transposition_rejected_as_positive_part(self):
         zero = 0.0 * identity_map(2)
         with pytest.raises(ComponentNotKPositiveError):
-            dk_compose(transposition_map(2), zero, 2, restarts=8, seed=3)
+            dk_compose(transposition_map(2), transposition_map(2), zero, 2, restarts=8, seed=3)
 
     def test_identity_rejected_as_copositive_part(self):
         zero = 0.0 * identity_map(2)
         with pytest.raises(ComponentNotKCopositiveError):
-            dk_compose(zero, identity_map(2), 2, restarts=8, seed=4)
+            dk_compose(identity_map(2), zero, identity_map(2), 2, restarts=8, seed=4)
 
 
 class TestDecomposabilityWitness:
@@ -258,7 +263,7 @@ class TestConditionChain:
             m = int(rng.integers(2, 4))
             k = int(rng.integers(1, m + 1))
             total, phi1, phi2 = random_decomposable_map(rng, m, m)
-            cert = dk_compose(phi1, phi2, k, restarts=8, seed=t)
+            cert = dk_compose(total, phi1, phi2, k, restarts=8, seed=t)
             assert cert.residual <= 1e-10
             assert sk_check(total, k, samples=60, seed=t).kind == EVIDENCE
             assert pk_check(total, k, projections=15, seed=t).kind == EVIDENCE
