@@ -9,13 +9,11 @@ shadow of the doubly-PSD block condition for maps.
 
 import numpy as np
 
-from posmap import (
+from posmap.cones import (
     bipartite_context,
     cone_member,
-    gns_context,
     odd_part_flags,
     odd_part_polar,
-    pq_split,
     sample_intersection_element,
     split_bounds_check,
     transposed_cone_consistency,
@@ -23,6 +21,7 @@ from posmap import (
 )
 from posmap.linalg import rng_stream
 from posmap.maps import identity_map, max_entangled_projector, transposition_map
+from posmap.modular import gns_context
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -50,7 +49,7 @@ print(f"  hull duality:      {report['duality_pairing_min']:+.3e} (>= 0)")
 
 print("\n=== even/odd split under the symmetry ===")
 xi = sample_intersection_element(ctx, rng)
-even, odd = pq_split(ctx, xi)
+even, odd = ctx.p_project(xi), ctx.q_project(xi)
 print(f"  ||even part|| = {np.linalg.norm(even):.4f} >= ||odd part|| = {np.linalg.norm(odd):.4f}")
 margins = split_bounds_check(ctx, xi, eta_samples=200, seed=2)
 print(f"  inequality violations over 200 dual samples: {int(margins['violations'])}")

@@ -8,7 +8,13 @@ maps, reads their operators, and runs the base positivity tests.
 
 import numpy as np
 
-from posmap import block_positivity, block_positivity_forms, cp_verdict, kernel_transpose_gap, map_from_choi
+from posmap.choi import (
+    MatrixMap,
+    block_positivity,
+    block_positivity_forms,
+    cp_verdict,
+    kernel_transpose_gap,
+)
 from posmap.linalg import hermitian_part, random_unit_vector, rng_stream
 from posmap.maps import identity_map, swap_operator, trace_times_identity, transposition_map
 
@@ -37,7 +43,7 @@ for name, phi in catalog.items():
     print(f"  {name}: ||h - g^T|| = {kernel_transpose_gap(phi):.2e}")
 
 print("\n=== the two encodings invert each other ===")
-phi = map_from_choi(np.eye(4, dtype=complex), 2, 2)
+phi = MatrixMap.from_choi(np.eye(4, dtype=complex), 2, 2)
 a = np.array([[1, 2], [3, 4]], dtype=complex)
 print("map of the identity operator applied to [[1,2],[3,4]]:")
 print(phi(a).real, " (= Tr(a) * I)")

@@ -9,7 +9,7 @@ sampling evidence with their budgets attached.
 
 import numpy as np
 
-from posmap import (
+from posmap.kpositivity import (
     bisect_threshold,
     decomposability_witness,
     dk_compose,

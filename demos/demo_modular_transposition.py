@@ -9,7 +9,7 @@ shows the interpolating cone family with its duality.
 
 import numpy as np
 
-from posmap import (
+from posmap.modular import (
     check_polar_factorization,
     check_unitary_relations,
     cone_state,

@@ -6,161 +6,51 @@ and realizes the modular description of transposition numerically: the GNS
 representation of a faithful state, the swap unitary and conjugations, the
 polar factorization of the transposition carrier, the interpolating cone
 family, and the bipartite natural cones with their partial-swap symmetry.
+
+The package exports the API documented in the README; every other name is
+imported from its own submodule (``posmap.maps``, ``posmap.linalg``, ...).
 """
 
-from .choi import (
-    MatrixMap,
-    block_positivity,
-    block_positivity_forms,
-    choi_matrix,
-    cp_verdict,
-    kernel_transpose_gap,
-    map_from_choi,
-    product_form,
-    trace_kernel,
-)
-from .cones import (
-    BipartiteConeContext,
-    ConeMembership,
-    OddPartFlags,
-    OddPartPolar,
-    bipartite_context,
-    cone_member,
-    odd_part_flags,
-    odd_part_polar,
-    pq_split,
-    sample_cone_element,
-    sample_intersection_element,
-    sample_ppt_operator,
-    split_bound_margins,
-    split_bounds_check,
-    transposed_cone_consistency,
-    weak_kdec_cone_check,
-)
+from .choi import MatrixMap, block_positivity, cp_verdict
+from .cones import bipartite_context, cone_member
 from .kpositivity import (
     bisect_threshold,
     decomposability_witness,
     dk_compose,
     is_k_copositive,
     is_k_positive,
-    k_block_min,
     pk_check,
-    sample_doubly_psd_block,
     sk_check,
 )
-from .linalg import (
-    HermEig,
-    frac_power,
-    haar_projection,
-    herm_eig,
-    hs_inner,
-    kron,
-    partial_transpose,
-    psd_min_eig,
-    psd_tol,
-    rng_stream,
-)
-from .modular import (
-    BalanceAdjoint,
-    GnsContext,
-    InducedOperator,
-    Superoperator,
-    check_polar_factorization,
-    check_unitary_relations,
-    commutant_defect,
-    cone_state,
-    cone_vector,
-    db_adjoint,
-    frame_transposition_map,
-    gns_context,
-    schwarz_defect,
-    superop_from_function,
-    swap_conjugate,
-    t_phi,
-    transpose_via_conjugations,
-    v_beta_duality_check,
-    v_beta_member,
-)
+from .linalg import herm_eig
+from .modular import GnsContext, check_polar_factorization, check_unitary_relations, gns_context
 from .report import recheck_witness
-from .verdicts import (
-    EVIDENCE,
-    PASS,
-    VIOLATION,
-    DecompCertificate,
-    Verdict,
-)
+from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MatrixMap",
     "block_positivity",
-    "block_positivity_forms",
-    "choi_matrix",
     "cp_verdict",
-    "kernel_transpose_gap",
-    "map_from_choi",
-    "product_form",
-    "trace_kernel",
-    "BipartiteConeContext",
-    "ConeMembership",
-    "OddPartFlags",
-    "OddPartPolar",
     "bipartite_context",
     "cone_member",
-    "odd_part_flags",
-    "odd_part_polar",
-    "pq_split",
-    "sample_cone_element",
-    "sample_intersection_element",
-    "sample_ppt_operator",
-    "split_bound_margins",
-    "split_bounds_check",
-    "transposed_cone_consistency",
-    "weak_kdec_cone_check",
     "bisect_threshold",
     "decomposability_witness",
     "dk_compose",
     "is_k_copositive",
     "is_k_positive",
-    "k_block_min",
     "pk_check",
-    "sample_doubly_psd_block",
     "sk_check",
-    "HermEig",
-    "frac_power",
-    "haar_projection",
     "herm_eig",
-    "hs_inner",
-    "kron",
-    "partial_transpose",
-    "psd_min_eig",
-    "psd_tol",
-    "rng_stream",
-    "BalanceAdjoint",
     "GnsContext",
-    "InducedOperator",
-    "Superoperator",
     "check_polar_factorization",
     "check_unitary_relations",
-    "commutant_defect",
-    "cone_state",
-    "cone_vector",
-    "db_adjoint",
-    "frame_transposition_map",
     "gns_context",
-    "schwarz_defect",
-    "superop_from_function",
-    "swap_conjugate",
-    "t_phi",
-    "transpose_via_conjugations",
-    "v_beta_duality_check",
-    "v_beta_member",
     "recheck_witness",
     "EVIDENCE",
     "PASS",
     "VIOLATION",
-    "DecompCertificate",
     "Verdict",
     "__version__",
 ]

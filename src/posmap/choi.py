@@ -25,6 +25,7 @@ from .linalg import (
     frobenius,
     herm_eig,
     hermitian_part,
+    matrix_units,
     psd_tol,
     random_unit_vector,
     rng_stream,
@@ -71,13 +72,12 @@ class MatrixMap:
 
     @classmethod
     def from_function(cls, f, m: int, n: int) -> "MatrixMap":
-        units = np.zeros((m, m, n, n), dtype=complex)
+        units = matrix_units(m)
+        images = np.zeros((m, m, n, n), dtype=complex)
         for i in range(m):
             for j in range(m):
-                e = np.zeros((m, m), dtype=complex)
-                e[i, j] = 1.0
-                units[i, j] = np.asarray(f(e), dtype=complex)
-        return cls(units)
+                images[i, j] = f(units[i, j])
+        return cls(images)
 
     @classmethod
     def from_kraus(cls, operators, m: int, n: int) -> "MatrixMap":
@@ -147,14 +147,6 @@ class MatrixMap:
         return MatrixMap(complex(scalar) * self.unit_images)
 
 
-def choi_matrix(phi: MatrixMap) -> np.ndarray:
-    return phi.choi()
-
-
-def map_from_choi(h, m: int, n: int) -> MatrixMap:
-    return MatrixMap.from_choi(h, m, n)
-
-
 def trace_kernel(phi: MatrixMap) -> np.ndarray:
     """The dual kernel g = sum_kl g_kl (x) F_kl with phi(a)[k, l] = Tr(a g_lk).
 
@@ -163,22 +155,12 @@ def trace_kernel(phi: MatrixMap) -> np.ndarray:
     but trivially small at this scale.
     """
     m, n = phi.m, phi.n
-    # pairing[(i, j), (p, q)] = Tr(E_ij e_pq);  rhs column (k, l) = phi(E_.. )[k, l]
-    pairing = np.zeros((m * m, m * m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            for p in range(m):
-                for q in range(m):
-                    pairing[i * m + j, p * m + q] = 1.0 if (p == j and q == i) else 0.0
+    # pairing[(i, j), (p, q)] = Tr(E_ij E_pq) = 1 exactly when (p, q) = (j, i)
+    pairing = matrix_units(m).transpose(1, 0, 2, 3).reshape(m * m, m * m)
     rhs = phi.unit_images.reshape(m * m, n * n)
-    sol = np.linalg.solve(pairing, rhs)  # column (k, l) holds vec(g_lk)
-    g = np.zeros((m * n, m * n), dtype=complex)
-    g4 = g.reshape(m, n, m, n)
-    for k in range(n):
-        for lidx in range(n):
-            g_kl = sol[:, lidx * n + k].reshape(m, m)  # column (l, k) is vec(g_kl)
-            g4[:, k, :, lidx] = g_kl
-    return g
+    sol = np.linalg.solve(pairing, rhs)  # column (l, k) holds vec(g_kl)
+    # g = sum_kl g_kl (x) F_kl: g[(p, k), (q, l)] = g_kl[p, q]
+    return sol.reshape(m, m, n, n).transpose(0, 3, 1, 2).reshape(m * n, m * n)
 
 
 def kernel_transpose_gap(phi: MatrixMap) -> float:

@@ -32,7 +32,6 @@ from .cones import (
     cone_member,
     odd_part_flags,
     odd_part_polar,
-    pq_split,
     split_bounds_check,
     transposed_cone_consistency,
     weak_kdec_cone_check,
@@ -226,14 +225,6 @@ def cmd_modular_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cone_vector_from_input(cone_input, ctx):
-    if cone_input.vector is not None:
-        return np.asarray(cone_input.vector, dtype=complex)
-    if cone_input.blocks is not None:
-        return ctx.cone_vector(ctx.from_blocks(cone_input.blocks))
-    raise ParseError("cone-input document carries no vector or blocks")
-
-
 def cmd_cone(args) -> int:
     doc = load_document(args.input)
     if args.seed is None:
@@ -245,9 +236,16 @@ def cmd_cone(args) -> int:
     params = {"subcommand": args.subcommand, "samples": args.samples}
     report = new_report(doc, args.seed, params)
     exit_code = 0
+    if args.subcommand == "weakdec":
+        xi = None
+    elif cone_input.vector is not None:
+        xi = np.asarray(cone_input.vector, dtype=complex)
+    elif cone_input.blocks is not None:
+        xi = ctx.cone_vector(ctx.from_blocks(cone_input.blocks))
+    else:
+        raise ParseError("cone-input document carries no vector or blocks")
 
     if args.subcommand == "member":
-        xi = _cone_vector_from_input(cone_input, ctx)
         membership = cone_member(ctx, xi, hull_samples=args.samples, seed=args.seed)
         report["summary"] = {
             "in_p": membership.in_p,
@@ -258,10 +256,11 @@ def cmd_cone(args) -> int:
             "cross_route_defect": membership.cross_route_defect,
             "in_hull_evidence": membership.in_hull_evidence,
         }
-        add_record(report, "member", "pass", membership.p_min_eig, seed=args.seed)
+        # a vector outside P is an answer, not a verification failure: exit 0
+        add_record(report, "member", "pass" if membership.in_p else "defect",
+                   membership.p_min_eig, seed=args.seed)
     elif args.subcommand == "pq":
-        xi = _cone_vector_from_input(cone_input, ctx)
-        p_xi, q_xi = pq_split(ctx, xi)
+        p_xi, q_xi = ctx.p_project(xi), ctx.q_project(xi)
         cross = abs(np.vdot(p_xi, q_xi))
         pythagoras = abs(
             np.vdot(xi, xi).real - np.vdot(p_xi, p_xi).real - np.vdot(q_xi, q_xi).real
@@ -275,14 +274,12 @@ def cmd_cone(args) -> int:
         add_record(report, "pq", "defect", float(max(cross, pythagoras)), seed=args.seed)
         exit_code = 0 if max(cross, pythagoras) <= DEFECT_LIMIT else 1
     elif args.subcommand == "bounds":
-        xi = _cone_vector_from_input(cone_input, ctx)
         margins = split_bounds_check(ctx, xi, eta_samples=args.samples, seed=args.seed)
         report["summary"] = {k: float(v) for k, v in margins.items()}
         add_record(report, "bounds", "pass" if margins["violations"] == 0 else "defect",
                    margins["violations"], seed=args.seed)
         exit_code = 0 if margins["violations"] == 0 else 1
     elif args.subcommand == "flags":
-        xi = _cone_vector_from_input(cone_input, ctx)
         flags = odd_part_flags(ctx, xi)
         report["summary"] = {
             "q_in_p": flags.q_in_p,
@@ -294,7 +291,6 @@ def cmd_cone(args) -> int:
                    0.0 if flags.agree() else 1.0, seed=args.seed)
         exit_code = 0 if flags.agree() else 1
     elif args.subcommand == "polar":
-        xi = _cone_vector_from_input(cone_input, ctx)
         polar = odd_part_polar(ctx, xi)
         xi_b_ok = polar.degenerate or cone_member(ctx, polar.xi_b).in_p
         report["summary"] = {
@@ -314,13 +310,15 @@ def cmd_cone(args) -> int:
             ctx_a, phi, k, samples=args.samples, dual_samples=args.samples, seed=args.seed
         )
         _verdict_record(report, f"weakdec_{k}", verdict, args.seed)
-        report["summary"] = {"weakdec": verdict.kind, "k": k, "min_pairing": verdict.value}
+        consistency = transposed_cone_consistency(ctx, samples=min(args.samples, 50), seed=args.seed)
+        report["summary"] = {
+            "weakdec": verdict.kind,
+            "k": k,
+            "min_pairing": verdict.value,
+            "transposed_cone_identity_defect": consistency["identity_defect"],
+        }
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown cone subcommand {args.subcommand}")
-
-    if args.subcommand == "weakdec":
-        consistency = transposed_cone_consistency(ctx, samples=min(args.samples, 50), seed=args.seed)
-        report["summary"]["transposed_cone_identity_defect"] = consistency["identity_defect"]
     _emit(report, args.out, _timing(args))
     return exit_code
 
@@ -349,36 +347,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Positivity classification of maps between matrix algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out")
+    output.add_argument("--timings", action="store_true")
 
-    p_classify = sub.add_parser("classify", help="run the positivity hierarchy on a map document")
+    p_classify = sub.add_parser(
+        "classify", parents=[output], help="run the positivity hierarchy on a map document"
+    )
     p_classify.add_argument("input")
     p_classify.add_argument("--k-max", type=int, default=2, dest="k_max")
     p_classify.add_argument("--seed", type=int, required=True)
     p_classify.add_argument("--restarts", type=int, default=32)
     p_classify.add_argument("--samples", type=int, default=200)
     p_classify.add_argument("--projections", type=int, default=40)
-    p_classify.add_argument("--out")
-    p_classify.add_argument("--timings", action="store_true")
     p_classify.set_defaults(func=cmd_classify)
 
-    p_mod = sub.add_parser("modular-verify", help="verify the modular identity suite")
+    p_mod = sub.add_parser(
+        "modular-verify", parents=[output], help="verify the modular identity suite"
+    )
     p_mod.add_argument("--dim", type=int, required=True)
     p_mod.add_argument("--trials", type=int, default=10)
     p_mod.add_argument("--seed", type=int, required=True)
     p_mod.add_argument("--rho-file", dest="rho_file")
-    p_mod.add_argument("--out")
-    p_mod.add_argument("--timings", action="store_true")
     p_mod.set_defaults(func=cmd_modular_verify)
 
-    p_cone = sub.add_parser("cone", help="bipartite cone diagnostics")
+    p_cone = sub.add_parser("cone", parents=[output], help="bipartite cone diagnostics")
     p_cone.add_argument("subcommand", choices=["member", "pq", "bounds", "flags", "polar", "weakdec"])
     p_cone.add_argument("input")
     p_cone.add_argument("--seed", type=int, default=None,
                         help="mandatory for the sampling subcommands member/bounds/weakdec")
     p_cone.add_argument("--samples", type=int, default=100)
     p_cone.add_argument("--k", type=int)
-    p_cone.add_argument("--out")
-    p_cone.add_argument("--timings", action="store_true")
     p_cone.set_defaults(func=cmd_cone)
 
     p_verify = sub.add_parser("verify", help="re-check every witness stored in a report")

@@ -34,6 +34,7 @@ from .linalg import (
     hermitian_part,
     hs_inner,
     partial_transpose,
+    ppt_min_eigs,
     psd_tol,
     random_complex,
     random_psd,
@@ -199,10 +200,7 @@ def cone_member(
     x = ctx.reconstruct(m)
     bound = psd_tol(x) if tol is None else tol
     herm_defect = frobenius(x - x.conj().T)
-    xh = hermitian_part(x)
-    p_min = float(np.linalg.eigvalsh(xh)[0])
-    x_t = partial_transpose(xh, ctx.dim_a, ctx.dim_b, side="second")
-    ptau_min = float(np.linalg.eigvalsh(hermitian_part(x_t))[0])
+    p_min, ptau_min = ppt_min_eigs(x, ctx.dim_a, ctx.dim_b, "second")
     cross = frobenius(ctx.reconstruct(ctx.utilde(m)) - partial_transpose(x, ctx.dim_a, ctx.dim_b, "second"))
     in_p = herm_defect <= bound and p_min >= -bound
     in_ptau = herm_defect <= bound and ptau_min >= -bound
@@ -224,7 +222,7 @@ def cone_member(
         in_intersection=in_p and in_ptau,
         hermitian_defect=herm_defect,
         cross_route_defect=cross,
-        blocks=ctx.blocks(xh),
+        blocks=ctx.blocks(hermitian_part(x)),
         hull_pairing_min=hull_min,
         in_hull_evidence=hull_flag,
     )
@@ -338,12 +336,6 @@ def transposed_cone_consistency(
         "samples": float(samples),
         "seed": float(seed),
     }
-
-
-def pq_split(ctx: BipartiteConeContext, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal split of xi along the spectral projections of the partial swap."""
-    m = ctx._require(xi)
-    return ctx.p_project(m), ctx.q_project(m)
 
 
 def split_bound_margins(ctx: BipartiteConeContext, xi, etas) -> dict[str, float]:

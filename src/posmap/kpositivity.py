@@ -36,6 +36,7 @@ from .linalg import (
     herm_eig,
     hermitian_part,
     partial_transpose,
+    ppt_min_eigs,
     psd_min_eig,
     psd_tol,
     random_complex,
@@ -340,18 +341,11 @@ def decomposability_witness(
 
     # strict-feasibility polish: mix toward the maximally mixed state just
     # enough to lift residual negative eigenvalues on both sides
-    worst = min(
-        np.linalg.eigvalsh(hermitian_part(w))[0],
-        np.linalg.eigvalsh(hermitian_part(partial_transpose(w, m, n, "first")))[0],
-    )
-    mix = min(0.5, 2.0 * d * max(0.0, -float(worst)) + 1e-6)
+    worst = min(ppt_min_eigs(w, m, n, "first"))
+    mix = min(0.5, 2.0 * d * max(0.0, -worst) + 1e-6)
     w_cert = (1 - mix) * hermitian_part(w) + mix * np.eye(d, dtype=complex) / d
     value = float(np.trace(w_cert @ hm).real)
-    pt = partial_transpose(w_cert, m, n, "first")
-    feasible = (
-        np.linalg.eigvalsh(hermitian_part(w_cert))[0] >= -1e-12
-        and np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-12
-    )
+    feasible = min(ppt_min_eigs(w_cert, m, n, "first")) >= -1e-12
     stats = {"iterations": iters, "seed": seed, "min_value": value, "feasible": bool(feasible)}
     if feasible and value < -tol:
         return Verdict(VIOLATION, value, witness={"state": w_cert}, stats=stats)

@@ -4,8 +4,8 @@ Conventions, used bit-exactly everywhere:
 
 - Matrices are dense complex numpy arrays in row-major order.
 - Vectorization stacks rows: ``vec(a)[i * cols + j] = a[i, j]``.
-- ``kron`` keeps the first factor slowest, so
-  ``kron(A, B)[i*p + k, j*q + l] = A[i, j] * B[k, l]``.
+- ``np.kron`` keeps the first factor slowest, so
+  ``np.kron(A, B)[i*p + k, j*q + l] = A[i, j] * B[k, l]``.
 - Randomness comes from the counter-based Philox generator; every search
   takes an explicit integer seed and independent streams are obtained with
   :func:`rng_stream`, so any sampled verdict is replayable.
@@ -116,9 +116,10 @@ def frac_power(a, beta: float) -> np.ndarray:
     return (v * w**beta) @ v.conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor slowest (row-major convention)."""
-    return np.kron(as_matrix(a), as_matrix(b))
+def matrix_units(d: int) -> np.ndarray:
+    """The matrix units of B(C^d): ``units[i, j]`` is E_ij, the d x d matrix
+    with a one at (i, j) and zeros elsewhere."""
+    return np.eye(d * d, dtype=complex).reshape(d, d, d, d)
 
 
 def partial_transpose(h, dim_first: int, dim_second: int, side: str = "first") -> np.ndarray:
@@ -143,6 +144,17 @@ def _partial_transpose(m: np.ndarray, dim_first: int, dim_second: int, side: str
     else:
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
     return np.ascontiguousarray(t.reshape(d, d))
+
+
+def ppt_min_eigs(
+    a: np.ndarray, dim_first: int, dim_second: int, side: str
+) -> tuple[float, float]:
+    """Smallest eigenvalues of the Hermitian part of `a` and of its partial
+    transpose on `side`; both are >= 0 exactly when `a` is a PPT operator.
+    Like `alternate_ppt_projections`, it does no validation."""
+    h = hermitian_part(a)
+    pt = _partial_transpose(h, dim_first, dim_second, side)
+    return float(np.linalg.eigvalsh(h)[0]), float(np.linalg.eigvalsh(pt)[0])
 
 
 def project_psd(a: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .choi import MatrixMap
-from .linalg import random_psd
+from .linalg import matrix_units, random_psd
 
 
 def identity_map(n: int) -> MatrixMap:
@@ -91,19 +91,12 @@ def random_decomposable_map(
 
 def swap_operator(n: int) -> np.ndarray:
     """The flip on C^n (x) C^n; Choi matrix of transposition."""
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            s[i * n + j, j * n + i] = 1.0
-    return s
+    return matrix_units(n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
 
 
 def max_entangled_projector(n: int) -> np.ndarray:
     """Rank-1 projector onto sum_i e_i (x) e_i / sqrt(n)."""
-    v = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        v[i * n + i] = 1.0
-    v /= np.sqrt(n)
+    v = np.eye(n, dtype=complex).reshape(-1) / np.sqrt(n)
     return np.outer(v, v.conj())
 
 
@@ -113,14 +106,9 @@ def ppt_state_family(b: float, c: float) -> np.ndarray:
     w(b, c) ~ P+ + b * sigma_plus + c * sigma_minus, normalized to unit trace;
     positive under partial transposition exactly when b * c >= 1.
     """
-
-    def ket(i: int, j: int) -> np.ndarray:
-        v = np.zeros(9, dtype=complex)
-        v[i * 3 + j] = 1.0
-        return v
-
-    sig_p = sum(np.outer(ket(i, (i + 1) % 3), ket(i, (i + 1) % 3).conj()) for i in range(3)) / 3
-    sig_m = sum(np.outer(ket((i + 1) % 3, i), ket((i + 1) % 3, i).conj()) for i in range(3)) / 3
+    ket = matrix_units(3).reshape(3, 3, 9)  # ket[i, j] = e_i (x) e_j
+    sig_p = sum(np.outer(ket[i, (i + 1) % 3], ket[i, (i + 1) % 3].conj()) for i in range(3)) / 3
+    sig_m = sum(np.outer(ket[(i + 1) % 3, i], ket[(i + 1) % 3, i].conj()) for i in range(3)) / 3
     w = max_entangled_projector(3) + b * sig_p + c * sig_m
     return w / np.trace(w).real
 

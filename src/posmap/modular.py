@@ -40,6 +40,7 @@ from .linalg import (
     frobenius,
     herm_eig,
     hermitian_part,
+    matrix_units,
     psd_min_eig,
     psd_tol,
     random_complex,
@@ -106,14 +107,10 @@ class Superoperator:
 
 
 def superop_from_function(f, dim: int, antilinear: bool = False) -> Superoperator:
-    """Assemble the matrix of a superoperator by applying it to the frame units."""
-    mat = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            mat[:, i * dim + j] = np.asarray(f(e), dtype=complex).reshape(-1)
-    return Superoperator(mat, antilinear)
+    """Assemble the matrix of a superoperator by applying it to the frame units:
+    column (i, j) is vec(f(E_ij))."""
+    images = MatrixMap.from_function(f, dim, dim).unit_images.reshape(dim * dim, dim * dim)
+    return Superoperator(np.ascontiguousarray(images.T), antilinear)
 
 
 @dataclass(frozen=True)
@@ -270,12 +267,9 @@ def commutant_defect(ctx: GnsContext, op) -> float:
     """Largest commutator norm of `op` against all left multiplications."""
     a = as_matrix(op)
     worst = 0.0
-    for i in range(ctx.dim):
-        for j in range(ctx.dim):
-            e = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-            e[i, j] = 1.0
-            lm = ctx.left_mult(e).matrix
-            worst = max(worst, frobenius(a @ lm - lm @ a))
+    for e in matrix_units(ctx.dim).reshape(-1, ctx.dim, ctx.dim):
+        lm = ctx.left_mult(e).matrix
+        worst = max(worst, frobenius(a @ lm - lm @ a))
     return worst
 
 
@@ -381,12 +375,8 @@ def t_phi(ctx: GnsContext, phi: MatrixMap, *, invariance_warn: float = 1e-8) -> 
         raise DimensionMismatchError(
             f"map acts on B(C^{phi.m}) -> B(C^{phi.n}), context dimension {ctx.dim}"
         )
-    inv = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-    for p in range(ctx.dim):
-        for q in range(ctx.dim):
-            e = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-            e[p, q] = 1.0
-            inv[p, q] = np.trace(ctx.rho @ phi(e)) - np.trace(ctx.rho @ e)
+    # inv[p, q] = Tr(rho phi(E_pq)) - Tr(rho E_pq), and Tr(rho E_pq) = rho[q, p]
+    inv = np.einsum("ab,pqba->pq", ctx.rho, phi.unit_images) - ctx.rho.T
     invariance_defect = frobenius(inv)
     if invariance_defect > invariance_warn:
         warnings.warn(
@@ -405,11 +395,8 @@ def t_phi(ctx: GnsContext, phi: MatrixMap, *, invariance_warn: float = 1e-8) -> 
     )
 
     ext = 0.0
-    for i in range(ctx.dim):
-        for j in range(ctx.dim):
-            e = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-            e[i, j] = 1.0
-            ext = max(ext, frobenius(t_op.apply(e @ ctx.Omega) - phi_frame(e) @ ctx.Omega))
+    for e in matrix_units(ctx.dim).reshape(-1, ctx.dim, ctx.dim):
+        ext = max(ext, frobenius(t_op.apply(e @ ctx.Omega) - phi_frame(e) @ ctx.Omega))
 
     delta = ctx.delta_power(1.0)
     comm = frobenius(t_op.matrix @ delta.matrix - delta.matrix @ t_op.matrix)
@@ -480,31 +467,18 @@ def db_adjoint(
         raise DimensionMismatchError("map and context dimensions differ")
     d = ctx.dim
     rho = ctx.rho
-    image_rho = np.einsum("klab,bc->klac", phi.unit_images, rho)  # phi(e_kl) rho
-    units = np.zeros((d, d, d, d), dtype=complex)
+    image_rho = np.einsum("klab,bc->klac", phi.unit_images, rho)  # phi(E_kl) rho
     try:
         rho_inv = np.linalg.inv(rho)
     except np.linalg.LinAlgError as exc:
         raise InconsistentSystemError("state is numerically singular") from exc
-    for p in range(d):
-        for q in range(d):
-            # psi(e_pq) from (rho psi(e_pq))[l, k] = (phi(e_kl) rho)[q, p]
-            rhs = image_rho[:, :, q, p].T  # [l, k] -> matrix with rows l, cols k
-            units[p, q] = rho_inv @ rhs
-    psi = MatrixMap(units)
+    # psi(E_pq) from (rho psi(E_pq))[l, k] = (phi(E_kl) rho)[q, p]
+    psi = MatrixMap(rho_inv @ image_rho.transpose(3, 2, 1, 0))
 
-    defect = 0.0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for el in range(d):
-                    a = np.zeros((d, d), dtype=complex)
-                    a[j, i] = 1.0  # a* for a = e_ij
-                    b = np.zeros((d, d), dtype=complex)
-                    b[k, el] = 1.0
-                    lhs = np.trace(rho @ a @ phi(b))
-                    rhs_val = np.trace(rho @ psi(a) @ b)
-                    defect = max(defect, abs(lhs - rhs_val))
+    # over every unit pair (a, b) = (E_ij, E_kl): Tr(rho E_ji phi(E_kl)) is
+    # image_rho[k, l, i, j] and Tr(rho psi(E_ji) E_kl) is (rho psi(E_ji))[l, k]
+    rho_psi = rho @ psi.unit_images
+    defect = float(np.max(np.abs(image_rho - rho_psi.transpose(3, 2, 1, 0))))
     if defect > tol:
         raise InconsistentSystemError(f"identity defect {defect:.3e} exceeds {tol:.1e}")
     pos = block_positivity(hermitian_part(psi.choi()), d, d, restarts=restarts, seed=seed)

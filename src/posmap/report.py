@@ -23,8 +23,8 @@ import numpy as np
 from .choi import MatrixMap, product_form
 from .cones import bipartite_context, cone_member
 from .docio import map_from_document, matrix_from_doc, matrix_to_doc
-from .errors import StaleWitnessError
-from .linalg import frobenius, hermitian_part, partial_transpose
+from .errors import ParseError, StaleWitnessError
+from .linalg import frobenius, hermitian_part, ppt_min_eigs
 from .modular import gns_context, t_phi
 
 TOOL_NAME = "posmap"
@@ -79,12 +79,13 @@ def add_record(
 
 
 def _plain(v):
+    # bool first: bool is a subclass of int
+    if isinstance(v, (np.bool_, bool)):
+        return bool(v)
     if isinstance(v, (np.floating, float)):
         return float(v)
     if isinstance(v, (np.integer, int)):
         return int(v)
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
     return v
 
 
@@ -111,11 +112,14 @@ def _rayleigh(h: np.ndarray, z: np.ndarray) -> float:
     return float(np.vdot(z, h @ z).real / max(np.vdot(z, z).real, 1e-300))
 
 
+def _require_shape(name: str, a: np.ndarray, d: int) -> None:
+    if a.shape != (d, d):
+        raise StaleWitnessError(f"stored {name} has shape {a.shape}, expected {(d, d)}")
+
+
 def _ppt_pairing(w: np.ndarray, h: np.ndarray, m: int, n: int) -> float:
-    wmin = np.linalg.eigvalsh(hermitian_part(w))[0]
-    pt = partial_transpose(w, m, n, side="first")
-    ptmin = np.linalg.eigvalsh(hermitian_part(pt))[0]
-    if wmin < -1e-12 or ptmin < -1e-12:
+    _require_shape("state", w, m * n)
+    if min(ppt_min_eigs(w, m, n, "first")) < -1e-12:
         raise StaleWitnessError("stored witness state is not a PPT state")
     return float(np.trace(w @ h).real)
 
@@ -138,8 +142,7 @@ def _recheck_k_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
     target = phi.compose_transposition() if record_id.startswith("k_copositive_") else phi
     p = witness["projection"]
     z = witness["vector"].reshape(-1)
-    if p.shape != (target.n, target.n):
-        raise StaleWitnessError(f"stored projection has shape {p.shape}, expected {(target.n,) * 2}")
+    _require_shape("projection", p, target.n)
     if (
         np.trace(p).real > k + 1e-9
         or frobenius(p @ p - p) > 1e-9
@@ -154,10 +157,8 @@ def _recheck_k_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
 def _recheck_sk(record_id: str, phi: MatrixMap, witness: dict) -> float:
     k = int(record_id.rsplit("_", 1)[1])
     a = witness["block"]
-    amin = np.linalg.eigvalsh(hermitian_part(a))[0]
-    pt = partial_transpose(a, k, phi.m, side="first")
-    ptmin = np.linalg.eigvalsh(hermitian_part(pt))[0]
-    if amin < -1e-9 or ptmin < -1e-9:
+    _require_shape("block", a, k * phi.m)
+    if min(ppt_min_eigs(a, k, phi.m, "first")) < -1e-9:
         raise StaleWitnessError("stored block is not PSD in both orderings")
     image = hermitian_part(phi.apply_blockwise(a, k))
     return float(np.linalg.eigvalsh(image)[0])
@@ -222,7 +223,16 @@ def recheck_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
 
 
 def verify_report(report: dict) -> list[str]:
-    """Re-evaluate every stored witness; returns a list of failure messages."""
+    """Re-evaluate every stored witness; returns a list of failure messages.
+
+    Raises ParseError when the report or one of its records is not a JSON
+    object.
+    """
+    if not isinstance(report, dict):
+        raise ParseError("a report must be a JSON object")
+    records = report.get("records", [])
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ParseError("report records must be a list of JSON objects")
     failures: list[str] = []
     if report.get("input_digest") != input_digest(report.get("input")):
         failures.append("input_digest: embedded input does not match its digest")
@@ -230,7 +240,7 @@ def verify_report(report: dict) -> list[str]:
     phi = None
     if isinstance(input_doc, dict) and input_doc.get("kind") == "map":
         phi = map_from_document(input_doc)
-    for record in report.get("records", []):
+    for record in records:
         if record.get("kind") != "violation" or "witness" not in record:
             continue
         rid = record["id"]

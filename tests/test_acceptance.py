@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from posmap.choi import block_positivity, cp_verdict, kernel_transpose_gap, map_from_choi
+from posmap.choi import MatrixMap, block_positivity, cp_verdict, kernel_transpose_gap
 from posmap.cli import main
 from posmap.cones import (
     bipartite_context,
@@ -97,7 +97,7 @@ def test_criterion_1_choi_round_trip_and_kernel_gap():
     while count < 200:
         m, n = pairs[count % len(pairs)]
         phi = random_hermiticity_preserving(rng, m, n)
-        back = map_from_choi(phi.choi(), m, n)
+        back = MatrixMap.from_choi(phi.choi(), m, n)
         assert phi.norm_distance(back) <= 1e-12
         assert kernel_transpose_gap(phi) <= 1e-10
         count += 1

@@ -9,7 +9,6 @@ from posmap.choi import (
     block_positivity_forms,
     cp_verdict,
     kernel_transpose_gap,
-    map_from_choi,
     product_form,
     trace_kernel,
 )
@@ -45,14 +44,14 @@ class TestChoiMatrix:
         rng = rng_stream(55, m * 10 + n)
         for trial in range(20):
             phi = random_hermiticity_preserving(rng, m, n)
-            back = map_from_choi(phi.choi(), m, n)
+            back = MatrixMap.from_choi(phi.choi(), m, n)
             assert phi.norm_distance(back) <= 1e-12
 
     def test_choi_inverse_examples(self):
-        phi = map_from_choi(np.eye(4, dtype=complex), 2, 2)
+        phi = MatrixMap.from_choi(np.eye(4, dtype=complex), 2, 2)
         expected = trace_times_identity(2)
         assert phi.norm_distance(expected) <= 1e-12
-        phi_t = map_from_choi(swap_operator(2), 2, 2)
+        phi_t = MatrixMap.from_choi(swap_operator(2), 2, 2)
         assert phi_t.norm_distance(transposition_map(2)) <= 1e-12
 
 

@@ -90,6 +90,15 @@ class TestClassify:
         assert k3["stats"]["clamped_to"] == 2
         assert main(["verify", str(out)]) == 0
 
+    def test_boolean_stats_are_json_booleans(self, tmp_path):
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "1", "--seed", "3", "--restarts", "4",
+                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+        report = load_report(out)
+        assert record_by_id(report, "k_positive_1")["stats"]["exact"] is False
+        assert record_by_id(report, "decomposability")["stats"]["feasible"] is True
+
     def test_rejects_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json", encoding="utf-8")
@@ -175,6 +184,19 @@ class TestCone:
         assert main(["cone", "member", doc, "--seed", "4", "--out", str(out)]) == 0
         summary = load_report(out)["summary"]
         assert summary["in_p"] and summary["in_ptau"] and summary["in_intersection"]
+
+    def test_member_outside_p_writes_a_defect_record(self, tmp_path):
+        # [[I, 2X], [2X, I]] has eigenvalues 3 and -1: outside P, and the
+        # answer is not a verification failure
+        eye, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        doc = cone_doc(tmp_path, [[eye, 2 * x], [2 * x, eye]])
+        out = tmp_path / "r.json"
+        assert main(["cone", "member", doc, "--seed", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        assert report["summary"]["in_p"] is False
+        record = record_by_id(report, "member")
+        assert record["kind"] == "defect"
+        assert record["value"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_flags_on_symmetric_blocks(self, tmp_path):
         eye = np.eye(2)
@@ -289,6 +311,21 @@ class TestVerify:
         out = tmp_path / "oblique.json"
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
+
+    def test_wrong_shape_state_detected(self, corpus, tmp_path, capsys):
+        report = load_report(corpus["classify_choi_qutrit"][1])
+        record_by_id(report, "decomposability")["witness"]["state"] = matrix_to_doc(np.eye(3) / 3)
+        out = tmp_path / "reshaped.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "stale witness: decomposability: stored state has shape (3, 3)" in err
+
+    @pytest.mark.parametrize("document", [[], {"records": [1]}])
+    def test_malformed_report_is_an_input_error(self, tmp_path, document):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
 
     def test_every_witness_record_id_has_a_recheck(self):
         # every record cli can emit with a witness goes through _verdict_record

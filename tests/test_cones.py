@@ -10,7 +10,6 @@ from posmap.cones import (
     modular_factorization_defect,
     odd_part_flags,
     odd_part_polar,
-    pq_split,
     sample_cone_element,
     sample_intersection_element,
     sample_ppt_operator,
@@ -67,7 +66,7 @@ class TestBipartiteContext:
         ctx = skew_ctx()
         rng = rng_stream(70)
         xi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        p, q = pq_split(ctx, xi)
+        p, q = ctx.p_project(xi), ctx.q_project(xi)
         assert frobenius(ctx.p_project(p) - p) <= 1e-12
         assert frobenius(ctx.q_project(q) - q) <= 1e-12
         assert frobenius(ctx.p_project(q)) <= 1e-12
@@ -181,7 +180,7 @@ class TestPqSplit:
         b12 = np.array([[0.2, 0.1], [0.1, 0.3]], dtype=complex)  # real symmetric
         x = ctx.from_blocks(blocks_psd(np.eye(2, dtype=complex), b12, np.eye(2, dtype=complex)))
         xi = ctx.cone_vector(x)
-        _, q = pq_split(ctx, xi)
+        q = ctx.q_project(xi)
         assert frobenius(q) <= 1e-12
 
     def test_closed_form_odd_component(self):
@@ -189,7 +188,7 @@ class TestPqSplit:
         rng = rng_stream(77)
         x = random_psd(rng, 4)
         xi = ctx.cone_vector(x)
-        _, q = pq_split(ctx, xi)
+        q = ctx.q_project(xi)
         blocks = ctx.blocks(x)
         odd = np.zeros_like(blocks)
         odd[0, 1] = (blocks[0, 1] - blocks[1, 0]) / 2
@@ -200,7 +199,7 @@ class TestPqSplit:
         ctx = skew_ctx()
         rng = rng_stream(78)
         xi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        p, q = pq_split(ctx, xi)
+        p, q = ctx.p_project(xi), ctx.q_project(xi)
         total = np.vdot(xi, xi).real
         assert abs(total - np.vdot(p, p).real - np.vdot(q, q).real) <= 1e-12 * max(1.0, total)
 
@@ -210,7 +209,7 @@ class TestSplitBounds:
         ctx = skew_ctx()
         margins = split_bounds_check(ctx, ctx.omega, eta_samples=100, seed=6)
         assert margins["violations"] == 0
-        _, q = pq_split(ctx, ctx.omega)
+        q = ctx.q_project(ctx.omega)
         assert frobenius(q) <= 1e-12
 
     @pytest.mark.parametrize("make_ctx", [tracial_ctx, skew_ctx])

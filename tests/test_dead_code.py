@@ -3,17 +3,28 @@ is referenced somewhere in the package, the tests, the demos or the README.
 
 A reference is any use of the name as an identifier (a call, an attribute
 access, an import) outside its own definition, or the name as a word in
-README.md.  Dunder methods are exempt: the interpreter calls them.
+README.md.  A re-export from the package ``__init__`` is not a reference: it
+would keep alive a function nothing calls.  Dunder methods are exempt: the
+interpreter calls them.
+
+The package's public API, ``posmap.__all__``, is the API the README documents.
 """
 
 import ast
 import re
 from pathlib import Path
 
+import posmap
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "posmap"
-SOURCES = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "tests").rglob("*.py")),
-           *sorted((ROOT / "demos").rglob("*.py"))]
+README = ROOT / "README.md"
+SOURCES = [
+    path
+    for path in [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "tests").rglob("*.py")),
+                 *sorted((ROOT / "demos").rglob("*.py"))]
+    if path != PACKAGE / "__init__.py"
+]
 
 
 def _definitions():
@@ -42,8 +53,12 @@ def _referenced_names():
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
-    names.update(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    names.update(_readme_words())
     return names
+
+
+def _readme_words():
+    return set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
 
 
 def test_every_function_and_public_method_is_referenced():
@@ -54,3 +69,9 @@ def test_every_function_and_public_method_is_referenced():
         if not (name.startswith("__") and name.endswith("__")) and name not in referenced
     ]
     assert not dead, f"no reference to: {', '.join(dead)}"
+
+
+def test_public_api_is_documented():
+    documented = _readme_words()
+    undocumented = [name for name in posmap.__all__ if name != "__version__" and name not in documented]
+    assert not undocumented, f"exported but not in README.md: {', '.join(undocumented)}"

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import posmap
 from posmap.choi import MatrixMap, block_positivity, cp_verdict
 from posmap.errors import (
     ComponentNotKCopositiveError,

@@ -17,20 +17,20 @@ from posmap.linalg import (
     haar_projection,
     herm_eig,
     hs_inner,
-    kron,
+    matrix_units,
     partial_transpose,
+    ppt_min_eigs,
     psd_min_eig,
+    random_complex,
     random_hermitian,
     random_psd,
     rng_stream,
 )
-from posmap.maps import swap_operator
+from posmap.maps import max_entangled_projector, swap_operator
 
 
 def unit(i, j, d):
-    e = np.zeros((d, d), dtype=complex)
-    e[i, j] = 1.0
-    return e
+    return matrix_units(d)[i, j]
 
 
 class TestHermEig:
@@ -127,24 +127,53 @@ class TestFracPower:
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_unit_placement(self):
-        out = kron(unit(0, 0, 2), unit(1, 1, 2))
+        out = np.kron(unit(0, 0, 2), unit(1, 1, 2))
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 1] = 1.0
         assert np.array_equal(out, expected)
 
     def test_diagonal(self):
-        out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        out = np.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
         assert np.array_equal(out, np.diag([3.0, 4.0, 6.0, 8.0]))
+
+
+class TestMatrixUnits:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_unit_has_a_single_one_at_its_index(self, d):
+        units = matrix_units(d)
+        assert units.shape == (d, d, d, d) and units.dtype == complex
+        for i in range(d):
+            for j in range(d):
+                expected = np.zeros((d, d))
+                expected[i, j] = 1
+                assert np.array_equal(units[i, j], expected)
+
+
+class TestPptMinEigs:
+    def test_entangled_projector_is_not_ppt(self):
+        p_min, pt_min = ppt_min_eigs(max_entangled_projector(2), 2, 2, "first")
+        assert abs(p_min) <= 1e-15
+        assert abs(pt_min + 0.5) <= 1e-15
+
+    def test_spectra_of_the_hermitian_part_and_its_partial_transpose(self):
+        a = random_complex(rng_stream(33), (6, 6))
+        h = (a + a.conj().T) / 2
+        for side in ("first", "second"):
+            expected = (
+                np.linalg.eigvalsh(h)[0],
+                np.linalg.eigvalsh(partial_transpose(h, 2, 3, side))[0],
+            )
+            assert ppt_min_eigs(a, 2, 3, side) == expected
 
 
 class TestPartialTranspose:
     def test_unit_action_first_factor(self):
-        h = kron(unit(0, 1, 2), unit(2, 3, 4))
+        h = np.kron(unit(0, 1, 2), unit(2, 3, 4))
         out = partial_transpose(h, 2, 4, side="first")
-        assert np.array_equal(out, kron(unit(1, 0, 2), unit(2, 3, 4)))
+        assert np.array_equal(out, np.kron(unit(1, 0, 2), unit(2, 3, 4)))
 
     def test_involution(self):
         rng = rng_stream(31)

@@ -20,7 +20,12 @@ from posmap.linalg import (
     random_psd,
     rng_stream,
 )
-from posmap.maps import identity_map, trace_times_identity, transposition_map
+from posmap.maps import (
+    identity_map,
+    random_hermiticity_preserving,
+    trace_times_identity,
+    transposition_map,
+)
 from posmap.modular import (
     check_polar_factorization,
     check_unitary_relations,
@@ -252,6 +257,19 @@ class TestInducedOperator:
         with pytest.warns(UserWarning, match="not invariant"):
             t_phi(ctx, trace_times_identity(2))
 
+    def test_invariance_defect_matches_the_unit_loop(self):
+        rng = rng_stream(12)
+        ctx = gns_context(random_faithful_state(rng, 3))
+        phi = random_hermiticity_preserving(rng, 3, 3)
+        inv = np.array([
+            [np.trace(ctx.rho @ phi(unit(p, q, 3))) - np.trace(ctx.rho @ unit(p, q, 3))
+             for q in range(3)]
+            for p in range(3)
+        ])
+        with pytest.warns(UserWarning, match="not invariant"):
+            ind = t_phi(ctx, phi)
+        assert abs(ind.invariance_defect - frobenius(inv)) <= 1e-12
+
 
 class TestSchwarzDefect:
     def test_identity_is_schwarz(self):
@@ -310,6 +328,30 @@ class TestBalanceAdjoint:
         assert induced.contraction_defect <= 1e-10
         result = db_adjoint(ctx, phi, seed=4)
         assert result.identity_defect <= 1e-10
+
+    def test_matches_the_unit_pair_loop(self):
+        # reference: solve for psi one unit at a time, then take the identity
+        # defect over every unit pair (a, b) = (E_ij, E_kl) with traces
+        d = 3
+        rng = rng_stream(14)
+        ctx = gns_context(random_faithful_state(rng, d))
+        phi = random_hermiticity_preserving(rng, d, d)
+        rho, rho_inv = ctx.rho, np.linalg.inv(ctx.rho)
+        units = np.zeros((d, d, d, d), dtype=complex)
+        for p in range(d):
+            for q in range(d):
+                rhs = np.array([[(phi(unit(k, l, d)) @ rho)[q, p] for k in range(d)]
+                                for l in range(d)])
+                units[p, q] = rho_inv @ rhs
+        psi = MatrixMap(units)
+        defect = max(
+            abs(np.trace(rho @ unit(j, i, d) @ phi(unit(k, l, d)))
+                - np.trace(rho @ psi(unit(j, i, d)) @ unit(k, l, d)))
+            for i in range(d) for j in range(d) for k in range(d) for l in range(d)
+        )
+        result = db_adjoint(ctx, phi, seed=5, restarts=2)
+        assert result.adjoint_map.norm_distance(psi) <= 1e-12
+        assert abs(result.identity_defect - defect) <= 1e-12
 
 
 class TestConeState:
