@@ -29,15 +29,16 @@ from .errors import (
 )
 from .linalg import (
     HERMITIAN_RTOL,
+    _eigh_phased,
+    _haar_from_gaussian,
+    _partial_transpose,
     alternate_ppt_projections,
     check_hermitian,
     frobenius,
     haar_isometry,
     herm_eig,
     hermitian_part,
-    partial_transpose,
     ppt_min_eigs,
-    psd_min_eig,
     psd_tol,
     random_complex,
     random_psd,
@@ -47,36 +48,12 @@ from .verdicts import EVIDENCE, VIOLATION, DecompCertificate, Verdict
 
 
 def _compressed_choi(h4: np.ndarray, iso: np.ndarray) -> np.ndarray:
-    """(I (x) V)* h (I (x) V) for an output-side isometry V of shape (n, k)."""
+    """(I (x) V)* h (I (x) V) for each output-side isometry V in a
+    (R, n, k) stack; returns the (R, mk, mk) stack of compressions."""
     m = h4.shape[0]
-    k = iso.shape[1]
-    c = np.einsum("ak,iajb,bl->ikjl", iso.conj(), h4, iso)
-    return c.reshape(m * k, m * k)
-
-
-def _isometry_step(
-    h4: np.ndarray, z: np.ndarray, k: int, rng: np.random.Generator, jitter: float
-) -> np.ndarray:
-    """Minimize the witness form over the output-side isometry for fixed
-    compressed coefficients.
-
-    The form is quadratic in the isometry entries, so its unconstrained
-    minimizer is a bottom eigenvector of the coefficient matrix; for k = 1
-    that is already a unit vector (the step is exact), for k > 1 the
-    minimizer is projected back to an isometry through its polar factor.
-    """
-    m, n = h4.shape[0], h4.shape[1]
-    coeff = np.einsum("ik,iajb,jl->akbl", z.reshape(m, k).conj(), h4, z.reshape(m, k))
-    coeff = coeff.reshape(n * k, n * k)
-    eig = herm_eig(hermitian_part(coeff))
-    raw = eig.eigenvectors[:, 0].reshape(n, k)
-    if jitter > 0:
-        raw = raw + jitter * random_complex(rng, (n, k))
-    u, s, vh = np.linalg.svd(raw, full_matrices=False)
-    if s[-1] < 1e-12 * max(s[0], 1.0):
-        raw = raw + 1e-6 * random_complex(rng, (n, k))
-        u, _, vh = np.linalg.svd(raw, full_matrices=False)
-    return u @ vh
+    r, _, k = iso.shape
+    c = np.einsum("rak,iajb,rbl->rikjl", iso.conj(), h4, iso)
+    return c.reshape(r, m * k, m * k)
 
 
 def k_block_min(
@@ -94,11 +71,19 @@ def k_block_min(
 
     The see-saw alternates two steps: for a fixed projection take the bottom
     eigenvector of the compressed Choi matrix; for fixed compressed
-    coefficients re-fit the isometry by minimizing the same quadratic form
-    (exactly at rank one, via a polar projection otherwise), with a decaying
+    coefficients re-fit the isometry by minimizing the same quadratic form,
+    which is quadratic in the isometry entries, so its minimizer is a bottom
+    eigenvector of the coefficient matrix (exact at rank one, projected back
+    to an isometry through its polar factor otherwise), with a decaying
     local perturbation.  Restarts draw Haar-random projections (the first
     restart uses the coordinate projection).  With k equal to the output
     dimension the compression is the identity and the test is exact.
+
+    All restarts run as one stack, which a restart leaves once its value
+    improves by less than `improve_tol`.  Restart r draws from its own stream
+    `rng_stream(seed, r)` (Haar start, then one perturbation per alternation),
+    so the verdict is that of running the restarts one after another: the
+    best value of the first restart that reaches the overall minimum.
 
     A violation carries the witness {"projection", "vector"}: the rank-<=k
     output-side projection and the lifted eigenvector of the compressed Choi
@@ -123,34 +108,48 @@ def k_block_min(
             return Verdict(VIOLATION, val, witness=witness, stats=stats)
         return Verdict(EVIDENCE, val, stats=stats)
 
-    best_val = np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
+    rngs = [rng_stream(seed, r) for r in range(restarts)]
+    iso = np.empty((restarts, n, k), dtype=complex)
+    iso[0] = np.eye(n, k)
+    if restarts > 1:
+        iso[1:] = _haar_from_gaussian(np.array([random_complex(g, (n, k)) for g in rngs[1:]]))
+    best_val = np.full(restarts, np.inf)
+    best_iso = np.empty_like(iso)
+    best_z = np.zeros((restarts, m * k), dtype=complex)
+    prev = np.full(restarts, np.inf)
+    active = np.arange(restarts)
     total_alternations = 0
-    for r in range(restarts):
-        rng = rng_stream(seed, r)
-        if r == 0:
-            iso = np.eye(n, k, dtype=complex)
-        else:
-            iso = haar_isometry(rng, n, k)
-        prev = np.inf
-        jitter = 0.05
-        for _ in range(max_alternations):
-            total_alternations += 1
-            comp = hermitian_part(_compressed_choi(h4, iso))
-            eig = herm_eig(comp)
-            val = float(eig.eigenvalues[0])
-            z = eig.eigenvectors[:, 0]
-            if val < best_val:
-                best_val = val
-                best = (iso.copy(), z.copy())
-            if prev - val < improve_tol:
-                break
-            prev = val
-            iso = _isometry_step(h4, z, k, rng, jitter)
-            jitter *= 0.5
+    jitter = 0.05
+    for _ in range(max_alternations):
+        total_alternations += active.size
+        cur = iso[active]
+        w, v = _eigh_phased(hermitian_part(_compressed_choi(h4, cur)))
+        val, z = w[:, 0], v[:, :, 0]
+        better = val < best_val[active]
+        best_val[active[better]] = val[better]
+        best_iso[active[better]] = cur[better]
+        best_z[active[better]] = z[better]
+        going = prev[active] - val >= improve_tol
+        prev[active] = val
+        active, z = active[going], z[going].reshape(-1, m, k)
+        if active.size == 0:
+            break
+        # isometry step: the coefficient matrix of the form in V for fixed z
+        coeff = np.einsum("rik,iajb,rjl->rakbl", z.conj(), h4, z)
+        _, v = _eigh_phased(hermitian_part(coeff.reshape(-1, n * k, n * k)))
+        raw = v[:, :, 0].reshape(-1, n, k)
+        if jitter > 0:
+            raw = raw + jitter * np.array([random_complex(rngs[r], (n, k)) for r in active])
+        u, s, vh = np.linalg.svd(raw, full_matrices=False)
+        tiny = np.flatnonzero(s[:, -1] < 1e-12 * np.maximum(s[:, 0], 1.0))
+        if tiny.size:
+            raw[tiny] += 1e-6 * np.array([random_complex(rngs[active[t]], (n, k)) for t in tiny])
+            u[tiny], _, vh[tiny] = np.linalg.svd(raw[tiny], full_matrices=False)
+        iso[active] = u @ vh
+        jitter *= 0.5
 
-    assert best is not None
-    iso, z = best
+    r = int(np.argmin(best_val))
+    iso, z = best_iso[r], best_z[r]
     projection = iso @ iso.conj().T
     lifted_vec = np.einsum("ak,ik->ia", iso, z.reshape(m, k)).reshape(-1)
     exact = float(np.vdot(lifted_vec, h @ lifted_vec).real)
@@ -206,12 +205,12 @@ def sample_doubly_psd_block(
     for _ in range(max_tries):
         a = random_psd(rng, k * m)
         a = a / np.trace(a).real
-        pt = partial_transpose(a, k, m, side="first")
+        pt = _partial_transpose(a, k, m, "first")
         if np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-14:
             return a
 
     a = alternate_ppt_projections(random_psd(rng, k * m), k, m, "first", 25)
-    pt = partial_transpose(a, k, m, "first")
+    pt = _partial_transpose(a, k, m, "first")
     if (
         np.trace(a).real < 1e-12
         or np.linalg.eigvalsh(hermitian_part(pt))[0] < -1e-11 * max(1.0, frobenius(a))
@@ -242,7 +241,7 @@ def sk_check(
         a = sample_doubly_psd_block(rng, k, m)
         image = hermitian_part(phi.apply_blockwise(a, k))
         bound = psd_tol(image) if tol is None else tol
-        min_eig = psd_min_eig(image)
+        min_eig = float(np.linalg.eigvalsh(image)[0])
         worst = min(worst, min_eig)
         if min_eig < -bound:
             return Verdict(

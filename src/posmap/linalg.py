@@ -51,7 +51,8 @@ def psd_tol(a) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    """(a + a*) / 2, for one matrix or a (..., d, d) stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -80,12 +81,18 @@ class HermEig:
 
 def herm_eig(a, rtol: float = HERMITIAN_RTOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with a deterministic phase rule."""
-    m = check_hermitian(a, rtol)
-    w, v = np.linalg.eigh(m)
-    idx = np.argmax(np.abs(v), axis=0)
-    lead = v[idx, np.arange(v.shape[1])]
+    return HermEig(*_eigh_phased(check_hermitian(a, rtol)))
+
+
+def _eigh_phased(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`herm_eig` without validation, on one Hermitian matrix or a (..., d, d)
+    stack of them: ascending eigenvalues and eigenvector columns phased so
+    that each column's largest-magnitude component is real positive."""
+    w, v = np.linalg.eigh(a)
+    idx = np.argmax(np.abs(v), axis=-2)
+    lead = np.take_along_axis(v, idx[..., None, :], axis=-2)
     phases = np.where(np.abs(lead) > 0, lead / np.maximum(np.abs(lead), 1e-300), 1.0)
-    return HermEig(w, v * phases.conj())
+    return w, v * phases.conj()
 
 
 def psd_min_eig(a, rtol: float = HERMITIAN_RTOL) -> float:
@@ -230,11 +237,16 @@ def random_faithful_state(
 
 def haar_isometry(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     """dim x rank isometry distributed per the Haar measure."""
-    g = random_complex(rng, (dim, rank))
+    return _haar_from_gaussian(random_complex(rng, (dim, rank)))
+
+
+def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """Haar isometries from a (..., dim, rank) stack of complex Gaussian
+    matrices: the Q factor of each, its columns rephased by diag(R)."""
     q, r = np.linalg.qr(g)
-    d = np.diag(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     d = np.where(np.abs(d) > 0, d / np.maximum(np.abs(d), 1e-300), 1.0)
-    return q * d.conj()
+    return q * d.conj()[..., None, :]
 
 
 def haar_projection(dim: int, rank: int, seed) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -226,7 +227,7 @@ def verify_report(report: dict) -> list[str]:
     """Re-evaluate every stored witness; returns a list of failure messages.
 
     Raises ParseError when the report or one of its records is not a JSON
-    object.
+    object, or a violation record lacks a string id or a finite value.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -243,7 +244,12 @@ def verify_report(report: dict) -> list[str]:
     for record in records:
         if record.get("kind") != "violation" or "witness" not in record:
             continue
-        rid = record["id"]
+        rid, stated = record.get("id"), record.get("value")
+        if not isinstance(rid, str):
+            raise ParseError("a violation record needs a string id")
+        numeric = isinstance(stated, (int, float)) and not isinstance(stated, bool)
+        if not numeric or not math.isfinite(stated):
+            raise ParseError(f"{rid}: a violation record needs a finite numeric value")
         try:
             witness = {
                 key: matrix_from_doc(val, f"witness[{key}]") if isinstance(val, dict) else val
@@ -262,8 +268,6 @@ def verify_report(report: dict) -> list[str]:
         except Exception as exc:  # malformed witness payloads are stale too
             failures.append(f"{rid}: witness re-evaluation failed ({exc})")
         else:
-            if abs(record["value"] - value) > VALUE_TOL * max(1.0, abs(record["value"])):
-                failures.append(
-                    f"{rid}: stated value {record['value']:.12e} re-evaluates to {value:.12e}"
-                )
+            if abs(stated - value) > VALUE_TOL * max(1.0, abs(stated)):
+                failures.append(f"{rid}: stated value {stated:.12e} re-evaluates to {value:.12e}")
     return failures

@@ -321,11 +321,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "stale witness: decomposability: stored state has shape (3, 3)" in err
 
-    @pytest.mark.parametrize("document", [[], {"records": [1]}])
+    @pytest.mark.parametrize(
+        "document", [[], {"records": [1]}, {"records": [{"kind": "violation", "witness": {}}]}]
+    )
     def test_malformed_report_is_an_input_error(self, tmp_path, document):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         assert main(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("value", ["-1.0", None, True, float("nan")])
+    def test_non_numeric_value_is_an_input_error(self, corpus, tmp_path, value):
+        # the witness itself re-checks; only the stated value is malformed
+        report = load_report(corpus["classify_neg_identity"][1])
+        record_by_id(report, "k_positive_1")["value"] = value
+        out = tmp_path / "valueless.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 2
 
     def test_every_witness_record_id_has_a_recheck(self):
         # every record cli can emit with a witness goes through _verdict_record

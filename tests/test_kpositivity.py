@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import posmap.choi
+import posmap.kpositivity
+import posmap.linalg
 from posmap.choi import MatrixMap, block_positivity, cp_verdict
 from posmap.errors import (
     ComponentNotKCopositiveError,
@@ -21,9 +24,13 @@ from posmap.kpositivity import (
     sk_check,
 )
 from posmap.linalg import (
+    haar_isometry,
+    herm_eig,
     hermitian_part,
     partial_transpose,
     psd_min_eig,
+    psd_tol,
+    random_complex,
     random_psd,
     rng_stream,
 )
@@ -40,7 +47,75 @@ from posmap.maps import (
     transposition_map,
 )
 from posmap.report import recheck_witness
-from posmap.verdicts import EVIDENCE, VIOLATION
+from posmap.verdicts import EVIDENCE, VIOLATION, Verdict
+
+
+def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, improve_tol=1e-12, seed=0):
+    """Reference for `k_block_min` (k < n): its restarts run one after another,
+    one matrix at a time, through the validating `herm_eig`."""
+    m, n = phi.m, phi.n
+    h = hermitian_part(phi.choi())
+    h4 = h.reshape(m, n, m, n)
+    best_val, best, total = np.inf, None, 0
+    for r in range(restarts):
+        rng = rng_stream(seed, r)
+        iso = np.eye(n, k, dtype=complex) if r == 0 else haar_isometry(rng, n, k)
+        prev, jitter = np.inf, 0.05
+        for _ in range(max_alternations):
+            total += 1
+            comp = np.einsum("ak,iajb,bl->ikjl", iso.conj(), h4, iso).reshape(m * k, m * k)
+            eig = herm_eig(hermitian_part(comp))
+            val, z = float(eig.eigenvalues[0]), eig.eigenvectors[:, 0]
+            if val < best_val:
+                best_val, best = val, (iso.copy(), z.copy())
+            if prev - val < improve_tol:
+                break
+            prev = val
+            zk = z.reshape(m, k)
+            coeff = np.einsum("ik,iajb,jl->akbl", zk.conj(), h4, zk).reshape(n * k, n * k)
+            raw = herm_eig(hermitian_part(coeff)).eigenvectors[:, 0].reshape(n, k)
+            if jitter > 0:
+                raw = raw + jitter * random_complex(rng, (n, k))
+            u, s, vh = np.linalg.svd(raw, full_matrices=False)
+            if s[-1] < 1e-12 * max(s[0], 1.0):
+                raw = raw + 1e-6 * random_complex(rng, (n, k))
+                u, _, vh = np.linalg.svd(raw, full_matrices=False)
+            iso = u @ vh
+            jitter *= 0.5
+    iso, z = best
+    vector = np.einsum("ak,ik->ia", iso, z.reshape(m, k)).reshape(-1)
+    value = float(np.vdot(vector, h @ vector).real)
+    stats = {"restarts": restarts, "alternations": total, "seed": seed,
+             "min_value": value, "exact": False}
+    if value < -psd_tol(h):
+        witness = {"projection": iso @ iso.conj().T, "vector": vector}
+        return Verdict(VIOLATION, value, witness=witness, stats=stats)
+    return Verdict(EVIDENCE, value, stats=stats)
+
+
+def assert_same_verdict(got, want):
+    """Equal kind, value and stats, and bitwise equal witness arrays."""
+    assert (got.kind, got.value, got.stats) == (want.kind, want.value, want.stats)
+    assert (got.witness is None) == (want.witness is None)
+    for key, arr in (want.witness or {}).items():
+        assert np.array_equal(got.witness[key], arr), key
+
+
+def count_validations(monkeypatch, modules=(posmap.linalg, posmap.choi, posmap.kpositivity)):
+    """Count calls to `as_matrix` and `check_hermitian` through every module
+    that calls them; returns the live counter."""
+    counter = {"calls": 0}
+    for name in ("as_matrix", "check_hermitian"):
+        original = getattr(posmap.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            counter["calls"] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counter
 
 
 class TestKBlockMin:
@@ -74,6 +149,44 @@ class TestKBlockMin:
             k_block_min(identity_map(2), 0)
         with pytest.raises(KOutOfRangeError):
             k_block_min(identity_map(2), 3)
+
+
+class TestStackedRestarts:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    def test_matches_the_restart_loop_on_the_reduction_family(self, n, k, seed):
+        # the family a -> lam Tr(a) I - a is k-positive exactly from lam = k on
+        for lam in (k - 0.25, k, k + 0.25):
+            phi = reduction_family(lam, n)
+            assert_same_verdict(k_block_min(phi, k, seed=seed), loop_k_block_min(phi, k, seed=seed))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_restart_loop_on_a_random_map(self, seed):
+        phi = random_map_near_cp(rng_stream(41, seed), 2, 3)
+        for k in (1, 2):
+            for restarts in (1, 32):
+                got = k_block_min(phi, k, restarts=restarts, seed=seed)
+                assert_same_verdict(got, loop_k_block_min(phi, k, restarts=restarts, seed=seed))
+
+    def test_matches_the_restart_loop_through_the_svd_rescue(self):
+        # a product-vector Choi matrix makes the rank-2 refit rank-deficient, and
+        # a negative improve_tol keeps every restart running until the jitter is
+        # too small to lift it, so the rescue draw is taken
+        h = np.zeros((9, 9), dtype=complex)
+        h[0, 0], h[4, 4] = -1.0, 0.5
+        phi = MatrixMap.from_choi(h, 3, 3)
+        search = {"restarts": 4, "seed": 1, "improve_tol": -1.0, "max_alternations": 60}
+        assert_same_verdict(k_block_min(phi, 2, **search), loop_k_block_min(phi, 2, **search))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_validation_does_not_grow_with_restarts(self, monkeypatch, k):
+        counter = count_validations(monkeypatch)
+        counts = []
+        for restarts in (2, 32):
+            counter["calls"] = 0
+            k_block_min(reduction_family(1.5, 3), k, restarts=restarts, seed=3)
+            counts.append(counter["calls"])
+        assert counts[0] == counts[1]
 
 
 class TestIsKPositive:

@@ -12,8 +12,11 @@ from posmap.errors import (
     SingularForNegativePowerError,
 )
 from posmap.linalg import (
+    _eigh_phased,
+    _haar_from_gaussian,
     frac_power,
     frobenius,
+    haar_isometry,
     haar_projection,
     herm_eig,
     hs_inner,
@@ -74,6 +77,16 @@ class TestHermEig:
             lead = v[np.argmax(np.abs(v[:, col])), col]
             assert abs(lead.imag) <= 1e-12
             assert lead.real > 0
+
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    def test_stack_matches_one_matrix_at_a_time(self, dim):
+        rng = rng_stream(9, dim)
+        stack = np.array([random_hermitian(rng, dim) for _ in range(7)])
+        w, v = _eigh_phased(stack)
+        for a, wa, va in zip(stack, w, v):
+            eig = herm_eig(a)
+            assert np.array_equal(eig.eigenvalues, wa)
+            assert np.array_equal(eig.eigenvectors, va)
 
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -250,3 +263,9 @@ class TestHaarProjection:
             haar_projection(3, 0, seed=0)
         with pytest.raises(RankOutOfRangeError):
             haar_projection(3, 4, seed=0)
+
+    @pytest.mark.parametrize("dim,rank", [(3, 1), (4, 2), (4, 3)])
+    def test_stacked_isometries_match_one_draw_at_a_time(self, dim, rank):
+        draws = np.array([random_complex(rng_stream(3, r), (dim, rank)) for r in range(6)])
+        one_by_one = [haar_isometry(rng_stream(3, r), dim, rank) for r in range(6)]
+        assert np.array_equal(_haar_from_gaussian(draws), one_by_one)
