@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import CountOutOfRangeError, DimensionMismatchError, NotHermitianError
 from .linalg import (
     HERMITIAN_RTOL,
     _eigh_phased,
@@ -232,6 +232,8 @@ def block_positivity(
     hm = check_hermitian(h)
     if hm.shape != (m * n, m * n):
         raise DimensionMismatchError(f"shape {hm.shape} does not match m={m}, n={n}")
+    if restarts < 1:
+        raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
     if tol is None:
         tol = psd_tol(hm)
     h4 = hm.reshape(m, n, m, n)

@@ -11,7 +11,9 @@ Subcommands:
 - ``posmap verify REPORT``: independently re-check every witness embedded in
   a report.
 
-Exit codes: 0 success, 1 verification/defect failure, 2 input error.
+Exit codes: 0 success, 1 verification/defect failure, 2 input error (a
+malformed document, a map beyond the desk-scale size, or a count option
+below 1).
 Reports are byte-identical for identical input and seed; timing is only
 written when requested and lives in its own excluded field.
 """
@@ -68,6 +70,8 @@ from .report import add_record, new_report, verify_report, write_report
 from .verdicts import EVIDENCE, PASS, Verdict
 
 DEFECT_LIMIT = 1e-9
+# count options: each must be >= 1 wherever a subcommand takes it
+COUNT_OPTIONS = ("k_max", "restarts", "samples", "projections", "trials")
 
 
 def _emit(report: dict, out: str | None, timing: dict | None) -> None:
@@ -391,6 +395,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.started = time.perf_counter()
     try:
+        for name in COUNT_OPTIONS:
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise ParseError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except PosmapError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .errors import (
     NotInPError,
 )
 from .linalg import (
+    DESK_SCALE_DIM,
     alternate_ppt_projections,
     as_matrix,
     frobenius,
@@ -541,7 +542,7 @@ def weak_kdec_cone_check(
     """
     if k < 1:
         raise DimensionMismatchError(f"block size k={k} must be >= 1")
-    if ctx_a.dim * k > 36:
+    if ctx_a.dim * k > DESK_SCALE_DIM:
         raise DimensionMismatchError(
             f"product dimension {ctx_a.dim}*{k} exceeds the desk-scale guard"
         )

@@ -30,6 +30,7 @@ import numpy as np
 
 from .choi import MatrixMap
 from .errors import ParseError
+from .linalg import DESK_SCALE_DIM
 
 ENCODINGS = ("choi", "unit-action", "kraus", "kraus-like-sum-of-conjugations")
 
@@ -99,6 +100,11 @@ def map_from_document(doc) -> MatrixMap:
         raise ParseError("map document: missing m/n/encoding/matrices") from exc
     if m <= 0 or n <= 0:
         raise ParseError(f"map document: non-positive dimensions m={m}, n={n}")
+    if m * n > DESK_SCALE_DIM:
+        raise ParseError(
+            f"map document: product dimension m*n = {m * n} exceeds the desk-scale "
+            f"limit {DESK_SCALE_DIM}"
+        )
     if encoding not in ENCODINGS:
         raise ParseError(f"map document: unknown encoding {encoding!r}")
     if not isinstance(matrices, list) or not matrices:

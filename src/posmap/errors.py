@@ -33,6 +33,10 @@ class KOutOfRangeError(PosmapError, ValueError):
     """Positivity order k outside its admissible range."""
 
 
+class CountOutOfRangeError(PosmapError, ValueError):
+    """A sample, restart or projection count below one."""
+
+
 class ComponentNotKPositiveError(PosmapError, ValueError):
     """First summand of a claimed decomposition violates k-positivity."""
 

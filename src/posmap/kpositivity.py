@@ -24,6 +24,7 @@ from .choi import MatrixMap
 from .errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
+    CountOutOfRangeError,
     KOutOfRangeError,
     NotHermitianError,
 )
@@ -92,6 +93,8 @@ def k_block_min(
     m, n = phi.m, phi.n
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k} outside 1..{n}")
+    if restarts < 1:
+        raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
     if not phi.is_hermiticity_preserving(HERMITIAN_RTOL):
         raise NotHermitianError("map is not Hermiticity-preserving")
     h = hermitian_part(phi.choi())
@@ -234,6 +237,8 @@ def sk_check(
     violation; surviving the budget is evidence."""
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be >= 1")
+    if samples < 1:
+        raise CountOutOfRangeError(f"samples={samples} must be >= 1")
     m = phi.m
     worst = np.inf
     for s in range(samples):
@@ -286,6 +291,96 @@ def dk_compose(
 # ---------------------------------------------------------------------------
 
 
+def _polish(w: np.ndarray, h: np.ndarray, m: int, n: int) -> tuple[float, bool, np.ndarray]:
+    """Strict-feasibility polish of a search iterate: mix toward the maximally
+    mixed state just enough to lift residual negative eigenvalues on both
+    sides.  Returns the value Tr(w_cert h), whether w_cert is PPT, and w_cert."""
+    d = m * n
+    worst = min(ppt_min_eigs(w, m, n, "first"))
+    mix = min(0.5, 2.0 * d * max(0.0, -worst) + 1e-6)
+    w_cert = (1 - mix) * hermitian_part(w) + mix * np.eye(d, dtype=complex) / d
+    value = float(np.trace(w_cert @ h).real)
+    feasible = min(ppt_min_eigs(w_cert, m, n, "first")) >= -1e-12
+    return value, feasible, w_cert
+
+
+def _witness_stack(
+    h: np.ndarray,
+    m: int,
+    n: int,
+    tols,
+    *,
+    step: float,
+    max_iter: int,
+    stall_break: int | None,
+    first_violation: bool = False,
+) -> list:
+    """Projected-gradient witness searches on a (R, mn, mn) stack of Hermitian
+    matrices, run in lockstep on raw arrays.
+
+    Each member keeps its own step size, objective, stall counter and
+    iteration count, and stops exactly where a lone search would: when its
+    step falls below 1e-12, or, with `stall_break`, after that many
+    non-improving iterations at an objective above -tol.  A stopped member is
+    polished and leaves the stack.  With `first_violation`, once a member's
+    polished value is a violation, members after it in the stack leave too.
+
+    Returns, per member, (value, feasible, state, iterations), or None for a
+    member dropped after an earlier violation.
+    """
+    size, d, _ = h.shape
+    eye = np.eye(d, dtype=complex) / d
+    tols = np.asarray(tols, dtype=float)
+    w = np.repeat(eye[None], size, axis=0)
+    obj = (w @ h).trace(axis1=1, axis2=2).real
+    eta = np.full((size, 1, 1), step)
+    descent = eta * h  # recomputed only when a step size changes
+    stalled = np.zeros(size, dtype=int)
+    active = np.arange(size)
+    results: list = [None] * size
+    cut = size
+    it = 0
+    for it in range(1, max_iter + 1):
+        cand = alternate_ppt_projections(w - descent, m, n, "first", 1)
+        tr = cand.trace(axis1=1, axis2=2).real[:, None, None]
+        if tr.min() <= 1e-14:
+            empty = tr[:, 0, 0] <= 1e-14
+            cand[empty], tr[empty] = eye, 1.0
+        cand /= tr
+        new_obj = (cand @ h).trace(axis1=1, axis2=2).real
+        improved = new_obj < obj - 1e-15
+        if np.count_nonzero(improved) == improved.size:
+            w, obj = cand, new_obj
+            stalled[:] = 0
+            continue
+        w[improved], obj[improved] = cand[improved], new_obj[improved]
+        stalled = np.where(improved, 0, stalled + 1)
+        eta = np.where(improved[:, None, None], eta, eta * 0.5)
+        stop = eta[:, 0, 0] < 1e-12
+        if stall_break is not None:
+            stop |= (stalled >= stall_break) & (obj > -tols)
+        stop &= ~improved
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                if active[i] > cut:
+                    break
+                value, feasible, state = _polish(w[i], h[i], m, n)
+                results[active[i]] = (value, feasible, state, it)
+                if first_violation and feasible and value < -tols[i]:
+                    cut = active[i]
+            keep = ~stop & (active < cut)
+            w, h, eta, obj, stalled, tols, active = (
+                x[keep] for x in (w, h, eta, obj, stalled, tols, active)
+            )
+            if active.size == 0:
+                break
+        descent = eta * h
+    for i, member in enumerate(active):
+        value, feasible, state = _polish(w[i], h[i], m, n)
+        results[member] = (value, feasible, state, it)
+    return results
+
+
 def decomposability_witness(
     h,
     m: int,
@@ -306,6 +401,9 @@ def decomposability_witness(
     fixed with halving on non-descent; the search is deterministic.
     `stall_break` stops a run early once the objective is nonnegative-bound
     and has not improved for that many iterations (used by corner sweeps).
+
+    The input is validated once; the search runs as a stack of one through
+    the same lockstep loop that `pk_check` runs its corners in.
     """
     hm = check_hermitian(h)
     d = m * n
@@ -313,41 +411,12 @@ def decomposability_witness(
         raise ValueError(f"shape {hm.shape} does not match m={m}, n={n}")
     if tol is None:
         tol = psd_tol(hm)
-
-    def project_feasible(c: np.ndarray) -> np.ndarray:
-        c = alternate_ppt_projections(c, m, n, "first", 1)
-        tr = np.trace(c).real
-        return np.eye(d, dtype=complex) / d if tr <= 1e-14 else c / tr
-
-    w = np.eye(d, dtype=complex) / d
-    eta = step
-    obj = float(np.trace(w @ hm).real)
-    iters = 0
-    stalled = 0
-    for iters in range(1, max_iter + 1):
-        cand = project_feasible(w - eta * hm)
-        new_obj = float(np.trace(cand @ hm).real)
-        if new_obj < obj - 1e-15:
-            w, obj = cand, new_obj
-            stalled = 0
-        else:
-            eta *= 0.5
-            stalled += 1
-            if eta < 1e-12:
-                break
-            if stall_break is not None and stalled >= stall_break and obj > -tol:
-                break
-
-    # strict-feasibility polish: mix toward the maximally mixed state just
-    # enough to lift residual negative eigenvalues on both sides
-    worst = min(ppt_min_eigs(w, m, n, "first"))
-    mix = min(0.5, 2.0 * d * max(0.0, -worst) + 1e-6)
-    w_cert = (1 - mix) * hermitian_part(w) + mix * np.eye(d, dtype=complex) / d
-    value = float(np.trace(w_cert @ hm).real)
-    feasible = min(ppt_min_eigs(w_cert, m, n, "first")) >= -1e-12
+    ((value, feasible, state, iters),) = _witness_stack(
+        hm[None], m, n, [tol], step=step, max_iter=max_iter, stall_break=stall_break
+    )
     stats = {"iterations": iters, "seed": seed, "min_value": value, "feasible": bool(feasible)}
     if feasible and value < -tol:
-        return Verdict(VIOLATION, value, witness={"state": w_cert}, stats=stats)
+        return Verdict(VIOLATION, value, witness={"state": state}, stats=stats)
     return Verdict(EVIDENCE, value, stats=stats)
 
 
@@ -361,45 +430,69 @@ def pk_check(
     tol: float | None = None,
 ) -> Verdict:
     """Sample rank-<=k output-side projections and search each compressed
-    corner map for a witness against decomposability."""
+    corner map for a witness against decomposability.
+
+    Corner t draws its rank and Haar isometry from `rng_stream(seed, t)`.  A
+    rank-1 corner is scalar-valued, so it is decided on the spot by the
+    exact positivity of its Choi matrix, and a rank-1 violation ends the walk.
+    The corners of each rank >= 2 met before that point run as one stack of
+    `decomposability_witness` searches (`stall_break=15`).  The verdict is
+    the first violating corner in t order, with `projections` = t + 1, so it
+    is that of deciding the corners one after another; otherwise it is
+    evidence at the minimum corner value.
+    """
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be >= 1")
+    if projections < 1:
+        raise CountOutOfRangeError(f"projections={projections} must be >= 1")
     m, n = phi.m, phi.n
-    worst = np.inf
+    values: list = []
+    queued: dict[int, list] = {}
+    first = None  # (t, value, witness) of the first violating corner
     for t in range(projections):
         rng = rng_stream(seed, t)
         rank = int(rng.integers(1, min(k, n) + 1))
         iso = haar_isometry(rng, n, rank)
         corner = MatrixMap.from_function(lambda a: iso.conj().T @ phi(a) @ iso, m, rank)
         hc = hermitian_part(corner.choi())
-        if rank == 1:
-            # scalar-valued corner: decomposability reduces to positivity of
-            # the corner Choi matrix, tested exactly
-            value = float(np.linalg.eigvalsh(hc)[0])
-            violated = value < -(psd_tol(hc) if tol is None else tol)
-            if violated:
-                bottom = herm_eig(hc).eigenvectors[:, 0]
-                state = np.outer(bottom, bottom.conj())
-        else:
-            sub = decomposability_witness(
-                hc,
-                m,
-                rank,
-                max_iter=witness_iters,
-                seed=seed,
-                tol=tol,
-                stall_break=15,
-            )
-            value, violated = sub.value, sub.is_violation
-            state = sub.witness["state"] if violated else None
-        worst = min(worst, value)
-        if violated:
-            return Verdict(
-                VIOLATION,
-                value,
-                witness={"isometry": iso, "state": state, "rank": rank},
-                stats={"projections": t + 1, "seed": seed, "min_value": value},
-            )
+        if rank > 1:
+            queued.setdefault(rank, []).append((t, iso, hc))
+            values.append(None)
+            continue
+        # scalar-valued corner: decomposability reduces to positivity of
+        # the corner Choi matrix, tested exactly
+        value = float(np.linalg.eigvalsh(hc)[0])
+        values.append(value)
+        if value < -(psd_tol(hc) if tol is None else tol):
+            bottom = _eigh_phased(hc)[1][:, 0]
+            first = (t, value, {"isometry": iso, "state": np.outer(bottom, bottom.conj()), "rank": 1})
+            break
+    for rank, corners in sorted(queued.items()):
+        if first is not None:
+            corners = [c for c in corners if c[0] < first[0]]
+        if not corners:
+            continue
+        hs = np.array([hc for _, _, hc in corners])
+        tols = [psd_tol(hc) if tol is None else tol for hc in hs]
+        results = _witness_stack(
+            hs, m, rank, tols, step=1e-2, max_iter=witness_iters, stall_break=15,
+            first_violation=True,
+        )
+        for (t, iso, _), bound, result in zip(corners, tols, results):
+            value, feasible, state, _ = result
+            values[t] = value
+            if feasible and value < -bound:
+                first = (t, value, {"isometry": iso, "state": state, "rank": rank})
+                break
+    if first is not None:
+        t, value, witness = first
+        return Verdict(
+            VIOLATION,
+            value,
+            witness=witness,
+            stats={"projections": t + 1, "seed": seed, "min_value": value},
+        )
+    worst = min(values)
     return Verdict(
         EVIDENCE, worst, stats={"projections": projections, "seed": seed, "min_value": worst}
     )

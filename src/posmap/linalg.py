@@ -28,6 +28,9 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-8
 PSD_RTOL = 1e-9
+# largest product dimension (m * n for a map, dim * k for a block size) the
+# toolkit accepts: its dense searches are sized for matrices up to 36 x 36
+DESK_SCALE_DIM = 36
 
 
 def as_matrix(a) -> np.ndarray:
@@ -141,16 +144,16 @@ def partial_transpose(h, dim_first: int, dim_second: int, side: str = "first") -
 
 
 def _partial_transpose(m: np.ndarray, dim_first: int, dim_second: int, side: str) -> np.ndarray:
-    """`partial_transpose` without input validation, for arrays built inside a search."""
-    d = dim_first * dim_second
-    t = m.reshape(dim_first, dim_second, dim_first, dim_second)
+    """`partial_transpose` without input validation, for arrays built inside a
+    search; takes one matrix or a (..., d, d) stack of them."""
+    t = m.reshape(m.shape[:-2] + (dim_first, dim_second, dim_first, dim_second))
     if side == "first":
-        t = t.transpose(2, 1, 0, 3)
+        t = t.swapaxes(-4, -2)
     elif side == "second":
-        t = t.transpose(0, 3, 2, 1)
+        t = t.swapaxes(-3, -1)
     else:
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return np.ascontiguousarray(t.reshape(d, d))
+    return np.ascontiguousarray(t).reshape(m.shape)
 
 
 def ppt_min_eigs(
@@ -166,15 +169,16 @@ def ppt_min_eigs(
 
 def project_psd(a: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: the Hermitian part with its
-    negative eigenvalues clipped to zero."""
+    negative eigenvalues clipped to zero; one matrix or a (..., d, d) stack."""
     w, v = np.linalg.eigh(hermitian_part(a))
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def alternate_ppt_projections(
     a: np.ndarray, dim_first: int, dim_second: int, side: str, rounds: int
 ) -> np.ndarray:
-    """Alternate PSD projections of `a` and of its partial transpose on `side`.
+    """Alternate PSD projections of `a` (one matrix or a (..., d, d) stack)
+    and of its partial transpose on `side`.
 
     Each of the `rounds` sweeps projects `a`, then its partial transpose, onto
     the PSD cone; a last projection leaves the result PSD.  The result is

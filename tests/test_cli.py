@@ -255,6 +255,39 @@ class TestCone:
             assert main(["verify", str(out)]) == 1
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize("option,value", [
+        ("--restarts", "0"), ("--samples", "0"), ("--samples", "-3"),
+        ("--projections", "0"), ("--k-max", "0"),
+    ])
+    def test_classify_rejects_counts_below_one(self, tmp_path, capsys, option, value):
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "r.json"
+        assert main(["classify", doc, "--seed", "1", option, value, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{option} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["bounds", "weakdec", "member"])
+    def test_cone_rejects_zero_samples(self, tmp_path, sub):
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        doc = cone_doc(tmp_path, [[eye, zero], [zero, eye]],
+                       extra={"map": map_to_document(transposition_map(2), "choi"), "k": 1})
+        assert main(["cone", sub, doc, "--seed", "1", "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_modular_verify_rejects_trials_below_one(self, trials):
+        assert main(["modular-verify", "--dim", "2", "--trials", trials, "--seed", "1"]) == 2
+
+    def test_oversized_map_is_rejected_before_parsing(self, tmp_path):
+        # m = n = 300 would make from_kraus allocate m^2 n^2 unit images (about
+        # 130 GB); the guard fires on the declared dimensions alone
+        doc = {"kind": "map", "m": 300, "n": 300, "encoding": "kraus",
+               "matrices": [matrix_to_doc(np.ones((1, 1)))]}
+        path = tmp_path / "big.json"
+        dump_document(doc, str(path))
+        assert main(["classify", str(path), "--seed", "1"]) == 2
+
+
 class TestVerify:
     def test_fresh_report_verifies(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))

@@ -1,5 +1,7 @@
 """Document format round trips and parse diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from posmap.docio import (
     state_from_document,
 )
 from posmap.errors import ParseError
-from posmap.linalg import rng_stream
+from posmap.linalg import DESK_SCALE_DIM, rng_stream
 from posmap.maps import random_hermiticity_preserving, transposition_map
 
 
@@ -105,3 +107,26 @@ class TestOtherDocs:
         }
         with pytest.raises(ParseError, match="vector, blocks, or a map"):
             cone_input_from_document(doc)
+
+
+class TestDeskScaleGuard:
+    def test_oversized_kraus_document_is_rejected_without_allocating(self):
+        doc = {"kind": "map", "m": 300, "n": 300, "encoding": "kraus",
+               "matrices": [matrix_to_doc(np.ones((1, 1)))]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="desk-scale"):
+                map_from_document(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_limit_is_inclusive(self):
+        phi = transposition_map(6)
+        assert phi.m * phi.n == DESK_SCALE_DIM
+        assert map_from_document(map_to_document(phi)).m == 6
+        doc = map_to_document(transposition_map(2))
+        doc.update(m=37, n=1)
+        with pytest.raises(ParseError, match="desk-scale"):
+            map_from_document(doc)

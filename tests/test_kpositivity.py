@@ -10,6 +10,7 @@ from posmap.choi import MatrixMap, block_positivity, cp_verdict
 from posmap.errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
+    CountOutOfRangeError,
     KOutOfRangeError,
 )
 from posmap.kpositivity import (
@@ -24,10 +25,12 @@ from posmap.kpositivity import (
     sk_check,
 )
 from posmap.linalg import (
+    alternate_ppt_projections,
     haar_isometry,
     herm_eig,
     hermitian_part,
     partial_transpose,
+    ppt_min_eigs,
     psd_min_eig,
     psd_tol,
     random_complex,
@@ -93,6 +96,71 @@ def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, improve_tol=1
     return Verdict(EVIDENCE, value, stats=stats)
 
 
+def loop_decomposability_witness(h, m, n, *, step=1e-2, max_iter=2000, seed=0, tol=None,
+                                 stall_break=None):
+    """Reference for `decomposability_witness`: one projected-gradient search,
+    one matrix at a time."""
+    hm = hermitian_part(np.asarray(h, dtype=complex))
+    d = m * n
+    if tol is None:
+        tol = psd_tol(hm)
+    w = np.eye(d, dtype=complex) / d
+    eta, obj, iters, stalled = step, float(np.trace(w @ hm).real), 0, 0
+    for iters in range(1, max_iter + 1):
+        cand = alternate_ppt_projections(w - eta * hm, m, n, "first", 1)
+        tr = np.trace(cand).real
+        cand = np.eye(d, dtype=complex) / d if tr <= 1e-14 else cand / tr
+        new_obj = float(np.trace(cand @ hm).real)
+        if new_obj < obj - 1e-15:
+            w, obj, stalled = cand, new_obj, 0
+        else:
+            eta *= 0.5
+            stalled += 1
+            if eta < 1e-12:
+                break
+            if stall_break is not None and stalled >= stall_break and obj > -tol:
+                break
+    worst = min(ppt_min_eigs(w, m, n, "first"))
+    mix = min(0.5, 2.0 * d * max(0.0, -worst) + 1e-6)
+    w_cert = (1 - mix) * hermitian_part(w) + mix * np.eye(d, dtype=complex) / d
+    value = float(np.trace(w_cert @ hm).real)
+    feasible = min(ppt_min_eigs(w_cert, m, n, "first")) >= -1e-12
+    stats = {"iterations": iters, "seed": seed, "min_value": value, "feasible": bool(feasible)}
+    if feasible and value < -tol:
+        return Verdict(VIOLATION, value, witness={"state": w_cert}, stats=stats)
+    return Verdict(EVIDENCE, value, stats=stats)
+
+
+def loop_pk_check(phi, k, *, projections=100, seed=0, witness_iters=200, tol=None):
+    """Reference for `pk_check`: its corners are decided one after another,
+    each rank >= 2 corner by its own witness search."""
+    m, n = phi.m, phi.n
+    worst = np.inf
+    for t in range(projections):
+        rng = rng_stream(seed, t)
+        rank = int(rng.integers(1, min(k, n) + 1))
+        iso = haar_isometry(rng, n, rank)
+        corner = MatrixMap.from_function(lambda a: iso.conj().T @ phi(a) @ iso, m, rank)
+        hc = hermitian_part(corner.choi())
+        if rank == 1:
+            value = float(np.linalg.eigvalsh(hc)[0])
+            violated = value < -(psd_tol(hc) if tol is None else tol)
+            if violated:
+                bottom = herm_eig(hc).eigenvectors[:, 0]
+                state = np.outer(bottom, bottom.conj())
+        else:
+            sub = loop_decomposability_witness(hc, m, rank, max_iter=witness_iters, seed=seed,
+                                               tol=tol, stall_break=15)
+            value, violated = sub.value, sub.is_violation
+            state = sub.witness["state"] if violated else None
+        worst = min(worst, value)
+        if violated:
+            return Verdict(VIOLATION, value, witness={"isometry": iso, "state": state, "rank": rank},
+                           stats={"projections": t + 1, "seed": seed, "min_value": value})
+    return Verdict(EVIDENCE, worst, stats={"projections": projections, "seed": seed,
+                                           "min_value": worst})
+
+
 def assert_same_verdict(got, want):
     """Equal kind, value and stats, and bitwise equal witness arrays."""
     assert (got.kind, got.value, got.stats) == (want.kind, want.value, want.stats)
@@ -101,11 +169,12 @@ def assert_same_verdict(got, want):
         assert np.array_equal(got.witness[key], arr), key
 
 
-def count_validations(monkeypatch, modules=(posmap.linalg, posmap.choi, posmap.kpositivity)):
-    """Count calls to `as_matrix` and `check_hermitian` through every module
-    that calls them; returns the live counter."""
+def count_validations(monkeypatch, modules=(posmap.linalg, posmap.choi, posmap.kpositivity),
+                      names=("as_matrix", "check_hermitian")):
+    """Count calls to the validators `names` through every module that calls
+    them; returns the live counter."""
     counter = {"calls": 0}
-    for name in ("as_matrix", "check_hermitian"):
+    for name in names:
         original = getattr(posmap.linalg, name)
 
         def counted(*args, _original=original, **kwargs):
@@ -364,6 +433,66 @@ class TestPkCheck:
     def test_negative_identity_violates(self):
         v = pk_check(-1.0 * identity_map(2), 1, projections=10, seed=4)
         assert v.kind == VIOLATION
+
+
+class TestStackedCorners:
+    @pytest.mark.parametrize("projections", [1, 40])
+    @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (3, 3)])
+    def test_matches_the_corner_loop_on_decomposable_maps(self, m, k, projections):
+        for t in range(2):
+            total, _, _ = random_decomposable_map(rng_stream(511, 10 * m + t), m, m)
+            got = pk_check(total, k, projections=projections, seed=t)
+            assert got.kind == EVIDENCE
+            assert_same_verdict(got, loop_pk_check(total, k, projections=projections, seed=t))
+
+    @pytest.mark.parametrize("phi", [-1.0 * identity_map(2), reduction_family(0.5, 3)],
+                             ids=["negated_identity", "reduction_half"])
+    def test_matches_the_corner_loop_on_an_early_rank_one_violation(self, phi):
+        got = pk_check(phi, 2, projections=40, seed=1)
+        assert got.kind == VIOLATION
+        assert_same_verdict(got, loop_pk_check(phi, 2, projections=40, seed=1))
+
+    # on the 2x3 map the rank-2 corner t = 1 violates, and so does the
+    # rank-3 corner t = 2, whose stack runs after the rank-2 one
+    @pytest.mark.parametrize("m,k,first", [(3, 2, 15), (3, 3, 3), (2, 3, 2)])
+    def test_matches_the_corner_loop_when_a_stacked_corner_violates_first(self, m, k, first):
+        phi = random_map_near_cp(rng_stream(41, 2), m, 3, mix=0.3)
+        got = pk_check(phi, k, projections=40, seed=2)
+        assert (got.kind, got.stats["projections"], got.witness["rank"] >= 2) == (VIOLATION, first, True)
+        assert_same_verdict(got, loop_pk_check(phi, k, projections=40, seed=2))
+        assert recheck_witness(f"pk_{k}", phi, got.witness) == pytest.approx(got.value, abs=1e-10)
+
+    @pytest.mark.parametrize("stall_break", [None, 20])
+    def test_witness_matches_its_loop(self, stall_break):
+        maps = [choi_qutrit_map(), random_map_near_cp(rng_stream(512), 2, 3, mix=0.3),
+                random_decomposable_map(rng_stream(513), 2, 2)[0]]
+        for phi in maps:
+            h = hermitian_part(phi.choi())
+            search = {"seed": 1, "max_iter": 400, "stall_break": stall_break}
+            assert_same_verdict(decomposability_witness(h, phi.m, phi.n, **search),
+                                loop_decomposability_witness(h, phi.m, phi.n, **search))
+
+    def test_validation_does_not_grow_with_projections(self, monkeypatch):
+        # corners are built through MatrixMap calls, which coerce their
+        # argument, so only the Hermiticity validation is counted
+        counter = count_validations(monkeypatch, names=("check_hermitian",))
+        total, _, _ = random_decomposable_map(rng_stream(514), 3, 3)
+        counts = []
+        for projections in (5, 40):
+            counter["calls"] = 0
+            assert pk_check(total, 3, projections=projections, seed=1).kind == EVIDENCE
+            counts.append(counter["calls"])
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("call", [
+        lambda: pk_check(identity_map(2), 1, projections=0),
+        lambda: sk_check(identity_map(2), 1, samples=0),
+        lambda: k_block_min(identity_map(2), 1, restarts=0),
+        lambda: block_positivity(np.eye(4), 2, 2, restarts=-3),
+    ], ids=["pk_check", "sk_check", "k_block_min", "block_positivity"])
+    def test_counts_below_one_are_rejected(self, call):
+        with pytest.raises(CountOutOfRangeError):
+            call()
 
 
 class TestConditionChain:
