@@ -70,8 +70,14 @@ from .report import add_record, new_report, verify_report, write_report
 from .verdicts import EVIDENCE, PASS, Verdict
 
 DEFECT_LIMIT = 1e-9
-# count options: each must be >= 1 wherever a subcommand takes it
-COUNT_OPTIONS = ("k_max", "restarts", "samples", "projections", "trials")
+
+
+def _require_counts(args, *names: str) -> None:
+    """Reject a count option below 1 as an input error."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ParseError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _emit(report: dict, out: str | None, timing: dict | None) -> None:
@@ -98,6 +104,7 @@ def _verdict_record(report: dict, record_id: str, verdict: Verdict, seed: int) -
 
 
 def cmd_classify(args) -> int:
+    _require_counts(args, "k_max", "restarts", "samples", "projections")
     doc = load_document(args.input)
     phi = map_from_document(doc)
     if not phi.is_hermiticity_preserving(HERMITIAN_RTOL):
@@ -172,6 +179,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_modular_verify(args) -> int:
+    _require_counts(args, "trials")
     if not 2 <= args.dim <= 8:
         raise ParseError(f"--dim must be in 2..8, got {args.dim}")
     if args.rho_file:
@@ -235,6 +243,10 @@ def cmd_cone(args) -> int:
         if args.subcommand in ("member", "bounds", "weakdec"):
             raise ParseError(f"cone {args.subcommand} samples; --seed is mandatory")
         args.seed = 0
+    if args.subcommand in ("bounds", "weakdec"):
+        # member reads --samples 0 as "no hull sampling"; pq, flags and
+        # polar draw no samples
+        _require_counts(args, "samples")
     cone_input = cone_input_from_document(doc)
     ctx = bipartite_context(cone_input.rho_a, cone_input.rho_b)
     params = {"subcommand": args.subcommand, "samples": args.samples}
@@ -395,10 +407,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.started = time.perf_counter()
     try:
-        for name in COUNT_OPTIONS:
-            value = getattr(args, name, None)
-            if value is not None and value < 1:
-                raise ParseError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except PosmapError as exc:
         print(f"input error: {exc}", file=sys.stderr)

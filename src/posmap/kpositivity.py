@@ -313,7 +313,6 @@ def _witness_stack(
     step: float,
     max_iter: int,
     stall_break: int | None,
-    first_violation: bool = False,
 ) -> list:
     """Projected-gradient witness searches on a (R, mn, mn) stack of Hermitian
     matrices, run in lockstep on raw arrays.
@@ -322,8 +321,8 @@ def _witness_stack(
     iteration count, and stops exactly where a lone search would: when its
     step falls below 1e-12, or, with `stall_break`, after that many
     non-improving iterations at an objective above -tol.  A stopped member is
-    polished and leaves the stack.  With `first_violation`, once a member's
-    polished value is a violation, members after it in the stack leave too.
+    polished and leaves the stack.  Once a member's polished value is a
+    violation, the members after it in the stack leave too.
 
     Returns, per member, (value, feasible, state, iterations), or None for a
     member dropped after an earlier violation.
@@ -366,7 +365,7 @@ def _witness_stack(
                     break
                 value, feasible, state = _polish(w[i], h[i], m, n)
                 results[active[i]] = (value, feasible, state, it)
-                if first_violation and feasible and value < -tols[i]:
+                if feasible and value < -tols[i]:
                     cut = active[i]
             keep = ~stop & (active < cut)
             w, h, eta, obj, stalled, tols, active = (
@@ -420,6 +419,10 @@ def decomposability_witness(
     return Verdict(EVIDENCE, value, stats=stats)
 
 
+# corners in pk_check's first chunk; each later chunk doubles the walk so far
+_FIRST_CHUNK = 4
+
+
 def pk_check(
     phi: MatrixMap,
     k: int,
@@ -435,11 +438,13 @@ def pk_check(
     Corner t draws its rank and Haar isometry from `rng_stream(seed, t)`.  A
     rank-1 corner is scalar-valued, so it is decided on the spot by the
     exact positivity of its Choi matrix, and a rank-1 violation ends the walk.
-    The corners of each rank >= 2 met before that point run as one stack of
-    `decomposability_witness` searches (`stall_break=15`).  The verdict is
-    the first violating corner in t order, with `projections` = t + 1, so it
-    is that of deciding the corners one after another; otherwise it is
-    evidence at the minimum corner value.
+    Corners are walked in t-ordered chunks that double in size; the rank >= 2
+    corners of a chunk met before that point run as one stack per rank of
+    `decomposability_witness` searches (`stall_break=15`), and the walk stops
+    after the first chunk holding a violation.  The verdict is the first
+    violating corner in t order, with `projections` = t + 1, so it is that
+    of deciding the corners one after another; otherwise it is evidence at
+    the minimum corner value.
     """
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be >= 1")
@@ -447,43 +452,49 @@ def pk_check(
         raise CountOutOfRangeError(f"projections={projections} must be >= 1")
     m, n = phi.m, phi.n
     values: list = []
-    queued: dict[int, list] = {}
     first = None  # (t, value, witness) of the first violating corner
-    for t in range(projections):
-        rng = rng_stream(seed, t)
-        rank = int(rng.integers(1, min(k, n) + 1))
-        iso = haar_isometry(rng, n, rank)
-        corner = MatrixMap.from_function(lambda a: iso.conj().T @ phi(a) @ iso, m, rank)
-        hc = hermitian_part(corner.choi())
-        if rank > 1:
-            queued.setdefault(rank, []).append((t, iso, hc))
-            values.append(None)
-            continue
-        # scalar-valued corner: decomposability reduces to positivity of
-        # the corner Choi matrix, tested exactly
-        value = float(np.linalg.eigvalsh(hc)[0])
-        values.append(value)
-        if value < -(psd_tol(hc) if tol is None else tol):
-            bottom = _eigh_phased(hc)[1][:, 0]
-            first = (t, value, {"isometry": iso, "state": np.outer(bottom, bottom.conj()), "rank": 1})
-            break
-    for rank, corners in sorted(queued.items()):
-        if first is not None:
-            corners = [c for c in corners if c[0] < first[0]]
-        if not corners:
-            continue
-        hs = np.array([hc for _, _, hc in corners])
-        tols = [psd_tol(hc) if tol is None else tol for hc in hs]
-        results = _witness_stack(
-            hs, m, rank, tols, step=1e-2, max_iter=witness_iters, stall_break=15,
-            first_violation=True,
-        )
-        for (t, iso, _), bound, result in zip(corners, tols, results):
-            value, feasible, state, _ = result
-            values[t] = value
-            if feasible and value < -bound:
-                first = (t, value, {"isometry": iso, "state": state, "rank": rank})
+    start = 0
+    while first is None and start < projections:
+        # a chunk is at most as long as the walk before it, so corners run
+        # past a first violation cost no more than the corners before it
+        stop = min(max(2 * start, _FIRST_CHUNK), projections)
+        queued: dict[int, list] = {}
+        for t in range(start, stop):
+            rng = rng_stream(seed, t)
+            rank = int(rng.integers(1, min(k, n) + 1))
+            iso = haar_isometry(rng, n, rank)
+            corner = MatrixMap.from_function(lambda a: iso.conj().T @ phi(a) @ iso, m, rank)
+            hc = hermitian_part(corner.choi())
+            if rank > 1:
+                queued.setdefault(rank, []).append((t, iso, hc))
+                values.append(None)
+                continue
+            # scalar-valued corner: decomposability reduces to positivity of
+            # the corner Choi matrix, tested exactly
+            value = float(np.linalg.eigvalsh(hc)[0])
+            values.append(value)
+            if value < -(psd_tol(hc) if tol is None else tol):
+                bottom = _eigh_phased(hc)[1][:, 0]
+                state = np.outer(bottom, bottom.conj())
+                first = (t, value, {"isometry": iso, "state": state, "rank": 1})
                 break
+        for rank, corners in sorted(queued.items()):
+            if first is not None:
+                corners = [c for c in corners if c[0] < first[0]]
+            if not corners:
+                continue
+            hs = np.array([hc for _, _, hc in corners])
+            tols = [psd_tol(hc) if tol is None else tol for hc in hs]
+            results = _witness_stack(
+                hs, m, rank, tols, step=1e-2, max_iter=witness_iters, stall_break=15
+            )
+            for (t, iso, _), bound, result in zip(corners, tols, results):
+                value, feasible, state, _ = result
+                values[t] = value
+                if feasible and value < -bound:
+                    first = (t, value, {"isometry": iso, "state": state, "rank": rank})
+                    break
+        start = stop
     if first is not None:
         t, value, witness = first
         return Verdict(

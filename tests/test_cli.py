@@ -267,12 +267,22 @@ class TestCountOptions:
         assert not out.exists()
         assert f"{option} must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sub", ["bounds", "weakdec", "member"])
+    @pytest.mark.parametrize("sub", ["bounds", "weakdec"])
     def test_cone_rejects_zero_samples(self, tmp_path, sub):
         eye, zero = np.eye(2), np.zeros((2, 2))
         doc = cone_doc(tmp_path, [[eye, zero], [zero, eye]],
                        extra={"map": map_to_document(transposition_map(2), "choi"), "k": 1})
         assert main(["cone", sub, doc, "--seed", "1", "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("sub", ["member", "pq", "flags", "polar"])
+    def test_cone_accepts_zero_samples_where_nothing_is_sampled(self, tmp_path, sub):
+        # member reads zero as exact membership with no hull sampling
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        doc = cone_doc(tmp_path, [[eye, zero], [zero, eye]])
+        out = tmp_path / "r.json"
+        assert main(["cone", sub, doc, "--seed", "1", "--samples", "0", "--out", str(out)]) == 0
+        if sub == "member":
+            assert load_report(out)["summary"]["in_hull_evidence"] is None
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_modular_verify_rejects_trials_below_one(self, trials):

@@ -462,6 +462,23 @@ class TestStackedCorners:
         assert_same_verdict(got, loop_pk_check(phi, k, projections=40, seed=2))
         assert recheck_witness(f"pk_{k}", phi, got.witness) == pytest.approx(got.value, abs=1e-10)
 
+    # corners are built in chunks [0, 4), [4, 8), [8, 16), ...; the walk ends
+    # with the chunk that holds the first violation
+    @pytest.mark.parametrize("m,k,first,built", [(2, 3, 2, 4), (3, 2, 15, 16)])
+    def test_walk_stops_after_the_chunk_holding_the_first_violation(self, monkeypatch, m, k,
+                                                                    first, built):
+        ranks = []
+        original = posmap.kpositivity.haar_isometry
+
+        def counted(rng, n, rank):
+            ranks.append(rank)
+            return original(rng, n, rank)
+
+        monkeypatch.setattr(posmap.kpositivity, "haar_isometry", counted)
+        phi = random_map_near_cp(rng_stream(41, 2), m, 3, mix=0.3)
+        got = pk_check(phi, k, projections=40, seed=2)
+        assert (got.stats["projections"], len(ranks)) == (first, built)
+
     @pytest.mark.parametrize("stall_break", [None, 20])
     def test_witness_matches_its_loop(self, stall_break):
         maps = [choi_qutrit_map(), random_map_near_cp(rng_stream(512), 2, 3, mix=0.3),
