@@ -438,10 +438,11 @@ def pk_check(
     Corner t draws its rank and Haar isometry from `rng_stream(seed, t)`.  A
     rank-1 corner is scalar-valued, so it is decided on the spot by the
     exact positivity of its Choi matrix, and a rank-1 violation ends the walk.
-    Corners are walked in t-ordered chunks that double in size; the rank >= 2
-    corners of a chunk met before that point run as one stack per rank of
-    `decomposability_witness` searches (`stall_break=15`), and the walk stops
-    after the first chunk holding a violation.  The verdict is the first
+    Corners are walked in t-ordered chunks [0, 4), [4, 8), [8, 16), ...,
+    each as long as the walk before it; the rank >= 2 corners of a chunk met
+    before that point run as one stack per rank of `decomposability_witness`
+    searches (`stall_break=15`), and the walk stops after the first chunk
+    holding a violation.  The verdict is the first
     violating corner in t order, with `projections` = t + 1, so it is that
     of deciding the corners one after another; otherwise it is evidence at
     the minimum corner value.
