@@ -355,34 +355,21 @@ def split_bound_margins(ctx: BipartiteConeContext, xi, etas) -> dict[str, float]
     m = ctx._require(xi)
     p_xi = ctx.p_project(m)
     q_xi = ctx.q_project(m)
-    pp = ctx.factor_projections(m, +1, +1)
-    qp = ctx.factor_projections(m, -1, +1)
-    pq = ctx.factor_projections(m, +1, -1)
-    qq = ctx.factor_projections(m, -1, -1)
-    ptot = ctx.p_total(m)
+    targets = [p_xi, q_xi, m, ctx.p_total(m)]
+    targets += [ctx.factor_projections(m, a, b) for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
+    # xi and each eta are validated once; np.vdot is hs_inner's arithmetic
+    pairings = [[np.vdot(eta, t).real for t in targets] for eta in map(ctx._require, etas)]
+    e_p, e_q, e_xi, e_ptot, e_pp, e_qp, e_pq, e_qq = np.reshape(pairings, (-1, 8)).T
     margins = {
-        "abs_q_vs_p": np.inf,
-        "pairing": np.inf,
-        "q_vs_total": np.inf,
-        "factor_sum": np.inf,
-        "factor_diff": np.inf,
-        "qq_vs_ptot": np.inf,
+        "abs_q_vs_p": e_p - abs(e_q),
+        "pairing": e_xi,
+        "q_vs_total": e_xi - 2 * e_q,
+        "factor_sum": (e_pp + e_qp) - (e_pq + e_qq),
+        "factor_diff": (e_pp - e_qp) - (-e_pq + e_qq),
+        "qq_vs_ptot": e_ptot - 2 * e_qq,
     }
-    for eta in etas:
-        e_p = hs_inner(eta, p_xi).real
-        e_q = hs_inner(eta, q_xi).real
-        e_xi = hs_inner(eta, m).real
-        e_pp = hs_inner(eta, pp).real
-        e_qp = hs_inner(eta, qp).real
-        e_pq = hs_inner(eta, pq).real
-        e_qq = hs_inner(eta, qq).real
-        e_ptot = hs_inner(eta, ptot).real
-        margins["abs_q_vs_p"] = min(margins["abs_q_vs_p"], e_p - abs(e_q))
-        margins["pairing"] = min(margins["pairing"], e_xi)
-        margins["q_vs_total"] = min(margins["q_vs_total"], e_xi - 2 * e_q)
-        margins["factor_sum"] = min(margins["factor_sum"], (e_pp + e_qp) - (e_pq + e_qq))
-        margins["factor_diff"] = min(margins["factor_diff"], (e_pp - e_qp) - (-e_pq + e_qq))
-        margins["qq_vs_ptot"] = min(margins["qq_vs_ptot"], e_ptot - 2 * e_qq)
+    # the first smallest value in eta order, as a running min() keeps it
+    margins = {key: min(v.tolist(), default=np.inf) for key, v in margins.items()}
     margins["norm"] = frobenius(p_xi) - frobenius(q_xi)
     return margins
 

@@ -33,6 +33,7 @@ from .linalg import (
     _eigh_phased,
     _haar_from_gaussian,
     _partial_transpose,
+    _psd_from_normals,
     alternate_ppt_projections,
     check_hermitian,
     frobenius,
@@ -42,7 +43,6 @@ from .linalg import (
     ppt_min_eigs,
     psd_tol,
     random_complex,
-    random_psd,
     rng_stream,
 )
 from .verdicts import EVIDENCE, VIOLATION, DecompCertificate, Verdict
@@ -186,42 +186,74 @@ def is_k_copositive(phi: MatrixMap, k: int, **search) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def sample_doubly_psd_block(
-    rng: np.random.Generator, k: int, m: int, *, max_tries: int = 40
-) -> np.ndarray:
-    """Random block matrix on C^k (x) C^m that is PSD in both block orderings.
+_FIRST_CHUNK = 4
+_MAX_CHUNK = 32
+_STACK_ENTRIES = 2**14  # matrix entries a stack of sampled blocks may hold, k m permitting
 
-    With probability 1/2 draws a separable form sum_r p_r (x) q_r (PSD in both
-    orderings by construction); otherwise rejection-samples a PSD matrix until
-    its first-factor partial transpose is PSD too.  Rejection acceptance decays
-    quickly with dimension, so an exhausted budget falls through to alternating
-    PSD projections, which still lands on a generic doubly-PSD point.
-    """
-    if rng.random() < 0.5:
-        terms = int(rng.integers(1, 5))
-        a = np.zeros((k * m, k * m), dtype=complex)
-        for _ in range(terms):
-            p = random_psd(rng, k)
-            q = random_psd(rng, m)
-            a += np.kron(p, q)
-        return a / max(np.trace(a).real, 1e-300)
-    for _ in range(max_tries):
-        a = random_psd(rng, k * m)
-        a = a / np.trace(a).real
+
+def _chunks(total: int, first: int = _FIRST_CHUNK, most: int = _MAX_CHUNK):
+    """(start, stop) of the chunks [0, first), [first, 2 first), ... of range(total), at
+    most `most` long: each as long as the walk before it, so members run past a first
+    violation cost no more than the members before it."""
+    start = 0
+    while start < total:
+        stop = min(max(2 * start, first), start + most, total)
+        yield start, stop
+        start = stop
+
+
+def _separable(rng: np.random.Generator, k: int, m: int, terms: int) -> np.ndarray:
+    """sum_r p_r (x) q_r over `terms` pairs of `random_psd` draws p_r (k x k)
+    and q_r (m x m), drawn in the order p_1, q_1, p_2, q_2, ... in one call."""
+    z = rng.standard_normal((terms, 2 * (k * k + m * m)))
+    p = _psd_from_normals(z[:, : 2 * k * k].reshape(terms, 2, k, k))
+    q = _psd_from_normals(z[:, 2 * k * k :].reshape(terms, 2, m, m))
+    return sum(np.kron(pr, qr) for pr, qr in zip(p, q))
+
+
+def _doubly_psd_blocks(rngs: list, k: int, m: int, *, max_tries: int = 40) -> np.ndarray:
+    """(S, km, km) stack of block matrices on C^k (x) C^m, PSD in both block
+    orderings, one per stream: a separable form with probability 1/2, else
+    the first of `max_tries` PSD draws with a PSD first-factor partial
+    transpose, else 25 rounds of alternating PSD projections, else a product.
+    Tries run in lockstep rounds [0, 1), [1, 2), [2, 4), [4, 8), [8, 12), ...
+    drawn in one call per stream; a stream accepted early in a round is
+    rewound and redrawn up to that try, so it ends where a one-at-a-time
+    sampler ends, with the same block."""
+    d = k * m
+    out = np.empty((len(rngs), d, d), dtype=complex)
+    pending = []
+    for i, rng in enumerate(rngs):
+        if rng.random() < 0.5:
+            a = _separable(rng, k, m, int(rng.integers(1, 5)))
+            out[i] = a / max(np.trace(a).real, 1e-300)
+        else:
+            pending.append(i)
+    for start, stop in _chunks(max_tries, 1, 4):
+        if not pending:
+            break
+        states = [rngs[i].bit_generator.state for i in pending]
+        z = np.array([rngs[i].standard_normal((stop - start, 2, d, d)) for i in pending])
+        a = _psd_from_normals(z)
+        a /= a.trace(axis1=-2, axis2=-1).real[..., None, None]
         pt = _partial_transpose(a, k, m, "first")
-        if np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-14:
-            return a
-
-    a = alternate_ppt_projections(random_psd(rng, k * m), k, m, "first", 25)
-    pt = _partial_transpose(a, k, m, "first")
-    if (
-        np.trace(a).real < 1e-12
-        or np.linalg.eigvalsh(hermitian_part(pt))[0] < -1e-11 * max(1.0, frobenius(a))
-    ):
-        p = random_psd(rng, k)
-        q = random_psd(rng, m)
-        a = np.kron(p, q)
-    return a / np.trace(a).real
+        accepted = np.linalg.eigvalsh(hermitian_part(pt))[..., 0] >= -1e-14
+        for j in np.flatnonzero(accepted.any(axis=1)):
+            rng, t = rngs[pending[j]], int(accepted[j].argmax())
+            out[pending[j]] = a[j, t]
+            if t < stop - start - 1:
+                rng.bit_generator.state = states[j]
+                rng.standard_normal((t + 1, 2, d, d))
+        pending = [i for j, i in enumerate(pending) if not accepted[j].any()]
+    if pending:
+        seeds = _psd_from_normals(np.array([rngs[i].standard_normal((2, d, d)) for i in pending]))
+        a = alternate_ppt_projections(seeds, k, m, "first", 25)
+        pt_min = np.linalg.eigvalsh(hermitian_part(_partial_transpose(a, k, m, "first")))[:, 0]
+        for j, i in enumerate(pending):
+            if np.trace(a[j]).real < 1e-12 or pt_min[j] < -1e-11 * max(1.0, frobenius(a[j])):
+                a[j] = _separable(rngs[i], k, m, 1)
+            out[i] = a[j] / np.trace(a[j]).real
+    return out
 
 
 def sk_check(
@@ -234,27 +266,29 @@ def sk_check(
 ) -> Verdict:
     """Sample block matrices PSD in both orderings and test that their images
     under id_k (x) phi are PSD.  A negative image eigenvalue is an exact
-    violation; surviving the budget is evidence."""
+    violation; surviving the budget is evidence.
+
+    Sample s draws from `rng_stream(seed, s)`; samples run as stacks over the chunks of
+    `pk_check`, and a violation is the first violating sample, with `samples` = s + 1.
+    """
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be >= 1")
     if samples < 1:
         raise CountOutOfRangeError(f"samples={samples} must be >= 1")
-    m = phi.m
+    m, n = phi.m, phi.n
     worst = np.inf
-    for s in range(samples):
-        rng = rng_stream(seed, s)
-        a = sample_doubly_psd_block(rng, k, m)
-        image = hermitian_part(phi.apply_blockwise(a, k))
-        bound = psd_tol(image) if tol is None else tol
-        min_eig = float(np.linalg.eigvalsh(image)[0])
-        worst = min(worst, min_eig)
-        if min_eig < -bound:
-            return Verdict(
-                VIOLATION,
-                min_eig,
-                witness={"block": a, "sample": s},
-                stats={"samples": s + 1, "seed": seed, "min_value": min_eig},
-            )
+    most = max(1, min(_MAX_CHUNK, _STACK_ENTRIES // (2 * k * m) ** 2))  # 4 tries a sample
+    for start, stop in _chunks(samples, most=most):
+        blocks = _doubly_psd_blocks([rng_stream(seed, s) for s in range(start, stop)], k, m)
+        images = np.einsum("sipjq,pqab->siajb", blocks.reshape(-1, k, m, k, m), phi.unit_images)
+        images = hermitian_part(images.reshape(-1, k * n, k * n))
+        mins = np.linalg.eigvalsh(images)[:, 0].tolist()
+        for i, min_eig in enumerate(mins):
+            if min_eig < -(psd_tol(images[i]) if tol is None else tol):
+                witness = {"block": blocks[i], "sample": start + i}
+                stats = {"samples": start + i + 1, "seed": seed, "min_value": min_eig}
+                return Verdict(VIOLATION, min_eig, witness=witness, stats=stats)
+        worst = min(worst, *mins)
     return Verdict(EVIDENCE, worst, stats={"samples": samples, "seed": seed, "min_value": worst})
 
 
@@ -419,10 +453,6 @@ def decomposability_witness(
     return Verdict(EVIDENCE, value, stats=stats)
 
 
-# corners in pk_check's first chunk; each later chunk doubles the walk so far
-_FIRST_CHUNK = 4
-
-
 def pk_check(
     phi: MatrixMap,
     k: int,
@@ -439,13 +469,12 @@ def pk_check(
     rank-1 corner is scalar-valued, so it is decided on the spot by the
     exact positivity of its Choi matrix, and a rank-1 violation ends the walk.
     Corners are walked in t-ordered chunks [0, 4), [4, 8), [8, 16), ...,
-    each as long as the walk before it; the rank >= 2 corners of a chunk met
-    before that point run as one stack per rank of `decomposability_witness`
-    searches (`stall_break=15`), and the walk stops after the first chunk
-    holding a violation.  The verdict is the first
-    violating corner in t order, with `projections` = t + 1, so it is that
-    of deciding the corners one after another; otherwise it is evidence at
-    the minimum corner value.
+    each as long as the walk before it (at most 32); the rank >= 2 corners of
+    a chunk met before that point run as one stack per rank of
+    `decomposability_witness` searches (`stall_break=15`), and the walk stops
+    after the first chunk holding a violation.  The verdict is the first
+    violating corner, with `projections` = t + 1, as when deciding corners
+    one at a time; otherwise it is evidence at the minimum corner value.
     """
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be >= 1")
@@ -454,18 +483,13 @@ def pk_check(
     m, n = phi.m, phi.n
     values: list = []
     first = None  # (t, value, witness) of the first violating corner
-    start = 0
-    while first is None and start < projections:
-        # a chunk is at most as long as the walk before it, so corners run
-        # past a first violation cost no more than the corners before it
-        stop = min(max(2 * start, _FIRST_CHUNK), projections)
+    for start, stop in _chunks(projections):
         queued: dict[int, list] = {}
         for t in range(start, stop):
             rng = rng_stream(seed, t)
             rank = int(rng.integers(1, min(k, n) + 1))
             iso = haar_isometry(rng, n, rank)
-            corner = MatrixMap.from_function(lambda a: iso.conj().T @ phi(a) @ iso, m, rank)
-            hc = hermitian_part(corner.choi())
+            hc = hermitian_part(MatrixMap(iso.conj().T @ phi.unit_images @ iso).choi())
             if rank > 1:
                 queued.setdefault(rank, []).append((t, iso, hc))
                 values.append(None)
@@ -495,7 +519,8 @@ def pk_check(
                 if feasible and value < -bound:
                     first = (t, value, {"isometry": iso, "state": state, "rank": rank})
                     break
-        start = stop
+        if first is not None:
+            break
     if first is not None:
         t, value, witness = first
         return Verdict(

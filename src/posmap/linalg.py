@@ -205,8 +205,9 @@ def hs_inner(a, b) -> complex:
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator stream `stream` of the Philox counter keyed by `seed`."""
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(stream)))
+    """Independent generator stream `stream`, 0 <= stream < 2**128, of the Philox
+    counter keyed by `seed`: its counter starts where `jumped(stream)` puts it."""
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=int(stream) << 128))
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -224,9 +225,15 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    r = dim if rank is None else rank
-    g = random_complex(rng, (dim, r))
-    return g @ g.conj().T
+    return _psd_from_normals(rng.standard_normal((2, dim, dim if rank is None else rank)))
+
+
+def _psd_from_normals(z: np.ndarray) -> np.ndarray:
+    """g g* for the complex Gaussian g = (z[..., 0, :, :] + i z[..., 1, :, :])
+    / sqrt(2) that `random_complex` makes of the same normals; a stack too."""
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    g /= np.sqrt(2)
+    return g @ g.conj().swapaxes(-1, -2)
 
 
 def random_faithful_state(

@@ -4,6 +4,8 @@ and the weak-decomposability cone test."""
 import numpy as np
 import pytest
 
+import posmap.cones
+import posmap.linalg
 from posmap.cones import (
     bipartite_context,
     cone_member,
@@ -23,6 +25,7 @@ from posmap.kpositivity import sk_check
 from posmap.linalg import (
     frobenius,
     hermitian_part,
+    hs_inner,
     partial_transpose,
     random_psd,
     rng_stream,
@@ -30,6 +33,7 @@ from posmap.linalg import (
 from posmap.maps import identity_map, max_entangled_projector, transposition_map
 from posmap.modular import gns_context
 from posmap.verdicts import EVIDENCE, VIOLATION
+from test_kpositivity import count_validations
 
 TRACIAL = np.eye(2, dtype=complex) / 2
 RHO_A = np.diag([1 / 3, 2 / 3]).astype(complex)
@@ -238,6 +242,21 @@ class TestSplitBounds:
         ]
         margins = split_bound_margins(ctx, xi, etas)
         assert margins["abs_q_vs_p"] < -1e-6
+
+    def test_margins_validate_each_eta_once(self, monkeypatch):
+        ctx = tracial_ctx()
+        xi = ctx.cone_vector(max_entangled_projector(2))
+        etas = [sample_cone_element(ctx, rng_stream(80, t)) for t in range(30)]
+        margins = split_bound_margins(ctx, xi, etas)
+        assert margins["pairing"] == min(hs_inner(eta, xi).real for eta in etas)
+        counter = count_validations(monkeypatch, modules=(posmap.linalg, posmap.cones),
+                                    names=("as_matrix",))
+        counts = []
+        for size in (3, 30):
+            counter["calls"] = 0
+            split_bound_margins(ctx, xi, etas[:size])
+            counts.append(counter["calls"])
+        assert counts[1] - counts[0] == 27
 
 
 class TestOddPartFlags:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import posmap.choi
 import posmap.kpositivity
@@ -21,11 +23,11 @@ from posmap.kpositivity import (
     is_k_positive,
     k_block_min,
     pk_check,
-    sample_doubly_psd_block,
     sk_check,
 )
 from posmap.linalg import (
     alternate_ppt_projections,
+    frobenius,
     haar_isometry,
     herm_eig,
     hermitian_part,
@@ -159,6 +161,52 @@ def loop_pk_check(phi, k, *, projections=100, seed=0, witness_iters=200, tol=Non
                            stats={"projections": t + 1, "seed": seed, "min_value": value})
     return Verdict(EVIDENCE, worst, stats={"projections": projections, "seed": seed,
                                            "min_value": worst})
+
+
+def loop_sample_doubly_psd_block(rng, k, m, *, max_tries=40):
+    """Reference for `_doubly_psd_blocks`: one stream's block, drawn one try
+    at a time."""
+    if rng.random() < 0.5:
+        terms = int(rng.integers(1, 5))
+        a = np.zeros((k * m, k * m), dtype=complex)
+        for _ in range(terms):
+            p = random_psd(rng, k)
+            q = random_psd(rng, m)
+            a += np.kron(p, q)
+        return a / max(np.trace(a).real, 1e-300)
+    for _ in range(max_tries):
+        a = random_psd(rng, k * m)
+        a = a / np.trace(a).real
+        pt = partial_transpose(a, k, m, "first")
+        if np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-14:
+            return a
+    # looked up at call time, so a test can swap the projections out
+    a = posmap.linalg.alternate_ppt_projections(random_psd(rng, k * m), k, m, "first", 25)
+    pt = partial_transpose(a, k, m, "first")
+    if (
+        np.trace(a).real < 1e-12
+        or np.linalg.eigvalsh(hermitian_part(pt))[0] < -1e-11 * max(1.0, frobenius(a))
+    ):
+        p = random_psd(rng, k)
+        q = random_psd(rng, m)
+        a = np.kron(p, q)
+    return a / np.trace(a).real
+
+
+def loop_sk_check(phi, k, *, samples=500, seed=0, tol=None):
+    """Reference for `sk_check`: its samples are drawn and tested one after
+    another."""
+    worst = np.inf
+    for s in range(samples):
+        a = loop_sample_doubly_psd_block(rng_stream(seed, s), k, phi.m)
+        image = hermitian_part(phi.apply_blockwise(a, k))
+        bound = psd_tol(image) if tol is None else tol
+        min_eig = float(np.linalg.eigvalsh(image)[0])
+        worst = min(worst, min_eig)
+        if min_eig < -bound:
+            return Verdict(VIOLATION, min_eig, witness={"block": a, "sample": s},
+                           stats={"samples": s + 1, "seed": seed, "min_value": min_eig})
+    return Verdict(EVIDENCE, worst, stats={"samples": samples, "seed": seed, "min_value": worst})
 
 
 def assert_same_verdict(got, want):
@@ -324,9 +372,8 @@ class TestIsKCopositive:
 
 class TestBlockMatrixCondition:
     def test_sampler_produces_doubly_psd_blocks(self):
-        for s in range(40):
-            rng = rng_stream(503, s)
-            a = sample_doubly_psd_block(rng, 2, 3)
+        blocks = posmap.kpositivity._doubly_psd_blocks([rng_stream(503, s) for s in range(40)], 2, 3)
+        for a in blocks:
             assert psd_min_eig(hermitian_part(a)) >= -1e-9
             pt = partial_transpose(a, 2, 3, side="first")
             assert psd_min_eig(hermitian_part(pt)) >= -1e-9
@@ -347,6 +394,95 @@ class TestBlockMatrixCondition:
     def test_transposition_passes_every_k(self, k):
         v = sk_check(transposition_map(3), k, samples=60, seed=k)
         assert v.kind == EVIDENCE
+
+
+def stream_position(rng):
+    """Everything that decides a Philox stream's next draws."""
+    state = rng.bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["buffer"]), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
+
+
+# maps whose first sk_check violation (samples=200, seed=1) falls at various
+# samples s, early and in late chunks, and maps that survive the budget
+SK_MAPS = {
+    **{f"near_cp_{t}": (lambda t=t: random_map_near_cp(rng_stream(41, t), 2 + t % 2, 3, mix=0.3))
+       for t in range(8)},
+    "decomposable_2x2": lambda: random_decomposable_map(rng_stream(515), 2, 2)[0],
+    "decomposable_3x3": lambda: random_decomposable_map(rng_stream(516), 3, 3)[0],
+    "reduction_1.5": lambda: reduction_family(1.5, 3),
+    "negated_identity": lambda: -1.0 * identity_map(2),
+}
+
+
+class TestStackedSamples:
+    @given(k=st.integers(1, 3), m=st.integers(1, 3), size=st.integers(1, 12),
+           max_tries=st.sampled_from([1, 3, 40]), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_and_stream_positions_equal_the_one_at_a_time_sampler(self, k, m, size,
+                                                                         max_tries, seed):
+        streams = [rng_stream(seed, s) for s in range(size)]
+        got = posmap.kpositivity._doubly_psd_blocks(streams, k, m, max_tries=max_tries)
+        for s, rng in enumerate(streams):
+            ref = rng_stream(seed, s)
+            assert np.array_equal(got[s], loop_sample_doubly_psd_block(ref, k, m, max_tries=max_tries))
+            assert stream_position(rng) == stream_position(ref)
+
+    @given(case=st.sampled_from(sorted(SK_MAPS)), k=st.integers(1, 3),
+           samples=st.integers(1, 120), seed=st.integers(0, 5))
+    def test_verdict_equals_the_one_at_a_time_loop(self, case, k, samples, seed):
+        phi = SK_MAPS[case]()
+        assert_same_verdict(sk_check(phi, k, samples=samples, seed=seed),
+                            loop_sk_check(phi, k, samples=samples, seed=seed))
+
+    # first violations in late chunks, at k * m = 4 and k * m = 9
+    @pytest.mark.parametrize("case,k,first", [("near_cp_0", 2, 164), ("near_cp_3", 3, 48)])
+    def test_late_first_violation_equals_the_loop(self, case, k, first):
+        phi = SK_MAPS[case]()
+        got = sk_check(phi, k, samples=200, seed=1)
+        assert (got.kind, got.stats["samples"], got.witness["sample"]) == (VIOLATION, first, first - 1)
+        assert_same_verdict(got, loop_sk_check(phi, k, samples=200, seed=1))
+        assert recheck_witness(f"sk_{k}", phi, got.witness) == pytest.approx(got.value, abs=1e-10)
+
+    def test_final_separable_fallback_equals_the_loop(self, monkeypatch):
+        # without the alternating projections a 9 x 9 rejection leftover is
+        # almost never PPT, so the sampler falls through to its last resort
+        for module in (posmap.linalg, posmap.kpositivity):
+            monkeypatch.setattr(module, "alternate_ppt_projections", lambda a, *_: a)
+        streams = [rng_stream(517, s) for s in range(40)]
+        got = posmap.kpositivity._doubly_psd_blocks(streams, 3, 3)
+        for s, rng in enumerate(streams):
+            ref = rng_stream(517, s)
+            assert np.array_equal(got[s], loop_sample_doubly_psd_block(ref, 3, 3))
+            assert stream_position(rng) == stream_position(ref)
+        phi = SK_MAPS["decomposable_3x3"]()
+        assert_same_verdict(sk_check(phi, 3, samples=40, seed=2),
+                            loop_sk_check(phi, 3, samples=40, seed=2))
+
+    def test_large_blocks_walk_in_small_chunks_and_equal_the_loop(self, monkeypatch):
+        # at k m = 39 a chunk holds 2 samples, so that 4 tries of each fit
+        # the stack budget
+        sizes = []
+        original = posmap.kpositivity._doubly_psd_blocks
+
+        def counted(rngs, k, m):
+            sizes.append(len(rngs))
+            return original(rngs, k, m)
+
+        monkeypatch.setattr(posmap.kpositivity, "_doubly_psd_blocks", counted)
+        phi = SK_MAPS["decomposable_3x3"]()
+        assert_same_verdict(sk_check(phi, 13, samples=5, seed=3),
+                            loop_sk_check(phi, 13, samples=5, seed=3))
+        assert sizes == [2, 2, 1]
+
+    def test_validation_does_not_grow_with_samples(self, monkeypatch):
+        counter = count_validations(monkeypatch)
+        phi = SK_MAPS["decomposable_3x3"]()
+        counts = []
+        for samples in (5, 60):
+            counter["calls"] = 0
+            assert sk_check(phi, 2, samples=samples, seed=1).kind == EVIDENCE
+            counts.append(counter["calls"])
+        assert counts[0] == counts[1]
 
 
 class TestDkCompose:
@@ -490,9 +626,7 @@ class TestStackedCorners:
                                 loop_decomposability_witness(h, phi.m, phi.n, **search))
 
     def test_validation_does_not_grow_with_projections(self, monkeypatch):
-        # corners are built through MatrixMap calls, which coerce their
-        # argument, so only the Hermiticity validation is counted
-        counter = count_validations(monkeypatch, names=("check_hermitian",))
+        counter = count_validations(monkeypatch)
         total, _, _ = random_decomposable_map(rng_stream(514), 3, 3)
         counts = []
         for projections in (5, 40):

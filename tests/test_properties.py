@@ -1,7 +1,9 @@
 """Property tests: stacked kernels equal their one-matrix calls bitwise, the
-partial transpose is an involution, and the Choi encoding round-trips."""
+partial transpose is an involution, the Choi encoding round-trips, and a
+counter-built stream equals the jumped one."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from posmap.linalg import (
     partial_transpose,
     project_psd,
     random_complex,
+    random_psd,
     rng_stream,
 )
 
@@ -57,3 +60,30 @@ def test_choi_round_trip(m, n, seed):
     phi = MatrixMap.from_choi(h, m, n)
     assert np.array_equal(phi.choi(), h)
     assert np.array_equal(MatrixMap.from_choi(phi.choi(), m, n).unit_images, phi.unit_images)
+
+
+@given(seed=st.integers(0, 2**63 - 1), stream=st.integers(0, 2**63 - 1))
+def test_rng_stream_equals_the_jumped_stream(seed, stream):
+    counted = rng_stream(seed, stream)
+    jumped = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+    assert np.array_equal(counted.standard_normal(9), jumped.standard_normal(9))
+    assert np.array_equal(counted.random(5), jumped.random(5))
+    assert np.array_equal(counted.integers(0, 7, 6), jumped.integers(0, 7, 6))
+    assert np.array_equal(counted.integers(0, 2**62, 3), jumped.integers(0, 2**62, 3))
+
+
+def test_rng_stream_carries_past_two_to_the_64_and_rejects_out_of_range_streams():
+    for stream in (2**64 - 1, 2**64, 2**64 + 3, 2**127):
+        counter = rng_stream(5, stream).bit_generator.state["state"]["counter"]
+        assert [int(c) for c in counter] == [0, 0, stream % 2**64, stream >> 64]
+        jumped = np.random.Generator(np.random.Philox(key=5).jumped(stream))
+        assert np.array_equal(rng_stream(5, stream).standard_normal(4), jumped.standard_normal(4))
+    for stream in (-1, 2**128):
+        with pytest.raises(ValueError):
+            rng_stream(5, stream)
+
+
+@given(dim=st.integers(1, 6), rank=st.integers(1, 6), seed=seeds)
+def test_random_psd_is_the_gram_matrix_of_random_complex(dim, rank, seed):
+    g = random_complex(rng_stream(seed), (dim, rank))
+    assert np.array_equal(random_psd(rng_stream(seed), dim, rank), g @ g.conj().T)
