@@ -122,11 +122,11 @@ class MatrixMap:
         """Hilbert-Schmidt adjoint phi*: Tr(phi(a)* b) = Tr(a* phi*(b))."""
         return MatrixMap(self.unit_images.transpose(2, 3, 0, 1).conj())
 
-    def is_hermiticity_preserving(self, rtol: float = 1e-10) -> bool:
+    def is_hermiticity_preserving(self) -> bool:
         """phi(a*) = phi(a)* for all a: the Choi matrix is Hermitian within
-        rtol * max(1, ||h||_F) in Frobenius norm."""
+        HERMITIAN_RTOL * max(1, ||h||_F) in Frobenius norm."""
         h = self.choi()
-        return frobenius(h - h.conj().T) <= rtol * max(1.0, frobenius(h))
+        return frobenius(h - h.conj().T) <= HERMITIAN_RTOL * max(1.0, frobenius(h))
 
     def norm_distance(self, other: "MatrixMap") -> float:
         return frobenius(self.unit_images - other.unit_images)
@@ -170,13 +170,13 @@ def kernel_transpose_gap(phi: MatrixMap) -> float:
     return frobenius(phi.choi() - trace_kernel(phi).T)
 
 
-def cp_verdict(phi: MatrixMap, rtol: float = HERMITIAN_RTOL) -> Verdict:
+def cp_verdict(phi: MatrixMap) -> Verdict:
     """Exact complete-positivity test: phi is CP iff its Choi matrix is PSD.
 
     The verdict is "pass" or a "violation" whose witness {"vector"} is the
     bottom eigenvector; `value` is the smallest Choi eigenvalue.
     """
-    if not phi.is_hermiticity_preserving(rtol):
+    if not phi.is_hermiticity_preserving():
         raise NotHermitianError("map is not Hermiticity-preserving")
     h = phi.choi()
     eig = herm_eig(h)
@@ -214,7 +214,6 @@ def block_positivity(
     max_alternations: int = 200,
     improve_tol: float = 1e-12,
     seed: int = 0,
-    tol: float | None = None,
 ) -> Verdict:
     """See-saw minimization of <x (x) y, h (x (x) y)> over unit product vectors.
 
@@ -234,8 +233,6 @@ def block_positivity(
         raise DimensionMismatchError(f"shape {hm.shape} does not match m={m}, n={n}")
     if restarts < 1:
         raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
-    if tol is None:
-        tol = psd_tol(hm)
     h4 = hm.reshape(m, n, m, n)
 
     rngs = [rng_stream(seed, r) for r in range(restarts)]
@@ -265,7 +262,7 @@ def block_positivity(
         "seed": seed,
         "min_value": exact,
     }
-    if exact < -tol:
+    if exact < -psd_tol(hm):
         return Verdict(VIOLATION, exact, witness={"x": x, "y": y}, stats=stats)
     return Verdict(EVIDENCE, exact, stats=stats)
 

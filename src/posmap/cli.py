@@ -107,7 +107,7 @@ def cmd_classify(args) -> int:
     _require_counts(args, "k_max", "restarts", "samples", "projections")
     doc = load_document(args.input)
     phi = map_from_document(doc)
-    if not phi.is_hermiticity_preserving(HERMITIAN_RTOL):
+    if not phi.is_hermiticity_preserving():
         raise ParseError("map is not Hermiticity-preserving; positivity tests need a Hermitian Choi matrix")
     params = {
         "k_max": args.k_max,
@@ -127,10 +127,6 @@ def cmd_classify(args) -> int:
     bp = block_positivity(h, m, n, restarts=args.restarts, seed=args.seed)
     _verdict_record(report, "block_positivity", bp, args.seed)
 
-    summary_kpos: dict[str, str] = {}
-    summary_kcopos: dict[str, str] = {}
-    summary_sk: dict[str, str] = {}
-    summary_pk: dict[str, str] = {}
     for k in range(1, args.k_max + 1):
         # compressions cannot exceed the output dimension; k-positivity for
         # k >= n coincides with the exact test at k = n
@@ -141,37 +137,32 @@ def cmd_classify(args) -> int:
             kv = dataclasses.replace(kv, stats=dict(kv.stats, clamped_to=k_eff))
             kc = dataclasses.replace(kc, stats=dict(kc.stats, clamped_to=k_eff))
         _verdict_record(report, f"k_positive_{k}", kv, args.seed)
-        summary_kpos[str(k)] = kv.kind
         _verdict_record(report, f"k_copositive_{k}", kc, args.seed)
-        summary_kcopos[str(k)] = kc.kind
         sv = sk_check(phi, k, samples=args.samples, seed=args.seed)
         _verdict_record(report, f"sk_{k}", sv, args.seed)
-        summary_sk[str(k)] = sv.kind
         pv = pk_check(phi, k, projections=args.projections, seed=args.seed)
         _verdict_record(report, f"pk_{k}", pv, args.seed)
-        summary_pk[str(k)] = pv.kind
 
     dec = decomposability_witness(h, m, n, seed=args.seed)
     _verdict_record(report, "decomposability", dec, args.seed)
 
+    # one table per k-indexed test, k -> verdict kind, read back from the records
+    kinds = {record["id"]: record["kind"] for record in report["records"]}
+    tables = {
+        name: {str(k): kinds[f"{name}_{k}"] for k in range(1, args.k_max + 1)}
+        for name in ("k_positive", "k_copositive", "sk", "pk")
+    }
+
     def highest_evidence(table: dict[str, str]) -> int:
-        best = 0
-        for k in range(1, args.k_max + 1):
-            if table[str(k)] == EVIDENCE:
-                best = k
-            else:
-                break
-        return best
+        """The largest k with evidence at every order 1..k."""
+        return next((k for k, kind in enumerate(table.values()) if kind != EVIDENCE), len(table))
 
     report["summary"] = {
         "completely_positive": cpv.kind == PASS,
         "block_positive": bp.kind,
-        "highest_k_positive_evidence": highest_evidence(summary_kpos),
-        "highest_k_copositive_evidence": highest_evidence(summary_kcopos),
-        "k_positive": summary_kpos,
-        "k_copositive": summary_kcopos,
-        "sk": summary_sk,
-        "pk": summary_pk,
+        "highest_k_positive_evidence": highest_evidence(tables["k_positive"]),
+        "highest_k_copositive_evidence": highest_evidence(tables["k_copositive"]),
+        **tables,
         "decomposability": dec.kind,
     }
     _emit(report, args.out, _timing(args))
@@ -184,6 +175,8 @@ def cmd_modular_verify(args) -> int:
         raise ParseError(f"--dim must be in 2..8, got {args.dim}")
     if args.rho_file:
         rhos = [state_from_document(load_document(args.rho_file))]
+        if rhos[0].shape != (args.dim, args.dim):
+            raise ParseError(f"state shape {rhos[0].shape} does not match --dim {args.dim}")
     else:
         rhos = [
             random_faithful_state(rng_stream(args.seed, t), args.dim) for t in range(args.trials)
@@ -315,15 +308,14 @@ def cmd_cone(args) -> int:
             "xi_b_in_p": bool(xi_b_ok),
         }
         add_record(report, "polar", "defect", polar.reconstruction_defect, seed=args.seed)
-        exit_code = 0 if polar.reconstruction_defect <= 1e-9 and xi_b_ok else 1
+        exit_code = 0 if polar.reconstruction_defect <= DEFECT_LIMIT and xi_b_ok else 1
     elif args.subcommand == "weakdec":
         if cone_input.map_doc is None:
             raise ParseError("cone weakdec needs a 'map' entry in the input document")
         phi = map_from_document(cone_input.map_doc)
-        k = args.k if args.k is not None else (cone_input.k or 1)
-        ctx_a = gns_context(cone_input.rho_a)
+        k = cone_input.k
         verdict = weak_kdec_cone_check(
-            ctx_a, phi, k, samples=args.samples, dual_samples=args.samples, seed=args.seed
+            ctx.ctx_a, phi, k, samples=args.samples, dual_samples=args.samples, seed=args.seed
         )
         _verdict_record(report, f"weakdec_{k}", verdict, args.seed)
         consistency = transposed_cone_consistency(ctx, samples=min(args.samples, 50), seed=args.seed)
@@ -393,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cone.add_argument("--seed", type=int, default=None,
                         help="mandatory for the sampling subcommands member/bounds/weakdec")
     p_cone.add_argument("--samples", type=int, default=100)
-    p_cone.add_argument("--k", type=int)
     p_cone.set_defaults(func=cmd_cone)
 
     p_verify = sub.add_parser("verify", help="re-check every witness stored in a report")

@@ -187,7 +187,6 @@ def cone_member(
     *,
     hull_samples: int = 0,
     seed: int = 0,
-    tol: float | None = None,
 ) -> ConeMembership:
     """Decide membership in P and in the transposed cone by exact reconstruction.
 
@@ -199,7 +198,7 @@ def cone_member(
     """
     m = ctx._require(xi)
     x = ctx.reconstruct(m)
-    bound = psd_tol(x) if tol is None else tol
+    bound = psd_tol(x)
     herm_defect = frobenius(x - x.conj().T)
     p_min, ptau_min = ppt_min_eigs(x, ctx.dim_a, ctx.dim_b, "second")
     cross = frobenius(ctx.reconstruct(ctx.utilde(m)) - partial_transpose(x, ctx.dim_a, ctx.dim_b, "second"))
@@ -211,8 +210,7 @@ def cone_member(
     if hull_samples > 0:
         hull_min = np.inf
         for s in range(hull_samples):
-            rng = rng_stream(seed, s)
-            eta = ctx.cone_vector(sample_ppt_operator(rng, ctx.dim_a, ctx.dim_b))
+            eta = sample_intersection_element(ctx, rng_stream(seed, s))
             hull_min = min(hull_min, hs_inner(eta, m).real)
         hull_flag = hull_min >= -max(bound, psd_tol(m))
     return ConeMembership(
@@ -234,27 +232,21 @@ def cone_member(
 # ---------------------------------------------------------------------------
 
 
-def sample_ppt_operator(
-    rng: np.random.Generator,
-    dim_a: int,
-    dim_b: int,
-    *,
-    rounds: int = 20,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def sample_ppt_operator(rng: np.random.Generator, dim_a: int, dim_b: int) -> np.ndarray:
     """Random PSD operator whose second-factor partial transpose is PSD.
 
-    Alternating PSD projections on the operator and its partial transpose;
-    candidates that fail to converge are replaced by a separable draw.
+    20 rounds of alternating PSD projections on the operator and its partial
+    transpose; a candidate whose partial transpose still has an eigenvalue
+    below -1e-9 is replaced by a separable draw.
     """
     d = dim_a * dim_b
     x = random_psd(rng, d)
     x = x / np.trace(x).real
-    x = alternate_ppt_projections(x, dim_a, dim_b, "second", rounds)
+    x = alternate_ppt_projections(x, dim_a, dim_b, "second", 20)
     tr = np.trace(x).real
     x = x / tr if tr > 1e-12 else x
     pt_min = np.linalg.eigvalsh(hermitian_part(partial_transpose(x, dim_a, dim_b, "second")))[0]
-    if pt_min < -tol or np.trace(x).real < 1e-12:
+    if pt_min < -1e-9 or np.trace(x).real < 1e-12:
         p = random_psd(rng, dim_a)
         q = random_psd(rng, dim_b)
         x = np.kron(p, q)
@@ -380,14 +372,13 @@ def split_bounds_check(
     *,
     eta_samples: int = 500,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> dict[str, float]:
     """Evaluate the symmetry-split inequalities for an intersection vector
     against sampled cone elements; raises when xi is not in the intersection.
 
     The eta sample mixes rank-1 extreme-ray surrogates with interior points.
     Returns the margin dictionary of `split_bound_margins` plus a violation
-    count (margins below -tol)."""
+    count (margins below -1e-9)."""
     membership = cone_member(ctx, xi)
     if not membership.in_intersection:
         raise NotInIntersectionError(
@@ -400,7 +391,7 @@ def split_bounds_check(
         rank = 1 if s % 2 == 0 else None
         etas.append(sample_cone_element(ctx, rng, rank=rank))
     margins = split_bound_margins(ctx, xi, etas)
-    margins["violations"] = float(sum(1 for k, v in margins.items() if k != "violations" and v < -tol))
+    margins["violations"] = float(sum(1 for k, v in margins.items() if k != "violations" and v < -1e-9))
     margins["samples"] = float(eta_samples)
     return margins
 
@@ -417,7 +408,7 @@ class OddPartFlags:
         return self.q_in_p == self.q_zero == self.fixed
 
 
-def odd_part_flags(ctx: BipartiteConeContext, xi, *, tol: float = 1e-9) -> OddPartFlags:
+def odd_part_flags(ctx: BipartiteConeContext, xi) -> OddPartFlags:
     """For xi in P over a qubit second factor: the odd component lies in P iff
     it vanishes iff xi is fixed by the partial swap."""
     if ctx.dim_b != 2:
@@ -427,9 +418,9 @@ def odd_part_flags(ctx: BipartiteConeContext, xi, *, tol: float = 1e-9) -> OddPa
     if not membership.in_p:
         raise NotInPError(f"vector not in P (min eig {membership.p_min_eig:.3e})")
     q_xi = ctx.q_project(m)
-    scale = max(1.0, frobenius(m))
-    q_zero = frobenius(q_xi) <= tol * scale
-    fixed = frobenius(ctx.utilde(m) - m) <= tol * scale
+    bound = psd_tol(m)
+    q_zero = frobenius(q_xi) <= bound
+    fixed = frobenius(ctx.utilde(m) - m) <= bound
     if q_zero:
         q_in_p = True  # zero vector sits on the cone boundary
     else:
@@ -448,7 +439,7 @@ class OddPartPolar:
     degenerate: bool
 
 
-def odd_part_polar(ctx: BipartiteConeContext, xi, *, tol: float = 1e-12) -> OddPartPolar:
+def odd_part_polar(ctx: BipartiteConeContext, xi) -> OddPartPolar:
     """Factor the odd component of a cone vector through a partial isometry.
 
     Writing the reconstructed blocks as [a_ij] (second factor of dimension 2),
@@ -467,7 +458,7 @@ def odd_part_polar(ctx: BipartiteConeContext, xi, *, tol: float = 1e-12) -> OddP
     h = hermitian_part(h)
     a = ctx.dim_a
     q_xi = ctx.q_project(m)
-    if frobenius(h) <= tol * max(1.0, frobenius(blocks)):
+    if frobenius(h) <= 1e-12 * max(1.0, frobenius(blocks)):
         zero_carrier = Superoperator(np.zeros((ctx.dim**2, ctx.dim**2), dtype=complex), False)
         return OddPartPolar(
             partial_isometry=np.zeros((a, a), dtype=complex),
@@ -515,8 +506,6 @@ def weak_kdec_cone_check(
     samples: int = 100,
     dual_samples: int = 100,
     seed: int = 0,
-    second_state=None,
-    tol: float | None = None,
 ) -> Verdict:
     """Dual-cone test of weak k-decomposability at the Hilbert-space level.
 
@@ -525,7 +514,7 @@ def weak_kdec_cone_check(
     cone and its transposed cone; by duality this fails exactly when some
     intersection element pairs negatively with an image vector.  Any negative
     pairing is an exact refutation; surviving the sampling budget is evidence.
-    The second factor defaults to the tracial state.
+    The second factor carries the tracial state.
     """
     if k < 1:
         raise DimensionMismatchError(f"block size k={k} must be >= 1")
@@ -537,8 +526,7 @@ def weak_kdec_cone_check(
     t_star = induced.operator.matrix.conj().T
     worst = np.inf
     for n in range(1, k + 1):
-        rho_b = np.eye(n, dtype=complex) / n if second_state is None else second_state(n)
-        ctx = bipartite_context(ctx_a.rho, rho_b)
+        ctx = bipartite_context(ctx_a.rho, np.eye(n, dtype=complex) / n)
         etas = [
             sample_intersection_element(ctx, rng_stream(seed + 7919 * n + 104729, t))
             for t in range(dual_samples)
@@ -549,7 +537,7 @@ def weak_kdec_cone_check(
             rng = rng_stream(seed + 7919 * n, s)
             xi = sample_cone_element(ctx, rng)
             zeta = ctx.apply_first_factor(t_star, xi)
-            bound = 1e-9 * max(1.0, frobenius(zeta)) if tol is None else tol
+            bound = psd_tol(zeta)
             pairings = (eta_stack.conj() @ zeta.reshape(-1)).real
             idx = int(np.argmin(pairings / eta_norms))
             worst = min(worst, float(pairings[idx]))

@@ -16,7 +16,11 @@ Document kinds:
 - cone-input:  {"kind": "cone-input", "rho_a": {...}, "rho_b": {...}} plus
                either "vector" (a frame matrix of the product system) or
                "blocks" (row-major list of lists of matrices [a_ij]), and
-               optionally "map" and "k" for the weak-decomposability test.
+               optionally "map" and "k" (an integer >= 1, default 1) for the
+               weak-decomposability test; dim_a * dim_b is at most 36.
+
+Dimensions and "k" must be JSON integers, matrix entries JSON numbers, and
+the constants NaN and Infinity are rejected: nothing is coerced.
 
 Optional "metadata" (name, seed, notes) is preserved verbatim.
 """
@@ -46,14 +50,20 @@ def matrix_to_doc(m) -> dict:
     }
 
 
+def _integer(doc: dict, key: str, where: str) -> int:
+    """doc[key] as a JSON integer; a missing key, a bool, a float or a string
+    is an input error, never coerced."""
+    value = doc.get(key)
+    if type(value) is not int:
+        raise ParseError(f"{where}: {key} must be a JSON integer, got {value!r:.40}")
+    return value
+
+
 def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object, got {type(doc).__name__}")
-    try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: missing or malformed rows/cols/data") from exc
+    rows, cols = _integer(doc, "rows", where), _integer(doc, "cols", where)
+    data = doc.get("data")
     if rows <= 0 or cols <= 0:
         raise ParseError(f"{where}: non-positive dimensions {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -65,10 +75,12 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
     for idx, pair in enumerate(data):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{where}: entry {idx} is not an [re, im] pair")
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+            raise ParseError(f"{where}: entry {idx} is not numeric")
         try:
-            out[idx] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: entry {idx} is not numeric") from exc
+            out[idx] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise ParseError(f"{where}: entry {idx} is out of range") from exc
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise ParseError(f"{where}: non-finite entries")
     return out.reshape(rows, cols)
@@ -92,12 +104,8 @@ def map_to_document(phi: MatrixMap, encoding: str = "choi", metadata: dict | Non
 def map_from_document(doc) -> MatrixMap:
     if not isinstance(doc, dict) or doc.get("kind") != "map":
         raise ParseError("expected a map document with kind == 'map'")
-    try:
-        m, n = int(doc["m"]), int(doc["n"])
-        encoding = doc["encoding"]
-        matrices = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("map document: missing m/n/encoding/matrices") from exc
+    m, n = _integer(doc, "m", "map document"), _integer(doc, "n", "map document")
+    encoding, matrices = doc.get("encoding"), doc.get("matrices")
     if m <= 0 or n <= 0:
         raise ParseError(f"map document: non-positive dimensions m={m}, n={n}")
     if m * n > DESK_SCALE_DIM:
@@ -146,7 +154,7 @@ class ConeInput:
     vector: np.ndarray | None
     blocks: np.ndarray | None
     map_doc: dict | None
-    k: int | None
+    k: int
     metadata: dict
 
 
@@ -158,6 +166,11 @@ def cone_input_from_document(doc) -> ConeInput:
             raise ParseError(f"cone-input document: missing {key}")
     rho_a = matrix_from_doc(doc["rho_a"], "rho_a")
     rho_b = matrix_from_doc(doc["rho_b"], "rho_b")
+    if rho_a.shape[0] * rho_b.shape[0] > DESK_SCALE_DIM:
+        raise ParseError(
+            f"cone-input document: product dimension {rho_a.shape[0]}*{rho_b.shape[0]} "
+            f"exceeds the desk-scale limit {DESK_SCALE_DIM}"
+        )
     vector = matrix_from_doc(doc["vector"], "vector") if "vector" in doc else None
     blocks = None
     if "blocks" in doc:
@@ -181,7 +194,9 @@ def cone_input_from_document(doc) -> ConeInput:
             raise ParseError(f"rho_b shape {rho_b.shape} inconsistent with {n} block rows")
     if vector is None and blocks is None and "map" not in doc:
         raise ParseError("cone-input document needs a vector, blocks, or a map")
-    k = int(doc["k"]) if "k" in doc else None
+    k = _integer(doc, "k", "cone-input document") if "k" in doc else 1
+    if k < 1:
+        raise ParseError(f"cone-input document: k must be >= 1, got {k}")
     return ConeInput(
         rho_a=rho_a,
         rho_b=rho_b,
@@ -194,9 +209,15 @@ def cone_input_from_document(doc) -> ConeInput:
 
 
 def load_document(path: str) -> dict:
+    """Parse a JSON document; the non-JSON constants NaN, Infinity and
+    -Infinity are input errors."""
+
+    def reject(name: str):
+        raise ParseError(f"{path}: {name} is not a JSON number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -29,7 +29,7 @@ from .errors import (
     NotHermitianError,
 )
 from .linalg import (
-    HERMITIAN_RTOL,
+    PPT_TOL,
     _eigh_phased,
     _haar_from_gaussian,
     _partial_transpose,
@@ -65,7 +65,6 @@ def k_block_min(
     max_alternations: int = 200,
     improve_tol: float = 1e-12,
     seed: int = 0,
-    tol: float | None = None,
 ) -> Verdict:
     """Minimize the smallest eigenvalue of (I (x) p) h (I (x) p) over rank-k
     projections p on the output space.
@@ -95,11 +94,10 @@ def k_block_min(
         raise KOutOfRangeError(f"k={k} outside 1..{n}")
     if restarts < 1:
         raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
-    if not phi.is_hermiticity_preserving(HERMITIAN_RTOL):
+    if not phi.is_hermiticity_preserving():
         raise NotHermitianError("map is not Hermiticity-preserving")
     h = hermitian_part(phi.choi())
-    if tol is None:
-        tol = psd_tol(h)
+    tol = psd_tol(h)
     h4 = h.reshape(m, n, m, n)
 
     if k == n:
@@ -262,7 +260,6 @@ def sk_check(
     *,
     samples: int = 500,
     seed: int = 0,
-    tol: float | None = None,
 ) -> Verdict:
     """Sample block matrices PSD in both orderings and test that their images
     under id_k (x) phi are PSD.  A negative image eigenvalue is an exact
@@ -284,7 +281,7 @@ def sk_check(
         images = hermitian_part(images.reshape(-1, k * n, k * n))
         mins = np.linalg.eigvalsh(images)[:, 0].tolist()
         for i, min_eig in enumerate(mins):
-            if min_eig < -(psd_tol(images[i]) if tol is None else tol):
+            if min_eig < -psd_tol(images[i]):
                 witness = {"block": blocks[i], "sample": start + i}
                 stats = {"samples": start + i + 1, "seed": seed, "min_value": min_eig}
                 return Verdict(VIOLATION, min_eig, witness=witness, stats=stats)
@@ -334,7 +331,7 @@ def _polish(w: np.ndarray, h: np.ndarray, m: int, n: int) -> tuple[float, bool, 
     mix = min(0.5, 2.0 * d * max(0.0, -worst) + 1e-6)
     w_cert = (1 - mix) * hermitian_part(w) + mix * np.eye(d, dtype=complex) / d
     value = float(np.trace(w_cert @ h).real)
-    feasible = min(ppt_min_eigs(w_cert, m, n, "first")) >= -1e-12
+    feasible = min(ppt_min_eigs(w_cert, m, n, "first")) >= -PPT_TOL
     return value, feasible, w_cert
 
 
@@ -342,31 +339,29 @@ def _witness_stack(
     h: np.ndarray,
     m: int,
     n: int,
-    tols,
     *,
-    step: float,
     max_iter: int,
     stall_break: int | None,
 ) -> list:
     """Projected-gradient witness searches on a (R, mn, mn) stack of Hermitian
     matrices, run in lockstep on raw arrays.
 
-    Each member keeps its own step size, objective, stall counter and
-    iteration count, and stops exactly where a lone search would: when its
+    Each member keeps its own step size (from 1e-2), objective, stall counter
+    and iteration count, and stops exactly where a lone search would: when its
     step falls below 1e-12, or, with `stall_break`, after that many
-    non-improving iterations at an objective above -tol.  A stopped member is
-    polished and leaves the stack.  Once a member's polished value is a
-    violation, the members after it in the stack leave too.
+    non-improving iterations at an objective above its -psd_tol.  A stopped
+    member is polished and leaves the stack.  Once a member's polished value
+    is a violation, the members after it in the stack leave too.
 
     Returns, per member, (value, feasible, state, iterations), or None for a
     member dropped after an earlier violation.
     """
     size, d, _ = h.shape
     eye = np.eye(d, dtype=complex) / d
-    tols = np.asarray(tols, dtype=float)
+    tols = np.array([psd_tol(x) for x in h])
     w = np.repeat(eye[None], size, axis=0)
     obj = (w @ h).trace(axis1=1, axis2=2).real
-    eta = np.full((size, 1, 1), step)
+    eta = np.full((size, 1, 1), 1e-2)
     descent = eta * h  # recomputed only when a step size changes
     stalled = np.zeros(size, dtype=int)
     active = np.arange(size)
@@ -419,10 +414,8 @@ def decomposability_witness(
     m: int,
     n: int,
     *,
-    step: float = 1e-2,
     max_iter: int = 2000,
     seed: int = 0,
-    tol: float | None = None,
     stall_break: int | None = None,
 ) -> Verdict:
     """Minimize Tr(w h) over PPT states w by projected gradient descent.
@@ -430,8 +423,8 @@ def decomposability_witness(
     A feasible w with Tr(w h) below tolerance is an exact certificate that the
     associated map is not decomposable (states that remain states under
     partial transposition are exactly the functionals that must be
-    nonnegative on the Choi matrices of decomposable maps).  The step is
-    fixed with halving on non-descent; the search is deterministic.
+    nonnegative on the Choi matrices of decomposable maps).  The step starts
+    at 1e-2 and halves on non-descent; the search is deterministic.
     `stall_break` stops a run early once the objective is nonnegative-bound
     and has not improved for that many iterations (used by corner sweeps).
 
@@ -442,10 +435,9 @@ def decomposability_witness(
     d = m * n
     if hm.shape != (d, d):
         raise ValueError(f"shape {hm.shape} does not match m={m}, n={n}")
-    if tol is None:
-        tol = psd_tol(hm)
+    tol = psd_tol(hm)
     ((value, feasible, state, iters),) = _witness_stack(
-        hm[None], m, n, [tol], step=step, max_iter=max_iter, stall_break=stall_break
+        hm[None], m, n, max_iter=max_iter, stall_break=stall_break
     )
     stats = {"iterations": iters, "seed": seed, "min_value": value, "feasible": bool(feasible)}
     if feasible and value < -tol:
@@ -459,8 +451,6 @@ def pk_check(
     *,
     projections: int = 100,
     seed: int = 0,
-    witness_iters: int = 200,
-    tol: float | None = None,
 ) -> Verdict:
     """Sample rank-<=k output-side projections and search each compressed
     corner map for a witness against decomposability.
@@ -470,7 +460,7 @@ def pk_check(
     exact positivity of its Choi matrix, and a rank-1 violation ends the walk.
     Corners are walked in t-ordered chunks [0, 4), [4, 8), [8, 16), ...,
     each as long as the walk before it (at most 32); the rank >= 2 corners of
-    a chunk met before that point run as one stack per rank of
+    a chunk met before that point run as one stack per rank of 200-iteration
     `decomposability_witness` searches (`stall_break=15`), and the walk stops
     after the first chunk holding a violation.  The verdict is the first
     violating corner, with `projections` = t + 1, as when deciding corners
@@ -498,7 +488,7 @@ def pk_check(
             # the corner Choi matrix, tested exactly
             value = float(np.linalg.eigvalsh(hc)[0])
             values.append(value)
-            if value < -(psd_tol(hc) if tol is None else tol):
+            if value < -psd_tol(hc):
                 bottom = _eigh_phased(hc)[1][:, 0]
                 state = np.outer(bottom, bottom.conj())
                 first = (t, value, {"isometry": iso, "state": state, "rank": 1})
@@ -509,14 +499,11 @@ def pk_check(
             if not corners:
                 continue
             hs = np.array([hc for _, _, hc in corners])
-            tols = [psd_tol(hc) if tol is None else tol for hc in hs]
-            results = _witness_stack(
-                hs, m, rank, tols, step=1e-2, max_iter=witness_iters, stall_break=15
-            )
-            for (t, iso, _), bound, result in zip(corners, tols, results):
+            results = _witness_stack(hs, m, rank, max_iter=200, stall_break=15)
+            for (t, iso, hc), result in zip(corners, results):
                 value, feasible, state, _ = result
                 values[t] = value
-                if feasible and value < -bound:
+                if feasible and value < -psd_tol(hc):
                     first = (t, value, {"isometry": iso, "state": state, "rank": rank})
                     break
         if first is not None:

@@ -28,6 +28,7 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-8
 PSD_RTOL = 1e-9
+PPT_TOL = 1e-12  # PPT-state bound of the witness search and of its re-check in `verify`
 # largest product dimension (m * n for a map, dim * k for a block size) the
 # toolkit accepts: its dense searches are sized for matrices up to 36 x 36
 DESK_SCALE_DIM = 36
@@ -58,13 +59,13 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected square matrix, got shape {m.shape}")
     defect = frobenius(m - m.conj().T)
-    if defect > rtol * max(frobenius(m), 1e-300):
+    if defect > HERMITIAN_RTOL * max(frobenius(m), 1e-300):
         raise NotHermitianError(f"Hermitian defect {defect:.3e} exceeds tolerance")
     return hermitian_part(m)
 
@@ -82,9 +83,9 @@ class HermEig:
     eigenvectors: np.ndarray
 
 
-def herm_eig(a, rtol: float = HERMITIAN_RTOL) -> HermEig:
+def herm_eig(a) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with a deterministic phase rule."""
-    return HermEig(*_eigh_phased(check_hermitian(a, rtol)))
+    return HermEig(*_eigh_phased(check_hermitian(a)))
 
 
 def _eigh_phased(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +99,9 @@ def _eigh_phased(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v * phases.conj()
 
 
-def psd_min_eig(a, rtol: float = HERMITIAN_RTOL) -> float:
+def psd_min_eig(a) -> float:
     """Smallest eigenvalue of a Hermitian matrix; caller compares to a tolerance."""
-    m = check_hermitian(a, rtol)
+    m = check_hermitian(a)
     return float(np.linalg.eigvalsh(m)[0])
 
 
@@ -236,11 +237,9 @@ def _psd_from_normals(z: np.ndarray) -> np.ndarray:
     return g @ g.conj().swapaxes(-1, -2)
 
 
-def random_faithful_state(
-    rng: np.random.Generator, dim: int, floor: float = 0.05
-) -> np.ndarray:
+def random_faithful_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random full-rank density matrix with spectrum bounded away from zero."""
-    w = floor + (1.0 - floor) * rng.random(dim)
+    w = 0.05 + 0.95 * rng.random(dim)
     w = w / w.sum()
     u = haar_isometry(rng, dim, dim)
     return (u * w) @ u.conj().T

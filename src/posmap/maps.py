@@ -16,9 +16,9 @@ def transposition_map(n: int) -> MatrixMap:
     return MatrixMap.from_function(lambda a: a.T, n, n)
 
 
-def trace_times_identity(n: int, scale: float = 1.0) -> MatrixMap:
-    """a -> scale * Tr(a) * I_n; completely positive for scale > 0."""
-    return MatrixMap.from_function(lambda a: scale * np.trace(a) * np.eye(n), n, n)
+def trace_times_identity(n: int) -> MatrixMap:
+    """a -> Tr(a) * I_n; completely positive."""
+    return MatrixMap.from_function(lambda a: np.trace(a) * np.eye(n), n, n)
 
 
 def reduction_family(lam: float, n: int = 3) -> MatrixMap:
@@ -56,16 +56,16 @@ def random_hermiticity_preserving(rng: np.random.Generator, m: int, n: int) -> M
     return MatrixMap.from_choi(h, m, n)
 
 
-def random_cp_map(rng: np.random.Generator, m: int, n: int, rank: int | None = None) -> MatrixMap:
+def random_cp_map(rng: np.random.Generator, m: int, n: int) -> MatrixMap:
     """Random completely positive map (PSD Choi matrix, unit trace)."""
-    h = random_psd(rng, m * n, rank)
+    h = random_psd(rng, m * n)
     h = h / np.trace(h).real
     return MatrixMap.from_choi(h, m, n)
 
 
-def random_ccp_map(rng: np.random.Generator, m: int, n: int, rank: int | None = None) -> MatrixMap:
+def random_ccp_map(rng: np.random.Generator, m: int, n: int) -> MatrixMap:
     """Random completely copositive map: a CP map composed with transposition."""
-    return random_cp_map(rng, m, n, rank).compose_transposition()
+    return random_cp_map(rng, m, n).compose_transposition()
 
 
 def random_map_near_cp(

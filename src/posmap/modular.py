@@ -22,7 +22,7 @@ vectorization of frame matrices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,11 +106,11 @@ class Superoperator:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def superop_from_function(f, dim: int, antilinear: bool = False) -> Superoperator:
-    """Assemble the matrix of a superoperator by applying it to the frame units:
-    column (i, j) is vec(f(E_ij))."""
+def superop_from_function(f, dim: int) -> Superoperator:
+    """Assemble the matrix of a linear superoperator by applying it to the
+    frame units: column (i, j) is vec(f(E_ij))."""
     images = MatrixMap.from_function(f, dim, dim).unit_images.reshape(dim * dim, dim * dim)
-    return Superoperator(np.ascontiguousarray(images.T), antilinear)
+    return Superoperator(np.ascontiguousarray(images.T), False)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ class GnsContext:
     Jm: Superoperator
     J: Superoperator
     tau: Superoperator
-    _delta_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_frame(self, a) -> np.ndarray:
         return self.basis.conj().T @ as_matrix(a) @ self.basis
@@ -145,12 +144,9 @@ class GnsContext:
         return (lam**beta)[:, None] * m * (lam ** (-beta))[None, :]
 
     def delta_power(self, beta: float) -> Superoperator:
-        key = float(beta)
-        if key not in self._delta_cache:
-            lam = self.eigenvalues
-            scale = np.outer(lam**beta, lam ** (-beta)).reshape(-1)
-            self._delta_cache[key] = Superoperator(np.diag(scale).astype(complex), False)
-        return self._delta_cache[key]
+        lam = self.eigenvalues
+        scale = np.outer(lam**beta, lam ** (-beta)).reshape(-1)
+        return Superoperator(np.diag(scale).astype(complex), False)
 
     def left_mult(self, a_frame) -> Superoperator:
         """Superoperator of xi -> a xi for a frame operator a."""
@@ -158,7 +154,7 @@ class GnsContext:
         return Superoperator(np.kron(a, np.eye(self.dim, dtype=complex)), False)
 
 
-def gns_context(rho, *, faithful_floor: float = FAITHFUL_FLOOR) -> GnsContext:
+def gns_context(rho) -> GnsContext:
     """Build the GNS/modular bundle for the state with density matrix rho.
 
     The eigenbasis of rho fixes the frame (ascending eigenvalues, phases made
@@ -175,8 +171,8 @@ def gns_context(rho, *, faithful_floor: float = FAITHFUL_FLOOR) -> GnsContext:
     lam = eig.eigenvalues
     if lam[0] < -psd_tol(r):
         raise NotAStateError(f"negative eigenvalue {lam[0]:.3e}")
-    if lam[0] < faithful_floor:
-        raise NotFaithfulError(f"min eigenvalue {lam[0]:.3e} below {faithful_floor:.1e}")
+    if lam[0] < FAITHFUL_FLOOR:
+        raise NotFaithfulError(f"min eigenvalue {lam[0]:.3e} below {FAITHFUL_FLOOR:.1e}")
     if lam[-1] / lam[0] > CONDITION_GUARD:
         warnings.warn(
             f"state condition number {lam[-1] / lam[0]:.2e} exceeds the guard "
@@ -186,11 +182,11 @@ def gns_context(rho, *, faithful_floor: float = FAITHFUL_FLOOR) -> GnsContext:
     d = r.shape[0]
     sqrt_lam = np.sqrt(lam)
 
-    u_op = superop_from_function(lambda e: e.T, d, antilinear=False)
+    u_op = superop_from_function(lambda e: e.T, d)
     jm_op = Superoperator(u_op.matrix.copy(), antilinear=True)  # xi -> xi* = conj(xi^T)
     j_op = Superoperator(np.eye(d * d, dtype=complex), antilinear=True)  # xi -> conj(xi)
     tau_op = superop_from_function(
-        lambda e: (1 / sqrt_lam)[:, None] * e.T * sqrt_lam[None, :], d, antilinear=False
+        lambda e: (1 / sqrt_lam)[:, None] * e.T * sqrt_lam[None, :], d
     )
     return GnsContext(
         rho=r,
@@ -286,7 +282,7 @@ class ConeMembershipResult:
     min_eig: float
 
 
-def v_beta_member(ctx: GnsContext, beta: float, xi, *, tol: float | None = None) -> ConeMembershipResult:
+def v_beta_member(ctx: GnsContext, beta: float, xi) -> ConeMembershipResult:
     """Membership in the cone {Delta^beta a Omega : a >= 0} for beta in [0, 1/2].
 
     The candidate a is reconstructed exactly (the cone is closed in finite
@@ -300,7 +296,7 @@ def v_beta_member(ctx: GnsContext, beta: float, xi, *, tol: float | None = None)
         raise DimensionMismatchError(f"expected ({ctx.dim}, {ctx.dim}), got {xm.shape}")
     lam = ctx.eigenvalues
     a = xm * (lam ** (-beta))[:, None] * (lam ** (beta - 0.5))[None, :]
-    bound = psd_tol(a) if tol is None else tol
+    bound = psd_tol(a)
     herm_defect = frobenius(a - a.conj().T)
     if herm_defect > bound:
         return ConeMembershipResult(False, a, herm_defect, float("nan"))
@@ -362,14 +358,14 @@ class InducedOperator:
     contraction_defect: float
 
 
-def t_phi(ctx: GnsContext, phi: MatrixMap, *, invariance_warn: float = 1e-8) -> InducedOperator:
+def t_phi(ctx: GnsContext, phi: MatrixMap) -> InducedOperator:
     """The operator T with T(a Omega) = phi(a) Omega, built by linear
     extension from the frame units.
 
     The state is assumed invariant under phi for the cone-mapping theory; a
-    larger invariance defect triggers a warning, not an error, because T is
-    well defined regardless.  Reported defects: the unit-extension residual,
-    commutation with Delta, and the excess of the operator norm over 1.
+    defect above 1e-8 warns, not raises, because T is well defined
+    regardless.  Reported defects: the unit-extension residual, commutation
+    with Delta, and the excess of the operator norm over 1.
     """
     if phi.m != ctx.dim or phi.n != ctx.dim:
         raise DimensionMismatchError(
@@ -378,7 +374,7 @@ def t_phi(ctx: GnsContext, phi: MatrixMap, *, invariance_warn: float = 1e-8) -> 
     # inv[p, q] = Tr(rho phi(E_pq)) - Tr(rho E_pq), and Tr(rho E_pq) = rho[q, p]
     inv = np.einsum("ab,pqba->pq", ctx.rho, phi.unit_images) - ctx.rho.T
     invariance_defect = frobenius(inv)
-    if invariance_defect > invariance_warn:
+    if invariance_defect > 1e-8:
         warnings.warn(
             f"state is not invariant under the map (defect {invariance_defect:.3e}); "
             "cone-mapping statements need invariance",
@@ -391,7 +387,7 @@ def t_phi(ctx: GnsContext, phi: MatrixMap, *, invariance_warn: float = 1e-8) -> 
     )
     omega_inv = np.diag(1.0 / np.sqrt(ctx.eigenvalues)).astype(complex)
     t_op = superop_from_function(
-        lambda e: phi_frame(e @ omega_inv) @ ctx.Omega, ctx.dim, antilinear=False
+        lambda e: phi_frame(e @ omega_inv) @ ctx.Omega, ctx.dim
     )
 
     ext = 0.0
@@ -452,7 +448,6 @@ def db_adjoint(
     ctx: GnsContext,
     phi: MatrixMap,
     *,
-    tol: float = 1e-10,
     seed: int = 0,
     restarts: int = 16,
 ) -> BalanceAdjoint:
@@ -479,19 +474,19 @@ def db_adjoint(
     # image_rho[k, l, i, j] and Tr(rho psi(E_ji) E_kl) is (rho psi(E_ji))[l, k]
     rho_psi = rho @ psi.unit_images
     defect = float(np.max(np.abs(image_rho - rho_psi.transpose(3, 2, 1, 0))))
-    if defect > tol:
-        raise InconsistentSystemError(f"identity defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > 1e-10:
+        raise InconsistentSystemError(f"identity defect {defect:.3e} exceeds 1.0e-10")
     pos = block_positivity(hermitian_part(psi.choi()), d, d, restarts=restarts, seed=seed)
     return BalanceAdjoint(psi, defect, pos)
 
 
-def cone_state(ctx: GnsContext, xi, *, tol: float | None = None) -> np.ndarray:
+def cone_state(ctx: GnsContext, xi) -> np.ndarray:
     """Density matrix of the vector state of a natural-cone element.
 
     Tr(result @ a) = <xi, a xi> for every frame operator a acting by left
     multiplication; requires xi in the natural cone (beta = 1/4).
     """
-    membership = v_beta_member(ctx, 0.25, xi, tol=tol)
+    membership = v_beta_member(ctx, 0.25, xi)
     if not membership.member:
         raise NotInNaturalConeError(
             f"vector fails natural-cone membership (min eig {membership.min_eig:.3e})"

@@ -25,8 +25,8 @@ from .choi import MatrixMap, product_form
 from .cones import bipartite_context, cone_member
 from .docio import map_from_document, matrix_from_doc, matrix_to_doc
 from .errors import ParseError, StaleWitnessError
-from .linalg import frobenius, hermitian_part, ppt_min_eigs
-from .modular import gns_context, t_phi
+from .linalg import DESK_SCALE_DIM, PPT_TOL, frobenius, hermitian_part, ppt_min_eigs
+from .modular import t_phi
 
 TOOL_NAME = "posmap"
 TOOL_VERSION = "0.1.0"
@@ -120,7 +120,7 @@ def _require_shape(name: str, a: np.ndarray, d: int) -> None:
 
 def _ppt_pairing(w: np.ndarray, h: np.ndarray, m: int, n: int) -> float:
     _require_shape("state", w, m * n)
-    if min(ppt_min_eigs(w, m, n, "first")) < -1e-12:
+    if min(ppt_min_eigs(w, m, n, "first")) < -PPT_TOL:
         raise StaleWitnessError("stored witness state is not a PPT state")
     return float(np.trace(w @ h).real)
 
@@ -177,8 +177,9 @@ def _recheck_decomposability(record_id: str, phi: MatrixMap, witness: dict) -> f
 
 
 def _recheck_weakdec(record_id: str, phi: MatrixMap, witness: dict) -> float:
-    n = int(witness["n"])
-    ctx_a = gns_context(witness["rho_a"])
+    n = witness["n"]
+    if type(n) is not int or not 1 <= n * witness["rho_a"].shape[0] <= DESK_SCALE_DIM:
+        raise StaleWitnessError("stored block size n is not an integer within the desk-scale guard")
     bctx = bipartite_context(witness["rho_a"], np.eye(n, dtype=complex) / n)
     if not cone_member(bctx, witness["eta"]).in_intersection:
         raise StaleWitnessError("stored eta left the intersection cone")
@@ -188,7 +189,7 @@ def _recheck_weakdec(record_id: str, phi: MatrixMap, witness: dict) -> float:
         # rebuilding the induced operator re-raises the invariance warning
         # that already fired when the report was produced
         warnings.simplefilter("ignore")
-        t_star = t_phi(ctx_a, phi).operator.matrix.conj().T
+        t_star = t_phi(bctx.ctx_a, phi).operator.matrix.conj().T
     zeta = bctx.apply_first_factor(t_star, witness["xi"])
     return float(np.vdot(witness["eta"], zeta).real)
 

@@ -298,6 +298,64 @@ class TestCountOptions:
         assert main(["classify", str(path), "--seed", "1"]) == 2
 
 
+class TestHostileDocuments:
+    def test_infinite_metadata_is_an_input_error(self, tmp_path):
+        doc = map_to_document(transposition_map(2), "choi", metadata={"x": "INF"})
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc).replace('"INF"', "Infinity"), encoding="utf-8")
+        assert main(["classify", str(path), "--seed", "1", "--restarts", "2", "--samples", "2",
+                     "--projections", "2"]) == 2
+
+    def test_nan_report_input_is_an_input_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"input": NaN, "records": []}', encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+
+    def test_string_and_bool_map_dimensions_are_input_errors(self, tmp_path, capsys):
+        # {"m": "2", "n": true} with a 2 x 2 Choi matrix used to classify as a 2x1 map
+        doc = {"kind": "map", "m": "2", "n": True, "encoding": "choi",
+               "matrices": [matrix_to_doc(np.eye(2))]}
+        path = tmp_path / "coerced.json"
+        dump_document(doc, str(path))
+        out = tmp_path / "r.json"
+        assert main(["classify", str(path), "--seed", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "must be a JSON integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["two", 0])
+    def test_cone_k_that_is_not_a_positive_integer_is_an_input_error(self, tmp_path, k):
+        doc = cone_doc(tmp_path, None,
+                       extra={"map": map_to_document(transposition_map(2), "choi"), "k": k})
+        out = tmp_path / "r.json"
+        assert main(["cone", "weakdec", doc, "--seed", "1", "--samples", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestStateGuards:
+    @pytest.mark.parametrize("state_dim,dim", [(3, 2), (12, 8)])
+    def test_rho_file_must_match_dim(self, tmp_path, capsys, state_dim, dim):
+        path = tmp_path / "rho.json"
+        rho = np.eye(state_dim) / state_dim
+        dump_document({"kind": "state", "matrix": matrix_to_doc(rho)}, str(path))
+        out = tmp_path / "r.json"
+        assert main(["modular-verify", "--dim", str(dim), "--seed", "1", "--rho-file", str(path),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"does not match --dim {dim}" in capsys.readouterr().err
+
+    def test_cone_states_beyond_the_desk_scale_are_input_errors(self, tmp_path):
+        doc = {
+            "kind": "cone-input",
+            "rho_a": matrix_to_doc(np.eye(7) / 7),
+            "rho_b": matrix_to_doc(np.eye(7) / 7),
+            "vector": matrix_to_doc(np.eye(49) / 7),
+        }
+        path = tmp_path / "big.json"
+        dump_document(doc, str(path))
+        assert main(["cone", "pq", str(path), "--out", str(tmp_path / "r.json")]) == 2
+
+
 class TestVerify:
     def test_fresh_report_verifies(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
@@ -401,3 +459,15 @@ class TestVerify:
         assert len(record_ids) >= 8
         for record_id in record_ids:
             assert record_id in RECHECKS, record_id
+
+    # n = 19 asks for a 2 * 19 = 38-dimensional product context; 1.5 and "1"
+    # used to be read as n = 1 and verify
+    @pytest.mark.parametrize("n", [19, 1.5, "1"])
+    def test_weakdec_witness_block_size_is_guarded_in_verify(self, corpus, tmp_path, capsys, n):
+        report = load_report(corpus["cone_weakdec_neg_identity"][1])
+        record = next(r for r in report["records"] if r["id"].startswith("weakdec"))
+        record["witness"]["n"] = n
+        out = tmp_path / "bad_n.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert "not an integer within the desk-scale guard" in capsys.readouterr().err

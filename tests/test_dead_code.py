@@ -1,5 +1,6 @@
 """Dead-code guard: every top-level function and public method in the package
-is referenced somewhere in the package, the tests, the demos or the README.
+is referenced somewhere in the package, the tests, the demos or the README,
+and every defaulted parameter of a package function is passed by some call.
 
 A reference is any use of the name as an identifier (a call, an attribute
 access, an import) outside its own definition, or the name as a word in
@@ -8,6 +9,12 @@ would keep alive a function nothing calls.  Dunder methods are exempt: the
 interpreter calls them.
 
 The package's public API, ``posmap.__all__``, is the API the README documents.
+
+An option that no call ever sets has one value in use, so it belongs inside
+the function as a constant.  A call passes a parameter by keyword, by
+position, or through ``**kwargs``/``*args``, which count as passing every
+parameter; a method called as ``obj.name(...)`` has its first parameter
+bound, so its positions shift by one.  Calls in ``bench/`` count too.
 """
 
 import ast
@@ -69,6 +76,75 @@ def test_every_function_and_public_method_is_referenced():
         if not (name.startswith("__") and name.endswith("__")) and name not in referenced
     ]
     assert not dead, f"no reference to: {', '.join(dead)}"
+
+
+def _defaulted_parameters():
+    """(qualified name, function name, parameter, call position or None, is a
+    method) for each defaulted parameter of every function in the package;
+    the position counts the arguments a call writes out."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {}
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    methods[item] = (f"{cls.name}.{item.name}", 0 if static else 1)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            qualname, bound = methods.get(node, (node.name, 0))
+            qualname = f"{path.stem}.{qualname}"
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                yield qualname, node.name, arg.arg, index - bound, node in methods
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualname, node.name, arg.arg, None, node in methods
+
+
+def _calls():
+    """name -> [(called as an attribute, call)] over every call in the sources
+    and the benchmark; calls into numpy are left out."""
+    calls = {}
+    for path in [*SOURCES, *sorted((ROOT / "bench").rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                calls.setdefault(func.id, []).append((False, node))
+            elif isinstance(func, ast.Attribute):
+                root = func.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if getattr(root, "id", None) not in ("np", "numpy"):
+                    calls.setdefault(func.attr, []).append((True, node))
+    return calls
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    if any(kw.arg is None or kw.arg == parameter for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = _calls()
+    unused = [
+        f"{qualname}({parameter})"
+        for qualname, name, parameter, position, method in _defaulted_parameters()
+        if not any(
+            _passes(call, parameter, position)
+            for as_attribute, call in calls.get(name, [])
+            if as_attribute or not method
+        )
+    ]
+    assert not unused, f"defaulted parameters no call sets: {', '.join(unused)}"
 
 
 def test_public_api_is_documented():

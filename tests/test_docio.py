@@ -7,6 +7,7 @@ import pytest
 
 from posmap.docio import (
     cone_input_from_document,
+    load_document,
     map_from_document,
     map_to_document,
     matrix_from_doc,
@@ -130,3 +131,70 @@ class TestDeskScaleGuard:
         doc.update(m=37, n=1)
         with pytest.raises(ParseError, match="desk-scale"):
             map_from_document(doc)
+
+
+def cone_input(**fields):
+    doc = {
+        "kind": "cone-input",
+        "rho_a": matrix_to_doc(np.eye(2) / 2),
+        "rho_b": matrix_to_doc(np.eye(2) / 2),
+        "vector": matrix_to_doc(np.eye(4) / 2),
+    }
+    doc.update(fields)
+    return doc
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constants_are_parse_errors(self, tmp_path, constant):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"metadata": {{"x": {constant}}}}}', encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{constant} is not a JSON number"):
+            load_document(str(path))
+
+    # each value below used to be coerced by int() into a readable document
+    @pytest.mark.parametrize("field,value", [("rows", 4.7), ("rows", "4"), ("cols", True),
+                                             ("cols", 1.0)])
+    def test_matrix_dimensions_must_be_json_integers(self, field, value):
+        doc = {"rows": 4, "cols": 1, "data": [[1.0, 0.0]] * 4}
+        doc[field] = value
+        with pytest.raises(ParseError, match=f"{field} must be a JSON integer"):
+            matrix_from_doc(doc)
+
+    @pytest.mark.parametrize("fields", [{"m": "2"}, {"m": 2.0}, {"n": "2"}, {"n": 2.0}])
+    def test_map_dimensions_must_be_json_integers(self, fields):
+        doc = map_to_document(transposition_map(2))
+        doc.update(fields)
+        with pytest.raises(ParseError, match="must be a JSON integer"):
+            map_from_document(doc)
+
+    def test_bool_is_not_an_integer(self):
+        # a 2 x 1 map (a -> Tr a) read with n = true used to classify as 2x1
+        doc = {"kind": "map", "m": 2, "n": True, "encoding": "choi",
+               "matrices": [matrix_to_doc(np.eye(2))]}
+        with pytest.raises(ParseError, match="n must be a JSON integer"):
+            map_from_document(doc)
+
+    @pytest.mark.parametrize("entry", [["1", 0.0], [True, 0.0], [0.0, False], [10**400, 0.0]])
+    def test_entries_must_be_finite_json_numbers(self, entry):
+        with pytest.raises(ParseError, match=f"entry 0 is (not numeric|out of range)"):
+            matrix_from_doc({"rows": 1, "cols": 1, "data": [entry]})
+
+    @pytest.mark.parametrize("k", ["2", "x", True, 1.5, 0, -1])
+    def test_cone_input_k_is_an_integer_at_least_one(self, k):
+        with pytest.raises(ParseError, match="k must be"):
+            cone_input_from_document(cone_input(k=k))
+
+    def test_cone_input_k_defaults_to_one(self):
+        assert cone_input_from_document(cone_input()).k == 1
+        assert cone_input_from_document(cone_input(k=3)).k == 3
+
+    def test_cone_input_product_dimension_is_guarded(self):
+        # 6 x 6 = 36 is the limit; 7 x 7 states would build 49-dimensional cones
+        six = matrix_to_doc(np.eye(6) / 6)
+        doc = cone_input(rho_a=six, rho_b=six, vector=matrix_to_doc(np.eye(36)))
+        assert cone_input_from_document(doc).rho_a.shape == (6, 6)
+        seven = matrix_to_doc(np.eye(7) / 7)
+        doc = cone_input(rho_a=seven, rho_b=seven, vector=matrix_to_doc(np.eye(49)))
+        with pytest.raises(ParseError, match="desk-scale"):
+            cone_input_from_document(doc)

@@ -1,13 +1,20 @@
 """Property tests: stacked kernels equal their one-matrix calls bitwise, the
-partial transpose is an involution, the Choi encoding round-trips, and a
-counter-built stream equals the jumped one."""
+partial transpose is an involution, the Choi encoding round-trips, a
+counter-built stream equals the jumped one, and no hostile field in a
+document makes the CLI raise."""
+
+import copy
+import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posmap.choi import MatrixMap
+from posmap.cli import main
+from posmap.docio import map_to_document, matrix_to_doc
 from posmap.linalg import (
     _partial_transpose,
     alternate_ppt_projections,
@@ -18,6 +25,7 @@ from posmap.linalg import (
     random_psd,
     rng_stream,
 )
+from posmap.maps import identity_map, transposition_map
 
 dims = st.integers(1, 3)
 seeds = st.integers(0, 2**32 - 1)
@@ -87,3 +95,102 @@ def test_rng_stream_carries_past_two_to_the_64_and_rejects_out_of_range_streams(
 def test_random_psd_is_the_gram_matrix_of_random_complex(dim, rank, seed):
     g = random_complex(rng_stream(seed), (dim, rank))
     assert np.array_equal(random_psd(rng_stream(seed), dim, rank), g @ g.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# hostile documents
+# ---------------------------------------------------------------------------
+
+HOSTILE = ["x", True, 1.5, 0, -1, 10**6, [0], {"a": 1}, float("nan")]
+TINY = ["--seed", "1", "--samples", "2"]
+CONE_SUBCOMMANDS = ["member", "pq", "bounds", "flags", "polar", "weakdec"]
+
+
+def field_paths(doc, prefix=()):
+    """Paths to every field of `doc`: all items of a list of objects, and
+    only the first item of any other list (an [re, im] pair, a data list)."""
+    items = []
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list) and doc:
+        items = list(enumerate(doc if all(isinstance(x, dict) for x in doc) else doc[:1]))
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def classify_argv(path, sub):
+    return ["classify", path, "--k-max", "1", "--restarts", "2", "--samples", "2",
+            "--projections", "2", "--seed", "1"]
+
+
+def cone_argv(path, sub):
+    return ["cone", sub, path, *TINY]
+
+
+def state_argv(path, sub):
+    return ["modular-verify", "--dim", "2", "--trials", "1", "--seed", "1", "--rho-file", path]
+
+
+def verify_argv(path, sub):
+    return ["verify", path]
+
+
+@pytest.fixture(scope="module")
+def hostile_cases(tmp_path_factory):
+    """kind -> (valid document, argv for a document path and a cone subcommand)."""
+    tmp = tmp_path_factory.mktemp("hostile")
+    eye, sym = np.eye(2), np.array([[0.2, 0.1], [0.1, 0.3]])
+    cone_doc = {
+        "kind": "cone-input",
+        "rho_a": matrix_to_doc(np.diag([0.3, 0.7])),
+        "rho_b": matrix_to_doc(eye / 2),
+        "blocks": [[matrix_to_doc(b) for b in row] for row in ([eye, sym], [sym, eye])],
+        "map": map_to_document(-1.0 * identity_map(2), "choi"),
+        "k": 1,
+    }
+    cases = {
+        "map": (map_to_document(transposition_map(2), "choi", metadata={"name": "t"}), classify_argv),
+        "cone": (cone_doc, cone_argv),
+        "state": ({"kind": "state", "matrix": matrix_to_doc(np.diag([0.3, 0.7]))}, state_argv),
+    }
+    # reports whose records hold violation witnesses: every map test, and weakdec
+    for name, doc, argv, sub in [
+        ("classify", map_to_document(-1.0 * identity_map(2), "choi"), classify_argv, None),
+        ("weakdec", cone_doc, cone_argv, "weakdec"),
+    ]:
+        source, out = tmp / f"{name}.json", tmp / f"{name}-report.json"
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([*argv(str(source), sub), "--out", str(out)]) == 0
+        cases[f"{name} report"] = (json.loads(out.read_text(encoding="utf-8")), verify_argv)
+    return tmp, cases
+
+
+@pytest.mark.parametrize("kind", ["map", "cone", "state", "classify report", "weakdec report"])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_hostile_field_is_an_exit_code_never_a_traceback(hostile_cases, kind, data):
+    tmp, cases = hostile_cases
+    doc, argv = cases[kind]
+    path = data.draw(st.sampled_from(sorted(field_paths(doc), key=repr)), label="path")
+    value = data.draw(st.sampled_from(HOSTILE), label="value")
+    sub = data.draw(st.sampled_from(CONE_SUBCOMMANDS), label="subcommand")
+    source = tmp / "hostile.json"
+    # json.dumps writes NaN as the non-JSON constant that documents must reject
+    source.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    out = tmp / "hostile-report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([*argv(str(source), sub), *(["--out", str(out)] if "report" not in kind else [])])
+    assert code in ((0, 2) if kind == "map" else (0, 1, 2))
