@@ -21,6 +21,9 @@ from .errors import CountOutOfRangeError, DimensionMismatchError, NotHermitianEr
 from .linalg import (
     HERMITIAN_RTOL,
     _eigh_phased,
+    _stream_normals,
+    _stream_seeker,
+    _unit_vectors,
     as_matrix,
     check_hermitian,
     frobenius,
@@ -28,8 +31,6 @@ from .linalg import (
     hermitian_part,
     matrix_units,
     psd_tol,
-    random_unit_vector,
-    rng_stream,
 )
 from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
@@ -226,7 +227,9 @@ def block_positivity(
     All restarts run as one stack, which a restart leaves once its value
     improves by less than `improve_tol`.  Restart r draws its start (y, then
     x) from its own stream `rng_stream(seed, r)`, so the verdict is that of
-    running the restarts one after another.
+    running the restarts one after another.  Each restart's start is drawn
+    ahead in one call, every stream reached on one bit generator, in
+    unchanged draw order.
     """
     hm = check_hermitian(h)
     if hm.shape != (m * n, m * n):
@@ -235,9 +238,8 @@ def block_positivity(
         raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
     h4 = hm.reshape(m, n, m, n)
 
-    rngs = [rng_stream(seed, r) for r in range(restarts)]
-    y = np.array([random_unit_vector(g, n) for g in rngs])
-    x = np.array([random_unit_vector(g, m) for g in rngs])
+    z = _stream_normals(_stream_seeker(seed), range(restarts), 2 * (n + m))
+    y, x = _unit_vectors(z[:, : 2 * n]), _unit_vectors(z[:, 2 * n :])
     prev = np.full(restarts, np.inf)
     active = np.arange(restarts)
     total_alternations = 0

@@ -142,8 +142,10 @@ class BipartiteConeContext:
 
 def bipartite_context(rho_a, rho_b) -> BipartiteConeContext:
     """Build the tensor context; both states must be faithful."""
-    ctx_a = gns_context(rho_a)
-    ctx_b = gns_context(rho_b)
+    return _product_context(gns_context(rho_a), gns_context(rho_b))
+
+
+def _product_context(ctx_a: GnsContext, ctx_b: GnsContext) -> BipartiteConeContext:
     lam = np.kron(ctx_a.eigenvalues, ctx_b.eigenvalues)
     return BipartiteConeContext(ctx_a, ctx_b, ctx_a.dim, ctx_b.dim, lam)
 
@@ -514,7 +516,7 @@ def weak_kdec_cone_check(
     cone and its transposed cone; by duality this fails exactly when some
     intersection element pairs negatively with an image vector.  Any negative
     pairing is an exact refutation; surviving the sampling budget is evidence.
-    The second factor carries the tracial state.
+    The first factor is `ctx_a` itself; the second carries the tracial state.
     """
     if k < 1:
         raise DimensionMismatchError(f"block size k={k} must be >= 1")
@@ -526,7 +528,7 @@ def weak_kdec_cone_check(
     t_star = induced.operator.matrix.conj().T
     worst = np.inf
     for n in range(1, k + 1):
-        ctx = bipartite_context(ctx_a.rho, np.eye(n, dtype=complex) / n)
+        ctx = _product_context(ctx_a, gns_context(np.eye(n, dtype=complex) / n))
         etas = [
             sample_intersection_element(ctx, rng_stream(seed + 7919 * n + 104729, t))
             for t in range(dual_samples)

@@ -34,6 +34,8 @@ from .linalg import (
     _haar_from_gaussian,
     _partial_transpose,
     _psd_from_normals,
+    _stream_normals,
+    _stream_seeker,
     alternate_ppt_projections,
     check_hermitian,
     frobenius,
@@ -42,7 +44,6 @@ from .linalg import (
     hermitian_part,
     ppt_min_eigs,
     psd_tol,
-    random_complex,
     rng_stream,
 )
 from .verdicts import EVIDENCE, VIOLATION, DecompCertificate, Verdict
@@ -55,6 +56,43 @@ def _compressed_choi(h4: np.ndarray, iso: np.ndarray) -> np.ndarray:
     r, _, k = iso.shape
     c = np.einsum("rak,iajb,rbl->rikjl", iso.conj(), h4, iso)
     return c.reshape(r, m * k, m * k)
+
+
+_AHEAD = 4  # blocks a row of `_GaussianRows` holds at first
+
+
+class _GaussianRows:
+    """Complex Gaussian blocks of `shape` from streams 0, 1, ..., count - 1 of
+    `seed`, drawn ahead on one bit generator: row r holds the first blocks of
+    `rng_stream(seed, r)`, drawn in one call, and `take(rows)` hands each
+    listed row its next block as `random_complex` would draw it.  When a
+    listed row runs out, every listed row below double its width is redrawn
+    at that width; a prefix is unchanged, because a stream's normals do not
+    depend on how its draws are split across calls."""
+
+    def __init__(self, seed: int, count: int, shape: tuple):
+        self.seek, self.shape = _stream_seeker(seed), shape
+        self.rows = self._draw(range(count), _AHEAD)
+        self.have = np.full(count, _AHEAD)
+        self.used = np.zeros(count, dtype=int)
+
+    def _draw(self, streams, width: int) -> np.ndarray:
+        size = 2 * self.shape[0] * self.shape[1]
+        normals = _stream_normals(self.seek, streams, width * size)
+        return normals.reshape(len(streams), width, 2, *self.shape)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        short = self.used[rows] == self.have[rows]
+        if short.any():
+            width = 2 * int(self.have[rows[short]].max())
+            if width > self.rows.shape[1]:  # exactly twice the buffer's width then
+                self.rows = np.concatenate([self.rows, np.empty_like(self.rows)], axis=1)
+            redraw = rows[self.have[rows] < width]
+            self.rows[redraw, :width] = self._draw(redraw, width)
+            self.have[redraw] = width
+        z = self.rows[rows, self.used[rows]]
+        self.used[rows] += 1
+        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
 
 
 def k_block_min(
@@ -81,9 +119,12 @@ def k_block_min(
 
     All restarts run as one stack, which a restart leaves once its value
     improves by less than `improve_tol`.  Restart r draws from its own stream
-    `rng_stream(seed, r)` (Haar start, then one perturbation per alternation),
-    so the verdict is that of running the restarts one after another: the
-    best value of the first restart that reaches the overall minimum.
+    `rng_stream(seed, r)` (Haar start, then one perturbation per alternation
+    and a rescue draw when the refit is rank-deficient), so the verdict is
+    that of running the restarts one after another: the best value of the
+    first restart that reaches the overall minimum.  Each stream is drawn
+    ahead, one call per stream on one bit generator (`_GaussianRows`), in
+    unchanged draw order.
 
     A violation carries the witness {"projection", "vector"}: the rank-<=k
     output-side projection and the lifted eigenvector of the compressed Choi
@@ -109,11 +150,11 @@ def k_block_min(
             return Verdict(VIOLATION, val, witness=witness, stats=stats)
         return Verdict(EVIDENCE, val, stats=stats)
 
-    rngs = [rng_stream(seed, r) for r in range(restarts)]
+    gaussians = _GaussianRows(seed, restarts, (n, k))
     iso = np.empty((restarts, n, k), dtype=complex)
     iso[0] = np.eye(n, k)
     if restarts > 1:
-        iso[1:] = _haar_from_gaussian(np.array([random_complex(g, (n, k)) for g in rngs[1:]]))
+        iso[1:] = _haar_from_gaussian(gaussians.take(np.arange(1, restarts)))
     best_val = np.full(restarts, np.inf)
     best_iso = np.empty_like(iso)
     best_z = np.zeros((restarts, m * k), dtype=complex)
@@ -140,11 +181,11 @@ def k_block_min(
         _, v = _eigh_phased(hermitian_part(coeff.reshape(-1, n * k, n * k)))
         raw = v[:, :, 0].reshape(-1, n, k)
         if jitter > 0:
-            raw = raw + jitter * np.array([random_complex(rngs[r], (n, k)) for r in active])
+            raw = raw + jitter * gaussians.take(active)
         u, s, vh = np.linalg.svd(raw, full_matrices=False)
         tiny = np.flatnonzero(s[:, -1] < 1e-12 * np.maximum(s[:, 0], 1.0))
         if tiny.size:
-            raw[tiny] += 1e-6 * np.array([random_complex(rngs[active[t]], (n, k)) for t in tiny])
+            raw[tiny] += 1e-6 * gaussians.take(active[tiny])
             u[tiny], _, vh[tiny] = np.linalg.svd(raw[tiny], full_matrices=False)
         iso[active] = u @ vh
         jitter *= 0.5
@@ -455,9 +496,11 @@ def pk_check(
     """Sample rank-<=k output-side projections and search each compressed
     corner map for a witness against decomposability.
 
-    Corner t draws its rank and Haar isometry from `rng_stream(seed, t)`.  A
-    rank-1 corner is scalar-valued, so it is decided on the spot by the
-    exact positivity of its Choi matrix, and a rank-1 violation ends the walk.
+    Corner t draws its rank and Haar isometry from `rng_stream(seed, t)`, in
+    that order; every corner's stream is reached on one bit generator
+    (`_stream_seeker`).  A rank-1 corner is scalar-valued, so it is decided
+    on the spot by the exact positivity of its Choi matrix, and a rank-1
+    violation ends the walk.
     Corners are walked in t-ordered chunks [0, 4), [4, 8), [8, 16), ...,
     each as long as the walk before it (at most 32); the rank >= 2 corners of
     a chunk met before that point run as one stack per rank of 200-iteration
@@ -473,10 +516,11 @@ def pk_check(
     m, n = phi.m, phi.n
     values: list = []
     first = None  # (t, value, witness) of the first violating corner
+    seek = _stream_seeker(seed)
     for start, stop in _chunks(projections):
         queued: dict[int, list] = {}
         for t in range(start, stop):
-            rng = rng_stream(seed, t)
+            rng = seek(t)
             rank = int(rng.integers(1, min(k, n) + 1))
             iso = haar_isometry(rng, n, rank)
             hc = hermitian_part(MatrixMap(iso.conj().T @ phi.unit_images @ iso).choi())

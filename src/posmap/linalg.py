@@ -8,7 +8,8 @@ Conventions, used bit-exactly everywhere:
   ``np.kron(A, B)[i*p + k, j*q + l] = A[i, j] * B[k, l]``.
 - Randomness comes from the counter-based Philox generator; every search
   takes an explicit integer seed and independent streams are obtained with
-  :func:`rng_stream`, so any sampled verdict is replayable.
+  :func:`rng_stream` (or reached in turn on one bit generator through
+  `_stream_seeker`), so any sampled verdict is replayable.
 """
 
 from __future__ import annotations
@@ -208,7 +209,46 @@ def hs_inner(a, b) -> complex:
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator stream `stream`, 0 <= stream < 2**128, of the Philox
     counter keyed by `seed`: its counter starts where `jumped(stream)` puts it."""
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=int(stream) << 128))
+    key, counter = int(seed), _stream_index(stream) << 128
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _stream_index(stream) -> int:
+    """`stream` as an int, checked to lie in 0..2**128 - 1."""
+    s = int(stream)
+    if not 0 <= s < 2**128:
+        raise ValueError(f"stream must be in 0..2**128 - 1, got {s}")
+    return s
+
+
+def _stream_seeker(seed: int):
+    """One Philox bit generator keyed by `seed`, and a function `seek(s)` that
+    positions its one Generator at the start of `rng_stream(seed, s)` and
+    returns it: the counter is set to [0, 0, s mod 2**64, s >> 64] and the
+    buffer emptied, a state assignment instead of a new bit generator.
+    `seed` and each s are checked as `rng_stream` checks them; a Generator
+    that `seek` returned is only valid until its next call."""
+    bits = np.random.Philox(key=int(seed))
+    gen = np.random.Generator(bits)
+    state = bits.state  # counter zero, buffer empty
+    counter = state["state"]["counter"]
+
+    def seek(stream) -> np.random.Generator:
+        s = _stream_index(stream)
+        counter[2], counter[3] = s & (2**64 - 1), s >> 64
+        bits.state = state
+        return gen
+
+    return seek
+
+
+def _stream_normals(seek, streams, width: int) -> np.ndarray:
+    """(len(streams), width) array whose row i holds the first `width` standard
+    normals of stream streams[i] of the seeker `seek`, drawn in one call."""
+    out = np.empty((len(streams), width))
+    for row, s in zip(out, streams):
+        seek(s).standard_normal(out=row)
+    return out
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -218,6 +258,15 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = random_complex(rng, dim)
     return v / np.linalg.norm(v)
+
+
+def _unit_vectors(z: np.ndarray) -> np.ndarray:
+    """The unit vectors `random_unit_vector` makes of the same normals, one per
+    row of the (R, 2 dim) array `z`: its real parts, then its imaginary parts."""
+    dim = z.shape[1] // 2
+    v = (z[:, :dim] + 1j * z[:, dim:]) / np.sqrt(2)
+    # the sum np.linalg.norm forms for one complex vector, row by row
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -228,7 +228,9 @@ def verify_report(report: dict) -> list[str]:
     """Re-evaluate every stored witness; returns a list of failure messages.
 
     Raises ParseError when the report or one of its records is not a JSON
-    object, or a violation record lacks a string id or a finite value.
+    object, a violation record lacks a string id or a finite value, or the
+    embedded input (a map, or a cone input's map and first-factor state) does
+    not parse.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -239,9 +241,13 @@ def verify_report(report: dict) -> list[str]:
     if report.get("input_digest") != input_digest(report.get("input")):
         failures.append("input_digest: embedded input does not match its digest")
     input_doc = report.get("input")
-    phi = None
+    phi = rho_a = None
     if isinstance(input_doc, dict) and input_doc.get("kind") == "map":
         phi = map_from_document(input_doc)
+    elif isinstance(input_doc, dict) and input_doc.get("kind") == "cone-input" and "map" in input_doc:
+        # a weakdec report's cone input carries the map and the first-factor state
+        phi = map_from_document(input_doc["map"])
+        rho_a = matrix_from_doc(input_doc.get("rho_a"), "rho_a")
     for record in records:
         if record.get("kind") != "violation" or "witness" not in record:
             continue
@@ -256,14 +262,11 @@ def verify_report(report: dict) -> list[str]:
                 key: matrix_from_doc(val, f"witness[{key}]") if isinstance(val, dict) else val
                 for key, val in record["witness"].items()
             }
-            subject = phi
-            if rid.startswith("weakdec"):
-                # a cone input carries the map and the first-factor state
-                subject = map_from_document(input_doc["map"])
-                witness["rho_a"] = matrix_from_doc(input_doc["rho_a"], "rho_a")
-            if subject is None:
+            if phi is None:
                 raise StaleWitnessError("no input map available to re-check the witness")
-            value = recheck_witness(rid, subject, witness)
+            if rid.startswith("weakdec"):
+                witness["rho_a"] = rho_a
+            value = recheck_witness(rid, phi, witness)
         except StaleWitnessError as exc:
             failures.append(f"{rid}: {exc}")
         except Exception as exc:  # malformed witness payloads are stale too

@@ -439,6 +439,18 @@ class TestVerify:
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 2
 
+    def test_malformed_cone_input_of_a_weakdec_report_is_an_input_error(self, corpus, tmp_path,
+                                                                        capsys):
+        # like a map report's input, the embedded cone input is parsed before
+        # any witness is re-checked
+        report = load_report(corpus["cone_weakdec_neg_identity"][1])
+        report["input"]["rho_a"]["rows"] = 0
+        out = tmp_path / "bad_input.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rho_a: non-positive dimensions" in err and "stale witness" not in err
+
     def test_every_witness_record_id_has_a_recheck(self):
         # every record cli can emit with a witness goes through _verdict_record
         # and has an entry in the re-check table

@@ -383,6 +383,21 @@ class TestWeakDecomposability:
         assert v.kind == VIOLATION
         assert v.value < 0
 
+    def test_first_factor_state_is_built_once(self, monkeypatch):
+        # only the tracial second factor is built per block size; the state
+        # handed in is not rebuilt
+        dims = []
+        original = posmap.cones.gns_context
+
+        def counted(rho):
+            dims.append(np.shape(rho)[0])
+            return original(rho)
+
+        monkeypatch.setattr(posmap.cones, "gns_context", counted)
+        ctx_a = original(np.diag([0.2, 0.3, 0.5]).astype(complex))
+        weak_kdec_cone_check(ctx_a, identity_map(3), 3, samples=2, dual_samples=2, seed=0)
+        assert dims == [1, 2, 3]
+
     def test_desk_scale_guard(self):
         from posmap.errors import DimensionMismatchError
 

@@ -235,6 +235,26 @@ def count_validations(monkeypatch, modules=(posmap.linalg, posmap.choi, posmap.k
     return counter
 
 
+def count_stream_work(monkeypatch):
+    """Count Philox constructions and `rng_stream` calls through every module
+    that makes them; returns the live counter."""
+    counter = {"philox": 0, "rng_stream": 0}
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            counter[key] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.random, "Philox", counting("philox", np.random.Philox))
+    original = posmap.linalg.rng_stream
+    for module in (posmap.linalg, posmap.choi, posmap.kpositivity):
+        if getattr(module, "rng_stream", None) is original:
+            monkeypatch.setattr(module, "rng_stream", counting("rng_stream", original))
+    return counter
+
+
 class TestKBlockMin:
     def test_identity_map_every_k(self):
         phi = identity_map(3)
@@ -304,6 +324,35 @@ class TestStackedRestarts:
             k_block_min(reduction_family(1.5, 3), k, restarts=restarts, seed=3)
             counts.append(counter["calls"])
         assert counts[0] == counts[1]
+
+
+# the reduction map's restarts converge in two alternations; on the other two
+# some of 64 restarts run long enough to redraw their rows of normals
+STREAM_MAPS = {
+    "reduction_1.5": lambda: reduction_family(1.5, 3),
+    "near_cp": lambda: random_map_near_cp(rng_stream(41, 2), 3, 3, mix=0.3),
+    "decomposable": lambda: random_decomposable_map(rng_stream(514), 3, 3)[0],
+}
+SEARCHES = {
+    "k_block_min": lambda phi, size: k_block_min(phi, 2, restarts=size, seed=3),
+    "block_positivity": lambda phi, size: block_positivity(
+        hermitian_part(phi.choi()), phi.m, phi.n, restarts=size, seed=3),
+    "pk_check": lambda phi, size: pk_check(phi, 3, projections=size, seed=3),
+}
+
+
+class TestStreamWork:
+    @pytest.mark.parametrize("case", sorted(STREAM_MAPS))
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_one_bit_generator_a_search_at_any_size(self, monkeypatch, search, case):
+        phi = STREAM_MAPS[case]()
+        counter = count_stream_work(monkeypatch)
+        counts = []
+        for size in (2, 64):
+            counter.update(philox=0, rng_stream=0)
+            SEARCHES[search](phi, size)
+            counts.append(dict(counter))
+        assert counts == [{"philox": 1, "rng_stream": 0}] * 2
 
 
 class TestIsKPositive:

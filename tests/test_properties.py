@@ -1,31 +1,38 @@
 """Property tests: stacked kernels equal their one-matrix calls bitwise, the
 partial transpose is an involution, the Choi encoding round-trips, a
-counter-built stream equals the jumped one, and no hostile field in a
-document makes the CLI raise."""
+counter-built stream equals the jumped one, a stream reached by the shared
+seeker equals its `rng_stream`, no hostile field in a document makes the
+CLI raise, and every violation `posmap classify` writes re-verifies."""
 
 import copy
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from posmap.choi import MatrixMap
 from posmap.cli import main
 from posmap.docio import map_to_document, matrix_to_doc
+from posmap.kpositivity import _GaussianRows
 from posmap.linalg import (
     _partial_transpose,
+    _stream_normals,
+    _stream_seeker,
+    _unit_vectors,
     alternate_ppt_projections,
     hermitian_part,
     partial_transpose,
     project_psd,
     random_complex,
     random_psd,
+    random_unit_vector,
     rng_stream,
 )
-from posmap.maps import identity_map, transposition_map
+from posmap.maps import identity_map, random_map_near_cp, transposition_map
 
 dims = st.integers(1, 3)
 seeds = st.integers(0, 2**32 - 1)
@@ -89,6 +96,60 @@ def test_rng_stream_carries_past_two_to_the_64_and_rejects_out_of_range_streams(
     for stream in (-1, 2**128):
         with pytest.raises(ValueError):
             rng_stream(5, stream)
+
+
+wide = st.integers(0, 2**128 - 1)
+
+
+@given(seed=wide, streams=st.lists(wide, min_size=1, max_size=4))
+@example(seed=5, streams=[2**64 - 1, 2**64, 0, 2**127 + 3])
+def test_a_sought_stream_equals_its_rng_stream(seed, streams):
+    # integers() leaves half a 64-bit word buffered; the next stream must not see it
+    seek = _stream_seeker(seed)
+    for stream in streams:
+        rng, ref = seek(stream), rng_stream(seed, stream)
+        assert np.array_equal(rng.integers(0, 7, 3), ref.integers(0, 7, 3))
+        assert np.array_equal(rng.standard_normal(9), ref.standard_normal(9))
+        assert np.array_equal(rng.random(5), ref.random(5))
+        assert np.array_equal(rng.integers(0, 2**62, 3), ref.integers(0, 2**62, 3))
+
+
+@given(seed=seeds, stream=wide, first=st.integers(0, 40), then=st.integers(0, 40))
+def test_normals_do_not_depend_on_how_a_stream_is_split(seed, stream, first, then):
+    whole = rng_stream(seed, stream).standard_normal(first + then)
+    rng = rng_stream(seed, stream)
+    split = np.concatenate([rng.standard_normal(first), rng.standard_normal(then)])
+    assert np.array_equal(whole, split)
+
+
+@pytest.mark.parametrize("seed,stream", [
+    (-1, 0), (2**128, 0), ("x", 0), (None, 0), (0, -1), (0, 2**128), (0, "x"), (0, None),
+])
+def test_the_seeker_rejects_what_rng_stream_rejects(seed, stream):
+    with pytest.raises(Exception) as want:
+        rng_stream(seed, stream)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _stream_seeker(seed)(stream)
+
+
+@given(dim=st.integers(1, 9), size=st.integers(1, 6), seed=seeds)
+def test_stacked_unit_vectors_equal_random_unit_vector(dim, size, seed):
+    got = _unit_vectors(_stream_normals(_stream_seeker(seed), range(size), 2 * dim))
+    assert np.array_equal(got, [random_unit_vector(rng_stream(seed, r), dim) for r in range(size)])
+
+
+@given(n=st.integers(1, 4), k=st.integers(1, 4), streams=st.integers(1, 5), seed=seeds,
+       takes=st.lists(st.lists(st.integers(0, 4), max_size=5), max_size=12))
+def test_rows_drawn_ahead_equal_random_complex_draws(n, k, streams, seed, takes):
+    # any take pattern, past the rows' first width too, hands each stream
+    # the blocks random_complex draws from it one at a time
+    rows = _GaussianRows(seed, streams, (n, k))
+    refs = [rng_stream(seed, s) for s in range(streams)]
+    for take in takes:
+        listed = np.unique(np.array(take, dtype=int) % streams)
+        got = rows.take(listed)
+        for s, block in zip(listed, got):
+            assert np.array_equal(block, random_complex(refs[s], (n, k)))
 
 
 @given(dim=st.integers(1, 6), rank=st.integers(1, 6), seed=seeds)
@@ -194,3 +255,27 @@ def test_a_hostile_field_is_an_exit_code_never_a_traceback(hostile_cases, kind, 
         warnings.simplefilter("ignore")
         code = main([*argv(str(source), sub), *(["--out", str(out)] if "report" not in kind else [])])
     assert code in ((0, 2) if kind == "map" else (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# end-to-end replay
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=25)
+@given(m=st.integers(1, 3), n=st.integers(1, 3), mix=st.sampled_from([0.3, 1.0, 3.0]),
+       map_seed=seeds, seed=st.integers(0, 10**6), k_max=st.integers(1, 3))
+def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, map_seed, seed,
+                                                  k_max):
+    phi = random_map_near_cp(rng_stream(map_seed), m, n, mix=mix)
+    tmp = tmp_path_factory.mktemp("replay")
+    source, out = tmp / "map.json", tmp / "report.json"
+    source.write_text(json.dumps(map_to_document(phi, "choi")), encoding="utf-8")
+    argv = ["classify", str(source), "--k-max", str(k_max), "--restarts", "4", "--samples", "8",
+            "--projections", "6", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    for record in report["records"]:
+        if record["kind"] == "violation":
+            event(f"violation {record['id'].rstrip('0123456789')}")
+    assert main(["verify", str(out)]) == 0
