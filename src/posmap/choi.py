@@ -21,9 +21,7 @@ from .errors import CountOutOfRangeError, DimensionMismatchError, NotHermitianEr
 from .linalg import (
     HERMITIAN_RTOL,
     _eigh_phased,
-    _stream_normals,
     _stream_seeker,
-    _unit_vectors,
     as_matrix,
     check_hermitian,
     frobenius,
@@ -31,6 +29,7 @@ from .linalg import (
     hermitian_part,
     matrix_units,
     psd_tol,
+    random_unit_vector,
 )
 from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
@@ -225,21 +224,23 @@ def block_positivity(
     otherwise the verdict is evidence with the search statistics attached.
 
     All restarts run as one stack, which a restart leaves once its value
-    improves by less than `improve_tol`.  Restart r draws its start (y, then
-    x) from its own stream `rng_stream(seed, r)`, so the verdict is that of
-    running the restarts one after another.  Each restart's start is drawn
-    ahead in one call, every stream reached on one bit generator, in
-    unchanged draw order.
+    improves by less than `improve_tol`.  Restart r draws its start y in one
+    call from its own stream `rng_stream(seed, r)`, every stream reached on
+    one bit generator, so the verdict is that of running the restarts one
+    after another.  The first half-step sets x, so x has no start.
     """
     hm = check_hermitian(h)
     if hm.shape != (m * n, m * n):
         raise DimensionMismatchError(f"shape {hm.shape} does not match m={m}, n={n}")
     if restarts < 1:
         raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
+    if max_alternations < 1:
+        raise CountOutOfRangeError(f"max_alternations={max_alternations} must be >= 1")
     h4 = hm.reshape(m, n, m, n)
 
-    z = _stream_normals(_stream_seeker(seed), range(restarts), 2 * (n + m))
-    y, x = _unit_vectors(z[:, : 2 * n]), _unit_vectors(z[:, 2 * n :])
+    seek = _stream_seeker(seed)
+    y = np.array([random_unit_vector(seek(r), n) for r in range(restarts)])
+    x = np.empty((restarts, m), dtype=complex)
     prev = np.full(restarts, np.inf)
     active = np.arange(restarts)
     total_alternations = 0

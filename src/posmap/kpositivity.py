@@ -58,22 +58,23 @@ def _compressed_choi(h4: np.ndarray, iso: np.ndarray) -> np.ndarray:
     return c.reshape(r, m * k, m * k)
 
 
-_AHEAD = 4  # blocks a row of `_GaussianRows` holds at first
+_AHEAD = 4  # blocks every row of `_GaussianRows` holds from the start
 
 
 class _GaussianRows:
     """Complex Gaussian blocks of `shape` from streams 0, 1, ..., count - 1 of
-    `seed`, drawn ahead on one bit generator: row r holds the first blocks of
-    `rng_stream(seed, r)`, drawn in one call, and `take(rows)` hands each
-    listed row its next block as `random_complex` would draw it.  When a
-    listed row runs out, every listed row below double its width is redrawn
-    at that width; a prefix is unchanged, because a stream's normals do not
-    depend on how its draws are split across calls."""
+    `seed`, drawn ahead on one bit generator: row r holds the first `_AHEAD`
+    blocks of `rng_stream(seed, r)`, drawn in one call, and `take(rows)` hands
+    each listed row its next block as `random_complex` would draw it.  A row
+    that runs out is redrawn alone at double its width, so past `_AHEAD` a row
+    holds at most twice the blocks it has handed out, whatever the other rows
+    use; a prefix is unchanged, because a stream's normals do not depend on
+    how its draws are split across calls."""
 
     def __init__(self, seed: int, count: int, shape: tuple):
         self.seek, self.shape = _stream_seeker(seed), shape
         self.rows = self._draw(range(count), _AHEAD)
-        self.have = np.full(count, _AHEAD)
+        self.long: dict[int, np.ndarray] = {}  # the blocks of a row past _AHEAD
         self.used = np.zeros(count, dtype=int)
 
     def _draw(self, streams, width: int) -> np.ndarray:
@@ -81,16 +82,18 @@ class _GaussianRows:
         normals = _stream_normals(self.seek, streams, width * size)
         return normals.reshape(len(streams), width, 2, *self.shape)
 
+    def _block(self, r: int, u: int) -> np.ndarray:
+        blocks = self.long.get(r, self.rows[r])
+        if u == len(blocks):
+            blocks = self.long[r] = self._draw([r], 2 * u)[0]
+        return blocks[u]
+
     def take(self, rows: np.ndarray) -> np.ndarray:
-        short = self.used[rows] == self.have[rows]
-        if short.any():
-            width = 2 * int(self.have[rows[short]].max())
-            if width > self.rows.shape[1]:  # exactly twice the buffer's width then
-                self.rows = np.concatenate([self.rows, np.empty_like(self.rows)], axis=1)
-            redraw = rows[self.have[rows] < width]
-            self.rows[redraw, :width] = self._draw(redraw, width)
-            self.have[redraw] = width
-        z = self.rows[rows, self.used[rows]]
+        used = self.used[rows]
+        if used.size == 0 or used.max() < _AHEAD:
+            z = self.rows[rows, used]
+        else:
+            z = np.array([self._block(r, u) for r, u in zip(rows.tolist(), used.tolist())])
         self.used[rows] += 1
         return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
 

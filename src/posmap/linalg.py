@@ -260,15 +260,6 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _unit_vectors(z: np.ndarray) -> np.ndarray:
-    """The unit vectors `random_unit_vector` makes of the same normals, one per
-    row of the (R, 2 dim) array `z`: its real parts, then its imaginary parts."""
-    dim = z.shape[1] // 2
-    v = (z[:, :dim] + 1j * z[:, dim:]) / np.sqrt(2)
-    # the sum np.linalg.norm forms for one complex vector, row by row
-    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
-
-
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = random_complex(rng, (dim, dim))
     return hermitian_part(g)

@@ -229,8 +229,8 @@ def verify_report(report: dict) -> list[str]:
 
     Raises ParseError when the report or one of its records is not a JSON
     object, a violation record lacks a string id or a finite value, or the
-    embedded input (a map, or a cone input's map and first-factor state) does
-    not parse.
+    embedded input does not parse: a map, or for a report with a weakdec
+    violation, the cone input's map and first-factor state.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -241,16 +241,16 @@ def verify_report(report: dict) -> list[str]:
     if report.get("input_digest") != input_digest(report.get("input")):
         failures.append("input_digest: embedded input does not match its digest")
     input_doc = report.get("input")
-    phi = rho_a = None
+    phi = weak = None
     if isinstance(input_doc, dict) and input_doc.get("kind") == "map":
         phi = map_from_document(input_doc)
-    elif isinstance(input_doc, dict) and input_doc.get("kind") == "cone-input" and "map" in input_doc:
-        # a weakdec report's cone input carries the map and the first-factor state
-        phi = map_from_document(input_doc["map"])
-        rho_a = matrix_from_doc(input_doc.get("rho_a"), "rho_a")
-    for record in records:
-        if record.get("kind") != "violation" or "witness" not in record:
-            continue
+    witnessed = [r for r in records if r.get("kind") == "violation" and "witness" in r]
+    if any(isinstance(r.get("id"), str) and r["id"].startswith("weakdec") for r in witnessed):
+        # a weakdec record is re-checked against the cone input's map and first-factor state
+        if not isinstance(input_doc, dict):
+            raise ParseError("a weakdec report needs its embedded cone input")
+        weak = map_from_document(input_doc.get("map")), matrix_from_doc(input_doc.get("rho_a"), "rho_a")
+    for record in witnessed:
         rid, stated = record.get("id"), record.get("value")
         if not isinstance(rid, str):
             raise ParseError("a violation record needs a string id")
@@ -262,11 +262,12 @@ def verify_report(report: dict) -> list[str]:
                 key: matrix_from_doc(val, f"witness[{key}]") if isinstance(val, dict) else val
                 for key, val in record["witness"].items()
             }
-            if phi is None:
-                raise StaleWitnessError("no input map available to re-check the witness")
+            subject = phi
             if rid.startswith("weakdec"):
-                witness["rho_a"] = rho_a
-            value = recheck_witness(rid, phi, witness)
+                subject, witness["rho_a"] = weak
+            if subject is None:
+                raise StaleWitnessError("no input map available to re-check the witness")
+            value = recheck_witness(rid, subject, witness)
         except StaleWitnessError as exc:
             failures.append(f"{rid}: {exc}")
         except Exception as exc:  # malformed witness payloads are stale too

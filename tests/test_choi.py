@@ -12,7 +12,7 @@ from posmap.choi import (
     product_form,
     trace_kernel,
 )
-from posmap.errors import NotHermitianError
+from posmap.errors import CountOutOfRangeError, NotHermitianError
 from posmap.linalg import (
     frobenius,
     herm_eig,
@@ -213,6 +213,12 @@ class TestStackedRestarts:
         h = random_map_near_cp(rng_stream(42), 3, 3, mix=0.6).choi()
         search = {"restarts": 9, "seed": 5, "max_alternations": 2}
         assert_same_verdict(block_positivity(h, 3, 3, **search), loop_block_positivity(h, 3, 3, **search))
+
+    @pytest.mark.parametrize("search", [{"restarts": 0}, {"max_alternations": 0}])
+    def test_an_empty_search_is_refused(self, search):
+        # the first half-step sets x; without one there is no product vector
+        with pytest.raises(CountOutOfRangeError):
+            block_positivity(np.eye(4), 2, 2, **search)
 
     def test_validation_does_not_grow_with_restarts(self, monkeypatch):
         counter = count_validations(monkeypatch)

@@ -451,6 +451,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "rho_a: non-positive dimensions" in err and "stale witness" not in err
 
+    def test_an_unused_map_in_a_cone_input_is_not_parsed(self, tmp_path):
+        # only a weakdec violation is re-checked against the cone input's map
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        doc = cone_doc(tmp_path, [[eye, zero], [zero, eye]], extra={"map": {"kind": "map", "m": 0}})
+        out = tmp_path / "r.json"
+        assert main(["cone", "member", doc, "--seed", "4", "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+
     def test_every_witness_record_id_has_a_recheck(self):
         # every record cli can emit with a witness goes through _verdict_record
         # and has an entry in the re-check table

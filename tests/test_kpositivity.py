@@ -16,6 +16,8 @@ from posmap.errors import (
     KOutOfRangeError,
 )
 from posmap.kpositivity import (
+    _AHEAD,
+    _GaussianRows,
     bisect_threshold,
     decomposability_witness,
     dk_compose,
@@ -353,6 +355,13 @@ class TestStreamWork:
             SEARCHES[search](phi, size)
             counts.append(dict(counter))
         assert counts == [{"philox": 1, "rng_stream": 0}] * 2
+
+    def test_a_row_that_runs_long_is_widened_alone(self):
+        rows = _GaussianRows(3, 64, (3, 3))
+        for _ in range(100):
+            rows.take(np.array([5]))
+        assert rows.rows.shape[:2] == (64, _AHEAD)
+        assert {r: len(blocks) for r, blocks in rows.long.items()} == {5: 128}
 
 
 class TestIsKPositive:

@@ -20,16 +20,13 @@ from posmap.docio import map_to_document, matrix_to_doc
 from posmap.kpositivity import _GaussianRows
 from posmap.linalg import (
     _partial_transpose,
-    _stream_normals,
     _stream_seeker,
-    _unit_vectors,
     alternate_ppt_projections,
     hermitian_part,
     partial_transpose,
     project_psd,
     random_complex,
     random_psd,
-    random_unit_vector,
     rng_stream,
 )
 from posmap.maps import identity_map, random_map_near_cp, transposition_map
@@ -130,12 +127,6 @@ def test_the_seeker_rejects_what_rng_stream_rejects(seed, stream):
         rng_stream(seed, stream)
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
         _stream_seeker(seed)(stream)
-
-
-@given(dim=st.integers(1, 9), size=st.integers(1, 6), seed=seeds)
-def test_stacked_unit_vectors_equal_random_unit_vector(dim, size, seed):
-    got = _unit_vectors(_stream_normals(_stream_seeker(seed), range(size), 2 * dim))
-    assert np.array_equal(got, [random_unit_vector(rng_stream(seed, r), dim) for r in range(size)])
 
 
 @given(n=st.integers(1, 4), k=st.integers(1, 4), streams=st.integers(1, 5), seed=seeds,
