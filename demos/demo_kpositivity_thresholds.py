@@ -12,6 +12,7 @@ import numpy as np
 from posmap.kpositivity import (
     bisect_threshold,
     decomposability_witness,
+    decomposition_certificate,
     dk_compose,
     is_k_copositive,
     is_k_positive,
@@ -43,10 +44,15 @@ cert = dk_compose(total, part_pos, part_copos, 2, restarts=8, seed=1)
 print(f"  decomposition certificate residual: {cert.residual:.1e}")
 print(f"  doubly-PSD image condition: {sk_check(total, 2, samples=200, seed=2).kind}")
 print(f"  corner condition: {pk_check(total, 2, projections=40, seed=3).kind}")
+primal = decomposition_certificate(hermitian_part(total.choi()), 3, 3)
+print(f"  primal search: {primal.kind} after {primal.stats['iterations']} iterations "
+      f"(bound {primal.value:+.1e}, a proof: no witness exists)")
 
 print("\n=== the qutrit fixture is positive but NOT decomposable ===")
 cm = choi_qutrit_map()
 h = hermitian_part(cm.choi())
+primal = decomposition_certificate(h, 3, 3)
+print(f"  primal search: {primal.kind}, {primal.stats['termination']} at bound {primal.value:+.4f}")
 verdict = decomposability_witness(h, 3, 3, seed=4)
 print(f"  witness search: {verdict.kind}, pairing {verdict.value:+.4f}")
 w = verdict.witness["state"]

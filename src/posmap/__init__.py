@@ -16,6 +16,7 @@ from .cones import bipartite_context, cone_member
 from .kpositivity import (
     bisect_threshold,
     decomposability_witness,
+    decomposition_certificate,
     dk_compose,
     is_k_copositive,
     is_k_positive,
@@ -37,6 +38,7 @@ __all__ = [
     "cone_member",
     "bisect_threshold",
     "decomposability_witness",
+    "decomposition_certificate",
     "dk_compose",
     "is_k_copositive",
     "is_k_positive",

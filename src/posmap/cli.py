@@ -47,6 +47,7 @@ from .docio import (
 from .errors import ParseError, PosmapError
 from .kpositivity import (
     decomposability_witness,
+    decomposition_certificate,
     is_k_copositive,
     is_k_positive,
     pk_check,
@@ -97,10 +98,41 @@ def _verdict_record(report: dict, record_id: str, verdict: Verdict, seed: int) -
         record_id,
         verdict.kind,
         verdict.value,
-        witness=verdict.witness if verdict.is_violation else None,
+        witness=verdict.witness,
         stats=verdict.stats,
         seed=seed,
     )
+
+
+def _classify_stages(phi, h: np.ndarray, args):
+    """(record id, verdict) for each classify search, in report order; each
+    search runs when its pair is asked for, so the caller can time it."""
+    m, n = phi.m, phi.n
+    yield "cp", cp_verdict(phi)
+    yield "block_positivity", block_positivity(h, m, n, restarts=args.restarts, seed=args.seed)
+    exact = ()  # the k = n verdicts: k-positivity for k >= n is the exact test at k = n
+    for k in range(1, args.k_max + 1):
+        if k <= n:
+            kv = is_k_positive(phi, k, restarts=args.restarts, seed=args.seed)
+            kc = is_k_copositive(phi, k, restarts=args.restarts, seed=args.seed)
+            if k == n:
+                exact = kv, kc
+        else:
+            kv, kc = (dataclasses.replace(v, stats=dict(v.stats, clamped_to=n)) for v in exact)
+        yield f"k_positive_{k}", kv
+        yield f"k_copositive_{k}", kc
+        yield f"sk_{k}", sk_check(phi, k, samples=args.samples, seed=args.seed)
+        yield f"pk_{k}", pk_check(phi, k, projections=args.projections, seed=args.seed)
+    certificate = decomposition_certificate(h, m, n)
+    yield "decomposable", certificate
+    if certificate.kind == PASS:
+        # no PPT state can pair below tolerance: run no witness iteration
+        dec = decomposability_witness(h, m, n, max_iter=0, seed=args.seed)
+        yield "decomposability", dataclasses.replace(
+            dec, stats=dict(dec.stats, stopped_by="decomposable")
+        )
+    else:
+        yield "decomposability", decomposability_witness(h, m, n, seed=args.seed)
 
 
 def cmd_classify(args) -> int:
@@ -119,32 +151,12 @@ def cmd_classify(args) -> int:
         "hermitian_rtol": HERMITIAN_RTOL,
     }
     report = new_report(doc, args.seed, params)
-    m, n = phi.m, phi.n
-    h = hermitian_part(phi.choi())
-
-    cpv = cp_verdict(phi)
-    _verdict_record(report, "cp", cpv, args.seed)
-    bp = block_positivity(h, m, n, restarts=args.restarts, seed=args.seed)
-    _verdict_record(report, "block_positivity", bp, args.seed)
-
-    for k in range(1, args.k_max + 1):
-        # compressions cannot exceed the output dimension; k-positivity for
-        # k >= n coincides with the exact test at k = n
-        k_eff = min(k, n)
-        kv = is_k_positive(phi, k_eff, restarts=args.restarts, seed=args.seed)
-        kc = is_k_copositive(phi, k_eff, restarts=args.restarts, seed=args.seed)
-        if k_eff != k:
-            kv = dataclasses.replace(kv, stats=dict(kv.stats, clamped_to=k_eff))
-            kc = dataclasses.replace(kc, stats=dict(kc.stats, clamped_to=k_eff))
-        _verdict_record(report, f"k_positive_{k}", kv, args.seed)
-        _verdict_record(report, f"k_copositive_{k}", kc, args.seed)
-        sv = sk_check(phi, k, samples=args.samples, seed=args.seed)
-        _verdict_record(report, f"sk_{k}", sv, args.seed)
-        pv = pk_check(phi, k, projections=args.projections, seed=args.seed)
-        _verdict_record(report, f"pk_{k}", pv, args.seed)
-
-    dec = decomposability_witness(h, m, n, seed=args.seed)
-    _verdict_record(report, "decomposability", dec, args.seed)
+    stages = {}  # record id -> {"elapsed_s": seconds its search took}, for --timings
+    clock = time.perf_counter()
+    for record_id, verdict in _classify_stages(phi, hermitian_part(phi.choi()), args):
+        stages[record_id] = {"elapsed_s": time.perf_counter() - clock}
+        _verdict_record(report, record_id, verdict, args.seed)
+        clock = time.perf_counter()
 
     # one table per k-indexed test, k -> verdict kind, read back from the records
     kinds = {record["id"]: record["kind"] for record in report["records"]}
@@ -158,14 +170,15 @@ def cmd_classify(args) -> int:
         return next((k for k, kind in enumerate(table.values()) if kind != EVIDENCE), len(table))
 
     report["summary"] = {
-        "completely_positive": cpv.kind == PASS,
-        "block_positive": bp.kind,
+        "completely_positive": kinds["cp"] == PASS,
+        "block_positive": kinds["block_positivity"],
         "highest_k_positive_evidence": highest_evidence(tables["k_positive"]),
         "highest_k_copositive_evidence": highest_evidence(tables["k_copositive"]),
         **tables,
-        "decomposability": dec.kind,
+        "decomposable": kinds["decomposable"],
+        "decomposability": kinds["decomposability"],
     }
-    _emit(report, args.out, _timing(args))
+    _emit(report, args.out, _timing(args, stages))
     return 0
 
 
@@ -342,11 +355,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _timing(args) -> dict | None:
-    """Seconds from the start of the command to the report write, under --timings."""
-    if getattr(args, "timings", False):
-        return {"elapsed_s": time.perf_counter() - args.started}
-    return None
+def _timing(args, stages: dict | None = None) -> dict | None:
+    """Seconds from the start of the command to the report write, and per
+    search stage when the command has stages, under --timings."""
+    if not getattr(args, "timings", False):
+        return None
+    timing = {"elapsed_s": time.perf_counter() - args.started}
+    if stages is not None:
+        timing["stages"] = stages
+    return timing
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,6 +51,9 @@ from .verdicts import Verdict
 
 FAITHFUL_FLOOR = 1e-8
 CONDITION_GUARD = 1e6
+# absolute bound on |Tr(rho) - 1|: a state is used as given, never renormalised,
+# because rescaling it would move every modular and cone report built on it
+TRACE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -158,15 +161,20 @@ def gns_context(rho) -> GnsContext:
     """Build the GNS/modular bundle for the state with density matrix rho.
 
     The eigenbasis of rho fixes the frame (ascending eigenvalues, phases made
-    deterministic by the kernel's eigendecomposition rule).
+    deterministic by the kernel's eigendecomposition rule).  A trace more than
+    TRACE_TOL (absolute) away from 1 is an error, not renormalised away: a
+    state rounded at 1e-10 elsewhere must be renormalised by its producer.
     """
     r = as_matrix(rho)
     if r.shape[0] != r.shape[1]:
         raise NotAStateError(f"state matrix must be square, got {r.shape}")
     if frobenius(r - r.conj().T) > 1e-10 * max(1.0, frobenius(r)):
         raise NotAStateError("state matrix is not Hermitian")
-    if abs(np.trace(r).real - 1.0) > 1e-12 or abs(np.trace(r).imag) > 1e-12:
-        raise NotAStateError(f"trace {np.trace(r):.6g} != 1")
+    if abs(np.trace(r).real - 1.0) > TRACE_TOL or abs(np.trace(r).imag) > TRACE_TOL:
+        raise NotAStateError(
+            f"trace {np.trace(r):.17g} differs from 1 by more than {TRACE_TOL:g} "
+            "(states are not renormalised)"
+        )
     eig = herm_eig(r)
     lam = eig.eigenvalues
     if lam[0] < -psd_tol(r):

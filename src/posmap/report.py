@@ -2,10 +2,11 @@
 
 A report embeds its input document, a digest of the canonical input bytes,
 every tolerance and search parameter used, and one record per test.  Records
-for violations carry complete witnesses.  `recheck_witness` re-evaluates a
-witness through plain quadratic forms and eigenvalue checks, never re-running
-any search, from one table of re-checks keyed by record id; `verify_report`
-runs it on every violation record of a report and reports the records whose
+for violations carry complete witnesses, and a "decomposable" pass carries
+its certificate.  `recheck_witness` re-evaluates a witness through plain
+quadratic forms and eigenvalue checks, never re-running any search, from one
+table of re-checks keyed by record id; `verify_report` runs it on every
+violation and pass record that holds a witness and reports the records whose
 stored values have gone stale.
 
 Timing is never part of the canonical payload; when requested it is written
@@ -25,8 +26,10 @@ from .choi import MatrixMap, product_form
 from .cones import bipartite_context, cone_member
 from .docio import map_from_document, matrix_from_doc, matrix_to_doc
 from .errors import ParseError, StaleWitnessError
-from .linalg import DESK_SCALE_DIM, PPT_TOL, frobenius, hermitian_part, ppt_min_eigs
+from .kpositivity import decomposition_bound
+from .linalg import DESK_SCALE_DIM, PPT_TOL, frobenius, hermitian_part, ppt_min_eigs, psd_tol
 from .modular import t_phi
+from .verdicts import PASS, VIOLATION
 
 TOOL_NAME = "posmap"
 TOOL_VERSION = "0.1.0"
@@ -176,6 +179,15 @@ def _recheck_decomposability(record_id: str, phi: MatrixMap, witness: dict) -> f
     return _ppt_pairing(witness["state"], hermitian_part(phi.choi()), phi.m, phi.n)
 
 
+def _recheck_decomposable(record_id: str, phi: MatrixMap, witness: dict) -> float:
+    h = hermitian_part(phi.choi())
+    _require_shape("q", witness["q"], phi.m * phi.n)
+    bound = decomposition_bound(h, witness["q"], phi.m, phi.n)
+    if bound < -psd_tol(h):
+        raise StaleWitnessError(f"stored q leaves Q or h - Q^G non-PSD: bound {bound:.3e}")
+    return bound
+
+
 def _recheck_weakdec(record_id: str, phi: MatrixMap, witness: dict) -> float:
     n = witness["n"]
     if type(n) is not int or not 1 <= n * witness["rho_a"].shape[0] <= DESK_SCALE_DIM:
@@ -204,19 +216,22 @@ RECHECKS = {
     "sk_": _recheck_sk,
     "pk_": _recheck_pk,
     "decomposability": _recheck_decomposability,
+    "decomposable": _recheck_decomposable,
     "weakdec_": _recheck_weakdec,
 }
 
 
 def recheck_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
-    """Re-evaluate the violation witness of record `record_id` against `phi`.
+    """Re-evaluate the witness of record `record_id` against `phi`: a
+    violation's, or the certificate of a "decomposable" pass.
 
     `witness` holds arrays under the record's witness keys, as the verdicts
     return them; a weakdec witness also needs the first-factor state under
     "rho_a".  Returns the recomputed value for the caller to compare with the
     stated one.  Raises StaleWitnessError for an unknown record id or a
     structurally invalid witness (say, a projection that is not a rank-<=k
-    orthogonal projection, or a state that is not PPT).
+    orthogonal projection, a state that is not PPT, or a certificate whose
+    bound falls below -psd_tol(h)).
     """
     recheck = RECHECKS.get(record_id.rstrip("0123456789"))
     if recheck is None:
@@ -227,10 +242,14 @@ def recheck_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
 def verify_report(report: dict) -> list[str]:
     """Re-evaluate every stored witness; returns a list of failure messages.
 
-    Raises ParseError when the report or one of its records is not a JSON
-    object, a violation record lacks a string id or a finite value, or the
-    embedded input does not parse: a map, or for a report with a weakdec
-    violation, the cone input's map and first-factor state.
+    The witnesses of violation and pass records are re-checked; evidence
+    claims no proof.  A violation or a "decomposable" pass without a witness
+    is a failure.  Raises ParseError when the report or one of its records
+    is not a JSON object, a witnessed record lacks a string id or a finite
+    value, its witness is not a JSON object or holds a matrix document that
+    does not parse, or the embedded input does not parse: a map, or for a
+    report with a weakdec violation, the cone input's map and first-factor
+    state.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -244,24 +263,34 @@ def verify_report(report: dict) -> list[str]:
     phi = weak = None
     if isinstance(input_doc, dict) and input_doc.get("kind") == "map":
         phi = map_from_document(input_doc)
-    witnessed = [r for r in records if r.get("kind") == "violation" and "witness" in r]
+    # a violation or a pass claims a proof, so its witness is re-checked; a
+    # violation or a decomposable pass without one proves nothing
+    witnessed = [r for r in records if r.get("kind") in (VIOLATION, PASS) and "witness" in r]
+    failures += [
+        f"{r.get('id')}: no witness to re-check" for r in records if "witness" not in r
+        and (r.get("kind") == VIOLATION or (r.get("kind"), r.get("id")) == (PASS, "decomposable"))
+    ]
     if any(isinstance(r.get("id"), str) and r["id"].startswith("weakdec") for r in witnessed):
         # a weakdec record is re-checked against the cone input's map and first-factor state
         if not isinstance(input_doc, dict):
             raise ParseError("a weakdec report needs its embedded cone input")
         weak = map_from_document(input_doc.get("map")), matrix_from_doc(input_doc.get("rho_a"), "rho_a")
     for record in witnessed:
-        rid, stated = record.get("id"), record.get("value")
+        rid, stated, payload = record.get("id"), record.get("value"), record["witness"]
         if not isinstance(rid, str):
-            raise ParseError("a violation record needs a string id")
+            raise ParseError("a witnessed record needs a string id")
         numeric = isinstance(stated, (int, float)) and not isinstance(stated, bool)
         if not numeric or not math.isfinite(stated):
-            raise ParseError(f"{rid}: a violation record needs a finite numeric value")
+            raise ParseError(f"{rid}: a witnessed record needs a finite numeric value")
+        if not isinstance(payload, dict):
+            raise ParseError(f"{rid}: a witness must be a JSON object")
+        # a matrix that does not parse is an input error; one that parses and
+        # does not re-check is a stale witness
+        witness = {
+            key: matrix_from_doc(val, f"{rid}: witness[{key}]") if isinstance(val, dict) else val
+            for key, val in payload.items()
+        }
         try:
-            witness = {
-                key: matrix_from_doc(val, f"witness[{key}]") if isinstance(val, dict) else val
-                for key, val in record["witness"].items()
-            }
             subject = phi
             if rid.startswith("weakdec"):
                 subject, witness["rho_a"] = weak

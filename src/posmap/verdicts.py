@@ -4,8 +4,10 @@ A "violation" verdict is an exact certificate: it carries a witness whose
 defining quadratic form re-evaluates to the stated negative value.  An
 "evidence" verdict never claims a proof; it records the search statistics
 (minimum value seen, sample/restart counts, seed) that produced it.  A
-"pass" verdict comes only from an exact test (the spectral
-complete-positivity test) and is a proof.
+"pass" verdict is a proof too, and comes only from an exact test (the
+spectral complete-positivity test) or from a certificate that `verify`
+re-checks (the decomposition h = P + Q^G behind a "decomposable" pass,
+witness {"q"}).
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ EVIDENCE = "evidence"
 class Verdict:
     """Outcome of any certification test.
 
-    `witness` is None unless the verdict is a violation; its keys are the
-    record-payload names of the test that produced it (for example
-    {"vector"} for complete positivity, {"x", "y"} for block positivity and
-    {"projection", "vector"} for k-positivity).
+    `witness` is None for evidence and for the exact complete-positivity
+    pass; its keys are the record-payload names of the test that produced it
+    (for example {"vector"} for complete positivity, {"x", "y"} for block
+    positivity, {"projection", "vector"} for k-positivity and {"q"} for a
+    decomposition certificate).
     """
 
     kind: str

@@ -1,18 +1,16 @@
 """CLI behavior: classification pipeline, modular suite, cone diagnostics,
 report determinism, and independent witness verification."""
 
-import ast
-import inspect
 import json
 
 import numpy as np
 import pytest
 
-from posmap import cli
+from posmap import kpositivity
 from posmap.cli import main
 from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
-from posmap.maps import identity_map, transposition_map
-from posmap.report import RECHECKS, report_body
+from posmap.maps import choi_qutrit_map, identity_map, transposition_map
+from posmap.report import report_body
 from test_golden_corpus import GOLDEN, run_corpus
 
 CORPUS_VIOLATIONS = [
@@ -90,6 +88,54 @@ class TestClassify:
         assert k3["stats"]["clamped_to"] == 2
         assert main(["verify", str(out)]) == 0
 
+    def test_k_max_beyond_output_dimension_runs_the_exact_test_once(self, tmp_path, monkeypatch):
+        # k = 1 and k = 2 search twice each; k = 3 reuses the k = 2 verdicts
+        calls = []
+        search = kpositivity.k_block_min
+        monkeypatch.setattr(kpositivity, "k_block_min",
+                            lambda phi, k, **kw: calls.append(k) or search(phi, k, **kw))
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "8",
+                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+        assert calls == [1, 1, 2, 2]
+        report = load_report(out)
+        for name in ("k_positive", "k_copositive"):
+            k2, k3 = record_by_id(report, f"{name}_2"), record_by_id(report, f"{name}_3")
+            assert k3["stats"] == dict(k2["stats"], clamped_to=2)
+            assert {**k3, "id": k2["id"], "stats": k2["stats"]} == k2
+
+    def test_certified_map_runs_no_witness_iteration(self, tmp_path):
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "1", "--seed", "3", "--restarts", "4",
+                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+        report = load_report(out)
+        ids = [r["id"] for r in report["records"]]
+        assert ids[-2:] == ["decomposable", "decomposability"]
+        cert = record_by_id(report, "decomposable")
+        assert cert["kind"] == "pass" and set(cert["witness"]) == {"q"}
+        assert cert["stats"]["termination"] == "converged"
+        dec = record_by_id(report, "decomposability")
+        assert dec["kind"] == "evidence" and "witness" not in dec
+        assert dec["stats"]["iterations"] == 0 and dec["stats"]["stopped_by"] == "decomposable"
+        assert dec["value"] == pytest.approx(np.trace(transposition_map(2).choi()).real / 4)
+        assert report["summary"]["decomposable"] == "pass"
+        assert report["summary"]["decomposability"] == "evidence"
+        assert main(["verify", str(out)]) == 0
+
+    def test_uncertified_map_runs_the_full_witness_search(self, tmp_path):
+        doc = write_map_doc(tmp_path / "c.json", choi_qutrit_map())
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "1", "--seed", "2", "--restarts", "4",
+                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+        report = load_report(out)
+        cert = record_by_id(report, "decomposable")
+        assert cert["kind"] == "evidence" and "witness" not in cert
+        dec = record_by_id(report, "decomposability")
+        assert dec["kind"] == "violation" and "stopped_by" not in dec["stats"]
+        assert report["summary"]["decomposable"] == "evidence"
+
     def test_boolean_stats_are_json_booleans(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "report.json"
@@ -139,6 +185,21 @@ class TestDeterminism:
         assert "timing" in report
         assert "timing" not in report_body(report)
         assert 0 <= report["timing"]["elapsed_s"] < 60
+
+    def test_timings_time_every_classify_stage_and_leave_the_body_alone(self, tmp_path):
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        args = ["classify", doc, "--k-max", "3", "--seed", "2", "--restarts", "4",
+                "--samples", "10", "--projections", "4"]
+        assert main([*args, "--out", str(plain)]) == 0
+        assert main([*args, "--timings", "--out", str(timed)]) == 0
+        report = load_report(timed)
+        assert report_body(report) == load_report(plain)
+        stages = report["timing"]["stages"]
+        assert sorted(stages) == sorted(r["id"] for r in report["records"])
+        assert all(0 <= stage["elapsed_s"] <= report["timing"]["elapsed_s"]
+                   for stage in stages.values())
+        assert sum(stage["elapsed_s"] for stage in stages.values()) <= report["timing"]["elapsed_s"]
 
 
 class TestModularVerify:
@@ -459,26 +520,61 @@ class TestVerify:
         assert main(["cone", "member", doc, "--seed", "4", "--out", str(out)]) == 0
         assert main(["verify", str(out)]) == 0
 
-    def test_every_witness_record_id_has_a_recheck(self):
-        # every record cli can emit with a witness goes through _verdict_record
-        # and has an entry in the re-check table
-        tree = ast.parse(inspect.getsource(cli))
-        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-        witness_writes = [
-            c for c in calls
-            if getattr(c.func, "id", None) == "add_record"
-            and any(kw.arg == "witness" for kw in c.keywords)
-        ]
-        assert len(witness_writes) == 1  # the one inside _verdict_record
-        record_ids = []
-        for c in calls:
-            if getattr(c.func, "id", None) == "_verdict_record":
-                arg = c.args[1]
-                # an f-string id "k_positive_{k}" contributes its prefix
-                record_ids.append(arg.values[0].value if isinstance(arg, ast.JoinedStr) else arg.value)
-        assert len(record_ids) >= 8
-        for record_id in record_ids:
-            assert record_id in RECHECKS, record_id
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda q: np.eye(3), "stored q has shape (3, 3)"),
+        (lambda q: q - 5 * np.eye(4), "stored q leaves Q or h - Q^G non-PSD"),
+        (lambda q: np.zeros((4, 4)), "stored q leaves Q or h - Q^G non-PSD"),
+    ], ids=["wrong-shape", "q-not-psd", "p-not-psd"])
+    def test_tampered_certificate_detected(self, corpus, tmp_path, capsys, tamper, message):
+        report = load_report(corpus["classify_transposition_clamp"][1])
+        record = record_by_id(report, "decomposable")
+        assert record["kind"] == "pass"
+        q = matrix_from_doc(record["witness"]["q"])
+        record["witness"]["q"] = matrix_to_doc(tamper(q))
+        out = tmp_path / "tampered.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert f"stale witness: decomposable: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,record_id", [
+        ("classify_transposition_clamp", "decomposable"),
+        ("classify_neg_identity", "k_positive_1"),
+    ])
+    def test_a_proof_without_its_witness_detected(self, corpus, tmp_path, capsys, name,
+                                                  record_id):
+        report = load_report(corpus[name][1])
+        del record_by_id(report, record_id)["witness"]
+        out = tmp_path / "unwitnessed.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert f"stale witness: {record_id}: no witness to re-check" in capsys.readouterr().err
+
+    def test_edited_certificate_value_detected(self, corpus, tmp_path):
+        report = load_report(corpus["classify_transposition_clamp"][1])
+        record_by_id(report, "decomposable")["value"] = 0.25
+        out = tmp_path / "edited.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+
+    @pytest.mark.parametrize("tamper", [
+        lambda w: w["q"].update(rows="4"),
+        lambda w: w["q"]["data"].pop(),
+        lambda w: w["q"]["data"][0].append(0.0),
+        lambda w: w["q"].update(data=[["1", 0]] * 16),
+    ], ids=["string-rows", "short-data", "triple-entry", "string-entry"])
+    def test_malformed_certificate_matrix_is_an_input_error(self, corpus, tmp_path, tamper):
+        report = load_report(corpus["classify_transposition_clamp"][1])
+        tamper(record_by_id(report, "decomposable")["witness"])
+        out = tmp_path / "malformed.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 2
+
+    def test_a_witness_that_is_not_an_object_is_an_input_error(self, corpus, tmp_path):
+        report = load_report(corpus["classify_transposition_clamp"][1])
+        record_by_id(report, "decomposable")["witness"] = [1, 2]
+        out = tmp_path / "listed.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 2
 
     # n = 19 asks for a 2 * 19 = 38-dimensional product context; 1.5 and "1"
     # used to be read as n = 1 and verify

@@ -15,6 +15,10 @@ the function as a constant.  A call passes a parameter by keyword, by
 position, or through ``**kwargs``/``*args``, which count as passing every
 parameter; a method called as ``obj.name(...)`` has its first parameter
 bound, so its positions shift by one.  Calls in ``bench/`` count too.
+
+A record that a command writes with a witness is re-checked by ``posmap
+verify``, so every such record id has an entry in ``report.RECHECKS``: a new
+certificate cannot ship without its re-check.
 """
 
 import ast
@@ -22,6 +26,7 @@ import re
 from pathlib import Path
 
 import posmap
+from posmap.report import RECHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "posmap"
@@ -151,3 +156,41 @@ def test_public_api_is_documented():
     documented = _readme_words()
     undocumented = [name for name in posmap.__all__ if name != "__version__" and name not in documented]
     assert not undocumented, f"exported but not in README.md: {', '.join(undocumented)}"
+
+
+def _id_prefix(node):
+    """The literal record id of an id expression, or of an f-string
+    "k_positive_{k}" its literal prefix; None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant):
+        return node.values[0].value
+    return None
+
+
+def test_every_record_written_with_a_witness_has_a_recheck():
+    # in the package, only cli._verdict_record writes a record with a witness;
+    # its id is a literal, or the id half of a (record id, verdict) pair that a
+    # cli generator yields
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+                if getattr(call.func, "id", None) == "add_record" and any(
+                    kw.arg == "witness" for kw in call.keywords
+                ):
+                    writers.add(f"{path.stem}.{func.name}")
+    assert writers == {"cli._verdict_record"}
+
+    nodes = list(ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))))
+    ids = [n.args[1] for n in nodes
+           if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_verdict_record"]
+    ids += [n.value.elts[0] for n in nodes if isinstance(n, ast.Yield) and isinstance(n.value, ast.Tuple)]
+    # one call records the yielded pairs under a loop variable
+    assert sum(isinstance(i, ast.Name) for i in ids) == 1
+    prefixes = [_id_prefix(i) for i in ids if not isinstance(i, ast.Name)]
+    assert None not in prefixes, "a record id that is neither a literal nor an f-string prefix"
+    assert {"cp", "block_positivity", "k_positive_", "decomposable", "weakdec_"} <= set(prefixes)
+    missing = sorted(set(prefixes) - set(RECHECKS))
+    assert not missing, f"records written with a witness but no re-check: {', '.join(missing)}"

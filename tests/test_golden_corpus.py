@@ -5,7 +5,8 @@ its summary are compared with ``golden_corpus.json``.  Kinds, ids, stats and
 summaries must match exactly and values to 1e-12, so a refactor that changes
 a verdict, a search budget or a random draw shows up here.  The runs cover
 the k > n clamp, a violation of every map test, a decomposability
-violation, a weak-decomposability violation, each cone subcommand and the
+violation, a decomposition certificate (transposition), a weak-decomposability
+violation, each cone subcommand and the
 modular suite, all with small search budgets.
 
 Regenerate the fixture (only when a change of verdicts is intended) with

@@ -14,12 +14,15 @@ from posmap.errors import (
     ComponentNotKPositiveError,
     CountOutOfRangeError,
     KOutOfRangeError,
+    NotHermitianError,
 )
 from posmap.kpositivity import (
     _AHEAD,
     _GaussianRows,
     bisect_threshold,
     decomposability_witness,
+    decomposition_bound,
+    decomposition_certificate,
     dk_compose,
     is_k_copositive,
     is_k_positive,
@@ -54,7 +57,7 @@ from posmap.maps import (
     transposition_map,
 )
 from posmap.report import recheck_witness
-from posmap.verdicts import EVIDENCE, VIOLATION, Verdict
+from posmap.verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
 
 def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, improve_tol=1e-12, seed=0):
@@ -607,6 +610,101 @@ class TestDecomposabilityWitness:
                 if np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-12:
                     best = min(best, np.trace(w @ h).real)
         assert best <= -1e-4
+
+
+def decomposable_maps():
+    """(name, map) for the decomposable families the primal search certifies:
+    CP, co-CP and CP + co-CP maps at 2x2, 2x3 and 3x3, transposition, and the
+    reduction family at lam >= 1 (co-CP there: its partial transpose is
+    lam I - flip >= 0)."""
+    for t, (m, n) in enumerate([(2, 2), (2, 3), (3, 3)]):
+        rng = rng_stream(940, t)
+        total, cp_part, ccp_part = random_decomposable_map(rng, m, n)
+        yield f"cp-{m}x{n}", cp_part
+        yield f"ccp-{m}x{n}", ccp_part
+        yield f"dec-{m}x{n}", total
+    yield "transposition-2", transposition_map(2)
+    yield "transposition-3", transposition_map(3)
+    for lam in (1.0, 1.5, 2.5):
+        yield f"reduction-{lam}", reduction_family(lam, 3)
+
+
+class TestDecompositionCertificate:
+    @pytest.mark.parametrize("name,phi", list(decomposable_maps()))
+    def test_decomposable_maps_are_certified_and_never_refuted(self, name, phi):
+        h = hermitian_part(phi.choi())
+        cert = decomposition_certificate(h, phi.m, phi.n)
+        assert cert.kind == PASS, (name, cert.value, cert.stats)
+        assert cert.stats["termination"] == "converged"
+        assert cert.value >= -psd_tol(h)
+        # the re-check of the certificate is its stated value
+        assert recheck_witness("decomposable", phi, cert.witness) == cert.value
+        # cross-check: with a certificate, the full-budget dual search and the
+        # corner search can find no violation
+        assert decomposability_witness(h, phi.m, phi.n, seed=1).kind == EVIDENCE
+        for k in range(1, phi.n + 1):
+            assert pk_check(phi, k, projections=12, seed=k).kind == EVIDENCE
+
+    @pytest.mark.parametrize("name,phi", [
+        ("choi-qutrit", choi_qutrit_map()),
+        ("reduction-0.5", reduction_family(0.5, 3)),
+        ("reduction-0.99", reduction_family(0.99, 3)),
+        ("reduction-2x2-0.9", reduction_family(0.9, 2)),
+        ("negated-identity", -1.0 * identity_map(2)),
+        ("negated-identity-3", -1.0 * identity_map(3)),
+    ])
+    def test_maps_that_are_not_decomposable_are_never_certified(self, name, phi):
+        h = hermitian_part(phi.choi())
+        cert = decomposition_certificate(h, phi.m, phi.n)
+        assert cert.kind == EVIDENCE and cert.witness is None
+        assert cert.value < -psd_tol(h)
+        assert cert.stats["termination"] in ("stalled", "max_iter")
+        assert cert.stats["iterations"] <= 500
+        # weak duality: the best bound is below every PPT pairing, the witness's too
+        witness = decomposability_witness(h, phi.m, phi.n, seed=1)
+        assert witness.is_violation and witness.value >= cert.value
+
+    def test_positive_maps_on_a_qubit_input_are_certified(self):
+        # every positive map M_2 -> M_2 and M_2 -> M_3 is decomposable
+        # (Stormer 1963, Woronowicz 1976): each near-CP map that passes block
+        # positivity gets a certificate
+        for m, n in [(2, 2), (2, 3)]:
+            certified = t = 0
+            while certified < 12 and t < 400:
+                phi = random_map_near_cp(rng_stream(950 + n, t), m, n, mix=0.3)
+                h = hermitian_part(phi.choi())
+                t += 1
+                if block_positivity(h, m, n, restarts=16, seed=t).kind == EVIDENCE:
+                    cert = decomposition_certificate(h, m, n)
+                    assert cert.kind == PASS, (m, n, t, cert.value, cert.stats)
+                    certified += 1
+            assert certified == 12
+
+    def test_certificate_is_deterministic_and_stores_only_q(self):
+        phi = random_decomposable_map(rng_stream(941), 2, 3)[0]
+        h = hermitian_part(phi.choi())
+        first, second = decomposition_certificate(h, 2, 3), decomposition_certificate(h, 2, 3)
+        assert first.kind == PASS and set(first.witness) == {"q"}
+        assert np.array_equal(first.witness["q"], second.witness["q"])
+        assert first.value == second.value and first.stats == second.stats
+
+    def test_bound_is_a_lower_bound_on_every_ppt_pairing(self):
+        # Tr(w h) >= bound for PPT states w, whatever Q is
+        phi = random_hermiticity_preserving(rng_stream(942), 2, 2)
+        h = hermitian_part(phi.choi())
+        for t in range(20):
+            q = random_complex(rng_stream(943, t), (4, 4))
+            bound = decomposition_bound(h, q @ q.conj().T, 2, 2)
+            w = alternate_ppt_projections(random_psd(rng_stream(944, t), 4), 2, 2, "first", 30)
+            w /= np.trace(w).real
+            if min(ppt_min_eigs(w, 2, 2, "first")) >= -1e-12:
+                assert np.trace(w @ h).real >= bound - 1e-9
+
+    def test_input_is_validated(self):
+        with pytest.raises(ValueError):
+            decomposition_certificate(np.eye(4), 2, 3)
+        with pytest.raises(NotHermitianError):
+            decomposition_certificate(np.triu(np.ones((4, 4))), 2, 2)
 
 
 class TestPkCheck:

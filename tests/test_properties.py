@@ -2,7 +2,8 @@
 partial transpose is an involution, the Choi encoding round-trips, a
 counter-built stream equals the jumped one, a stream reached by the shared
 seeker equals its `rng_stream`, no hostile field in a document makes the
-CLI raise, and every violation `posmap classify` writes re-verifies."""
+CLI raise, and every violation and certificate `posmap classify` writes
+re-verifies."""
 
 import copy
 import json
@@ -215,9 +216,11 @@ def hostile_cases(tmp_path_factory):
         "cone": (cone_doc, cone_argv),
         "state": ({"kind": "state", "matrix": matrix_to_doc(np.diag([0.3, 0.7]))}, state_argv),
     }
-    # reports whose records hold violation witnesses: every map test, and weakdec
+    # reports whose records hold witnesses: a violation of every map test, a
+    # decomposition certificate (transposition is co-CP), and weakdec
     for name, doc, argv, sub in [
         ("classify", map_to_document(-1.0 * identity_map(2), "choi"), classify_argv, None),
+        ("certified", cases["map"][0], classify_argv, None),
         ("weakdec", cone_doc, cone_argv, "weakdec"),
     ]:
         source, out = tmp / f"{name}.json", tmp / f"{name}-report.json"
@@ -229,7 +232,9 @@ def hostile_cases(tmp_path_factory):
     return tmp, cases
 
 
-@pytest.mark.parametrize("kind", ["map", "cone", "state", "classify report", "weakdec report"])
+@pytest.mark.parametrize(
+    "kind", ["map", "cone", "state", "classify report", "certified report", "weakdec report"]
+)
 @settings(max_examples=150)
 @given(data=st.data())
 def test_a_hostile_field_is_an_exit_code_never_a_traceback(hostile_cases, kind, data):
@@ -254,8 +259,9 @@ def test_a_hostile_field_is_an_exit_code_never_a_traceback(hostile_cases, kind, 
 
 
 @settings(max_examples=25)
-@given(m=st.integers(1, 3), n=st.integers(1, 3), mix=st.sampled_from([0.3, 1.0, 3.0]),
+@given(m=st.integers(1, 3), n=st.integers(1, 3), mix=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
        map_seed=seeds, seed=st.integers(0, 10**6), k_max=st.integers(1, 3))
+@example(m=2, n=3, mix=0.0, map_seed=1, seed=1, k_max=1)  # CP, so certified decomposable
 def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, map_seed, seed,
                                                   k_max):
     phi = random_map_near_cp(rng_stream(map_seed), m, n, mix=mix)
@@ -266,7 +272,13 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
             "--projections", "6", "--seed", str(seed), "--out", str(out)]
     assert main(argv) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    for record in report["records"]:
-        if record["kind"] == "violation":
-            event(f"violation {record['id'].rstrip('0123456789')}")
+    kinds = {record["id"]: record["kind"] for record in report["records"]}
+    for rid, kind in kinds.items():
+        if kind == "violation":
+            event(f"violation {rid.rstrip('0123456789')}")
+    if kinds["decomposable"] == "pass":
+        event("certified decomposable")
+        # a decomposable map has decomposable corners: nothing can refute it
+        assert all(kinds[rid] != "violation" for rid in kinds
+                   if rid == "decomposability" or rid.startswith("pk_"))
     assert main(["verify", str(out)]) == 0
