@@ -17,18 +17,6 @@ class NotHermitianError(PosmapError, ValueError):
     """Hermitian symmetry tolerance exceeded."""
 
 
-class NotPsdError(PosmapError, ValueError):
-    """A positive semidefinite matrix was required."""
-
-
-class SingularForNegativePowerError(PosmapError, ValueError):
-    """Negative matrix power requested for a numerically singular matrix."""
-
-
-class RankOutOfRangeError(PosmapError, ValueError):
-    """Projection rank outside 1..dim."""
-
-
 class KOutOfRangeError(PosmapError, ValueError):
     """Positivity order k outside its admissible range."""
 

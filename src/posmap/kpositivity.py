@@ -6,8 +6,7 @@ below follow the asymmetric doctrine: a negative compressed eigenvalue is an
 exact, re-checkable violation; exhausting a sampling budget only yields
 evidence.
 
-Four related conditions are certified separately and none is ever inferred
-from the others:
+Four related conditions are certified separately here:
 
 - `k_block_min` / `is_k_positive` / `is_k_copositive`: compression tests;
 - `sk_check`: images of doubly-PSD block matrices stay PSD;
@@ -21,7 +20,9 @@ a search for P, Q >= 0 with h = P + Q^G.  A certificate it finds is a proof
 (a "pass" with a witness that `verify` re-checks through
 `decomposition_bound`), and then no witness can exist: a decomposable map's
 compressed corners are decomposable too, so a `pk_` violation on a certified
-map would be a bug.
+map would be a bug.  A certificate also bounds `sk_check` for every k: the
+image of a trace-one doubly-PSD block has no eigenvalue below its value, so
+`classify` decides the `sk_` records of a certified map from it, unsampled.
 """
 
 from __future__ import annotations

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPsdError,
-    NotSquareError,
-    RankOutOfRangeError,
-    SingularForNegativePowerError,
-)
+from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 
 HERMITIAN_RTOL = 1e-8
 PSD_RTOL = 1e-9
@@ -104,28 +97,6 @@ def psd_min_eig(a) -> float:
     """Smallest eigenvalue of a Hermitian matrix; caller compares to a tolerance."""
     m = check_hermitian(a)
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def frac_power(a, beta: float) -> np.ndarray:
-    """``a**beta`` for a PSD matrix via its eigendecomposition.
-
-    Eigenvalues in ``[-tol, 0]`` are clamped to zero.  A negative power
-    requires the matrix to be invertible well beyond the clamping tolerance.
-    """
-    eig = herm_eig(a)
-    w = eig.eigenvalues.copy()
-    tol = psd_tol(a)
-    if w[0] < -tol:
-        raise NotPsdError(f"min eigenvalue {w[0]:.3e} below -{tol:.3e}")
-    w = np.clip(w, 0.0, None)
-    if beta < 0:
-        norm = w[-1] if w.size else 0.0
-        if w[0] <= 1e-12 * max(norm, 1.0):
-            raise SingularForNegativePowerError(
-                f"min eigenvalue {w[0]:.3e} too small for power {beta}"
-            )
-    v = eig.eigenvectors
-    return (v * w**beta) @ v.conj().T
 
 
 def matrix_units(d: int) -> np.ndarray:
@@ -260,11 +231,6 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = random_complex(rng, (dim, dim))
-    return hermitian_part(g)
-
-
 def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     return _psd_from_normals(rng.standard_normal((2, dim, dim if rank is None else rank)))
 
@@ -297,16 +263,3 @@ def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
     d = np.diagonal(r, axis1=-2, axis2=-1)
     d = np.where(np.abs(d) > 0, d / np.maximum(np.abs(d), 1e-300), 1.0)
     return q * d.conj()[..., None, :]
-
-
-def haar_projection(dim: int, rank: int, seed) -> np.ndarray:
-    """Haar-random rank-`rank` orthogonal projection on C^dim.
-
-    `seed` may be an integer or a Generator; an integer always yields the
-    same projection.
-    """
-    if not 1 <= rank <= dim:
-        raise RankOutOfRangeError(f"rank {rank} outside 1..{dim}")
-    rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed)
-    v = haar_isometry(rng, dim, rank)
-    return v @ v.conj().T

@@ -244,12 +244,14 @@ def verify_report(report: dict) -> list[str]:
 
     The witnesses of violation and pass records are re-checked; evidence
     claims no proof.  A violation or a "decomposable" pass without a witness
-    is a failure.  Raises ParseError when the report or one of its records
-    is not a JSON object, a witnessed record lacks a string id or a finite
-    value, its witness is not a JSON object or holds a matrix document that
-    does not parse, or the embedded input does not parse: a map, or for a
-    report with a weakdec violation, the cone input's map and first-factor
-    state.
+    is a failure, and so is a record whose stats say it was stopped by the
+    decomposition certificate ("stopped_by": "decomposable") when no
+    "decomposable" pass re-checks.  Raises ParseError when the report or one
+    of its records is not a JSON object, a witnessed record lacks a string id
+    or a finite value, its witness is not a JSON object or holds a matrix
+    document that does not parse, or the embedded input does not parse: a
+    map, or for a report with a weakdec violation, the cone input's map and
+    first-factor state.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -275,6 +277,7 @@ def verify_report(report: dict) -> list[str]:
         if not isinstance(input_doc, dict):
             raise ParseError("a weakdec report needs its embedded cone input")
         weak = map_from_document(input_doc.get("map")), matrix_from_doc(input_doc.get("rho_a"), "rho_a")
+    certified = False  # whether a "decomposable" pass re-checks
     for record in witnessed:
         rid, stated, payload = record.get("id"), record.get("value"), record["witness"]
         if not isinstance(rid, str):
@@ -304,4 +307,13 @@ def verify_report(report: dict) -> list[str]:
         else:
             if abs(stated - value) > VALUE_TOL * max(1.0, abs(stated)):
                 failures.append(f"{rid}: stated value {stated:.12e} re-evaluates to {value:.12e}")
+            elif (rid, record["kind"]) == ("decomposable", PASS):
+                certified = True
+    # a search stopped by the decomposition certificate rests on its proof
+    failures += [
+        f"{r.get('id')}: stopped by a decomposition certificate that does not re-check"
+        for r in records
+        if not certified and isinstance(r.get("stats"), dict)
+        and r["stats"].get("stopped_by") == "decomposable"
+    ]
     return failures

@@ -2,11 +2,12 @@
 report determinism, and independent witness verification."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from posmap import kpositivity
+from posmap import cli, kpositivity
 from posmap.cli import main
 from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
 from posmap.maps import choi_qutrit_map, identity_map, transposition_map
@@ -120,6 +121,12 @@ class TestClassify:
         assert dec["kind"] == "evidence" and "witness" not in dec
         assert dec["stats"]["iterations"] == 0 and dec["stats"]["stopped_by"] == "decomposable"
         assert dec["value"] == pytest.approx(np.trace(transposition_map(2).choi()).real / 4)
+        # the certificate decides the block-matrix condition: no sample is drawn
+        sk = record_by_id(report, "sk_1")
+        assert sk["kind"] == "evidence" and "witness" not in sk
+        assert sk["stats"] == {"samples": 0, "seed": 3, "min_value": cert["value"],
+                               "stopped_by": "decomposable"}
+        assert sk["value"] == cert["value"] >= -1e-9
         assert report["summary"]["decomposable"] == "pass"
         assert report["summary"]["decomposability"] == "evidence"
         assert main(["verify", str(out)]) == 0
@@ -134,6 +141,8 @@ class TestClassify:
         assert cert["kind"] == "evidence" and "witness" not in cert
         dec = record_by_id(report, "decomposability")
         assert dec["kind"] == "violation" and "stopped_by" not in dec["stats"]
+        sk = record_by_id(report, "sk_1")
+        assert sk["stats"]["samples"] == 20 and "stopped_by" not in sk["stats"]
         assert report["summary"]["decomposable"] == "evidence"
 
     def test_boolean_stats_are_json_booleans(self, tmp_path):
@@ -186,7 +195,17 @@ class TestDeterminism:
         assert "timing" not in report_body(report)
         assert 0 <= report["timing"]["elapsed_s"] < 60
 
-    def test_timings_time_every_classify_stage_and_leave_the_body_alone(self, tmp_path):
+    def test_timings_time_every_classify_stage_and_leave_the_body_alone(self, tmp_path,
+                                                                          monkeypatch):
+        # the certificate runs before the k loop; a slowed one shows in its own
+        # stage, not in the sk_ stages it decides
+        certificate = cli.decomposition_certificate
+
+        def slow_certificate(*args):
+            time.sleep(0.2)
+            return certificate(*args)
+
+        monkeypatch.setattr(cli, "decomposition_certificate", slow_certificate)
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
         args = ["classify", doc, "--k-max", "3", "--seed", "2", "--restarts", "4",
@@ -200,6 +219,10 @@ class TestDeterminism:
         assert all(0 <= stage["elapsed_s"] <= report["timing"]["elapsed_s"]
                    for stage in stages.values())
         assert sum(stage["elapsed_s"] for stage in stages.values()) <= report["timing"]["elapsed_s"]
+        assert stages["decomposable"]["elapsed_s"] >= 0.2
+        for k in (1, 2, 3):
+            assert record_by_id(report, f"sk_{k}")["stats"]["samples"] == 0
+            assert stages[f"sk_{k}"]["elapsed_s"] < 0.2
 
 
 class TestModularVerify:
@@ -548,6 +571,26 @@ class TestVerify:
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
         assert f"stale witness: {record_id}: no witness to re-check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", ["evidence-without-witness", "edited-value"])
+    def test_a_short_circuit_without_a_certificate_detected(self, corpus, tmp_path, capsys,
+                                                            tamper):
+        # the sk_ and decomposability records stopped by the certificate rest on it
+        report = load_report(corpus["classify_transposition_clamp"][1])
+        cert = record_by_id(report, "decomposable")
+        if tamper == "edited-value":
+            cert["value"] = 0.25
+        else:
+            cert["kind"] = "evidence"
+            del cert["witness"]
+        out = tmp_path / "uncertified.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        for record_id in ("sk_1", "sk_2", "sk_3", "decomposability"):
+            assert record_by_id(report, record_id)["stats"]["stopped_by"] == "decomposable"
+            assert (f"stale witness: {record_id}: stopped by a decomposition certificate "
+                    "that does not re-check") in err
 
     def test_edited_certificate_value_detected(self, corpus, tmp_path):
         report = load_report(corpus["classify_transposition_clamp"][1])

@@ -645,6 +645,18 @@ class TestDecompositionCertificate:
         for k in range(1, phi.n + 1):
             assert pk_check(phi, k, projections=12, seed=k).kind == EVIDENCE
 
+    @pytest.mark.parametrize("name,phi", list(decomposable_maps()))
+    def test_certificate_bounds_every_sampled_block_image(self, name, phi):
+        # with h = P + Q^G, the image of a trace-one block PSD in both orderings
+        # has no eigenvalue below min(lambda_min(P), 0) + min(lambda_min(Q), 0),
+        # the certificate's value, whatever k: classify's sk_ records rest on this
+        cert = decomposition_certificate(hermitian_part(phi.choi()), phi.m, phi.n)
+        assert cert.kind == PASS
+        for k in range(1, phi.n + 1):
+            sampled = sk_check(phi, k, samples=200, seed=k)
+            assert sampled.kind == EVIDENCE, (name, k, sampled.value)
+            assert sampled.value >= cert.value - 1e-12, (name, k, sampled.value, cert.value)
+
     @pytest.mark.parametrize("name,phi", [
         ("choi-qutrit", choi_qutrit_map()),
         ("reduction-0.5", reduction_family(0.5, 3)),

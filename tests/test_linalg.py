@@ -3,21 +3,13 @@
 import numpy as np
 import pytest
 
-from posmap.errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPsdError,
-    NotSquareError,
-    RankOutOfRangeError,
-    SingularForNegativePowerError,
-)
+from linalg_helpers import frac_power, haar_projection, random_hermitian
+from posmap.errors import DimensionMismatchError, NotHermitianError, NotSquareError
 from posmap.linalg import (
     _eigh_phased,
     _haar_from_gaussian,
-    frac_power,
     frobenius,
     haar_isometry,
-    haar_projection,
     herm_eig,
     hs_inner,
     matrix_units,
@@ -25,7 +17,6 @@ from posmap.linalg import (
     ppt_min_eigs,
     psd_min_eig,
     random_complex,
-    random_hermitian,
     random_psd,
     rng_stream,
 )
@@ -130,11 +121,11 @@ class TestFracPower:
                 assert frobenius(lhs - rhs) <= 1e-9 * max(1.0, frobenius(rhs))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPsdError):
+        with pytest.raises(ValueError, match="not PSD"):
             frac_power(np.diag([1.0, -1.0]), 0.5)
 
     def test_rejects_singular_negative_power(self):
-        with pytest.raises(SingularForNegativePowerError):
+        with pytest.raises(ValueError, match="singular"):
             frac_power(np.diag([1.0, 0.0]), -1.0)
 
 
@@ -259,9 +250,9 @@ class TestHaarProjection:
         assert abs(np.trace(p).real - rank) <= 1e-10
 
     def test_rank_out_of_range(self):
-        with pytest.raises(RankOutOfRangeError):
+        with pytest.raises(ValueError, match="rank"):
             haar_projection(3, 0, seed=0)
-        with pytest.raises(RankOutOfRangeError):
+        with pytest.raises(ValueError, match="rank"):
             haar_projection(3, 4, seed=0)
 
     @pytest.mark.parametrize("dim,rank", [(3, 1), (4, 2), (4, 3)])

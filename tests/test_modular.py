@@ -4,6 +4,7 @@ induced operators, and the balance adjoint."""
 import numpy as np
 import pytest
 
+from linalg_helpers import frac_power
 from posmap.choi import MatrixMap
 from posmap.errors import (
     BetaOutOfRangeError,
@@ -12,7 +13,6 @@ from posmap.errors import (
     NotInNaturalConeError,
 )
 from posmap.linalg import (
-    frac_power,
     frobenius,
     hs_inner,
     random_complex,
