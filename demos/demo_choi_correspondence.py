@@ -8,13 +8,8 @@ maps, reads their operators, and runs the base positivity tests.
 
 import numpy as np
 
-from posmap.choi import (
-    MatrixMap,
-    block_positivity,
-    block_positivity_forms,
-    cp_verdict,
-    kernel_transpose_gap,
-)
+from posmap.choi import MatrixMap, block_positivity_forms, cp_verdict, kernel_transpose_gap
+from posmap.kpositivity import is_k_positive
 from posmap.linalg import hermitian_part, random_unit_vector, rng_stream
 from posmap.maps import identity_map, swap_operator, trace_times_identity, transposition_map
 
@@ -32,8 +27,8 @@ for name, phi in catalog.items():
     print(h.real)
     verdict = cp_verdict(phi)
     print(f"  complete positivity: {verdict.kind} (min eigenvalue {verdict.value:+.4f})")
-    bp = block_positivity(hermitian_part(h), 2, 2, restarts=16, seed=11)
-    print(f"  block positivity search: {bp.kind}, min product value {bp.value:+.3e}\n")
+    bp = is_k_positive(phi, 1, restarts=16, seed=11)
+    print(f"  block positivity (1-positivity) search: {bp.kind}, min product value {bp.value:+.3e}\n")
 
 print("=== transposition's operator is the flip ===")
 print("||choi(t) - swap|| =", np.linalg.norm(transposition_map(2).choi() - swap_operator(2)))

@@ -11,7 +11,7 @@ The package exports the API documented in the README; every other name is
 imported from its own submodule (``posmap.maps``, ``posmap.linalg``, ...).
 """
 
-from .choi import MatrixMap, block_positivity, cp_verdict
+from .choi import MatrixMap, cp_verdict
 from .cones import bipartite_context, cone_member
 from .kpositivity import (
     bisect_threshold,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MatrixMap",
-    "block_positivity",
     "cp_verdict",
     "bipartite_context",
     "cone_member",

@@ -11,27 +11,19 @@ inverses.  The dual encoding `trace_kernel` returns the operator
 g = sum_kl g_kl (x) F_kl whose coefficient matrices reproduce phi through
 trace pairings, phi(a)[k, l] = Tr(a g_lk); the two encodings are related by a
 full transposition in the product basis, h = g^T.
+
+phi is completely positive exactly when h is PSD (`cp_verdict`), and
+positive exactly when h is block positive, which is 1-positivity: its
+search is `kpositivity.is_k_positive(phi, 1)`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CountOutOfRangeError, DimensionMismatchError, NotHermitianError
-from .linalg import (
-    HERMITIAN_RTOL,
-    _eigh_phased,
-    _stream_seeker,
-    as_matrix,
-    check_hermitian,
-    frobenius,
-    herm_eig,
-    hermitian_part,
-    matrix_units,
-    psd_tol,
-    random_unit_vector,
-)
-from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
+from .errors import DimensionMismatchError, NotHermitianError
+from .linalg import HERMITIAN_RTOL, as_matrix, frobenius, herm_eig, matrix_units, psd_tol
+from .verdicts import PASS, VIOLATION, Verdict
 
 
 class MatrixMap:
@@ -186,90 +178,6 @@ def cp_verdict(phi: MatrixMap) -> Verdict:
     return Verdict(VIOLATION, min_eig, witness={"vector": eig.eigenvectors[:, 0]})
 
 
-def _row_matrix(h4: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m x m matrices <e_i (x) y_r, h (e_j (x) y_r)>, one per row y_r of the
-    (R, n) stack of second-factor vectors y."""
-    return np.einsum("ra,iajb,rb->rij", y.conj(), h4, y)
-
-
-def _col_matrix(h4: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """n x n matrices <x_r (x) f_a, h (x_r (x) f_b)>, one per row x_r of the
-    (R, m) stack of first-factor vectors x."""
-    return np.einsum("ri,iajb,rj->rab", x.conj(), h4, x)
-
-
-def product_form(h, m: int, n: int, x, y) -> float:
-    """<x (x) y, h (x (x) y)> for unit product vectors."""
-    hm = as_matrix(h)
-    xy = np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    return float(np.vdot(xy, hm @ xy).real)
-
-
-def block_positivity(
-    h,
-    m: int,
-    n: int,
-    *,
-    restarts: int = 32,
-    max_alternations: int = 200,
-    improve_tol: float = 1e-12,
-    seed: int = 0,
-) -> Verdict:
-    """See-saw minimization of <x (x) y, h (x (x) y)> over unit product vectors.
-
-    Fixing y reduces the objective to a Hermitian form on x whose minimizer is
-    an extreme eigenvector, and symmetrically for x; the search alternates the
-    two exact half-steps from multiple seeded restarts.  A negative optimum
-    below tolerance is an exact violation certificate with witness {"x", "y"};
-    otherwise the verdict is evidence with the search statistics attached.
-
-    All restarts run as one stack, which a restart leaves once its value
-    improves by less than `improve_tol`.  Restart r draws its start y in one
-    call from its own stream `rng_stream(seed, r)`, every stream reached on
-    one bit generator, so the verdict is that of running the restarts one
-    after another.  The first half-step sets x, so x has no start.
-    """
-    hm = check_hermitian(h)
-    if hm.shape != (m * n, m * n):
-        raise DimensionMismatchError(f"shape {hm.shape} does not match m={m}, n={n}")
-    if restarts < 1:
-        raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
-    if max_alternations < 1:
-        raise CountOutOfRangeError(f"max_alternations={max_alternations} must be >= 1")
-    h4 = hm.reshape(m, n, m, n)
-
-    seek = _stream_seeker(seed)
-    y = np.array([random_unit_vector(seek(r), n) for r in range(restarts)])
-    x = np.empty((restarts, m), dtype=complex)
-    prev = np.full(restarts, np.inf)
-    active = np.arange(restarts)
-    total_alternations = 0
-    for _ in range(max_alternations):
-        total_alternations += active.size
-        _, vx = _eigh_phased(hermitian_part(_row_matrix(h4, y[active])))
-        x[active] = vx[:, :, 0]
-        wy, vy = _eigh_phased(hermitian_part(_col_matrix(h4, x[active])))
-        y[active] = vy[:, :, 0]
-        going = prev[active] - wy[:, 0] >= improve_tol
-        prev[active] = wy[:, 0]
-        active = active[going]
-        if active.size == 0:
-            break
-
-    best = int(np.argmin(prev))
-    x, y = x[best], y[best]
-    exact = product_form(hm, m, n, x, y)
-    stats = {
-        "restarts": restarts,
-        "alternations": total_alternations,
-        "seed": seed,
-        "min_value": exact,
-    }
-    if exact < -psd_tol(hm):
-        return Verdict(VIOLATION, exact, witness={"x": x, "y": y}, stats=stats)
-    return Verdict(EVIDENCE, exact, stats=stats)
-
-
 def block_positivity_forms(h, m: int, n: int, x, y) -> tuple[float, float, float]:
     """The three equivalent quadratic forms behind block positivity.
 
@@ -286,9 +194,10 @@ def block_positivity_forms(h, m: int, n: int, x, y) -> tuple[float, float, float
     if xv.shape != (m,) or yv.shape != (n,):
         raise DimensionMismatchError("vector lengths must match the declared factors")
     h4 = hm.reshape(m, n, m, n)
-    f1 = product_form(hm, m, n, xv, yv)
+    xy = np.kron(xv, yv)
+    f1 = np.vdot(xy, hm @ xy)
     # second-factor blocks A_kl[p, q] = h[(p, k), (q, l)], weights lambda = y
     f2 = np.einsum("k,l,p,pkql,q->", yv.conj(), yv, xv.conj(), h4, xv)
     # first-factor blocks A'_ij[k, l] = h[(i, k), (j, l)], weights mu = x
     f3 = np.einsum("i,j,k,ikjl,l->", xv.conj(), xv, yv.conj(), h4, yv)
-    return f1, float(f2.real), float(f3.real)
+    return float(f1.real), float(f2.real), float(f3.real)

@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from .choi import block_positivity, cp_verdict
+from .choi import cp_verdict
 from .cones import (
     bipartite_context,
     cone_member,
@@ -106,7 +106,9 @@ def _verdict_record(report: dict, record_id: str, verdict: Verdict, seed: int) -
 
 def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     """(record id, verdict) for each classify search, in report order; each
-    search runs when its pair is asked for, so the caller can time it.
+    search runs when its pair is asked for, so the caller can time it.  The
+    k = 1 search runs for the block_positivity pair, and k_positive_1 reuses
+    its verdict.
 
     `certificate` is the `decomposition_certificate` of h.  A pass decides
     every sk_ record: with h = P + Q^G, the image of a trace-one block that is
@@ -119,10 +121,13 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
         "stopped_by": "decomposable",
     })
     yield "cp", cp_verdict(phi)
-    yield "block_positivity", block_positivity(h, m, n, restarts=args.restarts, seed=args.seed)
+    positive = is_k_positive(phi, 1, restarts=args.restarts, seed=args.seed)
+    yield "block_positivity", dataclasses.replace(
+        positive, stats=dict(positive.stats, derived_from="k_positive_1")
+    )
     for k in range(1, args.k_max + 1):
         if k <= n:
-            kv = is_k_positive(phi, k, restarts=args.restarts, seed=args.seed)
+            kv = positive if k == 1 else is_k_positive(phi, k, restarts=args.restarts, seed=args.seed)
             yield f"k_positive_{k}", kv
             kc = is_k_copositive(phi, k, restarts=args.restarts, seed=args.seed)
             yield f"k_copositive_{k}", kc

@@ -210,14 +210,19 @@ def cone_input_from_document(doc) -> ConeInput:
 
 def load_document(path: str) -> dict:
     """Parse a JSON document; the non-JSON constants NaN, Infinity and
-    -Infinity are input errors."""
+    -Infinity, and integers beyond float range, are input errors."""
 
     def reject(name: str):
         raise ParseError(f"{path}: {name} is not a JSON number")
 
+    def integer(text: str) -> int:
+        if len(text.lstrip("-")) > 308:  # below 1e308: every dimension, count and value fits a float
+            raise ParseError(f"{path}: an integer of more than 308 digits is out of range")
+        return int(text)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject)
+            return json.load(fh, parse_constant=reject, parse_int=integer)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -6,6 +6,10 @@ below follow the asymmetric doctrine: a negative compressed eigenvalue is an
 exact, re-checkable violation; exhausting a sampling budget only yields
 evidence.
 
+At k = 1 the compressions are the product-vector forms <x (x) y, h (x (x) y)>,
+so `is_k_positive(phi, 1)` is the block-positivity test of h: a map is
+positive exactly when it is 1-positive.
+
 Four related conditions are certified separately here:
 
 - `k_block_min` / `is_k_positive` / `is_k_copositive`: compression tests;
@@ -148,6 +152,8 @@ def k_block_min(
         raise KOutOfRangeError(f"k={k} outside 1..{n}")
     if restarts < 1:
         raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
+    if max_alternations < 1:
+        raise CountOutOfRangeError(f"max_alternations={max_alternations} must be >= 1")
     if not phi.is_hermiticity_preserving():
         raise NotHermitianError("map is not Hermiticity-preserving")
     h = hermitian_part(phi.choi())
@@ -222,8 +228,8 @@ def k_block_min(
 
 
 def is_k_positive(phi: MatrixMap, k: int, **search) -> Verdict:
-    """k-positivity via compressions; k equal to the output dimension is the
-    exact complete-positivity test."""
+    """k-positivity via compressions: k = 1 is block positivity of the Choi
+    matrix, k equal to the output dimension the exact complete-positivity test."""
     return k_block_min(phi, k, **search)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import MatrixMap, block_positivity
+from .choi import MatrixMap
 from .errors import (
     BetaOutOfRangeError,
     DimensionMismatchError,
@@ -35,6 +35,7 @@ from .errors import (
     NotFaithfulError,
     NotInNaturalConeError,
 )
+from .kpositivity import is_k_positive
 from .linalg import (
     as_matrix,
     frobenius,
@@ -463,8 +464,8 @@ def db_adjoint(
 
     With a faithful state the linear system over all unit pairs has a unique
     solution; the residual of the defining identity over every unit pair is
-    reported, and block positivity of the solution attaches the usual
-    evidence-level search.
+    reported, and block positivity of the solution's Hermitian part (the
+    solution need not preserve Hermiticity) attaches the 1-positivity search.
     """
     if phi.m != ctx.dim or phi.n != ctx.dim:
         raise DimensionMismatchError("map and context dimensions differ")
@@ -484,7 +485,8 @@ def db_adjoint(
     defect = float(np.max(np.abs(image_rho - rho_psi.transpose(3, 2, 1, 0))))
     if defect > 1e-10:
         raise InconsistentSystemError(f"identity defect {defect:.3e} exceeds 1.0e-10")
-    pos = block_positivity(hermitian_part(psi.choi()), d, d, restarts=restarts, seed=seed)
+    hermitian = MatrixMap.from_choi(hermitian_part(psi.choi()), d, d)
+    pos = is_k_positive(hermitian, 1, restarts=restarts, seed=seed)
     return BalanceAdjoint(psi, defect, pos)
 
 

@@ -6,8 +6,9 @@ for violations carry complete witnesses, and a "decomposable" pass carries
 its certificate.  `recheck_witness` re-evaluates a witness through plain
 quadratic forms and eigenvalue checks, never re-running any search, from one
 table of re-checks keyed by record id; `verify_report` runs it on every
-violation and pass record that holds a witness and reports the records whose
-stored values have gone stale.
+violation and pass record that holds a witness, re-derives the records that
+another verdict decided, and reports the records whose stored values have
+gone stale.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -22,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .choi import MatrixMap, product_form
+from .choi import MatrixMap
 from .cones import bipartite_context, cone_member
 from .docio import map_from_document, matrix_from_doc, matrix_to_doc
 from .errors import ParseError, StaleWitnessError
@@ -135,12 +136,6 @@ def _recheck_cp(record_id: str, phi: MatrixMap, witness: dict) -> float:
     return val
 
 
-def _recheck_block_positivity(record_id: str, phi: MatrixMap, witness: dict) -> float:
-    x = witness["x"].reshape(-1)
-    y = witness["y"].reshape(-1)
-    return product_form(hermitian_part(phi.choi()), phi.m, phi.n, x, y)
-
-
 def _recheck_k_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
     k = int(record_id.rsplit("_", 1)[1])
     target = phi.compose_transposition() if record_id.startswith("k_copositive_") else phi
@@ -207,10 +202,11 @@ def _recheck_weakdec(record_id: str, phi: MatrixMap, witness: dict) -> float:
 
 
 # One re-check per record kind, keyed by the record id with its trailing
-# order k stripped ("k_positive_2" -> "k_positive_").
+# order k stripped ("k_positive_2" -> "k_positive_").  Block positivity is
+# 1-positivity, so its witness is re-checked as a k_positive_1 witness.
 RECHECKS = {
     "cp": _recheck_cp,
-    "block_positivity": _recheck_block_positivity,
+    "block_positivity": lambda _, phi, witness: _recheck_k_witness("k_positive_1", phi, witness),
     "k_positive_": _recheck_k_witness,
     "k_copositive_": _recheck_k_witness,
     "sk_": _recheck_sk,
@@ -244,14 +240,13 @@ def verify_report(report: dict) -> list[str]:
 
     The witnesses of violation and pass records are re-checked; evidence
     claims no proof.  A violation or a "decomposable" pass without a witness
-    is a failure, and so is a record whose stats say it was stopped by the
-    decomposition certificate ("stopped_by": "decomposable") when no
-    "decomposable" pass re-checks.  Raises ParseError when the report or one
-    of its records is not a JSON object, a witnessed record lacks a string id
-    or a finite value, its witness is not a JSON object or holds a matrix
-    document that does not parse, or the embedded input does not parse: a
-    map, or for a report with a weakdec violation, the cone input's map and
-    first-factor state.
+    is a failure, and so is a record that another verdict decided but whose
+    kind or value that verdict does not give (`_derived_failures`).  Raises
+    ParseError when the report or one of its records is not a JSON object, a
+    witnessed record lacks a string id or a finite value, its witness is not a
+    JSON object or holds a matrix document that does not parse, or the
+    embedded input does not parse: a map, or for a report with a weakdec
+    violation, the cone input's map and first-factor state.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -277,7 +272,7 @@ def verify_report(report: dict) -> list[str]:
         if not isinstance(input_doc, dict):
             raise ParseError("a weakdec report needs its embedded cone input")
         weak = map_from_document(input_doc.get("map")), matrix_from_doc(input_doc.get("rho_a"), "rho_a")
-    certified = False  # whether a "decomposable" pass re-checks
+    certificate = None  # the stated value of a "decomposable" pass that re-checks
     for record in witnessed:
         rid, stated, payload = record.get("id"), record.get("value"), record["witness"]
         if not isinstance(rid, str):
@@ -305,15 +300,43 @@ def verify_report(report: dict) -> list[str]:
         except Exception as exc:  # malformed witness payloads are stale too
             failures.append(f"{rid}: witness re-evaluation failed ({exc})")
         else:
-            if abs(stated - value) > VALUE_TOL * max(1.0, abs(stated)):
+            if not _agrees(stated, value):
                 failures.append(f"{rid}: stated value {stated:.12e} re-evaluates to {value:.12e}")
             elif (rid, record["kind"]) == ("decomposable", PASS):
-                certified = True
-    # a search stopped by the decomposition certificate rests on its proof
-    failures += [
-        f"{r.get('id')}: stopped by a decomposition certificate that does not re-check"
-        for r in records
-        if not certified and isinstance(r.get("stats"), dict)
-        and r["stats"].get("stopped_by") == "decomposable"
-    ]
+                certificate = stated
+    return failures + _derived_failures(records, phi, certificate)
+
+
+def _agrees(stated, value: float) -> bool:
+    """Whether `stated` is a finite number within VALUE_TOL of `value`."""
+    numeric = isinstance(stated, (int, float)) and not isinstance(stated, bool)
+    return numeric and abs(stated - value) <= VALUE_TOL * max(1.0, abs(stated))
+
+
+def _derived_failures(records: list, phi: MatrixMap | None, certificate: float | None) -> list[str]:
+    """Failures of the records another verdict decided: a "derived_from": X
+    record repeats X's kind and value exactly; one stopped by the certificate
+    needs a re-checking "decomposable" pass of value `certificate`, which an
+    sk_ record carries exactly, and decomposability sits at Tr(h)/(mn)."""
+    by_id = {r["id"]: r for r in records if isinstance(r.get("id"), str)}
+    failures = []
+    for record in records:
+        rid, stats, value = record.get("id"), record.get("stats"), record.get("value")
+        if not isinstance(stats, dict):
+            continue
+        if "derived_from" in stats:
+            source = stats["derived_from"]
+            origin = by_id.get(source) if isinstance(source, str) else None
+            if origin is None or (origin.get("kind"), origin.get("value")) != (record.get("kind"), value):
+                failures.append(f"{rid}: kind or value differs from the record {source!r} it is derived from")
+        if stats.get("stopped_by") != "decomposable":
+            continue
+        if certificate is None:
+            failures.append(f"{rid}: stopped by a decomposition certificate that does not re-check")
+        elif isinstance(rid, str) and rid.startswith("sk_") and value != certificate:
+            failures.append(f"{rid}: value {value!r} is not the certificate's value {certificate!r}")
+        elif rid == "decomposability":
+            mixed = np.trace(hermitian_part(phi.choi())).real / (phi.m * phi.n)
+            if not _agrees(value, mixed):
+                failures.append(f"{rid}: value {value!r} is not Tr(h)/(mn) = {mixed:.12e}")
     return failures

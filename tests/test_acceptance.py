@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from posmap.choi import MatrixMap, block_positivity, cp_verdict, kernel_transpose_gap
+from posmap.choi import MatrixMap, cp_verdict, kernel_transpose_gap
 from posmap.cli import main
 from posmap.cones import (
     bipartite_context,
@@ -359,8 +359,8 @@ def test_criterion_9_determinism(tmp_path):
     v1 = k_block_min(phi, 1, restarts=16, seed=9001)
     v2 = k_block_min(phi, 1, restarts=16, seed=9001)
     assert v1.value == v2.value
-    b1 = block_positivity(hermitian_part(phi.choi()), 2, 2, restarts=16, seed=9002)
-    b2 = block_positivity(hermitian_part(phi.choi()), 2, 2, restarts=16, seed=9002)
+    b1 = is_k_positive(phi, 1, restarts=16, seed=9002)
+    b2 = is_k_positive(phi, 1, restarts=16, seed=9002)
     assert b1.value == b2.value
 
     # classification reports are byte-identical for identical input and seed

@@ -5,19 +5,16 @@ import pytest
 
 from posmap.choi import (
     MatrixMap,
-    block_positivity,
     block_positivity_forms,
     cp_verdict,
     kernel_transpose_gap,
-    product_form,
     trace_kernel,
 )
-from posmap.errors import CountOutOfRangeError, NotHermitianError
+from posmap.errors import NotHermitianError
+from posmap.kpositivity import is_k_positive
 from posmap.linalg import (
     frobenius,
-    herm_eig,
     hermitian_part,
-    psd_tol,
     random_psd,
     random_unit_vector,
     rng_stream,
@@ -26,46 +23,12 @@ from posmap.maps import (
     identity_map,
     max_entangled_projector,
     random_hermiticity_preserving,
-    random_map_near_cp,
-    reduction_family,
     swap_operator,
     trace_times_identity,
     transposition_map,
 )
-from posmap.verdicts import EVIDENCE, PASS, VIOLATION, Verdict
-from test_kpositivity import assert_same_verdict, count_validations
-
-
-def loop_block_positivity(h, m, n, *, restarts=32, max_alternations=200, improve_tol=1e-12, seed=0):
-    """Reference for `block_positivity`: its restarts run one after another,
-    one matrix at a time, through the validating `herm_eig`."""
-    h = hermitian_part(h)
-    h4 = h.reshape(m, n, m, n)
-    best_val, best, total = np.inf, None, 0
-    for r in range(restarts):
-        rng = rng_stream(seed, r)
-        y = random_unit_vector(rng, n)
-        x = random_unit_vector(rng, m)
-        prev = np.inf
-        for _ in range(max_alternations):
-            total += 1
-            row = np.einsum("a,iajb,b->ij", y.conj(), h4, y)
-            x = herm_eig(hermitian_part(row)).eigenvectors[:, 0]
-            eig_y = herm_eig(hermitian_part(np.einsum("i,iajb,j->ab", x.conj(), h4, x)))
-            y = eig_y.eigenvectors[:, 0]
-            val = float(eig_y.eigenvalues[0])
-            if prev - val < improve_tol:
-                prev = val
-                break
-            prev = val
-        if prev < best_val:
-            best_val, best = prev, (x.copy(), y.copy())
-    x, y = best
-    value = product_form(h, m, n, x, y)
-    stats = {"restarts": restarts, "alternations": total, "seed": seed, "min_value": value}
-    if value < -psd_tol(h):
-        return Verdict(VIOLATION, value, witness={"x": x, "y": y}, stats=stats)
-    return Verdict(EVIDENCE, value, stats=stats)
+from posmap.report import recheck_witness
+from posmap.verdicts import EVIDENCE, PASS, VIOLATION
 
 
 class TestChoiMatrix:
@@ -165,69 +128,33 @@ class TestCpVerdict:
 
 
 class TestBlockPositivity:
+    # block positivity of h is 1-positivity of the map whose Choi matrix is h
     def test_psd_is_block_positive(self):
         rng = rng_stream(57)
         for trial in range(5):
-            h = random_psd(rng, 6)
-            v = block_positivity(h, 2, 3, restarts=8, seed=trial)
+            phi = MatrixMap.from_choi(random_psd(rng, 6), 2, 3)
+            v = is_k_positive(phi, 1, restarts=8, seed=trial)
             assert v.kind == EVIDENCE
             assert v.value >= -1e-9
 
     def test_swap_attains_zero(self):
-        v = block_positivity(swap_operator(2), 2, 2, restarts=16, seed=1)
+        v = is_k_positive(MatrixMap.from_choi(swap_operator(2), 2, 2), 1, restarts=16, seed=1)
         assert v.kind == EVIDENCE
         assert abs(v.value) <= 1e-9
 
     def test_negative_identity_violation(self):
-        v = block_positivity(-np.eye(4, dtype=complex), 2, 2, restarts=4, seed=2)
+        phi = MatrixMap.from_choi(-np.eye(4, dtype=complex), 2, 2)
+        v = is_k_positive(phi, 1, restarts=4, seed=2)
         assert v.kind == VIOLATION
         assert v.value == pytest.approx(-1.0, abs=1e-10)
         # witness re-evaluates to its stated value
-        assert product_form(-np.eye(4), 2, 2, v.witness["x"], v.witness["y"]) == pytest.approx(v.value, abs=1e-10)
+        assert recheck_witness("block_positivity", phi, v.witness) == pytest.approx(v.value, abs=1e-10)
 
     def test_psd_never_violates(self):
         rng = rng_stream(58)
         for trial in range(20):
-            h = random_psd(rng, 4)
-            assert block_positivity(h, 2, 2, restarts=4, seed=trial).kind == EVIDENCE
-
-
-class TestStackedRestarts:
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_the_restart_loop_on_the_reduction_family(self, n, seed):
-        # a -> lam Tr(a) I - a is positive (block positive Choi matrix) from lam = 1 on
-        for lam in (0.75, 1.0, 1.25):
-            h = reduction_family(lam, n).choi()
-            got = block_positivity(h, n, n, seed=seed)
-            assert_same_verdict(got, loop_block_positivity(h, n, n, seed=seed))
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_matches_the_restart_loop_on_a_random_map(self, seed):
-        h = random_map_near_cp(rng_stream(41, seed), 2, 3).choi()
-        for restarts in (1, 32):
-            got = block_positivity(h, 2, 3, restarts=restarts, seed=seed)
-            assert_same_verdict(got, loop_block_positivity(h, 2, 3, restarts=restarts, seed=seed))
-
-    def test_matches_the_restart_loop_when_alternations_run_out(self):
-        h = random_map_near_cp(rng_stream(42), 3, 3, mix=0.6).choi()
-        search = {"restarts": 9, "seed": 5, "max_alternations": 2}
-        assert_same_verdict(block_positivity(h, 3, 3, **search), loop_block_positivity(h, 3, 3, **search))
-
-    @pytest.mark.parametrize("search", [{"restarts": 0}, {"max_alternations": 0}])
-    def test_an_empty_search_is_refused(self, search):
-        # the first half-step sets x; without one there is no product vector
-        with pytest.raises(CountOutOfRangeError):
-            block_positivity(np.eye(4), 2, 2, **search)
-
-    def test_validation_does_not_grow_with_restarts(self, monkeypatch):
-        counter = count_validations(monkeypatch)
-        counts = []
-        for restarts in (2, 32):
-            counter["calls"] = 0
-            block_positivity(reduction_family(0.75, 3).choi(), 3, 3, restarts=restarts, seed=3)
-            counts.append(counter["calls"])
-        assert counts[0] == counts[1]
+            phi = MatrixMap.from_choi(random_psd(rng, 4), 2, 2)
+            assert is_k_positive(phi, 1, restarts=4, seed=trial).kind == EVIDENCE
 
 
 class TestQuadraticForms:

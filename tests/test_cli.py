@@ -10,7 +10,7 @@ import pytest
 from posmap import cli, kpositivity
 from posmap.cli import main
 from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
-from posmap.maps import choi_qutrit_map, identity_map, transposition_map
+from posmap.maps import choi_qutrit_map, identity_map, reduction_family, transposition_map
 from posmap.report import report_body
 from test_golden_corpus import GOLDEN, run_corpus
 
@@ -105,6 +105,27 @@ class TestClassify:
             k2, k3 = record_by_id(report, f"{name}_2"), record_by_id(report, f"{name}_3")
             assert k3["stats"] == dict(k2["stats"], clamped_to=2)
             assert {**k3, "id": k2["id"], "stats": k2["stats"]} == k2
+
+    def test_block_positivity_is_the_k1_search(self, tmp_path, monkeypatch):
+        # positivity is 1-positivity: the k = 1 search runs once and writes
+        # both records; a map with n = 3 and --k-max 4 searches k = 1..3 twice each
+        calls = []
+        search = kpositivity.k_block_min
+        monkeypatch.setattr(kpositivity, "k_block_min",
+                            lambda phi, k, **kw: calls.append(k) or search(phi, k, **kw))
+        doc = write_map_doc(tmp_path / "r.json", reduction_family(0.5, 3))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        assert len(calls) == 2 * min(4, 3)
+        report = load_report(out)
+        block, k1 = record_by_id(report, "block_positivity"), record_by_id(report, "k_positive_1")
+        assert block["kind"] == k1["kind"] == "violation"
+        assert block["value"] == k1["value"] == pytest.approx(-0.5, abs=1e-8)
+        assert block["witness"] == k1["witness"]
+        assert set(block["witness"]) == {"projection", "vector"}
+        assert block["stats"] == dict(k1["stats"], derived_from="k_positive_1")
+        assert main(["verify", str(out)]) == 0
 
     def test_certified_map_runs_no_witness_iteration(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
@@ -591,6 +612,60 @@ class TestVerify:
             assert record_by_id(report, record_id)["stats"]["stopped_by"] == "decomposable"
             assert (f"stale witness: {record_id}: stopped by a decomposition certificate "
                     "that does not re-check") in err
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("classify_neg_identity", "kind", "evidence"),
+        ("classify_transposition_clamp", "value", 0.5),
+    ])
+    def test_an_edited_derived_record_detected(self, corpus, tmp_path, capsys, name, field,
+                                               value):
+        report = load_report(corpus[name][1])
+        record = record_by_id(report, "block_positivity")
+        assert record["stats"]["derived_from"] == "k_positive_1"
+        record[field] = value
+        out = tmp_path / "derived.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert ("block_positivity: kind or value differs from the record 'k_positive_1'"
+                in capsys.readouterr().err)
+
+    def test_an_edited_short_circuit_value_detected(self, tmp_path, capsys):
+        # the certificate decides sk_2; its value is the certificate's, not 0.75
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(3))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "4", "--seed", "1", "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        report = load_report(out)
+        sk = record_by_id(report, "sk_2")
+        assert sk["stats"]["stopped_by"] == "decomposable"
+        sk["value"] = sk["stats"]["min_value"] = 0.75
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert "sk_2: value 0.75 is not the certificate's value" in capsys.readouterr().err
+
+    def test_an_edited_decided_decomposability_value_detected(self, corpus, tmp_path, capsys):
+        # a witness search run for no iteration sits at the maximally mixed state
+        report = load_report(corpus["classify_transposition_clamp"][1])
+        record = record_by_id(report, "decomposability")
+        assert record["stats"]["stopped_by"] == "decomposable"
+        record["value"] += 1e-6
+        out = tmp_path / "edited.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert "decomposability: value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,record_id", [
+        ("classify_neg_identity", "k_positive_1"),
+        ("classify_transposition_clamp", "decomposability"),
+    ])
+    def test_an_integer_beyond_float_range_is_an_input_error(self, corpus, tmp_path, name,
+                                                             record_id):
+        # a witnessed value and a certificate-decided one: both raised OverflowError
+        report = load_report(corpus[name][1])
+        record_by_id(report, record_id)["value"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
 
     def test_edited_certificate_value_detected(self, corpus, tmp_path):
         report = load_report(corpus["classify_transposition_clamp"][1])

@@ -18,7 +18,9 @@ bound, so its positions shift by one.  Calls in ``bench/`` count too.
 
 A record that a command writes with a witness is re-checked by ``posmap
 verify``, so every such record id has an entry in ``report.RECHECKS``: a new
-certificate cannot ship without its re-check.
+certificate cannot ship without its re-check.  Every entry is in turn the
+prefix of a record id some command writes, so a re-check cannot outlive its
+record.
 """
 
 import ast
@@ -194,3 +196,5 @@ def test_every_record_written_with_a_witness_has_a_recheck():
     assert {"cp", "block_positivity", "k_positive_", "decomposable", "weakdec_"} <= set(prefixes)
     missing = sorted(set(prefixes) - set(RECHECKS))
     assert not missing, f"records written with a witness but no re-check: {', '.join(missing)}"
+    orphans = sorted(key for key in RECHECKS if not any(p.startswith(key) for p in prefixes))
+    assert not orphans, f"re-checks of records nothing writes: {', '.join(orphans)}"

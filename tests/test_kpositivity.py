@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import posmap.choi
 import posmap.kpositivity
 import posmap.linalg
-from posmap.choi import MatrixMap, block_positivity, cp_verdict
+from posmap.choi import MatrixMap, cp_verdict
 from posmap.errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
@@ -254,7 +254,7 @@ def count_stream_work(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting("philox", np.random.Philox))
     original = posmap.linalg.rng_stream
-    for module in (posmap.linalg, posmap.choi, posmap.kpositivity):
+    for module in (posmap.linalg, posmap.kpositivity):
         if getattr(module, "rng_stream", None) is original:
             monkeypatch.setattr(module, "rng_stream", counting("rng_stream", original))
     return counter
@@ -320,6 +320,17 @@ class TestStackedRestarts:
         search = {"restarts": 4, "seed": 1, "improve_tol": -1.0, "max_alternations": 60}
         assert_same_verdict(k_block_min(phi, 2, **search), loop_k_block_min(phi, 2, **search))
 
+    def test_matches_the_restart_loop_when_alternations_run_out(self):
+        phi = random_map_near_cp(rng_stream(42), 3, 3, mix=0.6)
+        search = {"restarts": 9, "seed": 5, "max_alternations": 2}
+        assert_same_verdict(k_block_min(phi, 1, **search), loop_k_block_min(phi, 1, **search))
+
+    @pytest.mark.parametrize("search", [{"restarts": 0}, {"max_alternations": 0}])
+    def test_an_empty_search_is_refused(self, search):
+        # without an alternation there is no eigenvector to value
+        with pytest.raises(CountOutOfRangeError):
+            k_block_min(reduction_family(0.5, 3), 1, **search)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_validation_does_not_grow_with_restarts(self, monkeypatch, k):
         counter = count_validations(monkeypatch)
@@ -340,8 +351,6 @@ STREAM_MAPS = {
 }
 SEARCHES = {
     "k_block_min": lambda phi, size: k_block_min(phi, 2, restarts=size, seed=3),
-    "block_positivity": lambda phi, size: block_positivity(
-        hermitian_part(phi.choi()), phi.m, phi.n, restarts=size, seed=3),
     "pk_check": lambda phi, size: pk_check(phi, 3, projections=size, seed=3),
 }
 
@@ -392,17 +401,6 @@ class TestIsKPositive:
             cv = cp_verdict(phi)
             assert kv.is_violation == cv.is_violation
             assert kv.value == pytest.approx(cv.value, abs=1e-10)
-
-    def test_agrees_with_block_positivity_at_k1(self):
-        agree = 0
-        for t in range(100):
-            rng = rng_stream(501, t)
-            phi = random_map_near_cp(rng, 2, 2, mix=0.6)
-            h = hermitian_part(phi.choi())
-            kv = is_k_positive(phi, 1, restarts=16, seed=t)
-            bv = block_positivity(h, 2, 2, restarts=16, seed=t)
-            agree += kv.is_violation == bv.is_violation
-        assert agree == 100
 
     def test_violation_witness_padded_to_larger_k(self):
         v = is_k_positive(transposition_map(3), 2, restarts=16, seed=4)
@@ -686,7 +684,7 @@ class TestDecompositionCertificate:
                 phi = random_map_near_cp(rng_stream(950 + n, t), m, n, mix=0.3)
                 h = hermitian_part(phi.choi())
                 t += 1
-                if block_positivity(h, m, n, restarts=16, seed=t).kind == EVIDENCE:
+                if is_k_positive(phi, 1, restarts=16, seed=t).kind == EVIDENCE:
                     cert = decomposition_certificate(h, m, n)
                     assert cert.kind == PASS, (m, n, t, cert.value, cert.stats)
                     certified += 1
@@ -807,8 +805,7 @@ class TestStackedCorners:
         lambda: pk_check(identity_map(2), 1, projections=0),
         lambda: sk_check(identity_map(2), 1, samples=0),
         lambda: k_block_min(identity_map(2), 1, restarts=0),
-        lambda: block_positivity(np.eye(4), 2, 2, restarts=-3),
-    ], ids=["pk_check", "sk_check", "k_block_min", "block_positivity"])
+    ], ids=["pk_check", "sk_check", "k_block_min"])
     def test_counts_below_one_are_rejected(self, call):
         with pytest.raises(CountOutOfRangeError):
             call()
@@ -838,7 +835,7 @@ class TestConditionChain:
             phi = random_map_near_cp(rng, 2, 2, mix=0.3)
             h = hermitian_part(phi.choi())
             t += 1
-            if block_positivity(h, 2, 2, restarts=16, seed=t).kind == EVIDENCE:
+            if is_k_positive(phi, 1, restarts=16, seed=t).kind == EVIDENCE:
                 passed += 1
                 assert decomposability_witness(h, 2, 2, seed=t, stall_break=20).kind == EVIDENCE
         assert passed == 100
