@@ -23,6 +23,7 @@ from posmap.maps import (
     identity_map,
     max_entangled_projector,
     random_hermiticity_preserving,
+    reduction_family,
     swap_operator,
     trace_times_identity,
     transposition_map,
@@ -148,6 +149,16 @@ class TestBlockPositivity:
         assert v.kind == VIOLATION
         assert v.value == pytest.approx(-1.0, abs=1e-10)
         # witness re-evaluates to its stated value
+        assert recheck_witness("block_positivity", phi, v.witness) == pytest.approx(v.value, abs=1e-10)
+
+    def test_violation_witness_is_a_product_vector(self):
+        # a -> lam Tr(a) I - a is positive only from lam = 1 on
+        phi = reduction_family(0.5, 3)
+        v = is_k_positive(phi, 1, restarts=8, seed=3)
+        assert v.kind == VIOLATION
+        assert np.linalg.matrix_rank(v.witness["projection"], tol=1e-10) == 1
+        # at k = 1 the vector is x (x) y: its m x n reshape has rank one
+        assert np.linalg.matrix_rank(v.witness["vector"].reshape(3, 3), tol=1e-10) == 1
         assert recheck_witness("block_positivity", phi, v.witness) == pytest.approx(v.value, abs=1e-10)
 
     def test_psd_never_violates(self):

@@ -351,6 +351,7 @@ STREAM_MAPS = {
 }
 SEARCHES = {
     "k_block_min": lambda phi, size: k_block_min(phi, 2, restarts=size, seed=3),
+    "k_positive_1": lambda phi, size: is_k_positive(phi, 1, restarts=size, seed=3),
     "pk_check": lambda phi, size: pk_check(phi, 3, projections=size, seed=3),
 }
 
@@ -401,6 +402,17 @@ class TestIsKPositive:
             cv = cp_verdict(phi)
             assert kv.is_violation == cv.is_violation
             assert kv.value == pytest.approx(cv.value, abs=1e-10)
+
+    def test_agrees_with_the_adjoint_at_k1(self):
+        # phi is positive exactly when its adjoint is, and both searches minimise
+        # the same form over product vectors with the tensor factors swapped
+        for t in range(100):
+            phi = random_map_near_cp(rng_stream(501, t), 2, 3, mix=0.6)
+            v = is_k_positive(phi, 1, restarts=16, seed=t)
+            va = is_k_positive(phi.adjoint(), 1, restarts=16, seed=t)
+            assert v.is_violation == va.is_violation
+            # two see-saws stopped by improve_tol, not an exact minimum
+            assert v.value == pytest.approx(va.value, abs=1e-6)
 
     def test_violation_witness_padded_to_larger_k(self):
         v = is_k_positive(transposition_map(3), 2, restarts=16, seed=4)
@@ -805,7 +817,8 @@ class TestStackedCorners:
         lambda: pk_check(identity_map(2), 1, projections=0),
         lambda: sk_check(identity_map(2), 1, samples=0),
         lambda: k_block_min(identity_map(2), 1, restarts=0),
-    ], ids=["pk_check", "sk_check", "k_block_min"])
+        lambda: is_k_positive(identity_map(2), 1, restarts=-3),
+    ], ids=["pk_check", "sk_check", "k_block_min", "is_k_positive"])
     def test_counts_below_one_are_rejected(self, call):
         with pytest.raises(CountOutOfRangeError):
             call()
