@@ -62,7 +62,7 @@ print(f"  odd-part polar reconstruction defect: {polar.reconstruction_defect:.2e
 print("\n=== weak decomposability through cone duality ===")
 ctx_a = gns_context(np.eye(2, dtype=complex) / 2)
 for name, phi in {"identity": identity_map(2), "transposition": transposition_map(2)}.items():
-    verdict = weak_kdec_cone_check(ctx_a, phi, 2, samples=40, dual_samples=40, seed=3)
+    verdict = weak_kdec_cone_check(ctx_a, phi, 2, samples=40, seed=3)
     print(f"  {name:13s}: {verdict.kind} (min pairing {verdict.value:+.3e})")
-neg = weak_kdec_cone_check(ctx_a, -1.0 * identity_map(2), 2, samples=20, dual_samples=20, seed=4)
+neg = weak_kdec_cone_check(ctx_a, -1.0 * identity_map(2), 2, samples=20, seed=4)
 print(f"  negated identity: {neg.kind} (pairing {neg.value:+.3e})")

@@ -21,7 +21,6 @@ written when requested and lives in its own excluded field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -104,46 +103,50 @@ def _verdict_record(report: dict, record_id: str, verdict: Verdict, seed: int) -
     )
 
 
-def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
-    """(record id, verdict) for each classify search, in report order; each
-    search runs when its pair is asked for, so the caller can time it.  The
-    k = 1 search runs for the block_positivity pair, and k_positive_1 reuses
-    its verdict.
+def _derived(source_id: str, verdict: Verdict) -> Verdict:
+    """The verdict of record `source_id`, restated for a record it decides,
+    with stats["derived_from"] = `source_id`.  A pass is restated as evidence
+    at its value, without its witness."""
+    kind, witness = (EVIDENCE, None) if verdict.kind == PASS else (verdict.kind, verdict.witness)
+    return Verdict(kind, verdict.value, witness, dict(verdict.stats, derived_from=source_id))
 
-    `certificate` is the `decomposition_certificate` of h.  A pass decides
-    every sk_ record: with h = P + Q^G, the image of a trace-one block that is
-    PSD in both orderings has no eigenvalue below min(lambda_min(P), 0) +
-    min(lambda_min(Q), 0), the certificate's value, whatever k."""
+
+def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
+    """(record id, verdict) for each classify record, in report order; each
+    search runs when its pair is asked for, so the caller can time it.
+
+    A record that another verdict decides restates that verdict (`_derived`):
+    - block_positivity, from k_positive_1: positivity is 1-positivity, so the
+      k = 1 search runs once, for the block_positivity pair;
+    - for k > n, k_positive_<k> and k_copositive_<k>, from the exact tests at
+      k = n;
+    - when `certificate`, the `decomposition_certificate` of h, is a pass,
+      every sk_<k> and decomposability, from decomposable.  With h = P + Q^G,
+      no PPT state pairs with h below the certificate's value,
+      min(lambda_min(P), 0) + min(lambda_min(Q), 0), and neither does a
+      trace-one block that is PSD in both orderings, whatever k."""
     m, n = phi.m, phi.n
     certified = certificate.kind == PASS
-    bounded = Verdict(EVIDENCE, certificate.value, stats={
-        "samples": 0, "seed": args.seed, "min_value": certificate.value,
-        "stopped_by": "decomposable",
-    })
     yield "cp", cp_verdict(phi)
     positive = is_k_positive(phi, 1, restarts=args.restarts, seed=args.seed)
-    yield "block_positivity", dataclasses.replace(
-        positive, stats=dict(positive.stats, derived_from="k_positive_1")
-    )
+    yield "block_positivity", _derived("k_positive_1", positive)
     for k in range(1, args.k_max + 1):
         if k <= n:
             kv = positive if k == 1 else is_k_positive(phi, k, restarts=args.restarts, seed=args.seed)
             yield f"k_positive_{k}", kv
             kc = is_k_copositive(phi, k, restarts=args.restarts, seed=args.seed)
             yield f"k_copositive_{k}", kc
-        else:  # k-positivity for k >= n is the exact test at k = n: reuse its verdicts
-            yield f"k_positive_{k}", dataclasses.replace(kv, stats=dict(kv.stats, clamped_to=n))
-            yield f"k_copositive_{k}", dataclasses.replace(kc, stats=dict(kc.stats, clamped_to=n))
-        sk = bounded if certified else sk_check(phi, k, samples=args.samples, seed=args.seed)
-        yield f"sk_{k}", sk
+        else:
+            yield f"k_positive_{k}", _derived(f"k_positive_{n}", kv)
+            yield f"k_copositive_{k}", _derived(f"k_copositive_{n}", kc)
+        if certified:
+            yield f"sk_{k}", _derived("decomposable", certificate)
+        else:
+            yield f"sk_{k}", sk_check(phi, k, samples=args.samples, seed=args.seed)
         yield f"pk_{k}", pk_check(phi, k, projections=args.projections, seed=args.seed)
     yield "decomposable", certificate
     if certified:
-        # no PPT state can pair below tolerance: run no witness iteration
-        dec = decomposability_witness(h, m, n, max_iter=0, seed=args.seed)
-        yield "decomposability", dataclasses.replace(
-            dec, stats=dict(dec.stats, stopped_by="decomposable")
-        )
+        yield "decomposability", _derived("decomposable", certificate)
     else:
         yield "decomposability", decomposability_witness(h, m, n, seed=args.seed)
 
@@ -166,7 +169,7 @@ def cmd_classify(args) -> int:
     report = new_report(doc, args.seed, params)
     h = hermitian_part(phi.choi())
     # record id -> {"elapsed_s": seconds its search took}, for --timings; the
-    # certificate decides the sk_ records, so it runs first and keeps its own time
+    # certificate may decide sk_ records, so it runs first and keeps its own time
     clock = time.perf_counter()
     certificate = decomposition_certificate(h, phi.m, phi.n)
     stages = {"decomposable": {"elapsed_s": time.perf_counter() - clock}}
@@ -345,9 +348,7 @@ def cmd_cone(args) -> int:
             raise ParseError("cone weakdec needs a 'map' entry in the input document")
         phi = map_from_document(cone_input.map_doc)
         k = cone_input.k
-        verdict = weak_kdec_cone_check(
-            ctx.ctx_a, phi, k, samples=args.samples, dual_samples=args.samples, seed=args.seed
-        )
+        verdict = weak_kdec_cone_check(ctx.ctx_a, phi, k, samples=args.samples, seed=args.seed)
         _verdict_record(report, f"weakdec_{k}", verdict, args.seed)
         consistency = transposed_cone_consistency(ctx, samples=min(args.samples, 50), seed=args.seed)
         report["summary"] = {

@@ -506,7 +506,6 @@ def weak_kdec_cone_check(
     k: int,
     *,
     samples: int = 100,
-    dual_samples: int = 100,
     seed: int = 0,
 ) -> Verdict:
     """Dual-cone test of weak k-decomposability at the Hilbert-space level.
@@ -516,7 +515,9 @@ def weak_kdec_cone_check(
     cone and its transposed cone; by duality this fails exactly when some
     intersection element pairs negatively with an image vector.  Any negative
     pairing is an exact refutation; surviving the sampling budget is evidence.
-    The first factor is `ctx_a` itself; the second carries the tracial state.
+    Each block size draws `samples` intersection elements and pairs them with
+    `samples` image vectors.  The first factor is `ctx_a` itself; the second
+    carries the tracial state.
     """
     if k < 1:
         raise DimensionMismatchError(f"block size k={k} must be >= 1")
@@ -531,7 +532,7 @@ def weak_kdec_cone_check(
         ctx = _product_context(ctx_a, gns_context(np.eye(n, dtype=complex) / n))
         etas = [
             sample_intersection_element(ctx, rng_stream(seed + 7919 * n + 104729, t))
-            for t in range(dual_samples)
+            for t in range(samples)
         ]
         eta_stack = np.stack([e.reshape(-1) for e in etas])
         eta_norms = np.maximum(np.linalg.norm(eta_stack, axis=1), 1.0)
@@ -553,5 +554,5 @@ def weak_kdec_cone_check(
     return Verdict(
         EVIDENCE,
         float(worst),
-        stats={"samples": samples, "dual_samples": dual_samples, "seed": seed, "min_value": float(worst)},
+        stats={"samples": samples, "dual_samples": samples, "seed": seed, "min_value": float(worst)},
     )

@@ -26,7 +26,8 @@ a search for P, Q >= 0 with h = P + Q^G.  A certificate it finds is a proof
 compressed corners are decomposable too, so a `pk_` violation on a certified
 map would be a bug.  A certificate also bounds `sk_check` for every k: the
 image of a trace-one doubly-PSD block has no eigenvalue below its value, so
-`classify` decides the `sk_` records of a certified map from it, unsampled.
+`classify` derives the `sk_` and `decomposability` records of a certified map
+from it, with no sample drawn and no witness iteration run.
 """
 
 from __future__ import annotations
@@ -469,24 +470,18 @@ def _witness_stack(
     return results
 
 
-def decomposability_witness(
-    h,
-    m: int,
-    n: int,
-    *,
-    max_iter: int = 2000,
-    seed: int = 0,
-    stall_break: int | None = None,
-) -> Verdict:
+_WITNESS_MAX_ITER = 2000
+
+
+def decomposability_witness(h, m: int, n: int, *, seed: int = 0) -> Verdict:
     """Minimize Tr(w h) over PPT states w by projected gradient descent.
 
     A feasible w with Tr(w h) below tolerance is an exact certificate that the
     associated map is not decomposable (states that remain states under
     partial transposition are exactly the functionals that must be
     nonnegative on the Choi matrices of decomposable maps).  The step starts
-    at 1e-2 and halves on non-descent; the search is deterministic.
-    `stall_break` stops a run early once the objective is nonnegative-bound
-    and has not improved for that many iterations (used by corner sweeps).
+    at 1e-2 and halves on non-descent; the search stops when the step falls
+    below 1e-12 or after 2,000 iterations, and is deterministic.
 
     The input is validated once; the search runs as a stack of one through
     the same lockstep loop that `pk_check` runs its corners in.
@@ -497,7 +492,7 @@ def decomposability_witness(
         raise ValueError(f"shape {hm.shape} does not match m={m}, n={n}")
     tol = psd_tol(hm)
     ((value, feasible, state, iters),) = _witness_stack(
-        hm[None], m, n, max_iter=max_iter, stall_break=stall_break
+        hm[None], m, n, max_iter=_WITNESS_MAX_ITER, stall_break=None
     )
     stats = {"iterations": iters, "seed": seed, "min_value": value, "feasible": bool(feasible)}
     if feasible and value < -tol:
@@ -582,7 +577,7 @@ def pk_check(
     Corners are walked in t-ordered chunks [0, 4), [4, 8), [8, 16), ...,
     each as long as the walk before it (at most 32); the rank >= 2 corners of
     a chunk met before that point run as one stack per rank of 200-iteration
-    `decomposability_witness` searches (`stall_break=15`), and the walk stops
+    witness searches (`_witness_stack`, `stall_break=15`), and the walk stops
     after the first chunk holding a violation.  The verdict is the first
     violating corner, with `projections` = t + 1, as when deciding corners
     one at a time; otherwise it is evidence at the minimum corner value.

@@ -6,9 +6,10 @@ for violations carry complete witnesses, and a "decomposable" pass carries
 its certificate.  `recheck_witness` re-evaluates a witness through plain
 quadratic forms and eigenvalue checks, never re-running any search, from one
 table of re-checks keyed by record id; `verify_report` runs it on every
-violation and pass record that holds a witness, re-derives the records that
-another verdict decided, and reports the records whose stored values have
-gone stale.
+violation and pass record that holds a witness and reports the records whose
+stored values have gone stale.  A record that another record's verdict
+decided says so with stats["derived_from"] = <that record's id>, and
+`verify_report` checks that it restates that verdict.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -30,7 +31,7 @@ from .errors import ParseError, StaleWitnessError
 from .kpositivity import decomposition_bound
 from .linalg import DESK_SCALE_DIM, PPT_TOL, frobenius, hermitian_part, ppt_min_eigs, psd_tol
 from .modular import t_phi
-from .verdicts import PASS, VIOLATION
+from .verdicts import EVIDENCE, PASS, VIOLATION
 
 TOOL_NAME = "posmap"
 TOOL_VERSION = "0.1.0"
@@ -240,8 +241,9 @@ def verify_report(report: dict) -> list[str]:
 
     The witnesses of violation and pass records are re-checked; evidence
     claims no proof.  A violation or a "decomposable" pass without a witness
-    is a failure, and so is a record that another verdict decided but whose
-    kind or value that verdict does not give (`_derived_failures`).  Raises
+    is a failure, and so is a record derived from another (stats
+    "derived_from") whose kind or value does not restate it
+    (`_derived_failures`).  Raises
     ParseError when the report or one of its records is not a JSON object, a
     witnessed record lacks a string id or a finite value, its witness is not a
     JSON object or holds a matrix document that does not parse, or the
@@ -272,7 +274,6 @@ def verify_report(report: dict) -> list[str]:
         if not isinstance(input_doc, dict):
             raise ParseError("a weakdec report needs its embedded cone input")
         weak = map_from_document(input_doc.get("map")), matrix_from_doc(input_doc.get("rho_a"), "rho_a")
-    certificate = None  # the stated value of a "decomposable" pass that re-checks
     for record in witnessed:
         rid, stated, payload = record.get("id"), record.get("value"), record["witness"]
         if not isinstance(rid, str):
@@ -302,9 +303,7 @@ def verify_report(report: dict) -> list[str]:
         else:
             if not _agrees(stated, value):
                 failures.append(f"{rid}: stated value {stated:.12e} re-evaluates to {value:.12e}")
-            elif (rid, record["kind"]) == ("decomposable", PASS):
-                certificate = stated
-    return failures + _derived_failures(records, phi, certificate)
+    return failures + _derived_failures(records)
 
 
 def _agrees(stated, value: float) -> bool:
@@ -313,30 +312,22 @@ def _agrees(stated, value: float) -> bool:
     return numeric and abs(stated - value) <= VALUE_TOL * max(1.0, abs(stated))
 
 
-def _derived_failures(records: list, phi: MatrixMap | None, certificate: float | None) -> list[str]:
-    """Failures of the records another verdict decided: a "derived_from": X
-    record repeats X's kind and value exactly; one stopped by the certificate
-    needs a re-checking "decomposable" pass of value `certificate`, which an
-    sk_ record carries exactly, and decomposability sits at Tr(h)/(mn)."""
+def _derived_failures(records: list) -> list[str]:
+    """Failures of the records another verdict decided.  A record with
+    stats["derived_from"] = X restates record X of the same report: it
+    repeats X's value exactly and X's kind, a pass read as evidence."""
     by_id = {r["id"]: r for r in records if isinstance(r.get("id"), str)}
     failures = []
     for record in records:
-        rid, stats, value = record.get("id"), record.get("stats"), record.get("value")
-        if not isinstance(stats, dict):
+        stats = record.get("stats")
+        if not isinstance(stats, dict) or "derived_from" not in stats:
             continue
-        if "derived_from" in stats:
-            source = stats["derived_from"]
-            origin = by_id.get(source) if isinstance(source, str) else None
-            if origin is None or (origin.get("kind"), origin.get("value")) != (record.get("kind"), value):
-                failures.append(f"{rid}: kind or value differs from the record {source!r} it is derived from")
-        if stats.get("stopped_by") != "decomposable":
+        rid, source = record.get("id"), stats["derived_from"]
+        origin = by_id.get(source) if isinstance(source, str) else None
+        if origin is None:
+            failures.append(f"{rid}: derived from {source!r}, which is not a record of this report")
             continue
-        if certificate is None:
-            failures.append(f"{rid}: stopped by a decomposition certificate that does not re-check")
-        elif isinstance(rid, str) and rid.startswith("sk_") and value != certificate:
-            failures.append(f"{rid}: value {value!r} is not the certificate's value {certificate!r}")
-        elif rid == "decomposability":
-            mixed = np.trace(hermitian_part(phi.choi())).real / (phi.m * phi.n)
-            if not _agrees(value, mixed):
-                failures.append(f"{rid}: value {value!r} is not Tr(h)/(mn) = {mixed:.12e}")
+        kind = EVIDENCE if origin.get("kind") == PASS else origin.get("kind")
+        if (kind, origin.get("value")) != (record.get("kind"), record.get("value")):
+            failures.append(f"{rid}: kind or value differs from the record {source!r} it is derived from")
     return failures

@@ -303,7 +303,7 @@ def test_criterion_7_cone_vs_block_condition_consistency():
         for t in range(30):
             rng = rng_stream(7001, t)
             phi = random_map_near_cp(rng, 2, 2, mix=0.8)
-            wv = weak_kdec_cone_check(ctx_a, phi, 2, samples=60, dual_samples=60, seed=7002 + t)
+            wv = weak_kdec_cone_check(ctx_a, phi, 2, samples=60, seed=7002 + t)
             if wv.kind == VIOLATION:
                 # the cone-route refutation witnesses a genuine violation of
                 # the doubly-PSD image condition at the same block size
@@ -316,7 +316,7 @@ def test_criterion_7_cone_vs_block_condition_consistency():
         for t in range(30):
             rng = rng_stream(7004, t)
             total, _, _ = random_decomposable_map(rng, 2, 2)
-            wv = weak_kdec_cone_check(ctx_a, total, 2, samples=40, dual_samples=40, seed=7005 + t)
+            wv = weak_kdec_cone_check(ctx_a, total, 2, samples=40, seed=7005 + t)
             assert wv.kind == EVIDENCE, f"decomposable map {t} wrongly refuted"
     elapsed = time.monotonic() - start
     assert elapsed < budget

@@ -77,8 +77,8 @@ class TestClassify:
             assert record_by_id(report, rid)["kind"] == "violation", rid
 
     def test_k_max_beyond_output_dimension_is_clamped(self, tmp_path):
-        # compressions cap at the output dimension; larger k reuses the exact
-        # test and says so in the record stats
+        # compressions cap at the output dimension; larger k restates the
+        # exact test and says so in the record stats
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "8",
@@ -86,8 +86,23 @@ class TestClassify:
         report = load_report(out)
         k3 = record_by_id(report, "k_positive_3")
         assert k3["kind"] == "violation"
-        assert k3["stats"]["clamped_to"] == 2
+        assert k3["stats"]["derived_from"] == "k_positive_2"
         assert main(["verify", str(out)]) == 0
+
+    def test_an_edited_record_beyond_the_output_dimension_detected(self, tmp_path, capsys):
+        # k_positive_3 of a map with n = 2 restates the exact evidence at k = 2
+        doc = write_map_doc(tmp_path / "id.json", identity_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        k3 = record_by_id(report, "k_positive_3")
+        assert (k3["kind"], k3["value"]) == ("evidence", record_by_id(report, "k_positive_2")["value"])
+        k3["value"] = 0.75
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert ("k_positive_3: kind or value differs from the record 'k_positive_2'"
+                in capsys.readouterr().err)
 
     def test_k_max_beyond_output_dimension_runs_the_exact_test_once(self, tmp_path, monkeypatch):
         # k = 1 and k = 2 search twice each; k = 3 reuses the k = 2 verdicts
@@ -103,7 +118,7 @@ class TestClassify:
         report = load_report(out)
         for name in ("k_positive", "k_copositive"):
             k2, k3 = record_by_id(report, f"{name}_2"), record_by_id(report, f"{name}_3")
-            assert k3["stats"] == dict(k2["stats"], clamped_to=2)
+            assert k3["stats"] == dict(k2["stats"], derived_from=f"{name}_2")
             assert {**k3, "id": k2["id"], "stats": k2["stats"]} == k2
 
     def test_block_positivity_is_the_k1_search(self, tmp_path, monkeypatch):
@@ -138,16 +153,13 @@ class TestClassify:
         cert = record_by_id(report, "decomposable")
         assert cert["kind"] == "pass" and set(cert["witness"]) == {"q"}
         assert cert["stats"]["termination"] == "converged"
-        dec = record_by_id(report, "decomposability")
-        assert dec["kind"] == "evidence" and "witness" not in dec
-        assert dec["stats"]["iterations"] == 0 and dec["stats"]["stopped_by"] == "decomposable"
-        assert dec["value"] == pytest.approx(np.trace(transposition_map(2).choi()).real / 4)
-        # the certificate decides the block-matrix condition: no sample is drawn
-        sk = record_by_id(report, "sk_1")
-        assert sk["kind"] == "evidence" and "witness" not in sk
-        assert sk["stats"] == {"samples": 0, "seed": 3, "min_value": cert["value"],
-                               "stopped_by": "decomposable"}
-        assert sk["value"] == cert["value"] >= -1e-9
+        # the certificate decides the witness search and the block-matrix
+        # condition: both restate it as evidence, and no sample is drawn
+        for record_id in ("decomposability", "sk_1"):
+            record = record_by_id(report, record_id)
+            assert record["kind"] == "evidence" and "witness" not in record
+            assert record["stats"] == dict(cert["stats"], derived_from="decomposable")
+            assert record["value"] == cert["value"] >= -1e-9
         assert report["summary"]["decomposable"] == "pass"
         assert report["summary"]["decomposability"] == "evidence"
         assert main(["verify", str(out)]) == 0
@@ -161,13 +173,13 @@ class TestClassify:
         cert = record_by_id(report, "decomposable")
         assert cert["kind"] == "evidence" and "witness" not in cert
         dec = record_by_id(report, "decomposability")
-        assert dec["kind"] == "violation" and "stopped_by" not in dec["stats"]
+        assert dec["kind"] == "violation" and "derived_from" not in dec["stats"]
         sk = record_by_id(report, "sk_1")
-        assert sk["stats"]["samples"] == 20 and "stopped_by" not in sk["stats"]
+        assert sk["stats"]["samples"] == 20 and "derived_from" not in sk["stats"]
         assert report["summary"]["decomposable"] == "evidence"
 
     def test_boolean_stats_are_json_booleans(self, tmp_path):
-        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        doc = write_map_doc(tmp_path / "neg.json", -1.0 * identity_map(2))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "1", "--seed", "3", "--restarts", "4",
                      "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
@@ -242,7 +254,7 @@ class TestDeterminism:
         assert sum(stage["elapsed_s"] for stage in stages.values()) <= report["timing"]["elapsed_s"]
         assert stages["decomposable"]["elapsed_s"] >= 0.2
         for k in (1, 2, 3):
-            assert record_by_id(report, f"sk_{k}")["stats"]["samples"] == 0
+            assert record_by_id(report, f"sk_{k}")["stats"]["derived_from"] == "decomposable"
             assert stages[f"sk_{k}"]["elapsed_s"] < 0.2
 
 
@@ -593,66 +605,45 @@ class TestVerify:
         assert main(["verify", str(out)]) == 1
         assert f"stale witness: {record_id}: no witness to re-check" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tamper", ["evidence-without-witness", "edited-value"])
-    def test_a_short_circuit_without_a_certificate_detected(self, corpus, tmp_path, capsys,
-                                                            tamper):
-        # the sk_ and decomposability records stopped by the certificate rest on it
+    @pytest.mark.parametrize("tamper,message", [
+        ("deleted", "derived from 'decomposable', which is not a record of this report"),
+        ("edited-value", "kind or value differs from the record 'decomposable'"),
+    ], ids=["deleted", "edited-value"])
+    def test_a_derived_record_without_its_certificate_detected(self, corpus, tmp_path, capsys,
+                                                               tamper, message):
+        # the sk_ and decomposability records of a certified map restate the certificate
         report = load_report(corpus["classify_transposition_clamp"][1])
         cert = record_by_id(report, "decomposable")
         if tamper == "edited-value":
             cert["value"] = 0.25
         else:
-            cert["kind"] = "evidence"
-            del cert["witness"]
+            report["records"].remove(cert)
         out = tmp_path / "uncertified.json"
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
         err = capsys.readouterr().err
         for record_id in ("sk_1", "sk_2", "sk_3", "decomposability"):
-            assert record_by_id(report, record_id)["stats"]["stopped_by"] == "decomposable"
-            assert (f"stale witness: {record_id}: stopped by a decomposition certificate "
-                    "that does not re-check") in err
+            assert record_by_id(report, record_id)["stats"]["derived_from"] == "decomposable"
+            assert f"stale witness: {record_id}: {message}" in err
 
-    @pytest.mark.parametrize("name,field,value", [
-        ("classify_neg_identity", "kind", "evidence"),
-        ("classify_transposition_clamp", "value", 0.5),
+    @pytest.mark.parametrize("name,record_id,source,field,value", [
+        ("classify_neg_identity", "block_positivity", "k_positive_1", "kind", "evidence"),
+        ("classify_transposition_clamp", "block_positivity", "k_positive_1", "value", 0.5),
+        ("classify_transposition_clamp", "k_copositive_3", "k_copositive_2", "value", 0.75),
+        ("classify_transposition_clamp", "sk_2", "decomposable", "value", 0.75),
+        ("classify_transposition_clamp", "decomposability", "decomposable", "value", 1e-6),
     ])
-    def test_an_edited_derived_record_detected(self, corpus, tmp_path, capsys, name, field,
-                                               value):
+    def test_an_edited_derived_record_detected(self, corpus, tmp_path, capsys, name, record_id,
+                                               source, field, value):
         report = load_report(corpus[name][1])
-        record = record_by_id(report, "block_positivity")
-        assert record["stats"]["derived_from"] == "k_positive_1"
+        record = record_by_id(report, record_id)
+        assert record["stats"]["derived_from"] == source
         record[field] = value
         out = tmp_path / "derived.json"
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
-        assert ("block_positivity: kind or value differs from the record 'k_positive_1'"
+        assert (f"{record_id}: kind or value differs from the record {source!r}"
                 in capsys.readouterr().err)
-
-    def test_an_edited_short_circuit_value_detected(self, tmp_path, capsys):
-        # the certificate decides sk_2; its value is the certificate's, not 0.75
-        doc = write_map_doc(tmp_path / "t.json", transposition_map(3))
-        out = tmp_path / "report.json"
-        assert main(["classify", doc, "--k-max", "4", "--seed", "1", "--out", str(out)]) == 0
-        assert main(["verify", str(out)]) == 0
-        report = load_report(out)
-        sk = record_by_id(report, "sk_2")
-        assert sk["stats"]["stopped_by"] == "decomposable"
-        sk["value"] = sk["stats"]["min_value"] = 0.75
-        dump_document(report, str(out))
-        assert main(["verify", str(out)]) == 1
-        assert "sk_2: value 0.75 is not the certificate's value" in capsys.readouterr().err
-
-    def test_an_edited_decided_decomposability_value_detected(self, corpus, tmp_path, capsys):
-        # a witness search run for no iteration sits at the maximally mixed state
-        report = load_report(corpus["classify_transposition_clamp"][1])
-        record = record_by_id(report, "decomposability")
-        assert record["stats"]["stopped_by"] == "decomposable"
-        record["value"] += 1e-6
-        out = tmp_path / "edited.json"
-        dump_document(report, str(out))
-        assert main(["verify", str(out)]) == 1
-        assert "decomposability: value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,record_id", [
         ("classify_neg_identity", "k_positive_1"),

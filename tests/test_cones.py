@@ -367,19 +367,19 @@ class TestConeRouteCharacterization:
 class TestWeakDecomposability:
     def test_identity_map_preserves_the_cone(self):
         ctx_a = gns_context(TRACIAL)
-        v = weak_kdec_cone_check(ctx_a, identity_map(2), 2, samples=30, dual_samples=30, seed=1)
+        v = weak_kdec_cone_check(ctx_a, identity_map(2), 2, samples=30, seed=1)
         assert v.kind == EVIDENCE
         assert v.value >= -1e-10
 
     def test_transposition_lands_in_the_hull(self):
         ctx_a = gns_context(TRACIAL)
-        v = weak_kdec_cone_check(ctx_a, transposition_map(2), 2, samples=30, dual_samples=30, seed=2)
+        v = weak_kdec_cone_check(ctx_a, transposition_map(2), 2, samples=30, seed=2)
         assert v.kind == EVIDENCE
 
     def test_negated_identity_refuted(self):
         ctx_a = gns_context(TRACIAL)
         with pytest.warns(UserWarning, match="not invariant"):
-            v = weak_kdec_cone_check(ctx_a, -1.0 * identity_map(2), 2, samples=20, dual_samples=20, seed=3)
+            v = weak_kdec_cone_check(ctx_a, -1.0 * identity_map(2), 2, samples=20, seed=3)
         assert v.kind == VIOLATION
         assert v.value < 0
 
@@ -395,7 +395,7 @@ class TestWeakDecomposability:
 
         monkeypatch.setattr(posmap.cones, "gns_context", counted)
         ctx_a = original(np.diag([0.2, 0.3, 0.5]).astype(complex))
-        weak_kdec_cone_check(ctx_a, identity_map(3), 3, samples=2, dual_samples=2, seed=0)
+        weak_kdec_cone_check(ctx_a, identity_map(3), 3, samples=2, seed=0)
         assert dims == [1, 2, 3]
 
     def test_desk_scale_guard(self):
@@ -403,7 +403,7 @@ class TestWeakDecomposability:
 
         ctx_a = gns_context(TRACIAL)
         with pytest.raises(DimensionMismatchError):
-            weak_kdec_cone_check(ctx_a, identity_map(2), 30, samples=1, dual_samples=1, seed=0)
+            weak_kdec_cone_check(ctx_a, identity_map(2), 30, samples=1, seed=0)
 
     def test_agreement_with_block_condition(self):
         # refutations from the cone route and the block-matrix route never
@@ -419,7 +419,7 @@ class TestWeakDecomposability:
             phi = random_map_near_cp(rng, 2, 2, mix=0.8)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                wv = weak_kdec_cone_check(ctx_a, phi, 2, samples=40, dual_samples=40, seed=t)
+                wv = weak_kdec_cone_check(ctx_a, phi, 2, samples=40, seed=t)
             if wv.kind == VIOLATION:
                 n = int(wv.witness["n"])
                 sv = sk_check(phi, n, samples=400, seed=t)

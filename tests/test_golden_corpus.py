@@ -10,7 +10,9 @@ violation, each cone subcommand and the
 modular suite, all with small search budgets.
 
 Regenerate the fixture (only when a change of verdicts is intended) with
-``PYTHONPATH=src python tests/test_golden_corpus.py``.
+``PYTHONPATH=src python tests/test_golden_corpus.py``.  Before it rewrites
+the fixture it prints each record whose kind, value or stats moved against
+the committed one, as run, record id, and old -> new.
 """
 
 import json
@@ -133,12 +135,31 @@ def test_corpus_covers_every_run(replay):
     assert sorted(replay) == sorted(GOLDEN)
 
 
+def moved_records(old: dict, new: dict) -> list[str]:
+    """One line per record whose kind, value or stats differ between two
+    frozen corpora, as run, record id, and old -> new; a run or record that
+    only one side holds is listed against None."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        before = {r["id"]: r for r in old.get(name, {}).get("records", [])}
+        after = {r["id"]: r for r in new.get(name, {}).get("records", [])}
+        for rid in list(before) + [rid for rid in after if rid not in before]:
+            was, now = before.get(rid), after.get(rid)
+            for key in ("kind", "value", "stats"):
+                a, b = was and was[key], now and now[key]
+                if a != b:
+                    lines.append(f"{name} {rid} {key}: {a!r} -> {b!r}")
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         frozen = {
             name: dict(digest(path), exit_code=code)
             for name, (code, path) in run_corpus(tmp).items()
         }
+    moved = moved_records(GOLDEN, frozen)
+    print("\n".join(moved) if moved else "no record moved")
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(frozen, fh, indent=1, sort_keys=True)
         fh.write("\n")

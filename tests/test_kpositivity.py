@@ -19,6 +19,7 @@ from posmap.errors import (
 from posmap.kpositivity import (
     _AHEAD,
     _GaussianRows,
+    _witness_stack,
     bisect_threshold,
     decomposability_witness,
     decomposition_bound,
@@ -799,9 +800,20 @@ class TestStackedCorners:
                 random_decomposable_map(rng_stream(513), 2, 2)[0]]
         for phi in maps:
             h = hermitian_part(phi.choi())
-            search = {"seed": 1, "max_iter": 400, "stall_break": stall_break}
-            assert_same_verdict(decomposability_witness(h, phi.m, phi.n, **search),
-                                loop_decomposability_witness(h, phi.m, phi.n, **search))
+            ((value, feasible, state, iters),) = _witness_stack(
+                h[None], phi.m, phi.n, max_iter=400, stall_break=stall_break
+            )
+            want = loop_decomposability_witness(h, phi.m, phi.n, max_iter=400,
+                                                stall_break=stall_break)
+            assert (value, feasible, iters) == (want.value, want.stats["feasible"],
+                                                want.stats["iterations"])
+            assert want.witness is None or np.array_equal(state, want.witness["state"])
+
+    def test_witness_at_its_full_budget_matches_its_loop(self):
+        phi = random_map_near_cp(rng_stream(512), 2, 3, mix=0.3)
+        h = hermitian_part(phi.choi())
+        assert_same_verdict(decomposability_witness(h, 2, 3, seed=1),
+                            loop_decomposability_witness(h, 2, 3, seed=1))
 
     def test_validation_does_not_grow_with_projections(self, monkeypatch):
         counter = count_validations(monkeypatch)
@@ -850,7 +862,9 @@ class TestConditionChain:
             t += 1
             if is_k_positive(phi, 1, restarts=16, seed=t).kind == EVIDENCE:
                 passed += 1
-                assert decomposability_witness(h, 2, 2, seed=t, stall_break=20).kind == EVIDENCE
+                ((value, feasible, _, _),) = _witness_stack(h[None], 2, 2, max_iter=2000,
+                                                            stall_break=20)
+                assert not (feasible and value < -psd_tol(h))
         assert passed == 100
 
 

@@ -3,7 +3,7 @@ partial transpose is an involution, the Choi encoding round-trips, a
 counter-built stream equals the jumped one, a stream reached by the shared
 seeker equals its `rng_stream`, no hostile field in a document makes the
 CLI raise, and every violation and certificate `posmap classify` writes
-re-verifies."""
+re-verifies, while a derived record whose value is edited does not."""
 
 import copy
 import json
@@ -276,9 +276,25 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
     for rid, kind in kinds.items():
         if kind == "violation":
             event(f"violation {rid.rstrip('0123456789')}")
+    # the records no search of their own produced restate a record of the report
+    derived = {r["id"]: r["stats"]["derived_from"] for r in report["records"]
+               if "derived_from" in r.get("stats", {})}
+    expected = {"block_positivity": "k_positive_1"}
+    for k in range(n + 1, k_max + 1):
+        expected.update({f"k_positive_{k}": f"k_positive_{n}", f"k_copositive_{k}": f"k_copositive_{n}"})
     if kinds["decomposable"] == "pass":
         event("certified decomposable")
         # a decomposable map has decomposable corners: nothing can refute it
         assert all(kinds[rid] != "violation" for rid in kinds
                    if rid == "decomposability" or rid.startswith("pk_"))
+        expected.update({rid: "decomposable" for rid in kinds
+                         if rid == "decomposability" or rid.startswith("sk_")})
+    assert derived == expected and set(derived.values()) <= set(kinds)
     assert main(["verify", str(out)]) == 0
+    # a derived record whose value no longer restates its source fails verify
+    for index, record in enumerate(report["records"]):
+        if record["id"] in derived:
+            edited = copy.deepcopy(report)
+            edited["records"][index]["value"] += 1e-3
+            out.write_text(json.dumps(edited), encoding="utf-8")
+            assert main(["verify", str(out)]) == 1
