@@ -66,7 +66,7 @@ from .modular import (
     transpose_via_conjugations,
     v_beta_duality_check,
 )
-from .report import add_record, new_report, verify_report, write_report
+from .report import add_record, classify_summary, new_report, verify_report, write_report
 from .verdicts import EVIDENCE, PASS, Verdict
 
 DEFECT_LIMIT = 1e-9
@@ -179,26 +179,7 @@ def cmd_classify(args) -> int:
         _verdict_record(report, record_id, verdict, args.seed)
         clock = time.perf_counter()
 
-    # one table per k-indexed test, k -> verdict kind, read back from the records
-    kinds = {record["id"]: record["kind"] for record in report["records"]}
-    tables = {
-        name: {str(k): kinds[f"{name}_{k}"] for k in range(1, args.k_max + 1)}
-        for name in ("k_positive", "k_copositive", "sk", "pk")
-    }
-
-    def highest_evidence(table: dict[str, str]) -> int:
-        """The largest k with evidence at every order 1..k."""
-        return next((k for k, kind in enumerate(table.values()) if kind != EVIDENCE), len(table))
-
-    report["summary"] = {
-        "completely_positive": kinds["cp"] == PASS,
-        "block_positive": kinds["block_positivity"],
-        "highest_k_positive_evidence": highest_evidence(tables["k_positive"]),
-        "highest_k_copositive_evidence": highest_evidence(tables["k_copositive"]),
-        **tables,
-        "decomposable": kinds["decomposable"],
-        "decomposability": kinds["decomposability"],
-    }
+    report["summary"] = classify_summary(report["records"], args.k_max)
     _emit(report, args.out, _timing(args, stages))
     return 0
 

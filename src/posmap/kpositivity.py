@@ -8,7 +8,8 @@ evidence.
 
 At k = 1 the compressions are the product-vector forms <x (x) y, h (x (x) y)>,
 so `is_k_positive(phi, 1)` is the block-positivity test of h: a map is
-positive exactly when it is 1-positive.
+positive exactly when it is 1-positive.  The see-saw behind it draws only
+the Haar start of each restart; its alternations draw nothing.
 
 Four related conditions are certified separately here:
 
@@ -73,44 +74,7 @@ def _compressed_choi(h4: np.ndarray, iso: np.ndarray) -> np.ndarray:
     return c.reshape(r, m * k, m * k)
 
 
-_AHEAD = 4  # blocks every row of `_GaussianRows` holds from the start
-
-
-class _GaussianRows:
-    """Complex Gaussian blocks of `shape` from streams 0, 1, ..., count - 1 of
-    `seed`, drawn ahead on one bit generator: row r holds the first `_AHEAD`
-    blocks of `rng_stream(seed, r)`, drawn in one call, and `take(rows)` hands
-    each listed row its next block as `random_complex` would draw it.  A row
-    that runs out is redrawn alone at double its width, so past `_AHEAD` a row
-    holds at most twice the blocks it has handed out, whatever the other rows
-    use; a prefix is unchanged, because a stream's normals do not depend on
-    how its draws are split across calls."""
-
-    def __init__(self, seed: int, count: int, shape: tuple):
-        self.seek, self.shape = _stream_seeker(seed), shape
-        self.rows = self._draw(range(count), _AHEAD)
-        self.long: dict[int, np.ndarray] = {}  # the blocks of a row past _AHEAD
-        self.used = np.zeros(count, dtype=int)
-
-    def _draw(self, streams, width: int) -> np.ndarray:
-        size = 2 * self.shape[0] * self.shape[1]
-        normals = _stream_normals(self.seek, streams, width * size)
-        return normals.reshape(len(streams), width, 2, *self.shape)
-
-    def _block(self, r: int, u: int) -> np.ndarray:
-        blocks = self.long.get(r, self.rows[r])
-        if u == len(blocks):
-            blocks = self.long[r] = self._draw([r], 2 * u)[0]
-        return blocks[u]
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        used = self.used[rows]
-        if used.size == 0 or used.max() < _AHEAD:
-            z = self.rows[rows, used]
-        else:
-            z = np.array([self._block(r, u) for r, u in zip(rows.tolist(), used.tolist())])
-        self.used[rows] += 1
-        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+_IMPROVE_TOL = 1e-12  # a restart leaves the see-saw once its value gains less than this
 
 
 def k_block_min(
@@ -119,7 +83,6 @@ def k_block_min(
     *,
     restarts: int = 32,
     max_alternations: int = 200,
-    improve_tol: float = 1e-12,
     seed: int = 0,
 ) -> Verdict:
     """Minimize the smallest eigenvalue of (I (x) p) h (I (x) p) over rank-k
@@ -130,19 +93,18 @@ def k_block_min(
     coefficients re-fit the isometry by minimizing the same quadratic form,
     which is quadratic in the isometry entries, so its minimizer is a bottom
     eigenvector of the coefficient matrix (exact at rank one, projected back
-    to an isometry through its polar factor otherwise), with a decaying
-    local perturbation.  Restarts draw Haar-random projections (the first
-    restart uses the coordinate projection).  With k equal to the output
-    dimension the compression is the identity and the test is exact.
+    to an isometry through its polar factor otherwise).  A rank-deficient
+    refit is completed by the restart's current isometry V, as the polar
+    factor of refit + 1e-6 V.  With k equal to the output dimension the
+    compression is the identity and the test is exact.
 
     All restarts run as one stack, which a restart leaves once its value
-    improves by less than `improve_tol`.  Restart r draws from its own stream
-    `rng_stream(seed, r)` (Haar start, then one perturbation per alternation
-    and a rescue draw when the refit is rank-deficient), so the verdict is
-    that of running the restarts one after another: the best value of the
-    first restart that reaches the overall minimum.  Each stream is drawn
-    ahead, one call per stream on one bit generator (`_GaussianRows`), in
-    unchanged draw order.
+    improves by less than 1e-12.  Restart 0 starts at the coordinate isometry,
+    restart r >= 1 at `haar_isometry(rng_stream(seed, r), n, k)`: the first
+    2nk normals of its stream, read on one bit generator (`_stream_seeker`).
+    Nothing else is drawn, so the verdict is that of running the restarts one
+    after another: the best value of the first restart that reaches the
+    overall minimum.
 
     A violation carries the witness {"projection", "vector"}: the rank-<=k
     output-side projection and the lifted eigenvector of the compressed Choi
@@ -170,18 +132,17 @@ def k_block_min(
             return Verdict(VIOLATION, val, witness=witness, stats=stats)
         return Verdict(EVIDENCE, val, stats=stats)
 
-    gaussians = _GaussianRows(seed, restarts, (n, k))
     iso = np.empty((restarts, n, k), dtype=complex)
     iso[0] = np.eye(n, k)
     if restarts > 1:
-        iso[1:] = _haar_from_gaussian(gaussians.take(np.arange(1, restarts)))
+        z = _stream_normals(_stream_seeker(seed), range(1, restarts), 2 * n * k).reshape(-1, 2, n, k)
+        iso[1:] = _haar_from_gaussian((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
     best_val = np.full(restarts, np.inf)
     best_iso = np.empty_like(iso)
     best_z = np.zeros((restarts, m * k), dtype=complex)
     prev = np.full(restarts, np.inf)
     active = np.arange(restarts)
     total_alternations = 0
-    jitter = 0.05
     for _ in range(max_alternations):
         total_alternations += active.size
         cur = iso[active]
@@ -191,7 +152,7 @@ def k_block_min(
         best_val[active[better]] = val[better]
         best_iso[active[better]] = cur[better]
         best_z[active[better]] = z[better]
-        going = prev[active] - val >= improve_tol
+        going = prev[active] - val >= _IMPROVE_TOL
         prev[active] = val
         active, z = active[going], z[going].reshape(-1, m, k)
         if active.size == 0:
@@ -200,15 +161,12 @@ def k_block_min(
         coeff = np.einsum("rik,iajb,rjl->rakbl", z.conj(), h4, z)
         _, v = _eigh_phased(hermitian_part(coeff.reshape(-1, n * k, n * k)))
         raw = v[:, :, 0].reshape(-1, n, k)
-        if jitter > 0:
-            raw = raw + jitter * gaussians.take(active)
         u, s, vh = np.linalg.svd(raw, full_matrices=False)
         tiny = np.flatnonzero(s[:, -1] < 1e-12 * np.maximum(s[:, 0], 1.0))
         if tiny.size:
-            raw[tiny] += 1e-6 * gaussians.take(active[tiny])
+            raw[tiny] += 1e-6 * iso[active[tiny]]
             u[tiny], _, vh[tiny] = np.linalg.svd(raw[tiny], full_matrices=False)
         iso[active] = u @ vh
-        jitter *= 0.5
 
     r = int(np.argmin(best_val))
     iso, z = best_iso[r], best_z[r]

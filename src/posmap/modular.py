@@ -73,15 +73,13 @@ class Superoperator:
     def dim(self) -> int:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ (np.conj(v) if self.antilinear else v)
-
     def apply(self, xi) -> np.ndarray:
         m = as_matrix(xi)
         d = self.dim
         if m.shape != (d, d):
             raise DimensionMismatchError(f"expected ({d}, {d}) frame matrix, got {m.shape}")
-        return self.apply_vec(m.reshape(-1)).reshape(d, d)
+        v = m.reshape(-1)
+        return (self.matrix @ (np.conj(v) if self.antilinear else v)).reshape(d, d)
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other."""
@@ -89,22 +87,10 @@ class Superoperator:
         return Superoperator(mat, self.antilinear ^ other.antilinear)
 
     def defect(self, other: "Superoperator") -> float:
-        """Frobenius distance, evaluated on basis vectors when the tags differ."""
-        if self.antilinear == other.antilinear:
-            return frobenius(self.matrix - other.matrix)
-        d2 = self.matrix.shape[0]
-        total = 0.0
-        for v in (np.eye(d2), 1j * np.eye(d2)):
-            total += sum(
-                float(np.linalg.norm(self.apply_vec(v[:, r]) - other.apply_vec(v[:, r])) ** 2)
-                for r in range(d2)
-            )
-        return float(np.sqrt(total))
-
-    def adjoint(self) -> "Superoperator":
-        if self.antilinear:
-            raise ValueError("adjoint implemented for linear superoperators only")
-        return Superoperator(self.matrix.conj().T, False)
+        """Frobenius distance between two operators with the same antilinearity tag."""
+        if self.antilinear != other.antilinear:
+            raise ValueError("defect compares operators with the same antilinearity tag only")
+        return frobenius(self.matrix - other.matrix)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))

@@ -9,7 +9,9 @@ table of re-checks keyed by record id; `verify_report` runs it on every
 violation and pass record that holds a witness and reports the records whose
 stored values have gone stale.  A record that another record's verdict
 decided says so with stats["derived_from"] = <that record's id>, and
-`verify_report` checks that it restates that verdict.
+`verify_report` checks that it restates that verdict.  The summary of a
+classify report is read from its records' kinds (`classify_summary`), and
+`verify_report` re-derives it.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -243,7 +245,8 @@ def verify_report(report: dict) -> list[str]:
     claims no proof.  A violation or a "decomposable" pass without a witness
     is a failure, and so is a record derived from another (stats
     "derived_from") whose kind or value does not restate it
-    (`_derived_failures`).  Raises
+    (`_derived_failures`), and the summary of a map report that differs from
+    the one its records give (`classify_summary`).  Raises
     ParseError when the report or one of its records is not a JSON object, a
     witnessed record lacks a string id or a finite value, its witness is not a
     JSON object or holds a matrix document that does not parse, or the
@@ -303,7 +306,39 @@ def verify_report(report: dict) -> list[str]:
         else:
             if not _agrees(stated, value):
                 failures.append(f"{rid}: stated value {stated:.12e} re-evaluates to {value:.12e}")
+    if phi is not None:  # a classify report, whose summary restates its records' kinds
+        try:
+            summary = classify_summary(records, report["params"]["k_max"])
+        except (KeyError, TypeError):
+            failures.append("summary: the records and k_max do not determine a classify summary")
+        else:
+            if json.dumps(report.get("summary"), sort_keys=True) != json.dumps(summary, sort_keys=True):
+                failures.append("summary: does not restate the kinds of the records")
     return failures + _derived_failures(records)
+
+
+def classify_summary(records: list, k_max: int) -> dict:
+    """The summary of a classify report, read from its records' kinds: a table
+    k -> kind per k-indexed test for k = 1..k_max, the largest k with evidence
+    at every order 1..k, and the kinds of the other tests (KeyError if absent)."""
+    kinds = {record["id"]: record["kind"] for record in records}
+    tables = {
+        name: {str(k): kinds[f"{name}_{k}"] for k in range(1, k_max + 1)}
+        for name in ("k_positive", "k_copositive", "sk", "pk")
+    }
+
+    def highest_evidence(table: dict[str, str]) -> int:
+        return next((k for k, kind in enumerate(table.values()) if kind != EVIDENCE), len(table))
+
+    return {
+        "completely_positive": kinds["cp"] == PASS,
+        "block_positive": kinds["block_positivity"],
+        "highest_k_positive_evidence": highest_evidence(tables["k_positive"]),
+        "highest_k_copositive_evidence": highest_evidence(tables["k_copositive"]),
+        **tables,
+        "decomposable": kinds["decomposable"],
+        "decomposability": kinds["decomposability"],
+    }
 
 
 def _agrees(stated, value: float) -> bool:

@@ -492,6 +492,30 @@ class TestVerify:
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
 
+    def test_an_edited_summary_detected(self, tmp_path, capsys):
+        # the cp record stays a violation, so the summary no longer restates it
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        assert record_by_id(report, "cp")["kind"] == "violation"
+        assert report["summary"]["completely_positive"] is False
+        report["summary"]["completely_positive"] = True
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert "summary: does not restate the kinds of the records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [{}, {"k_max": "2"}, {"k_max": 3}])
+    def test_a_summary_its_params_do_not_determine_detected(self, tmp_path, capsys, params):
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        report["params"] = params
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert "summary: the records and k_max do not determine" in capsys.readouterr().err
+
     def test_rerun_same_seed_verifies_cross_report(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

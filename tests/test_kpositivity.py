@@ -17,8 +17,6 @@ from posmap.errors import (
     NotHermitianError,
 )
 from posmap.kpositivity import (
-    _AHEAD,
-    _GaussianRows,
     _witness_stack,
     bisect_threshold,
     decomposability_witness,
@@ -61,7 +59,7 @@ from posmap.report import recheck_witness
 from posmap.verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
 
-def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, improve_tol=1e-12, seed=0):
+def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, seed=0):
     """Reference for `k_block_min` (k < n): its restarts run one after another,
     one matrix at a time, through the validating `herm_eig`."""
     m, n = phi.m, phi.n
@@ -69,9 +67,8 @@ def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, improve_tol=1
     h4 = h.reshape(m, n, m, n)
     best_val, best, total = np.inf, None, 0
     for r in range(restarts):
-        rng = rng_stream(seed, r)
-        iso = np.eye(n, k, dtype=complex) if r == 0 else haar_isometry(rng, n, k)
-        prev, jitter = np.inf, 0.05
+        iso = np.eye(n, k, dtype=complex) if r == 0 else haar_isometry(rng_stream(seed, r), n, k)
+        prev = np.inf
         for _ in range(max_alternations):
             total += 1
             comp = np.einsum("ak,iajb,bl->ikjl", iso.conj(), h4, iso).reshape(m * k, m * k)
@@ -79,20 +76,16 @@ def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, improve_tol=1
             val, z = float(eig.eigenvalues[0]), eig.eigenvectors[:, 0]
             if val < best_val:
                 best_val, best = val, (iso.copy(), z.copy())
-            if prev - val < improve_tol:
+            if prev - val < 1e-12:
                 break
             prev = val
             zk = z.reshape(m, k)
             coeff = np.einsum("ik,iajb,jl->akbl", zk.conj(), h4, zk).reshape(n * k, n * k)
             raw = herm_eig(hermitian_part(coeff)).eigenvectors[:, 0].reshape(n, k)
-            if jitter > 0:
-                raw = raw + jitter * random_complex(rng, (n, k))
             u, s, vh = np.linalg.svd(raw, full_matrices=False)
             if s[-1] < 1e-12 * max(s[0], 1.0):
-                raw = raw + 1e-6 * random_complex(rng, (n, k))
-                u, _, vh = np.linalg.svd(raw, full_matrices=False)
+                u, _, vh = np.linalg.svd(raw + 1e-6 * iso, full_matrices=False)
             iso = u @ vh
-            jitter *= 0.5
     iso, z = best
     vector = np.einsum("ak,ik->ia", iso, z.reshape(m, k)).reshape(-1)
     value = float(np.vdot(vector, h @ vector).real)
@@ -311,15 +304,55 @@ class TestStackedRestarts:
                 got = k_block_min(phi, k, restarts=restarts, seed=seed)
                 assert_same_verdict(got, loop_k_block_min(phi, k, restarts=restarts, seed=seed))
 
-    def test_matches_the_restart_loop_through_the_svd_rescue(self):
-        # a product-vector Choi matrix makes the rank-2 refit rank-deficient, and
-        # a negative improve_tol keeps every restart running until the jitter is
-        # too small to lift it, so the rescue draw is taken
+    def test_matches_the_restart_loop_through_the_svd_rescue(self, monkeypatch):
+        # a product-vector Choi matrix makes every rank-2 refit rank one, the
+        # first one included, so each restart takes the rescue at once
         h = np.zeros((9, 9), dtype=complex)
         h[0, 0], h[4, 4] = -1.0, 0.5
         phi = MatrixMap.from_choi(h, 3, 3)
-        search = {"restarts": 4, "seed": 1, "improve_tol": -1.0, "max_alternations": 60}
-        assert_same_verdict(k_block_min(phi, 2, **search), loop_k_block_min(phi, 2, **search))
+        svd, inputs = np.linalg.svd, []
+
+        def recorded_svd(a, **kwargs):
+            inputs.append(np.array(a))
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        search = {"restarts": 4, "seed": 1}
+        v = k_block_min(phi, 2, **search)
+        first_refit, rescue = inputs[:2]
+        s = svd(first_refit, compute_uv=False)
+        assert first_refit.shape == rescue.shape == (4, 3, 2)
+        assert np.all(s[:, -1] < 1e-12 * s[:, 0])
+        assert np.all(svd(rescue, compute_uv=False)[:, -1] > 1e-7)
+        p = v.witness["projection"]
+        assert frobenius(p @ p - p) <= 1e-12 and frobenius(p - p.conj().T) <= 1e-12
+        assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
+        assert_same_verdict(v, loop_k_block_min(phi, 2, **search))
+
+    def test_draws_only_the_haar_starts(self, monkeypatch):
+        # one block of 2nk normals from each of streams 1..R-1 and none from
+        # stream 0, whatever the alternations do
+        normals, starts = [], []
+        stream_normals = posmap.kpositivity._stream_normals
+        compressed_choi = posmap.kpositivity._compressed_choi
+
+        def recorded_normals(seek, streams, width):
+            normals.append((list(streams), width))
+            return stream_normals(seek, streams, width)
+
+        def recorded_compression(h4, iso):
+            starts.append(iso.copy())
+            return compressed_choi(h4, iso)
+
+        monkeypatch.setattr(posmap.kpositivity, "_stream_normals", recorded_normals)
+        monkeypatch.setattr(posmap.kpositivity, "_compressed_choi", recorded_compression)
+        phi = random_map_near_cp(rng_stream(43), 2, 4, mix=0.6)
+        v = k_block_min(phi, 2, restarts=6, seed=9)
+        assert v.stats["alternations"] > 6
+        assert normals == [([1, 2, 3, 4, 5], 2 * 4 * 2)]
+        assert np.array_equal(starts[0][0], np.eye(4, 2))
+        for r in range(1, 6):
+            assert np.array_equal(starts[0][r], haar_isometry(rng_stream(9, r), 4, 2))
 
     def test_matches_the_restart_loop_when_alternations_run_out(self):
         phi = random_map_near_cp(rng_stream(42), 3, 3, mix=0.6)
@@ -344,7 +377,7 @@ class TestStackedRestarts:
 
 
 # the reduction map's restarts converge in two alternations; on the other two
-# some of 64 restarts run long enough to redraw their rows of normals
+# some of 64 restarts run long
 STREAM_MAPS = {
     "reduction_1.5": lambda: reduction_family(1.5, 3),
     "near_cp": lambda: random_map_near_cp(rng_stream(41, 2), 3, 3, mix=0.3),
@@ -369,13 +402,6 @@ class TestStreamWork:
             SEARCHES[search](phi, size)
             counts.append(dict(counter))
         assert counts == [{"philox": 1, "rng_stream": 0}] * 2
-
-    def test_a_row_that_runs_long_is_widened_alone(self):
-        rows = _GaussianRows(3, 64, (3, 3))
-        for _ in range(100):
-            rows.take(np.array([5]))
-        assert rows.rows.shape[:2] == (64, _AHEAD)
-        assert {r: len(blocks) for r, blocks in rows.long.items()} == {5: 128}
 
 
 class TestIsKPositive:
@@ -412,7 +438,7 @@ class TestIsKPositive:
             v = is_k_positive(phi, 1, restarts=16, seed=t)
             va = is_k_positive(phi.adjoint(), 1, restarts=16, seed=t)
             assert v.is_violation == va.is_violation
-            # two see-saws stopped by improve_tol, not an exact minimum
+            # two see-saws stopped on a small improvement, not an exact minimum
             assert v.value == pytest.approx(va.value, abs=1e-6)
 
     def test_violation_witness_padded_to_larger_k(self):

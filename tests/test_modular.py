@@ -123,6 +123,15 @@ class TestStructuralIdentities:
             ctx = gns_context(random_faithful_state(rng, d))
             assert check_unitary_relations(ctx)["max"] <= 1e-10
 
+    def test_a_defect_between_linear_and_antilinear_operators_is_refused(self):
+        # Jm is U's matrix read as antilinear: the tag alone tells them apart
+        ctx = gns_context(DIAG_2)
+        assert np.array_equal(ctx.Jm.matrix, ctx.U.matrix)
+        with pytest.raises(ValueError, match="same antilinearity tag"):
+            ctx.Jm.defect(ctx.U)
+        with pytest.raises(ValueError, match="same antilinearity tag"):
+            ctx.U.defect(ctx.Jm)
+
 
 class TestPolarFactorization:
     def test_tracial_carrier_equals_swap(self):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from posmap.choi import MatrixMap
 from posmap.cli import main
 from posmap.docio import map_to_document, matrix_to_doc
-from posmap.kpositivity import _GaussianRows
 from posmap.linalg import (
     _partial_transpose,
     _stream_seeker,
@@ -128,20 +127,6 @@ def test_the_seeker_rejects_what_rng_stream_rejects(seed, stream):
         rng_stream(seed, stream)
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
         _stream_seeker(seed)(stream)
-
-
-@given(n=st.integers(1, 4), k=st.integers(1, 4), streams=st.integers(1, 5), seed=seeds,
-       takes=st.lists(st.lists(st.integers(0, 4), max_size=5), max_size=12))
-def test_rows_drawn_ahead_equal_random_complex_draws(n, k, streams, seed, takes):
-    # any take pattern, past the rows' first width too, hands each stream
-    # the blocks random_complex draws from it one at a time
-    rows = _GaussianRows(seed, streams, (n, k))
-    refs = [rng_stream(seed, s) for s in range(streams)]
-    for take in takes:
-        listed = np.unique(np.array(take, dtype=int) % streams)
-        got = rows.take(listed)
-        for s, block in zip(listed, got):
-            assert np.array_equal(block, random_complex(refs[s], (n, k)))
 
 
 @given(dim=st.integers(1, 6), rank=st.integers(1, 6), seed=seeds)
