@@ -210,7 +210,7 @@ def cone_input_from_document(doc) -> ConeInput:
 
 def load_document(path: str) -> dict:
     """Parse a JSON document; the non-JSON constants NaN, Infinity and
-    -Infinity, and integers beyond float range, are input errors."""
+    -Infinity, and numbers beyond float range, are input errors."""
 
     def reject(name: str):
         raise ParseError(f"{path}: {name} is not a JSON number")
@@ -220,9 +220,14 @@ def load_document(path: str) -> dict:
             raise ParseError(f"{path}: an integer of more than 308 digits is out of range")
         return int(text)
 
+    def real(text: str) -> float:
+        if abs(value := float(text)) == np.inf:
+            raise ParseError(f"{path}: {text:.40} is beyond float range")
+        return value
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject, parse_int=integer)
+            return json.load(fh, parse_constant=reject, parse_int=integer, parse_float=real)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

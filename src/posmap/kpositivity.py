@@ -45,7 +45,7 @@ from .errors import (
 )
 from .linalg import (
     PPT_TOL,
-    _eigh_phased,
+    _eigh_bottom,
     _haar_from_gaussian,
     _partial_transpose,
     _psd_from_normals,
@@ -66,12 +66,18 @@ from .verdicts import EVIDENCE, PASS, VIOLATION, DecompCertificate, Verdict
 
 
 def _compressed_choi(h4: np.ndarray, iso: np.ndarray) -> np.ndarray:
-    """(I (x) V)* h (I (x) V) for each output-side isometry V in a
-    (R, n, k) stack; returns the (R, mk, mk) stack of compressions."""
-    m = h4.shape[0]
+    """(I (x) V)* h (I (x) V) for each isometry V of a (R, n, k) stack, by two batched
+    matrix products; returns the (R, mk, mk) stack, each member as it is alone."""
+    m, n = h4.shape[:2]
     r, _, k = iso.shape
-    c = np.einsum("rak,iajb,rbl->rikjl", iso.conj(), h4, iso)
-    return c.reshape(r, m * k, m * k)
+    hv = (h4.reshape(m * n * m, n) @ iso).reshape(r, m, n, m * k)
+    return (iso.conj().swapaxes(-1, -2)[:, None] @ hv).reshape(r, m * k, m * k)
+
+
+def _coefficients(h4: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The (R, nk, nk) stack of forms sum_ij conj(z_ik) h[ia, jb] z_jl in the isometry
+    entries V_ak for a (R, m, k) stack of z: h with its factors swapped, compressed by z."""
+    return _compressed_choi(h4.transpose(1, 0, 3, 2), z)
 
 
 _IMPROVE_TOL = 1e-12  # a restart leaves the see-saw once its value gains less than this
@@ -102,9 +108,10 @@ def k_block_min(
     improves by less than 1e-12.  Restart 0 starts at the coordinate isometry,
     restart r >= 1 at `haar_isometry(rng_stream(seed, r), n, k)`: the first
     2nk normals of its stream, read on one bit generator (`_stream_seeker`).
-    Nothing else is drawn, so the verdict is that of running the restarts one
-    after another: the best value of the first restart that reaches the
-    overall minimum.
+    Nothing else is drawn, and the kernels of both steps give a restart what
+    it gets alone, so the verdict is that of running the restarts one after
+    another through them: the best value of the first restart that reaches
+    the overall minimum.
 
     A violation carries the witness {"projection", "vector"}: the rank-<=k
     output-side projection and the lifted eigenvector of the compressed Choi
@@ -146,8 +153,7 @@ def k_block_min(
     for _ in range(max_alternations):
         total_alternations += active.size
         cur = iso[active]
-        w, v = _eigh_phased(hermitian_part(_compressed_choi(h4, cur)))
-        val, z = w[:, 0], v[:, :, 0]
+        val, z = _eigh_bottom(hermitian_part(_compressed_choi(h4, cur)))
         better = val < best_val[active]
         best_val[active[better]] = val[better]
         best_iso[active[better]] = cur[better]
@@ -158,9 +164,7 @@ def k_block_min(
         if active.size == 0:
             break
         # isometry step: the coefficient matrix of the form in V for fixed z
-        coeff = np.einsum("rik,iajb,rjl->rakbl", z.conj(), h4, z)
-        _, v = _eigh_phased(hermitian_part(coeff.reshape(-1, n * k, n * k)))
-        raw = v[:, :, 0].reshape(-1, n, k)
+        raw = _eigh_bottom(hermitian_part(_coefficients(h4, z)))[1].reshape(-1, n, k)
         u, s, vh = np.linalg.svd(raw, full_matrices=False)
         tiny = np.flatnonzero(s[:, -1] < 1e-12 * np.maximum(s[:, 0], 1.0))
         if tiny.size:
@@ -564,7 +568,7 @@ def pk_check(
             value = float(np.linalg.eigvalsh(hc)[0])
             values.append(value)
             if value < -psd_tol(hc):
-                bottom = _eigh_phased(hc)[1][:, 0]
+                bottom = _eigh_bottom(hc)[1]
                 state = np.outer(bottom, bottom.conj())
                 first = (t, value, {"isometry": iso, "state": state, "rank": 1})
                 break

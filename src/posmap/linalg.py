@@ -87,10 +87,21 @@ def _eigh_phased(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack of them: ascending eigenvalues and eigenvector columns phased so
     that each column's largest-magnitude component is real positive."""
     w, v = np.linalg.eigh(a)
+    return w, _phased(v)
+
+
+def _eigh_bottom(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bottom eigenpair of `_eigh_phased`, phased as its column 0."""
+    w, v = np.linalg.eigh(a)
+    return w[..., 0], _phased(v[..., :1])[..., 0]
+
+
+def _phased(v: np.ndarray) -> np.ndarray:
+    """Columns of v phased so that each one's largest-magnitude component is real positive."""
     idx = np.argmax(np.abs(v), axis=-2)
     lead = np.take_along_axis(v, idx[..., None, :], axis=-2)
     phases = np.where(np.abs(lead) > 0, lead / np.maximum(np.abs(lead), 1e-300), 1.0)
-    return w, v * phases.conj()
+    return v * phases.conj()
 
 
 def psd_min_eig(a) -> float:

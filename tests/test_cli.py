@@ -423,6 +423,24 @@ class TestHostileDocuments:
         assert main(["classify", str(path), "--seed", "1", "--restarts", "2", "--samples", "2",
                      "--projections", "2"]) == 2
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e999"])
+    def test_a_float_beyond_float_range_is_an_input_error(self, tmp_path, capsys, literal):
+        # json reads such a literal as an infinity, which verify's input digest
+        # used to refuse with a ValueError traceback
+        doc = map_to_document(transposition_map(2), "choi", metadata={"x": "HUGE"})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', literal), encoding="utf-8")
+        assert main(["classify", str(path), "--seed", "1", "--restarts", "2", "--samples", "2",
+                     "--projections", "2"]) == 2
+        out = tmp_path / "report.json"
+        source = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        assert main(["classify", source, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        report["input"]["x"] = "HUGE"
+        out.write_text(json.dumps(report).replace('"HUGE"', literal), encoding="utf-8")
+        assert main(["verify", str(out)]) == 2
+        assert "beyond float range" in capsys.readouterr().err
+
     def test_nan_report_input_is_an_input_error(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"input": NaN, "records": []}', encoding="utf-8")

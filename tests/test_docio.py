@@ -152,6 +152,18 @@ class TestHostileDocuments:
         with pytest.raises(ParseError, match=f"{constant} is not a JSON number"):
             load_document(str(path))
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e999", "1.8e308"])
+    def test_float_literals_beyond_float_range_are_parse_errors(self, tmp_path, literal):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"metadata": {{"x": {literal}}}}}', encoding="utf-8")
+        with pytest.raises(ParseError, match="beyond float range"):
+            load_document(str(path))
+
+    def test_the_largest_float_literal_is_read(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"x": 1.7976931348623157e308, "y": -1e-400}', encoding="utf-8")
+        assert load_document(str(path)) == {"x": 1.7976931348623157e308, "y": -0.0}
+
     # each value below used to be coerced by int() into a readable document
     @pytest.mark.parametrize("field,value", [("rows", 4.7), ("rows", "4"), ("cols", True),
                                              ("cols", 1.0)])

@@ -17,6 +17,8 @@ from posmap.errors import (
     NotHermitianError,
 )
 from posmap.kpositivity import (
+    _coefficients,
+    _compressed_choi,
     _witness_stack,
     bisect_threshold,
     decomposability_witness,
@@ -61,7 +63,8 @@ from posmap.verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
 def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, seed=0):
     """Reference for `k_block_min` (k < n): its restarts run one after another,
-    one matrix at a time, through the validating `herm_eig`."""
+    one matrix at a time, through the same compression kernels on a stack of
+    one and the validating `herm_eig`."""
     m, n = phi.m, phi.n
     h = hermitian_part(phi.choi())
     h4 = h.reshape(m, n, m, n)
@@ -71,7 +74,7 @@ def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, seed=0):
         prev = np.inf
         for _ in range(max_alternations):
             total += 1
-            comp = np.einsum("ak,iajb,bl->ikjl", iso.conj(), h4, iso).reshape(m * k, m * k)
+            comp = _compressed_choi(h4, iso[None])[0]
             eig = herm_eig(hermitian_part(comp))
             val, z = float(eig.eigenvalues[0]), eig.eigenvectors[:, 0]
             if val < best_val:
@@ -80,7 +83,7 @@ def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, seed=0):
                 break
             prev = val
             zk = z.reshape(m, k)
-            coeff = np.einsum("ik,iajb,jl->akbl", zk.conj(), h4, zk).reshape(n * k, n * k)
+            coeff = _coefficients(h4, zk[None])[0]
             raw = herm_eig(hermitian_part(coeff)).eigenvectors[:, 0].reshape(n, k)
             u, s, vh = np.linalg.svd(raw, full_matrices=False)
             if s[-1] < 1e-12 * max(s[0], 1.0):
@@ -285,6 +288,38 @@ class TestKBlockMin:
             k_block_min(identity_map(2), 0)
         with pytest.raises(KOutOfRangeError):
             k_block_min(identity_map(2), 3)
+
+
+class TestCompressionKernels:
+    """The see-saw's batched matrix products against the contractions they compute."""
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 2), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("size", [1, 64])
+    def test_kernels_equal_their_definitions(self, m, n, size):
+        rng = rng_stream(61, 10 * m + n)
+        h4 = hermitian_part(random_complex(rng, (m * n, m * n))).reshape(m, n, m, n)
+        for k in range(1, n):
+            iso = np.array([haar_isometry(rng, n, k) for _ in range(size)])
+            z = random_complex(rng, (size, m, k))
+            want = np.einsum("rak,iajb,rbl->rikjl", iso.conj(), h4, iso).reshape(size, m * k, m * k)
+            got = _compressed_choi(h4, iso)
+            assert got.shape == want.shape
+            assert frobenius(got - want) <= 1e-12 * frobenius(want)
+            want = np.einsum("rik,iajb,rjl->rakbl", z.conj(), h4, z).reshape(size, n * k, n * k)
+            got = _coefficients(h4, z)
+            assert got.shape == want.shape
+            assert frobenius(got - want) <= 1e-12 * frobenius(want)
+
+    @pytest.mark.parametrize("m,n,k", [(2, 3, 1), (3, 3, 2), (2, 4, 3)])
+    def test_a_stack_member_gets_what_it_gets_alone(self, m, n, k):
+        rng = rng_stream(62, m + n + k)
+        h4 = hermitian_part(random_complex(rng, (m * n, m * n))).reshape(m, n, m, n)
+        iso = np.array([haar_isometry(rng, n, k) for _ in range(16)])
+        z = random_complex(rng, (16, m, k))
+        stacked, coeffs = _compressed_choi(h4, iso), _coefficients(h4, z)
+        for r in range(16):
+            assert np.array_equal(_compressed_choi(h4, iso[r : r + 1])[0], stacked[r])
+            assert np.array_equal(_coefficients(h4, z[r : r + 1])[0], coeffs[r])
 
 
 class TestStackedRestarts:

@@ -6,6 +6,7 @@ import pytest
 from linalg_helpers import frac_power, haar_projection, random_hermitian
 from posmap.errors import DimensionMismatchError, NotHermitianError, NotSquareError
 from posmap.linalg import (
+    _eigh_bottom,
     _eigh_phased,
     _haar_from_gaussian,
     frobenius,
@@ -78,6 +79,16 @@ class TestHermEig:
             eig = herm_eig(a)
             assert np.array_equal(eig.eigenvalues, wa)
             assert np.array_equal(eig.eigenvectors, va)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)])
+    def test_bottom_pair_is_column_0_of_the_phased_decomposition(self, shape):
+        rng = rng_stream(10, len(shape))
+        stack = np.array([random_hermitian(rng, 6) for _ in range(int(np.prod(shape)))])
+        stack = stack.reshape(*shape, 6, 6)
+        w, v = _eigh_phased(stack)
+        w0, v0 = _eigh_bottom(stack)
+        assert np.array_equal(w0, w[..., 0])
+        assert np.array_equal(v0, v[..., 0])
 
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):

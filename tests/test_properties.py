@@ -139,7 +139,8 @@ def test_random_psd_is_the_gram_matrix_of_random_complex(dim, rank, seed):
 # hostile documents
 # ---------------------------------------------------------------------------
 
-HOSTILE = ["x", True, 1.5, 0, -1, 10**6, [0], {"a": 1}, float("nan")]
+BEYOND_FLOAT = ("1e400", "-1e999")  # written as bare float literals, which json reads as inf
+HOSTILE = ["x", True, 1.5, 0, -1, 10**6, [0], {"a": 1}, float("nan"), *BEYOND_FLOAT]
 TINY = ["--seed", "1", "--samples", "2"]
 CONE_SUBCOMMANDS = ["member", "pq", "bounds", "flags", "polar", "weakdec"]
 
@@ -230,7 +231,10 @@ def test_a_hostile_field_is_an_exit_code_never_a_traceback(hostile_cases, kind, 
     sub = data.draw(st.sampled_from(CONE_SUBCOMMANDS), label="subcommand")
     source = tmp / "hostile.json"
     # json.dumps writes NaN as the non-JSON constant that documents must reject
-    source.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    text = json.dumps(replaced(doc, path, value))
+    if value in BEYOND_FLOAT:
+        text = text.replace(json.dumps(value), value)
+    source.write_text(text, encoding="utf-8")
     out = tmp / "hostile-report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
