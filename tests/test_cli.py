@@ -425,8 +425,8 @@ class TestHostileDocuments:
 
     @pytest.mark.parametrize("literal", ["1e400", "-1e999"])
     def test_a_float_beyond_float_range_is_an_input_error(self, tmp_path, capsys, literal):
-        # json reads such a literal as an infinity, which verify's input digest
-        # used to refuse with a ValueError traceback
+        # json reads such a literal as an infinity, which the canonical JSON of
+        # verify's input digest cannot write
         doc = map_to_document(transposition_map(2), "choi", metadata={"x": "HUGE"})
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc).replace('"HUGE"', literal), encoding="utf-8")
