@@ -3,8 +3,9 @@
 Transposition on a qubit algebra is positive but not 2-positive, while its
 composition with itself is completely positive; the reduction-type family
 lam * Tr(a) I - a on a qutrit algebra crosses k-positivity exactly at
-lam = k.  Violations come with exact re-checkable witnesses; passes are
-sampling evidence with their budgets attached.
+lam = k.  Violations come with exact re-checkable witnesses; a search that
+finds none is sampling evidence with its budget attached, while the spectral
+bound of the Choi matrix proves k-positivity outright where it is nonnegative.
 """
 
 import numpy as np
@@ -18,8 +19,9 @@ from posmap.kpositivity import (
     is_k_positive,
     pk_check,
     sk_check,
+    spectral_bound,
 )
-from posmap.linalg import hermitian_part, rng_stream
+from posmap.linalg import hermitian_part, psd_tol, rng_stream
 from posmap.maps import choi_qutrit_map, random_decomposable_map, reduction_family, transposition_map
 
 np.set_printoptions(precision=4, suppress=True)
@@ -36,6 +38,11 @@ print("\n=== reduction family thresholds by bisection ===")
 for k in (1, 2):
     th = bisect_threshold(lambda lam: reduction_family(lam, 3), k, 0.2, 3.0, steps=30, restarts=32, seed=7)
     print(f"  k={k}: threshold located at lam = {th:.6f} (exact value {k})")
+    h = hermitian_part(reduction_family(k, 3).choi())
+    bound, tol = spectral_bound(h, 3, 3, k), psd_tol(h)
+    proof = "proves" if bound >= -tol else "does not prove"
+    print(f"    spectral bound at lam = {k}: {bound:+.1e} against -psd_tol {-tol:.1e}, "
+          f"which {proof} {k}-positivity")
 
 print("\n=== a decomposable map passes the block-matrix and corner conditions ===")
 rng = rng_stream(9)

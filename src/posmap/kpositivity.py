@@ -13,7 +13,9 @@ the Haar start of each restart; its alternations draw nothing.
 
 Four related conditions are certified separately here:
 
-- `k_block_min` / `is_k_positive` / `is_k_copositive`: compression tests;
+- `k_block_min` / `is_k_positive` / `is_k_copositive`: compression tests,
+  with `spectral_bound` a proof of k-positivity from the spectrum of h alone,
+  which `bisect_threshold` tries before any search;
 - `sk_check`: images of doubly-PSD block matrices stay PSD;
 - `pk_check`: compressed corners admit no witness against decomposability;
 - `decomposability_witness`: search for a PPT state pairing negatively with
@@ -83,6 +85,34 @@ def _coefficients(h4: np.ndarray, z: np.ndarray) -> np.ndarray:
 _IMPROVE_TOL = 1e-12  # a restart leaves the see-saw once its value gains less than this
 
 
+def _search_choi(phi: MatrixMap, k: int) -> np.ndarray:
+    """The Hermitian part of phi's Choi matrix, once k lies in 1..n and phi
+    preserves Hermiticity: the input checks of a compression search."""
+    if not 1 <= k <= phi.n:
+        raise KOutOfRangeError(f"k={k} outside 1..{phi.n}")
+    if not phi.is_hermiticity_preserving():
+        raise NotHermitianError("map is not Hermiticity-preserving")
+    return hermitian_part(phi.choi())
+
+
+def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:
+    """mu - sum_j (mu - lambda_j) sigma_k(e_j), a lower bound on <psi|h|psi> over unit
+    psi in C^m (x) C^n of Schmidt rank <= k (Chruscinski-Kossakowski, Commun. Math.
+    Phys. 290, 1051, 2009): mu is the smallest nonnegative eigenvalue of the Hermitian
+    h, lambda_j < 0 the others, with eigenvectors e_j, and sigma_k(e) the sum of the k
+    largest squared Schmidt coefficients of e, which bounds |<e|psi>|^2.  It is -inf,
+    deciding nothing, when h has no nonnegative eigenvalue; h is not validated."""
+    if k < 1:
+        raise KOutOfRangeError(f"k={k} must be >= 1")
+    w, v = np.linalg.eigh(h)
+    neg = int(np.searchsorted(w, 0.0))
+    if neg == w.size:
+        return -np.inf
+    schmidt = np.linalg.svd(v[:, :neg].T.reshape(neg, m, n), compute_uv=False)
+    sigma = (schmidt[:, :k] ** 2).sum(axis=1)
+    return float(w[neg] - ((w[neg] - w[:neg]) * sigma).sum())
+
+
 def k_block_min(
     phi: MatrixMap,
     k: int,
@@ -118,15 +148,11 @@ def k_block_min(
     matrix, whose Rayleigh quotient is the negative `value`.
     """
     m, n = phi.m, phi.n
-    if not 1 <= k <= n:
-        raise KOutOfRangeError(f"k={k} outside 1..{n}")
     if restarts < 1:
         raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
     if max_alternations < 1:
         raise CountOutOfRangeError(f"max_alternations={max_alternations} must be >= 1")
-    if not phi.is_hermiticity_preserving():
-        raise NotHermitianError("map is not Hermiticity-preserving")
-    h = hermitian_part(phi.choi())
+    h = _search_choi(phi, k)
     tol = psd_tol(h)
     h4 = h.reshape(m, n, m, n)
 
@@ -150,7 +176,7 @@ def k_block_min(
     prev = np.full(restarts, np.inf)
     active = np.arange(restarts)
     total_alternations = 0
-    for _ in range(max_alternations):
+    for it in range(max_alternations):
         total_alternations += active.size
         cur = iso[active]
         val, z = _eigh_bottom(hermitian_part(_compressed_choi(h4, cur)))
@@ -161,7 +187,7 @@ def k_block_min(
         going = prev[active] - val >= _IMPROVE_TOL
         prev[active] = val
         active, z = active[going], z[going].reshape(-1, m, k)
-        if active.size == 0:
+        if active.size == 0 or it + 1 == max_alternations:
             break
         # isometry step: the coefficient matrix of the form in V for fixed z
         raw = _eigh_bottom(hermitian_part(_coefficients(h4, z)))[1].reshape(-1, n, k)
@@ -601,6 +627,25 @@ def pk_check(
     )
 
 
+# a share of psd_tol(h), 1e-14 max(1, ||h||_F): the rounding that `spectral_bound`
+# and a see-saw value may each carry, kept clear of the tolerance by both shortcuts
+_ROUNDING_SHARE = 1e-5
+
+
+def _violates(phi: MatrixMap, k: int, restarts: int, seed: int) -> bool:
+    """Whether `k_block_min(phi, k, restarts=restarts, seed=seed)` is a violation,
+    decided by the first of three paths that settles it: the spectral certificate,
+    a one-alternation probe of restart 0, and the full see-saw."""
+    h = _search_choi(phi, k)
+    tol = psd_tol(h)
+    margin = _ROUNDING_SHARE * tol
+    if spectral_bound(h, phi.m, phi.n, k) >= -tol + margin:
+        return False
+    if k_block_min(phi, k, restarts=1, max_alternations=1, seed=seed).value < -tol - margin:
+        return True
+    return k_block_min(phi, k, restarts=restarts, seed=seed).is_violation
+
+
 def bisect_threshold(
     family,
     k: int,
@@ -613,17 +658,33 @@ def bisect_threshold(
 ) -> float:
     """Locate the k-positivity threshold of a one-parameter map family.
 
-    `family(lam)` must violate k-positivity at `lo` and pass at `hi`; each
-    bisection step is decided by `k_block_min` with the given restart budget.
+    `family(lam)` must violate k-positivity at `lo` and pass at `hi`.  The ends are
+    decided as `k_block_min(family(lam), k, restarts=restarts, seed=seed)` decides
+    them, step i (from 0) as that search at seed + i + 1, and the result is the
+    midpoint after `steps` halvings.  Each decision takes the first of three paths
+    that settles it, and each gives that search's kind:
+
+    1. Certificate: a `spectral_bound` of the Choi matrix h at or above -psd_tol(h)
+       proves that no vector of Schmidt rank <= k, so no see-saw value, is below it.
+    2. Probe: `k_block_min` with one restart and one alternation runs restart 0
+       from the coordinate isometry, drawing nothing; the full search runs that
+       restart bit for bit and keeps its best value, so a probe violation is its.
+    3. Full search: otherwise the search itself decides.
+
+    Both shortcuts keep a margin of 1e-14 max(1, ||h||_F) from -psd_tol(h) for
+    rounding.  Each map is checked as `k_block_min` checks it before it is decided
+    (`KOutOfRangeError`, `NotHermitianError`); `restarts` < 1 and `steps` < 0 raise
+    `CountOutOfRangeError` first.
     """
-    v_lo = k_block_min(family(lo), k, restarts=restarts, seed=seed)
-    v_hi = k_block_min(family(hi), k, restarts=restarts, seed=seed)
-    if not v_lo.is_violation or v_hi.is_violation:
+    if restarts < 1:
+        raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
+    if steps < 0:
+        raise CountOutOfRangeError(f"steps={steps} must be >= 0")
+    if not _violates(family(lo), k, restarts, seed) or _violates(family(hi), k, restarts, seed):
         raise ValueError("bisection bracket does not straddle the threshold")
     for step_idx in range(steps):
         mid = (lo + hi) / 2
-        verdict = k_block_min(family(mid), k, restarts=restarts, seed=seed + step_idx + 1)
-        if verdict.is_violation:
+        if _violates(family(mid), k, restarts, seed + step_idx + 1):
             lo = mid
         else:
             hi = mid

@@ -30,6 +30,7 @@ from posmap.kpositivity import (
     k_block_min,
     pk_check,
     sk_check,
+    spectral_bound,
 )
 from posmap.linalg import (
     alternate_ppt_projections,
@@ -98,6 +99,22 @@ def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, seed=0):
         witness = {"projection": iso @ iso.conj().T, "vector": vector}
         return Verdict(VIOLATION, value, witness=witness, stats=stats)
     return Verdict(EVIDENCE, value, stats=stats)
+
+
+def loop_bisect_threshold(family, k, lo, hi, *, steps=40, restarts=64, seed=0):
+    """Reference for `bisect_threshold`: every end and step decided by the full
+    `k_block_min` search alone."""
+    v_lo = k_block_min(family(lo), k, restarts=restarts, seed=seed)
+    v_hi = k_block_min(family(hi), k, restarts=restarts, seed=seed)
+    if not v_lo.is_violation or v_hi.is_violation:
+        raise ValueError("bisection bracket does not straddle the threshold")
+    for step_idx in range(steps):
+        mid = (lo + hi) / 2
+        if k_block_min(family(mid), k, restarts=restarts, seed=seed + step_idx + 1).is_violation:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def loop_decomposability_witness(h, m, n, *, step=1e-2, max_iter=2000, seed=0, tol=None,
@@ -891,7 +908,8 @@ class TestStackedCorners:
         lambda: sk_check(identity_map(2), 1, samples=0),
         lambda: k_block_min(identity_map(2), 1, restarts=0),
         lambda: is_k_positive(identity_map(2), 1, restarts=-3),
-    ], ids=["pk_check", "sk_check", "k_block_min", "is_k_positive"])
+        lambda: bisect_threshold(lambda lam: reduction_family(lam, 3), 1, 0.2, 2.0, restarts=0),
+    ], ids=["pk_check", "sk_check", "k_block_min", "is_k_positive", "bisect_threshold"])
     def test_counts_below_one_are_rejected(self, call):
         with pytest.raises(CountOutOfRangeError):
             call()
@@ -939,3 +957,108 @@ class TestThresholdBisection:
     def test_bracket_must_straddle(self):
         with pytest.raises(ValueError):
             bisect_threshold(lambda lam: reduction_family(lam, 3), 1, 1.5, 2.0, steps=4, restarts=4, seed=1)
+
+    def test_a_negative_step_count_is_refused(self):
+        family = lambda lam: reduction_family(lam, 3)  # noqa: E731
+        with pytest.raises(CountOutOfRangeError):
+            bisect_threshold(family, 1, 0.2, 2.0, steps=-3)
+        assert bisect_threshold(family, 1, 0.2, 2.0, steps=0) == 1.1
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_out_of_range_is_refused_before_any_step(self, k):
+        # the spectral bound proves 3-positivity at lam = 3.5, so the certificate
+        # would settle the bracket's lower end if it came before the check
+        with pytest.raises(KOutOfRangeError):
+            bisect_threshold(lambda lam: reduction_family(lam, 3), k, 3.5, 5.0, steps=2)
+
+    @pytest.mark.parametrize("at", [0.2, 1.1, 2.0])
+    def test_a_map_not_preserving_hermiticity_is_refused(self, at):
+        # at 1.1 and 2.0 the spectral bound of the Hermitian part would prove
+        # 1-positivity; the map is refused before that
+        skew = np.zeros((9, 9), dtype=complex)
+        skew[0, 1] = 1e-3
+
+        def family(lam):
+            h = hermitian_part(reduction_family(lam, 3).choi())
+            return MatrixMap.from_choi(h + skew if lam == at else h, 3, 3)
+
+        with pytest.raises(NotHermitianError):
+            bisect_threshold(family, 1, 0.2, 2.0, steps=1)
+
+
+def shifted_family(h0, m, n):
+    """t -> the map with Choi matrix h0 + t I: h0's map plus t Tr(a) I."""
+    return lambda t: MatrixMap.from_choi(h0 + t * np.eye(m * n), m, n)
+
+
+def random_hermitian_choi(seed):
+    h = hermitian_part(random_complex(rng_stream(71, seed), (9, 9)))
+    return h / frobenius(h)
+
+
+class TestThresholdShortcuts:
+    """`bisect_threshold`'s certificate and probe against the see-saw-only bisection."""
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)])
+    def test_equals_the_see_saw_bisection_on_the_reduction_family(self, n, k):
+        family = lambda lam: reduction_family(lam, n)  # noqa: E731
+        want = loop_bisect_threshold(family, k, 0.2, k + 1, seed=5)
+        assert bisect_threshold(family, k, 0.2, k + 1, seed=5) == want
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", ["choi_qutrit", "random_0", "random_1"])
+    def test_equals_the_see_saw_bisection_where_the_certificate_is_loose(self, monkeypatch,
+                                                                         case, k):
+        if case == "choi_qutrit":
+            h0 = hermitian_part(choi_qutrit_map().choi())
+        else:
+            h0 = random_hermitian_choi(int(case[-1]))
+        w = np.linalg.eigvalsh(h0)
+        # everything below -lambda_max(h0) violates, everything above -lambda_min(h0) is CP
+        lo, hi = -w[-1] - 0.5, -w[0] + 0.5
+        family = shifted_family(h0, 3, 3)
+        want = loop_bisect_threshold(family, k, lo, hi, steps=25, restarts=16, seed=3)
+        full, original = [], posmap.kpositivity.k_block_min
+
+        def counted(phi, k, **search):
+            full.append(search.get("max_alternations") is None)
+            return original(phi, k, **search)
+
+        monkeypatch.setattr(posmap.kpositivity, "k_block_min", counted)
+        assert bisect_threshold(family, k, lo, hi, steps=25, restarts=16, seed=3) == want
+        assert 0 < sum(full) < 27
+
+    def test_a_probe_violation_is_a_violation_of_the_full_search(self):
+        probed = 0
+        for t in range(40):
+            rng = rng_stream(72, t)
+            m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            phi = random_map_near_cp(rng, m, n, mix=float(rng.choice([0.3, 0.6, 1.0])))
+            for k in range(1, n):
+                probe = k_block_min(phi, k, restarts=1, max_alternations=1, seed=t)
+                full = k_block_min(phi, k, restarts=32, seed=t)
+                assert full.value <= probe.value
+                if probe.is_violation:
+                    probed += 1
+                    assert full.is_violation
+        assert probed >= 10
+
+
+class TestSpectralBound:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_is_lam_minus_k_on_the_reduction_family(self, n):
+        for k in range(1, n):
+            for lam in (k - 0.5, k - 1e-3, k + 1e-3, k + 0.5):
+                h = hermitian_part(reduction_family(lam, n).choi())
+                assert abs(spectral_bound(h, n, n, k) - (lam - k)) <= 1e-12
+
+    def test_a_negative_definite_matrix_decides_nothing(self):
+        assert spectral_bound(-np.eye(4), 2, 2, 1) == -np.inf
+
+    def test_a_psd_matrix_gives_its_smallest_eigenvalue(self):
+        h = random_psd(rng_stream(73), 6)
+        assert spectral_bound(h, 2, 3, 1) == np.linalg.eigh(h)[0][0]
+
+    def test_k_below_one_is_refused(self):
+        with pytest.raises(KOutOfRangeError):
+            spectral_bound(np.eye(4), 2, 2, 0)

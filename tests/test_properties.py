@@ -2,7 +2,8 @@
 partial transpose is an involution, the Choi encoding round-trips, a
 counter-built stream equals the jumped one, a stream reached by the shared
 seeker equals its `rng_stream`, no hostile field in a document makes the
-CLI raise, and every violation and certificate `posmap classify` writes
+CLI raise, the spectral bound is below every value of Schmidt rank <= k,
+and every violation and certificate `posmap classify` writes
 re-verifies, while a derived record whose value is edited does not."""
 
 import copy
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from posmap.choi import MatrixMap
 from posmap.cli import main
 from posmap.docio import map_to_document, matrix_to_doc
+from posmap.kpositivity import k_block_min, spectral_bound
 from posmap.linalg import (
     _partial_transpose,
     _stream_seeker,
@@ -25,11 +27,17 @@ from posmap.linalg import (
     hermitian_part,
     partial_transpose,
     project_psd,
+    psd_tol,
     random_complex,
     random_psd,
     rng_stream,
 )
-from posmap.maps import identity_map, random_map_near_cp, transposition_map
+from posmap.maps import (
+    identity_map,
+    random_hermiticity_preserving,
+    random_map_near_cp,
+    transposition_map,
+)
 
 dims = st.integers(1, 3)
 seeds = st.integers(0, 2**32 - 1)
@@ -240,6 +248,31 @@ def test_a_hostile_field_is_an_exit_code_never_a_traceback(hostile_cases, kind, 
         warnings.simplefilter("ignore")
         code = main([*argv(str(source), sub), *(["--out", str(out)] if "report" not in kind else [])])
     assert code in ((0, 2) if kind == "map" else (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the spectral certificate of k-positivity
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(m=st.integers(2, 3), n=st.integers(2, 3), mix=st.sampled_from([0.3, 1.0, 3.0]),
+       seed=seeds)
+def test_the_spectral_bound_is_below_every_schmidt_rank_k_value(m, n, mix, seed):
+    # two maps and every k in 1..n: at least 400 (map, k) pairs over the 100 examples,
+    # each met by 50 random unit vectors of Schmidt rank <= k and the see-saw; the
+    # allowance is the rounding margin `bisect_threshold` grants the bound
+    rng = rng_stream(seed)
+    for phi in (random_map_near_cp(rng, m, n, mix=mix), random_hermiticity_preserving(rng, m, n)):
+        h = hermitian_part(phi.choi())
+        allowance = 1e-5 * psd_tol(h)
+        for k in range(1, n + 1):
+            bound = spectral_bound(h, m, n, k)
+            psi = (random_complex(rng, (50, m, k)) @ random_complex(rng, (50, k, n))).reshape(50, -1)
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            values = np.einsum("si,ij,sj->s", psi.conj(), h, psi).real
+            assert bound <= values.min() + allowance
+            assert bound <= k_block_min(phi, k, restarts=8, seed=seed % 1000).value + allowance
 
 
 # ---------------------------------------------------------------------------
