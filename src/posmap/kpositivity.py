@@ -48,6 +48,7 @@ from .errors import (
 from .linalg import (
     PPT_TOL,
     _eigh_bottom,
+    _eigh_phased,
     _haar_from_gaussian,
     _partial_transpose,
     _psd_from_normals,
@@ -57,7 +58,6 @@ from .linalg import (
     check_hermitian,
     frobenius,
     haar_isometry,
-    herm_eig,
     hermitian_part,
     ppt_min_eigs,
     project_psd,
@@ -83,6 +83,7 @@ def _coefficients(h4: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 _IMPROVE_TOL = 1e-12  # a restart leaves the see-saw once its value gains less than this
+_MAX_ALTERNATIONS = 200  # and after this many alternations in any case
 
 
 def _search_choi(phi: MatrixMap, k: int) -> np.ndarray:
@@ -113,14 +114,7 @@ def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:
     return float(w[neg] - ((w[neg] - w[:neg]) * sigma).sum())
 
 
-def k_block_min(
-    phi: MatrixMap,
-    k: int,
-    *,
-    restarts: int = 32,
-    max_alternations: int = 200,
-    seed: int = 0,
-) -> Verdict:
+def k_block_min(phi: MatrixMap, k: int, *, restarts: int = 32, seed: int = 0) -> Verdict:
     """Minimize the smallest eigenvalue of (I (x) p) h (I (x) p) over rank-k
     projections p on the output space.
 
@@ -135,8 +129,9 @@ def k_block_min(
     compression is the identity and the test is exact.
 
     All restarts run as one stack, which a restart leaves once its value
-    improves by less than 1e-12.  Restart 0 starts at the coordinate isometry,
-    restart r >= 1 at `haar_isometry(rng_stream(seed, r), n, k)`: the first
+    improves by less than 1e-12, and all after 200 alternations.  Restart 0
+    starts at the coordinate isometry (its first value is `bisect_threshold`'s
+    probe), restart r >= 1 at `haar_isometry(rng_stream(seed, r), n, k)`: the first
     2nk normals of its stream, read on one bit generator (`_stream_seeker`).
     Nothing else is drawn, and the kernels of both steps give a restart what
     it gets alone, so the verdict is that of running the restarts one after
@@ -150,18 +145,16 @@ def k_block_min(
     m, n = phi.m, phi.n
     if restarts < 1:
         raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
-    if max_alternations < 1:
-        raise CountOutOfRangeError(f"max_alternations={max_alternations} must be >= 1")
     h = _search_choi(phi, k)
     tol = psd_tol(h)
     h4 = h.reshape(m, n, m, n)
 
     if k == n:
-        eig = herm_eig(h)
-        val = float(eig.eigenvalues[0])
+        w, v = _eigh_phased(h)
+        val = float(w[0])
         stats = {"restarts": 1, "alternations": 0, "seed": seed, "min_value": val, "exact": True}
         if val < -tol:
-            witness = {"projection": np.eye(n, dtype=complex), "vector": eig.eigenvectors[:, 0]}
+            witness = {"projection": np.eye(n, dtype=complex), "vector": v[:, 0]}
             return Verdict(VIOLATION, val, witness=witness, stats=stats)
         return Verdict(EVIDENCE, val, stats=stats)
 
@@ -176,7 +169,7 @@ def k_block_min(
     prev = np.full(restarts, np.inf)
     active = np.arange(restarts)
     total_alternations = 0
-    for it in range(max_alternations):
+    for it in range(_MAX_ALTERNATIONS):
         total_alternations += active.size
         cur = iso[active]
         val, z = _eigh_bottom(hermitian_part(_compressed_choi(h4, cur)))
@@ -187,7 +180,7 @@ def k_block_min(
         going = prev[active] - val >= _IMPROVE_TOL
         prev[active] = val
         active, z = active[going], z[going].reshape(-1, m, k)
-        if active.size == 0 or it + 1 == max_alternations:
+        if active.size == 0 or it + 1 == _MAX_ALTERNATIONS:
             break
         # isometry step: the coefficient matrix of the form in V for fixed z
         raw = _eigh_bottom(hermitian_part(_coefficients(h4, z)))[1].reshape(-1, n, k)
@@ -628,20 +621,22 @@ def pk_check(
 
 
 # a share of psd_tol(h), 1e-14 max(1, ||h||_F): the rounding that `spectral_bound`
-# and a see-saw value may each carry, kept clear of the tolerance by both shortcuts
+# and a see-saw value (an eigenvalue or the Rayleigh quotient `k_block_min`
+# reports) may each carry, kept clear of the tolerance by both shortcuts
 _ROUNDING_SHARE = 1e-5
 
 
 def _violates(phi: MatrixMap, k: int, restarts: int, seed: int) -> bool:
-    """Whether `k_block_min(phi, k, restarts=restarts, seed=seed)` is a violation,
-    decided by the first of three paths that settles it: the spectral certificate,
-    a one-alternation probe of restart 0, and the full see-saw."""
+    """Whether `k_block_min(phi, k, restarts=restarts, seed=seed)` is a violation, read
+    from one Choi matrix h by the certificate or the probe when either settles it."""
     h = _search_choi(phi, k)
     tol = psd_tol(h)
     margin = _ROUNDING_SHARE * tol
     if spectral_bound(h, phi.m, phi.n, k) >= -tol + margin:
         return False
-    if k_block_min(phi, k, restarts=1, max_alternations=1, seed=seed).value < -tol - margin:
+    h4 = h.reshape(phi.m, phi.n, phi.m, phi.n)
+    probe = _eigh_bottom(hermitian_part(_compressed_choi(h4, np.eye(phi.n, k)[None])))[0]
+    if probe[0] < -tol - margin:
         return True
     return k_block_min(phi, k, restarts=restarts, seed=seed).is_violation
 
@@ -666,10 +661,10 @@ def bisect_threshold(
 
     1. Certificate: a `spectral_bound` of the Choi matrix h at or above -psd_tol(h)
        proves that no vector of Schmidt rank <= k, so no see-saw value, is below it.
-    2. Probe: `k_block_min` with one restart and one alternation runs restart 0
-       from the coordinate isometry, drawing nothing; the full search runs that
-       restart bit for bit and keeps its best value, so a probe violation is its.
-    3. Full search: otherwise the search itself decides.
+    2. Probe: the search's first value of restart 0, which draws nothing: the bottom
+       eigenvalue of h compressed by the coordinate isometry.  The search keeps a
+       best value at or below it, so a probe violation is its violation.
+    3. Full search: otherwise `k_block_min` itself decides.
 
     Both shortcuts keep a margin of 1e-14 max(1, ||h||_F) from -psd_tol(h) for
     rounding.  Each map is checked as `k_block_min` checks it before it is decided

@@ -9,16 +9,16 @@ from .linalg import matrix_units, random_psd
 
 
 def identity_map(n: int) -> MatrixMap:
-    return MatrixMap.from_function(lambda a: a, n, n)
+    return MatrixMap(matrix_units(n))
 
 
 def transposition_map(n: int) -> MatrixMap:
-    return MatrixMap.from_function(lambda a: a.T, n, n)
+    return MatrixMap(matrix_units(n).transpose(1, 0, 2, 3).copy())
 
 
 def trace_times_identity(n: int) -> MatrixMap:
     """a -> Tr(a) * I_n; completely positive."""
-    return MatrixMap.from_function(lambda a: np.trace(a) * np.eye(n), n, n)
+    return MatrixMap(np.eye(n)[:, :, None, None] * np.eye(n))
 
 
 def reduction_family(lam: float, n: int = 3) -> MatrixMap:
@@ -27,7 +27,7 @@ def reduction_family(lam: float, n: int = 3) -> MatrixMap:
     Its k-positivity threshold sits exactly at lam = k, which makes the family
     the standard calibration target for the bisection experiments.
     """
-    return MatrixMap.from_function(lambda a: lam * np.trace(a) * np.eye(n) - a, n, n)
+    return MatrixMap(lam * np.eye(n)[:, :, None, None] * np.eye(n) - matrix_units(n))
 
 
 def choi_qutrit_map() -> MatrixMap:

@@ -169,6 +169,8 @@ def _recheck_sk(record_id: str, phi: MatrixMap, witness: dict) -> float:
 def _recheck_pk(record_id: str, phi: MatrixMap, witness: dict) -> float:
     iso = witness["isometry"]
     rank = iso.shape[1]
+    if rank > int(record_id.rsplit("_", 1)[1]):
+        raise StaleWitnessError(f"stored isometry has rank {rank}, above the record's k")
     corner = MatrixMap.from_function(lambda x: iso.conj().T @ phi(x) @ iso, phi.m, rank)
     return _ppt_pairing(witness["state"], hermitian_part(corner.choi()), phi.m, rank)
 

@@ -62,6 +62,31 @@ class TestChoiMatrix:
         assert phi_t.norm_distance(transposition_map(2)) <= 1e-12
 
 
+# the named maps as functions applied to each matrix unit: the reference for
+# the unit images that `maps` writes down directly
+REFERENCE_MAPS = {
+    identity_map: lambda n: MatrixMap.from_function(lambda a: a, n, n),
+    transposition_map: lambda n: MatrixMap.from_function(lambda a: a.T, n, n),
+    trace_times_identity: lambda n: MatrixMap.from_function(lambda a: np.trace(a) * np.eye(n), n, n),
+}
+
+# signed zeros, the smallest normals' neighbours, and a spread of both signs
+LAMBDAS = [-0.0, 0.0, -1e-300, 1e-300, -7.25, 1 + 2**-52, *np.linspace(-5.0, 5.0, 96)]
+
+
+class TestNamedMaps:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("named", list(REFERENCE_MAPS), ids=lambda f: f.__name__)
+    def test_unit_images_are_the_reference_bits(self, named, n):
+        assert named(n).unit_images.tobytes() == REFERENCE_MAPS[named](n).unit_images.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reduction_family_has_the_reference_bits(self, n):
+        for lam in LAMBDAS:
+            want = MatrixMap.from_function(lambda a: lam * np.trace(a) * np.eye(n) - a, n, n)
+            assert reduction_family(lam, n).unit_images.tobytes() == want.unit_images.tobytes(), lam
+
+
 class TestTraceKernel:
     def test_identity_map_matches_transposed_choi(self):
         phi = identity_map(2)

@@ -11,7 +11,7 @@ from posmap import cli, kpositivity
 from posmap.cli import main
 from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
 from posmap.maps import choi_qutrit_map, identity_map, reduction_family, transposition_map
-from posmap.report import report_body
+from posmap.report import classify_summary, report_body
 from test_golden_corpus import GOLDEN, run_corpus
 
 CORPUS_VIOLATIONS = [
@@ -706,6 +706,24 @@ class TestVerify:
         out = tmp_path / "edited.json"
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
+
+    def test_a_corner_of_rank_above_k_is_refused(self, tmp_path, capsys):
+        # the Choi map is positive, so no pk_1 violation exists; its pk_3
+        # violation comes from a rank-3 corner, which must not pass as rank 1
+        doc = write_map_doc(tmp_path / "choi.json", choi_qutrit_map())
+        out = tmp_path / "report.json"
+        argv = ["classify", doc, "--k-max", "3", "--seed", "5", "--projections", "40", "--out"]
+        assert main([*argv, str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        report = load_report(out)
+        source, forged = record_by_id(report, "pk_3"), record_by_id(report, "pk_1")
+        assert source["kind"] == "violation" and source["witness"]["isometry"]["cols"] == 3
+        forged.update(kind="violation", value=source["value"], witness=source["witness"])
+        report["summary"] = classify_summary(report["records"], 3)
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "pk_1: stored isometry has rank 3, above the record's k" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper", [
         lambda w: w["q"].update(rows="4"),

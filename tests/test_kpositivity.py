@@ -254,6 +254,18 @@ def count_validations(monkeypatch, modules=(posmap.linalg, posmap.choi, posmap.k
     return counter
 
 
+def count_calls(monkeypatch, name, module=posmap.kpositivity):
+    """Count the calls of `module.name`; returns the live counter."""
+    counter, original = {"calls": 0}, getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counter
+
+
 def count_stream_work(monkeypatch):
     """Count Philox constructions and `rng_stream` calls through every module
     that makes them; returns the live counter."""
@@ -406,16 +418,17 @@ class TestStackedRestarts:
         for r in range(1, 6):
             assert np.array_equal(starts[0][r], haar_isometry(rng_stream(9, r), 4, 2))
 
-    def test_matches_the_restart_loop_when_alternations_run_out(self):
+    def test_matches_the_restart_loop_when_alternations_run_out(self, monkeypatch):
+        monkeypatch.setattr(posmap.kpositivity, "_MAX_ALTERNATIONS", 2)
         phi = random_map_near_cp(rng_stream(42), 3, 3, mix=0.6)
-        search = {"restarts": 9, "seed": 5, "max_alternations": 2}
-        assert_same_verdict(k_block_min(phi, 1, **search), loop_k_block_min(phi, 1, **search))
+        search = {"restarts": 9, "seed": 5}
+        assert_same_verdict(k_block_min(phi, 1, **search),
+                            loop_k_block_min(phi, 1, max_alternations=2, **search))
 
-    @pytest.mark.parametrize("search", [{"restarts": 0}, {"max_alternations": 0}])
-    def test_an_empty_search_is_refused(self, search):
-        # without an alternation there is no eigenvector to value
+    def test_an_empty_search_is_refused(self):
+        # without a restart there is no eigenvector to value
         with pytest.raises(CountOutOfRangeError):
-            k_block_min(reduction_family(0.5, 3), 1, **search)
+            k_block_min(reduction_family(0.5, 3), 1, restarts=0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_validation_does_not_grow_with_restarts(self, monkeypatch, k):
@@ -1018,30 +1031,47 @@ class TestThresholdShortcuts:
         lo, hi = -w[-1] - 0.5, -w[0] + 0.5
         family = shifted_family(h0, 3, 3)
         want = loop_bisect_threshold(family, k, lo, hi, steps=25, restarts=16, seed=3)
-        full, original = [], posmap.kpositivity.k_block_min
-
-        def counted(phi, k, **search):
-            full.append(search.get("max_alternations") is None)
-            return original(phi, k, **search)
-
-        monkeypatch.setattr(posmap.kpositivity, "k_block_min", counted)
+        full = count_calls(monkeypatch, "k_block_min")
         assert bisect_threshold(family, k, lo, hi, steps=25, restarts=16, seed=3) == want
-        assert 0 < sum(full) < 27
+        assert 0 < full["calls"] < 27
 
-    def test_a_probe_violation_is_a_violation_of_the_full_search(self):
-        probed = 0
+    def test_a_probe_violation_is_a_violation_of_the_full_search(self, monkeypatch):
+        # every decision of _violates is the full search's; a violation that no
+        # full search decided is the probe's (at least 10 occur); where the full
+        # search runs, its first bottom eigenvalue of restart 0 is the probe's bits
+        full, probed, searched, firsts = count_calls(monkeypatch, "k_block_min"), 0, 0, []
+        bottom = posmap.kpositivity._eigh_bottom
+
+        def recorded(a):
+            w, v = bottom(a)
+            firsts.append(w[0])
+            return w, v
+
+        monkeypatch.setattr(posmap.kpositivity, "_eigh_bottom", recorded)
         for t in range(40):
             rng = rng_stream(72, t)
             m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             phi = random_map_near_cp(rng, m, n, mix=float(rng.choice([0.3, 0.6, 1.0])))
             for k in range(1, n):
-                probe = k_block_min(phi, k, restarts=1, max_alternations=1, seed=t)
-                full = k_block_min(phi, k, restarts=32, seed=t)
-                assert full.value <= probe.value
-                if probe.is_violation:
-                    probed += 1
-                    assert full.is_violation
-        assert probed >= 10
+                full["calls"], firsts[:] = 0, []
+                decided = posmap.kpositivity._violates(phi, k, 32, t)
+                probed += decided and full["calls"] == 0
+                if full["calls"]:
+                    searched += 1
+                    assert firsts[1] == firsts[0]
+                assert decided == k_block_min(phi, k, restarts=32, seed=t).is_violation
+        assert probed >= 10 and searched >= 10
+
+    def test_a_shortcut_decision_builds_one_choi_matrix(self, monkeypatch):
+        # on the reduction family the certificate or the probe decides both ends
+        # and all 12 steps, each from the one h that _search_choi builds
+        built = count_calls(monkeypatch, "_search_choi")
+        full = count_calls(monkeypatch, "k_block_min")
+        for n, k in [(3, 1), (3, 2), (4, 3)]:
+            built["calls"] = 0
+            bisect_threshold(lambda lam: reduction_family(lam, n), k, 0.2, k + 1, steps=12, seed=4)
+            assert built["calls"] == 14
+        assert full["calls"] == 0
 
 
 class TestSpectralBound:
