@@ -117,8 +117,7 @@ class MatrixMap:
     def is_hermiticity_preserving(self) -> bool:
         """phi(a*) = phi(a)* for all a: the Choi matrix is Hermitian within
         HERMITIAN_RTOL * max(1, ||h||_F) in Frobenius norm."""
-        h = self.choi()
-        return frobenius(h - h.conj().T) <= HERMITIAN_RTOL * max(1.0, frobenius(h))
+        return _is_hermitian_choi(self.choi())
 
     def norm_distance(self, other: "MatrixMap") -> float:
         return frobenius(self.unit_images - other.unit_images)
@@ -162,15 +161,21 @@ def kernel_transpose_gap(phi: MatrixMap) -> float:
     return frobenius(phi.choi() - trace_kernel(phi).T)
 
 
+def _is_hermitian_choi(h: np.ndarray) -> bool:
+    """The test of `MatrixMap.is_hermiticity_preserving` on a Choi matrix
+    already built."""
+    return frobenius(h - h.conj().T) <= HERMITIAN_RTOL * max(1.0, frobenius(h))
+
+
 def cp_verdict(phi: MatrixMap) -> Verdict:
     """Exact complete-positivity test: phi is CP iff its Choi matrix is PSD.
 
     The verdict is "pass" or a "violation" whose witness {"vector"} is the
     bottom eigenvector; `value` is the smallest Choi eigenvalue.
     """
-    if not phi.is_hermiticity_preserving():
-        raise NotHermitianError("map is not Hermiticity-preserving")
     h = phi.choi()
+    if not _is_hermitian_choi(h):
+        raise NotHermitianError("map is not Hermiticity-preserving")
     eig = herm_eig(h)
     min_eig = float(eig.eigenvalues[0])
     if min_eig >= -psd_tol(h):

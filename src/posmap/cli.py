@@ -66,7 +66,15 @@ from .modular import (
     transpose_via_conjugations,
     v_beta_duality_check,
 )
-from .report import add_record, classify_summary, new_report, verify_report, write_report
+from .report import (
+    MEMBER_FIELDS,
+    add_record,
+    classify_summary,
+    member_kind,
+    new_report,
+    verify_report,
+    write_report,
+)
 from .verdicts import EVIDENCE, PASS, Verdict
 
 DEFECT_LIMIT = 1e-9
@@ -260,29 +268,17 @@ def cmd_cone(args) -> int:
     params = {"subcommand": args.subcommand, "samples": args.samples}
     report = new_report(doc, args.seed, params)
     exit_code = 0
-    if args.subcommand == "weakdec":
-        xi = None
-    elif cone_input.vector is not None:
-        xi = np.asarray(cone_input.vector, dtype=complex)
-    elif cone_input.blocks is not None:
-        xi = ctx.cone_vector(ctx.from_blocks(cone_input.blocks))
-    else:
-        raise ParseError("cone-input document carries no vector or blocks")
+    xi = None if args.subcommand == "weakdec" else cone_input.frame_vector(ctx)
 
     if args.subcommand == "member":
         membership = cone_member(ctx, xi, hull_samples=args.samples, seed=args.seed)
         report["summary"] = {
-            "in_p": membership.in_p,
-            "in_ptau": membership.in_ptau,
-            "in_intersection": membership.in_intersection,
-            "p_min_eig": membership.p_min_eig,
-            "ptau_min_eig": membership.ptau_min_eig,
+            **{field: getattr(membership, field) for field in MEMBER_FIELDS},
             "cross_route_defect": membership.cross_route_defect,
             "in_hull_evidence": membership.in_hull_evidence,
         }
         # a vector outside P is an answer, not a verification failure: exit 0
-        add_record(report, "member", "pass" if membership.in_p else "defect",
-                   membership.p_min_eig, seed=args.seed)
+        add_record(report, "member", member_kind(membership), membership.p_min_eig, seed=args.seed)
     elif args.subcommand == "pq":
         p_xi, q_xi = ctx.p_project(xi), ctx.q_project(xi)
         cross = abs(np.vdot(p_xi, q_xi))

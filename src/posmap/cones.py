@@ -23,12 +23,17 @@ import numpy as np
 
 from .choi import MatrixMap
 from .errors import (
+    CountOutOfRangeError,
     DimensionMismatchError,
     NotInIntersectionError,
     NotInPError,
 )
 from .linalg import (
     DESK_SCALE_DIM,
+    _partial_transpose,
+    _psd_from_normals,
+    _stream_normals,
+    _stream_seeker,
     alternate_ppt_projections,
     as_matrix,
     frobenius,
@@ -43,6 +48,10 @@ from .linalg import (
 )
 from .modular import GnsContext, Superoperator, gns_context, t_phi
 from .verdicts import EVIDENCE, VIOLATION, Verdict
+
+
+# matrix entries a stack of sampled intersection elements may hold
+_SLICE_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -107,15 +116,17 @@ class BipartiteConeContext:
 
     def cone_vector(self, x) -> np.ndarray:
         """Delta^(1/4) (x Omega) = rho^(1/4) x rho^(1/4) for a frame operator x."""
-        x = self._require(x)
-        quarter = self.eigenvalues**0.25
-        return quarter[:, None] * x * quarter[None, :]
+        return self._sandwich(self._require(x), 0.25)
 
     def reconstruct(self, xi) -> np.ndarray:
         """Inverse of `cone_vector`."""
-        m = self._require(xi)
-        quarter = self.eigenvalues**-0.25
-        return quarter[:, None] * m * quarter[None, :]
+        return self._sandwich(self._require(xi), -0.25)
+
+    def _sandwich(self, m: np.ndarray, power: float) -> np.ndarray:
+        """rho^power m rho^power in the frame, for one matrix or a (..., d, d)
+        stack of them, without validation."""
+        scale = self.eigenvalues**power
+        return scale[:, None] * m * scale[None, :]
 
     def blocks(self, x) -> np.ndarray:
         """Second-factor blocks: result[i, j] = a_ij for x = sum a_ij (x) F_ij."""
@@ -239,21 +250,48 @@ def sample_ppt_operator(rng: np.random.Generator, dim_a: int, dim_b: int) -> np.
 
     20 rounds of alternating PSD projections on the operator and its partial
     transpose; a candidate whose partial transpose still has an eigenvalue
-    below -1e-9 is replaced by a separable draw.
+    below -1e-9 is replaced by a separable draw (`_ppt_from_normals`).
     """
     d = dim_a * dim_b
-    x = random_psd(rng, d)
-    x = x / np.trace(x).real
-    x = alternate_ppt_projections(x, dim_a, dim_b, "second", 20)
-    tr = np.trace(x).real
-    x = x / tr if tr > 1e-12 else x
-    pt_min = np.linalg.eigvalsh(hermitian_part(partial_transpose(x, dim_a, dim_b, "second")))[0]
-    if pt_min < -1e-9 or np.trace(x).real < 1e-12:
-        p = random_psd(rng, dim_a)
-        q = random_psd(rng, dim_b)
-        x = np.kron(p, q)
-        x = x / np.trace(x).real
+    x, failed = _ppt_from_normals(rng.standard_normal((1, 2, d, d)), dim_a, dim_b)
+    return _separable_ppt(rng, dim_a, dim_b) if failed[0] else x[0]
+
+
+def _ppt_streams(seed: int, streams, dim_a: int, dim_b: int) -> np.ndarray:
+    """The stack of `sample_ppt_operator(rng_stream(seed, s), dim_a, dim_b)`
+    for s in `streams`, bit for bit: the candidates run as one stack from the
+    first 2 d^2 normals of each stream, and a member whose candidate fails
+    re-seeks its stream past those normals for its separable draw."""
+    d = dim_a * dim_b
+    seek = _stream_seeker(seed)
+    x, failed = _ppt_from_normals(_stream_normals(seek, streams, 2 * d * d), dim_a, dim_b)
+    for i in np.flatnonzero(failed):
+        rng = seek(streams[i])
+        rng.standard_normal(2 * d * d)
+        x[i] = _separable_ppt(rng, dim_a, dim_b)
     return x
+
+
+def _ppt_from_normals(z: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """PPT candidates from N rows of 2 d^2 normals, each read as `random_psd`
+    reads them: the PSD draw at unit trace, 20 rounds of
+    `alternate_ppt_projections` and unit trace again.  Also returns the mask
+    of the members to replace: those whose trace fell below 1e-12 or whose
+    partial transpose keeps an eigenvalue below -1e-9."""
+    d = dim_a * dim_b
+    x = _psd_from_normals(z.reshape(-1, 2, d, d))
+    x /= x.trace(axis1=-2, axis2=-1).real[:, None, None]
+    x = alternate_ppt_projections(x, dim_a, dim_b, "second", 20)
+    tr = x.trace(axis1=-2, axis2=-1).real
+    x /= np.where(tr > 1e-12, tr, 1.0)[:, None, None]
+    pt_min = np.linalg.eigvalsh(hermitian_part(_partial_transpose(x, dim_a, dim_b, "second")))[:, 0]
+    return x, (tr < 1e-12) | (pt_min < -1e-9)
+
+
+def _separable_ppt(rng: np.random.Generator, dim_a: int, dim_b: int) -> np.ndarray:
+    """The separable fallback draw p (x) q at unit trace."""
+    x = np.kron(random_psd(rng, dim_a), random_psd(rng, dim_b))
+    return x / np.trace(x).real
 
 
 def sample_cone_element(
@@ -380,7 +418,10 @@ def split_bounds_check(
 
     The eta sample mixes rank-1 extreme-ray surrogates with interior points.
     Returns the margin dictionary of `split_bound_margins` plus a violation
-    count (margins below -1e-9)."""
+    count (margins below -1e-9); `eta_samples` < 1 raises
+    `CountOutOfRangeError`, since a pass needs samples to rest on."""
+    if eta_samples < 1:
+        raise CountOutOfRangeError(f"eta_samples={eta_samples} must be >= 1")
     membership = cone_member(ctx, xi)
     if not membership.in_intersection:
         raise NotInIntersectionError(
@@ -517,10 +558,14 @@ def weak_kdec_cone_check(
     pairing is an exact refutation; surviving the sampling budget is evidence.
     Each block size draws `samples` intersection elements and pairs them with
     `samples` image vectors.  The first factor is `ctx_a` itself; the second
-    carries the tracial state.
+    carries the tracial state.  The intersection elements are drawn as stacks
+    of at most `_SLICE_ENTRIES` matrix entries (`_ppt_streams`); the image
+    vectors one at a time, since the walk stops at the first violation.
     """
     if k < 1:
         raise DimensionMismatchError(f"block size k={k} must be >= 1")
+    if samples < 1:
+        raise CountOutOfRangeError(f"samples={samples} must be >= 1")
     if ctx_a.dim * k > DESK_SCALE_DIM:
         raise DimensionMismatchError(
             f"product dimension {ctx_a.dim}*{k} exceeds the desk-scale guard"
@@ -530,11 +575,13 @@ def weak_kdec_cone_check(
     worst = np.inf
     for n in range(1, k + 1):
         ctx = _product_context(ctx_a, gns_context(np.eye(n, dtype=complex) / n))
-        etas = [
-            sample_intersection_element(ctx, rng_stream(seed + 7919 * n + 104729, t))
-            for t in range(samples)
-        ]
-        eta_stack = np.stack([e.reshape(-1) for e in etas])
+        step = max(1, _SLICE_ENTRIES // ctx.dim**2)
+        slices = [range(t, min(t + step, samples)) for t in range(0, samples, step)]
+        etas = np.concatenate([
+            ctx._sandwich(_ppt_streams(seed + 7919 * n + 104729, streams, ctx_a.dim, n), 0.25)
+            for streams in slices
+        ])
+        eta_stack = etas.reshape(samples, -1)
         eta_norms = np.maximum(np.linalg.norm(eta_stack, axis=1), 1.0)
         for s in range(samples):
             rng = rng_stream(seed + 7919 * n, s)
@@ -548,7 +595,7 @@ def weak_kdec_cone_check(
                 return Verdict(
                     VIOLATION,
                     float(pairings[idx]),
-                    witness={"n": n, "xi": xi, "eta": etas[idx], "zeta": zeta},
+                    witness={"n": n, "xi": xi, "eta": etas[idx].copy(), "zeta": zeta},
                     stats={"samples": s + 1, "seed": seed, "min_value": float(pairings[idx])},
                 )
     return Verdict(

@@ -157,6 +157,16 @@ class ConeInput:
     k: int
     metadata: dict
 
+    def frame_vector(self, ctx) -> np.ndarray:
+        """The vector the document names, in the product frame of `ctx` (the
+        `cones.bipartite_context` of its states): `vector` as written, or the
+        cone vector of `blocks`."""
+        if self.vector is not None:
+            return np.asarray(self.vector, dtype=complex)
+        if self.blocks is not None:
+            return ctx.cone_vector(ctx.from_blocks(self.blocks))
+        raise ParseError("cone-input document carries no vector or blocks")
+
 
 def cone_input_from_document(doc) -> ConeInput:
     if not isinstance(doc, dict) or doc.get("kind") != "cone-input":

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .choi import MatrixMap
+from .choi import MatrixMap, _is_hermitian_choi
 from .errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
@@ -91,9 +91,10 @@ def _search_choi(phi: MatrixMap, k: int) -> np.ndarray:
     preserves Hermiticity: the input checks of a compression search."""
     if not 1 <= k <= phi.n:
         raise KOutOfRangeError(f"k={k} outside 1..{phi.n}")
-    if not phi.is_hermiticity_preserving():
+    h = phi.choi()
+    if not _is_hermitian_choi(h):
         raise NotHermitianError("map is not Hermiticity-preserving")
-    return hermitian_part(phi.choi())
+    return hermitian_part(h)
 
 
 def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:

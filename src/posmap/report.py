@@ -11,7 +11,8 @@ stored values have gone stale.  A record that another record's verdict
 decided says so with stats["derived_from"] = <that record's id>, and
 `verify_report` checks that it restates that verdict.  The summary of a
 classify report is read from its records' kinds (`classify_summary`), and
-`verify_report` re-derives it.
+`verify_report` re-derives it, as it re-derives a `cone member` report's
+record and exact summary fields from its embedded input.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -27,8 +28,8 @@ import warnings
 import numpy as np
 
 from .choi import MatrixMap
-from .cones import bipartite_context, cone_member
-from .docio import map_from_document, matrix_from_doc, matrix_to_doc
+from .cones import ConeMembership, bipartite_context, cone_member
+from .docio import cone_input_from_document, map_from_document, matrix_from_doc, matrix_to_doc
 from .errors import ParseError, StaleWitnessError
 from .kpositivity import decomposition_bound
 from .linalg import DESK_SCALE_DIM, PPT_TOL, frobenius, hermitian_part, ppt_min_eigs, psd_tol
@@ -38,6 +39,8 @@ from .verdicts import EVIDENCE, PASS, VIOLATION
 TOOL_NAME = "posmap"
 TOOL_VERSION = "0.1.0"
 VALUE_TOL = 1e-10
+# the summary fields of a `cone member` report that one exact membership test decides
+MEMBER_FIELDS = ("in_p", "in_ptau", "in_intersection", "p_min_eig", "ptau_min_eig")
 
 
 def canonical_json(obj) -> str:
@@ -247,13 +250,16 @@ def verify_report(report: dict) -> list[str]:
     claims no proof.  A violation or a "decomposable" pass without a witness
     is a failure, and so is a record derived from another (stats
     "derived_from") whose kind or value does not restate it
-    (`_derived_failures`), and the summary of a map report that differs from
-    the one its records give (`classify_summary`).  Raises
+    (`_derived_failures`), the summary of a map report that differs from
+    the one its records give (`classify_summary`), and a `member` record or
+    member summary that one exact membership test of the embedded cone input
+    does not give (`_member_failures`).  Raises
     ParseError when the report or one of its records is not a JSON object, a
     witnessed record lacks a string id or a finite value, its witness is not a
     JSON object or holds a matrix document that does not parse, or the
-    embedded input does not parse: a map, or for a report with a weakdec
-    violation, the cone input's map and first-factor state.
+    embedded input does not parse: a map, for a report with a weakdec
+    violation the cone input's map and first-factor state, and for a report
+    with a `member` record the cone input.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -316,7 +322,36 @@ def verify_report(report: dict) -> list[str]:
         else:
             if json.dumps(report.get("summary"), sort_keys=True) != json.dumps(summary, sort_keys=True):
                 failures.append("summary: does not restate the kinds of the records")
+    if any(r.get("id") == "member" for r in records):
+        failures += _member_failures(report, records)
     return failures + _derived_failures(records)
+
+
+def member_kind(membership: ConeMembership) -> str:
+    """The kind of a `cone member` record: pass inside P, defect outside."""
+    return PASS if membership.in_p else "defect"
+
+
+def _member_failures(report: dict, records: list) -> list[str]:
+    """Failures of a `cone member` report: its `member` record and the
+    MEMBER_FIELDS of its summary, re-derived from the embedded cone input by
+    one exact `cone_member` call with no hull sampling."""
+    cone_input = cone_input_from_document(report.get("input"))
+    ctx = bipartite_context(cone_input.rho_a, cone_input.rho_b)
+    membership = cone_member(ctx, cone_input.frame_vector(ctx))
+    kind, value = member_kind(membership), membership.p_min_eig
+    failures = [
+        f"member: stated {r.get('kind')} {r.get('value')!r}, the input gives {kind} {value:.12e}"
+        for r in records
+        if r.get("id") == "member" and (r.get("kind") != kind or not _agrees(r.get("value"), value))
+    ]
+    summary = report.get("summary")
+    summary = summary if isinstance(summary, dict) else {}
+    for field in MEMBER_FIELDS:
+        stated, derived = summary.get(field), getattr(membership, field)
+        if not (stated is derived if isinstance(derived, bool) else _agrees(stated, derived)):
+            failures.append(f"summary: {field} does not restate the input's membership")
+    return failures
 
 
 def classify_summary(records: list, k_max: int) -> dict:

@@ -314,6 +314,35 @@ class TestCone:
         record = record_by_id(report, "member")
         assert record["kind"] == "defect"
         assert record["value"] == pytest.approx(-1.0, abs=1e-12)
+        assert main(["verify", str(out)]) == 0
+
+    def test_an_edited_member_record_fails_verify(self, tmp_path, capsys):
+        # verify re-derives the member record from the embedded input: the
+        # [[I, 2X], [2X, I]] vector lies outside P, so "pass" 0.5 is stale
+        eye, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        doc = cone_doc(tmp_path, [[eye, 2 * x], [2 * x, eye]])
+        out = tmp_path / "r.json"
+        assert main(["cone", "member", doc, "--seed", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        record_by_id(report, "member").update(kind="pass", value=0.5)
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert "member: stated pass 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("in_p", True), ("in_ptau", True), ("in_intersection", True),
+        ("p_min_eig", 0.5), ("ptau_min_eig", -0.5),
+    ])
+    def test_an_edited_member_summary_fails_verify(self, tmp_path, capsys, field, value):
+        eye, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        doc = cone_doc(tmp_path, [[eye, 2 * x], [2 * x, eye]])
+        out = tmp_path / "r.json"
+        assert main(["cone", "member", doc, "--seed", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        report["summary"][field] = value
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 1
+        assert f"summary: {field} does not restate" in capsys.readouterr().err
 
     def test_flags_on_symmetric_blocks(self, tmp_path):
         eye = np.eye(2)

@@ -1,8 +1,12 @@
 """Bipartite cones: membership, the partial-swap symmetry, odd-part structure,
 and the weak-decomposability cone test."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import posmap.cones
 import posmap.linalg
@@ -20,20 +24,22 @@ from posmap.cones import (
     transposed_cone_consistency,
     weak_kdec_cone_check,
 )
-from posmap.errors import NotInIntersectionError, NotInPError
+from posmap.errors import CountOutOfRangeError, NotInIntersectionError, NotInPError
 from posmap.kpositivity import sk_check
 from posmap.linalg import (
+    alternate_ppt_projections,
     frobenius,
     hermitian_part,
     hs_inner,
     partial_transpose,
+    psd_tol,
     random_psd,
     rng_stream,
 )
-from posmap.maps import identity_map, max_entangled_projector, transposition_map
-from posmap.modular import gns_context
-from posmap.verdicts import EVIDENCE, VIOLATION
-from test_kpositivity import count_validations
+from posmap.maps import identity_map, max_entangled_projector, random_map_near_cp, transposition_map
+from posmap.modular import gns_context, t_phi
+from posmap.verdicts import EVIDENCE, VIOLATION, Verdict
+from test_kpositivity import assert_same_verdict, count_validations, stream_position
 
 TRACIAL = np.eye(2, dtype=complex) / 2
 RHO_A = np.diag([1 / 3, 2 / 3]).astype(complex)
@@ -224,6 +230,13 @@ class TestSplitBounds:
             xi = sample_intersection_element(ctx, rng)
             margins = split_bounds_check(ctx, xi, eta_samples=100, seed=s)
             assert margins["violations"] == 0
+
+    @pytest.mark.parametrize("eta_samples", [0, -1])
+    def test_a_count_below_one_is_refused(self, eta_samples):
+        # a pass must rest on at least one sample
+        ctx = skew_ctx()
+        with pytest.raises(CountOutOfRangeError):
+            split_bounds_check(ctx, ctx.omega, eta_samples=eta_samples, seed=0)
 
     def test_rejects_non_intersection_vectors(self):
         ctx = skew_ctx()
@@ -424,3 +437,131 @@ class TestWeakDecomposability:
                 n = int(wv.witness["n"])
                 sv = sk_check(phi, n, samples=400, seed=t)
                 assert sv.kind == VIOLATION
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_a_count_below_one_is_refused(self, samples):
+        with pytest.raises(CountOutOfRangeError):
+            weak_kdec_cone_check(gns_context(TRACIAL), identity_map(2), 1, samples=samples, seed=0)
+
+
+def loop_sample_ppt_operator(rng, dim_a, dim_b):
+    """`sample_ppt_operator` as one matrix at a time on the validating kernels:
+    the reference for the stacked sampler."""
+    d = dim_a * dim_b
+    x = random_psd(rng, d)
+    x = x / np.trace(x).real
+    x = alternate_ppt_projections(x, dim_a, dim_b, "second", 20)
+    tr = np.trace(x).real
+    x = x / tr if tr > 1e-12 else x
+    pt_min = np.linalg.eigvalsh(hermitian_part(partial_transpose(x, dim_a, dim_b, "second")))[0]
+    if pt_min < -1e-9 or np.trace(x).real < 1e-12:
+        p = random_psd(rng, dim_a)
+        q = random_psd(rng, dim_b)
+        x = np.kron(p, q)
+        x = x / np.trace(x).real
+    return x
+
+
+def loop_weak_kdec_cone_check(ctx_a, phi, k, *, samples, seed):
+    """`weak_kdec_cone_check` drawing each intersection element through its own
+    `loop_sample_ppt_operator` call: the reference for the stacked draws."""
+    t_star = t_phi(ctx_a, phi).operator.matrix.conj().T
+    worst = np.inf
+    for n in range(1, k + 1):
+        ctx = bipartite_context(ctx_a.rho, np.eye(n, dtype=complex) / n)
+        streams = [rng_stream(seed + 7919 * n + 104729, t) for t in range(samples)]
+        etas = [ctx.cone_vector(loop_sample_ppt_operator(rng, ctx_a.dim, n)) for rng in streams]
+        eta_stack = np.stack([e.reshape(-1) for e in etas])
+        eta_norms = np.maximum(np.linalg.norm(eta_stack, axis=1), 1.0)
+        for s in range(samples):
+            xi = sample_cone_element(ctx, rng_stream(seed + 7919 * n, s))
+            zeta = ctx.apply_first_factor(t_star, xi)
+            pairings = (eta_stack.conj() @ zeta.reshape(-1)).real
+            idx = int(np.argmin(pairings / eta_norms))
+            worst = min(worst, float(pairings[idx]))
+            if pairings[idx] < -psd_tol(zeta) * eta_norms[idx]:
+                return Verdict(VIOLATION, float(pairings[idx]),
+                               witness={"n": n, "xi": xi, "eta": etas[idx], "zeta": zeta},
+                               stats={"samples": s + 1, "seed": seed, "min_value": float(pairings[idx])})
+    stats = {"samples": samples, "dual_samples": samples, "seed": seed, "min_value": float(worst)}
+    return Verdict(EVIDENCE, float(worst), stats=stats)
+
+
+def failing_projections(a, *args):
+    """A stand-in for `alternate_ppt_projections` that keeps the PSD draw of
+    the members whose first diagonal entry exceeds their last, where the
+    partial-transpose test mostly fails, and maps the others to the identity,
+    which passes it: which members fail depends on each member alone."""
+    keep = a[:, 0, 0].real > a[:, -1, -1].real
+    return np.where(keep[:, None, None], a, np.eye(a.shape[-1]))
+
+
+class TestStackedPptSampler:
+    @given(dims=st.sampled_from([(a, b) for a in range(1, 7) for b in range(1, 7) if a * b <= 6]),
+           streams=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_stack_equals_the_one_at_a_time_sampler(self, dims, streams, seed):
+        got = posmap.cones._ppt_streams(seed, streams, *dims)
+        for s, x in zip(streams, got):
+            assert np.array_equal(x, sample_ppt_operator(rng_stream(seed, s), *dims))
+            assert np.array_equal(x, loop_sample_ppt_operator(rng_stream(seed, s), *dims))
+
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (4, 3), (6, 6), (3, 12)])
+    def test_large_stacks_equal_the_one_at_a_time_sampler(self, dims):
+        got = posmap.cones._ppt_streams(29, range(6), *dims)
+        for s, x in enumerate(got):
+            assert np.array_equal(x, loop_sample_ppt_operator(rng_stream(29, s), *dims))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_the_separable_fallback_leaves_each_stream_where_the_loop_does(self, monkeypatch, dims):
+        monkeypatch.setattr(posmap.cones, "alternate_ppt_projections", failing_projections)
+        positions, separable = [], posmap.cones._separable_ppt
+
+        def recorded(rng, dim_a, dim_b):
+            before = stream_position(rng)
+            x = separable(rng, dim_a, dim_b)
+            positions.append((before, stream_position(rng)))
+            return x
+
+        monkeypatch.setattr(posmap.cones, "_separable_ppt", recorded)
+        got = posmap.cones._ppt_streams(17, range(40), *dims)
+        stacked, positions[:] = positions[:], []
+        want = [sample_ppt_operator(rng_stream(17, s), *dims) for s in range(40)]
+        assert np.array_equal(got, np.array(want))
+        assert 5 <= len(stacked) <= 35  # both paths run
+        assert stacked == positions
+
+    @pytest.mark.parametrize("phi, kind", [
+        (-1.0 * identity_map(3), VIOLATION),
+        (identity_map(3), EVIDENCE),
+        (random_map_near_cp(rng_stream(91), 3, 3, mix=0.8), VIOLATION),
+    ])
+    @pytest.mark.parametrize("slice_entries", [posmap.cones._SLICE_ENTRIES, 100])
+    def test_verdict_equals_the_one_at_a_time_loop(self, monkeypatch, phi, kind, slice_entries):
+        # 100 entries make slices of 11 elements at n = 1 and of 2 at n = 2
+        monkeypatch.setattr(posmap.cones, "_SLICE_ENTRIES", slice_entries)
+        ctx_a = gns_context(np.diag([0.2, 0.3, 0.5]).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = weak_kdec_cone_check(ctx_a, phi, 2, samples=60, seed=4)
+            want = loop_weak_kdec_cone_check(ctx_a, phi, 2, samples=60, seed=4)
+        assert got.kind == kind
+        assert_same_verdict(got, want)
+
+    def test_eigh_calls_per_block_size_do_not_grow_with_samples(self, monkeypatch):
+        calls, eigh = {"eigh": 0}, np.linalg.eigh
+
+        def counted(a):
+            calls["eigh"] += 1
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ctx_a = gns_context(np.diag([0.2, 0.3, 0.5]).astype(complex))
+        for k in (1, 2):
+            counts = []
+            for samples in (3, 40, 100):
+                calls["eigh"] = 0
+                verdict = weak_kdec_cone_check(ctx_a, identity_map(3), k, samples=samples, seed=0)
+                assert verdict.kind == EVIDENCE
+                counts.append(calls["eigh"])
+            assert counts[0] == counts[1] == counts[2]

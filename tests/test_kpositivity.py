@@ -1073,6 +1073,15 @@ class TestThresholdShortcuts:
             assert built["calls"] == 14
         assert full["calls"] == 0
 
+    @pytest.mark.parametrize("lam, decided", [(0.5, True), (2.5, False)])
+    def test_a_shortcut_decision_calls_choi_once(self, monkeypatch, lam, decided):
+        # the Hermiticity test reads the h that _search_choi builds; the probe
+        # decides lam = 0.5 and the certificate lam = 2.5 (k = 2, n = 3)
+        choi = count_calls(monkeypatch, "choi", module=MatrixMap)
+        full = count_calls(monkeypatch, "k_block_min")
+        assert posmap.kpositivity._violates(reduction_family(lam, 3), 2, 32, 0) == decided
+        assert (choi["calls"], full["calls"]) == (1, 0)
+
 
 class TestSpectralBound:
     @pytest.mark.parametrize("n", [3, 4])

@@ -211,11 +211,13 @@ def hostile_cases(tmp_path_factory):
         "state": ({"kind": "state", "matrix": matrix_to_doc(np.diag([0.3, 0.7]))}, state_argv),
     }
     # reports whose records hold witnesses: a violation of every map test, a
-    # decomposition certificate (transposition is co-CP), and weakdec
+    # decomposition certificate (transposition is co-CP), and weakdec; and a
+    # member report, which verify re-derives from its input
     for name, doc, argv, sub in [
         ("classify", map_to_document(-1.0 * identity_map(2), "choi"), classify_argv, None),
         ("certified", cases["map"][0], classify_argv, None),
         ("weakdec", cone_doc, cone_argv, "weakdec"),
+        ("member", cone_doc, cone_argv, "member"),
     ]:
         source, out = tmp / f"{name}.json", tmp / f"{name}-report.json"
         source.write_text(json.dumps(doc), encoding="utf-8")
@@ -227,7 +229,8 @@ def hostile_cases(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "kind", ["map", "cone", "state", "classify report", "certified report", "weakdec report"]
+    "kind", ["map", "cone", "state", "classify report", "certified report", "weakdec report",
+             "member report"]
 )
 @settings(max_examples=150)
 @given(data=st.data())
