@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import HERMITIAN_RTOL, as_matrix, frobenius, herm_eig, matrix_units, psd_tol
+from .linalg import HERMITIAN_RTOL, _eigh_phased, as_matrix, frobenius, hermitian_part, matrix_units, psd_tol
 from .verdicts import PASS, VIOLATION, Verdict
 
 
@@ -176,11 +176,11 @@ def cp_verdict(phi: MatrixMap) -> Verdict:
     h = phi.choi()
     if not _is_hermitian_choi(h):
         raise NotHermitianError("map is not Hermiticity-preserving")
-    eig = herm_eig(h)
-    min_eig = float(eig.eigenvalues[0])
+    w, v = _eigh_phased(hermitian_part(h))
+    min_eig = float(w[0])
     if min_eig >= -psd_tol(h):
         return Verdict(PASS, min_eig)
-    return Verdict(VIOLATION, min_eig, witness={"vector": eig.eigenvectors[:, 0]})
+    return Verdict(VIOLATION, min_eig, witness={"vector": v[:, 0]})
 
 
 def block_positivity_forms(h, m: int, n: int, x, y) -> tuple[float, float, float]:

@@ -25,6 +25,7 @@ from .choi import MatrixMap
 from .errors import (
     CountOutOfRangeError,
     DimensionMismatchError,
+    KOutOfRangeError,
     NotInIntersectionError,
     NotInPError,
 )
@@ -38,8 +39,6 @@ from .linalg import (
     as_matrix,
     frobenius,
     hermitian_part,
-    hs_inner,
-    partial_transpose,
     ppt_min_eigs,
     psd_tol,
     random_complex,
@@ -87,40 +86,25 @@ class BipartiteConeContext:
 
     def utilde(self, xi) -> np.ndarray:
         """I (x) U_B: partial transpose on the second factor."""
-        return partial_transpose(self._require(xi), self.dim_a, self.dim_b, side="second")
-
-    def u_first(self, xi) -> np.ndarray:
-        """U_A (x) I: partial transpose on the first factor."""
-        return partial_transpose(self._require(xi), self.dim_a, self.dim_b, side="first")
+        return self._pt(self._require(xi), "second")
 
     def p_project(self, xi) -> np.ndarray:
         """P = (I + Utilde) / 2."""
         m = self._require(xi)
-        return (m + self.utilde(m)) / 2
+        return (m + self._pt(m, "second")) / 2
 
     def q_project(self, xi) -> np.ndarray:
         """Q = (I - Utilde) / 2."""
         m = self._require(xi)
-        return (m - self.utilde(m)) / 2
-
-    def p_total(self, xi) -> np.ndarray:
-        """(I + U_A (x) U_B) / 2."""
-        m = self._require(xi)
-        return (m + m.T) / 2
-
-    def factor_projections(self, xi, sign_a: int, sign_b: int) -> np.ndarray:
-        """(P_A or Q_A) (x) (P_B or Q_B) applied to xi; sign +1 picks P, -1 picks Q."""
-        m = self._require(xi)
-        out = m + sign_a * self.u_first(m) + sign_b * self.utilde(m) + sign_a * sign_b * m.T
-        return out / 4
+        return (m - self._pt(m, "second")) / 2
 
     def cone_vector(self, x) -> np.ndarray:
         """Delta^(1/4) (x Omega) = rho^(1/4) x rho^(1/4) for a frame operator x."""
         return self._sandwich(self._require(x), 0.25)
 
-    def reconstruct(self, xi) -> np.ndarray:
-        """Inverse of `cone_vector`."""
-        return self._sandwich(self._require(xi), -0.25)
+    def _pt(self, m: np.ndarray, side: str) -> np.ndarray:
+        """U_A (x) I (side "first") or Utilde ("second"), without validation."""
+        return _partial_transpose(m, self.dim_a, self.dim_b, side)
 
     def _sandwich(self, m: np.ndarray, power: float) -> np.ndarray:
         """rho^power m rho^power in the frame, for one matrix or a (..., d, d)
@@ -206,25 +190,26 @@ def cone_member(
     The candidate block matrix is recovered as rho^(-1/4) xi rho^(-1/4);
     membership in P is its positivity, membership in the transposed cone is
     positivity of the block transpose.  The second route through the partial
-    swap of xi is computed as a cross-check.  Optionally attaches sampled
-    dual-pairing evidence of hull membership.
+    swap of xi is computed as a cross-check.  `hull_samples` > 0 attaches
+    sampled dual-pairing evidence of hull membership; below 0 it raises
+    `CountOutOfRangeError`.
     """
+    if hull_samples < 0:
+        raise CountOutOfRangeError(f"hull_samples={hull_samples} must be >= 0")
     m = ctx._require(xi)
-    x = ctx.reconstruct(m)
+    x = ctx._sandwich(m, -0.25)
     bound = psd_tol(x)
     herm_defect = frobenius(x - x.conj().T)
     p_min, ptau_min = ppt_min_eigs(x, ctx.dim_a, ctx.dim_b, "second")
-    cross = frobenius(ctx.reconstruct(ctx.utilde(m)) - partial_transpose(x, ctx.dim_a, ctx.dim_b, "second"))
+    cross = frobenius(ctx._sandwich(ctx._pt(m, "second"), -0.25) - ctx._pt(x, "second"))
     in_p = herm_defect <= bound and p_min >= -bound
     in_ptau = herm_defect <= bound and ptau_min >= -bound
 
     hull_min: float | None = None
     hull_flag: bool | None = None
     if hull_samples > 0:
-        hull_min = np.inf
-        for s in range(hull_samples):
-            eta = sample_intersection_element(ctx, rng_stream(seed, s))
-            hull_min = min(hull_min, hs_inner(eta, m).real)
+        etas = (sample_intersection_element(ctx, rng_stream(seed, s)) for s in range(hull_samples))
+        hull_min = min(float(np.vdot(eta, m).real) for eta in etas)  # hs_inner's arithmetic
         hull_flag = hull_min >= -max(bound, psd_tol(m))
     return ConeMembership(
         in_p=in_p,
@@ -333,8 +318,8 @@ def transposed_cone_consistency(
         rng = rng_stream(seed, s)
         x = random_psd(rng, ctx.dim)
         x = x / np.trace(x).real
-        lhs = ctx.utilde(ctx.cone_vector(x))
-        rhs = ctx.cone_vector(partial_transpose(x, ctx.dim_a, ctx.dim_b, "second"))
+        lhs = ctx._pt(ctx._sandwich(x, 0.25), "second")
+        rhs = ctx._sandwich(ctx._pt(x, "second"), 0.25)
         identity_defect = max(identity_defect, frobenius(lhs - rhs))
 
         # generator of the mixed-commutant natural cone: for n = sum_r L_{a_r} (x) R_{c_r},
@@ -349,7 +334,7 @@ def transposed_cone_consistency(
                     ops_a[r] @ half_a @ ops_a[t].conj().T,
                     ops_c[t].conj().T @ half_b @ ops_c[r],
                 )
-        pairing = hs_inner(gen, lhs)
+        pairing = complex(np.vdot(gen, lhs))
         commutant_min = min(commutant_min, pairing.real)
         imag_max = max(imag_max, abs(pairing.imag))
 
@@ -357,8 +342,8 @@ def transposed_cone_consistency(
         zeta = sample_intersection_element(ctx, rng)
         hull_gen = sample_cone_element(ctx, rng)
         if rng.random() < 0.5:
-            hull_gen = ctx.utilde(hull_gen)
-        dual_pairing = hs_inner(zeta, hull_gen)
+            hull_gen = ctx._pt(hull_gen, "second")
+        dual_pairing = complex(np.vdot(zeta, hull_gen))
         duality_min = min(duality_min, dual_pairing.real)
         imag_max = max(imag_max, abs(dual_pairing.imag))
     return {
@@ -385,10 +370,11 @@ def split_bound_margins(ctx: BipartiteConeContext, xi, etas) -> dict[str, float]
              'norm'         : ||P xi|| - ||Q xi||            (eta-independent)
     """
     m = ctx._require(xi)
-    p_xi = ctx.p_project(m)
-    q_xi = ctx.q_project(m)
-    targets = [p_xi, q_xi, m, ctx.p_total(m)]
-    targets += [ctx.factor_projections(m, a, b) for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
+    u_a, u_b = ctx._pt(m, "first"), ctx._pt(m, "second")
+    p_xi, q_xi = (m + u_b) / 2, (m - u_b) / 2
+    # P, Q, I, P_tot = (I + U_A (x) U_B) / 2 and (P_A or Q_A) (x) (P_B or Q_B) on xi
+    targets = [p_xi, q_xi, m, (m + m.T) / 2]
+    targets += [(m + a * u_a + b * u_b + a * b * m.T) / 4 for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
     # xi and each eta are validated once; np.vdot is hs_inner's arithmetic
     pairings = [[np.vdot(eta, t).real for t in targets] for eta in map(ctx._require, etas)]
     e_p, e_q, e_xi, e_ptot, e_pp, e_qp, e_pq, e_qq = np.reshape(pairings, (-1, 8)).T
@@ -428,11 +414,8 @@ def split_bounds_check(
             f"vector not in the intersection (min eigs {membership.p_min_eig:.3e}, "
             f"{membership.ptau_min_eig:.3e})"
         )
-    etas = []
-    for s in range(eta_samples):
-        rng = rng_stream(seed, s)
-        rank = 1 if s % 2 == 0 else None
-        etas.append(sample_cone_element(ctx, rng, rank=rank))
+    etas = [sample_cone_element(ctx, rng_stream(seed, s), rank=1 if s % 2 == 0 else None)
+            for s in range(eta_samples)]
     margins = split_bound_margins(ctx, xi, etas)
     margins["violations"] = float(sum(1 for k, v in margins.items() if k != "violations" and v < -1e-9))
     margins["samples"] = float(eta_samples)
@@ -460,14 +443,12 @@ def odd_part_flags(ctx: BipartiteConeContext, xi) -> OddPartFlags:
     membership = cone_member(ctx, m)
     if not membership.in_p:
         raise NotInPError(f"vector not in P (min eig {membership.p_min_eig:.3e})")
-    q_xi = ctx.q_project(m)
+    swapped = ctx._pt(m, "second")
+    q_xi = (m - swapped) / 2
     bound = psd_tol(m)
     q_zero = frobenius(q_xi) <= bound
-    fixed = frobenius(ctx.utilde(m) - m) <= bound
-    if q_zero:
-        q_in_p = True  # zero vector sits on the cone boundary
-    else:
-        q_in_p = cone_member(ctx, q_xi).in_p
+    fixed = frobenius(swapped - m) <= bound
+    q_in_p = q_zero or cone_member(ctx, q_xi).in_p  # zero vector sits on the cone boundary
     return OddPartFlags(q_in_p=q_in_p, q_zero=q_zero, fixed=fixed)
 
 
@@ -497,10 +478,9 @@ def odd_part_polar(ctx: BipartiteConeContext, xi) -> OddPartPolar:
     if not membership.in_p:
         raise NotInPError(f"vector not in P (min eig {membership.p_min_eig:.3e})")
     blocks = membership.blocks
-    h = (blocks[0, 1] - blocks[1, 0]) / 2j
-    h = hermitian_part(h)
+    h = hermitian_part((blocks[0, 1] - blocks[1, 0]) / 2j)
     a = ctx.dim_a
-    q_xi = ctx.q_project(m)
+    q_xi = (m - ctx._pt(m, "second")) / 2
     if frobenius(h) <= 1e-12 * max(1.0, frobenius(blocks)):
         zero_carrier = Superoperator(np.zeros((ctx.dim**2, ctx.dim**2), dtype=complex), False)
         return OddPartPolar(
@@ -563,7 +543,7 @@ def weak_kdec_cone_check(
     vectors one at a time, since the walk stops at the first violation.
     """
     if k < 1:
-        raise DimensionMismatchError(f"block size k={k} must be >= 1")
+        raise KOutOfRangeError(f"block size k={k} must be >= 1")
     if samples < 1:
         raise CountOutOfRangeError(f"samples={samples} must be >= 1")
     if ctx_a.dim * k > DESK_SCALE_DIM:
@@ -583,9 +563,9 @@ def weak_kdec_cone_check(
         ])
         eta_stack = etas.reshape(samples, -1)
         eta_norms = np.maximum(np.linalg.norm(eta_stack, axis=1), 1.0)
+        seek = _stream_seeker(seed + 7919 * n)
         for s in range(samples):
-            rng = rng_stream(seed + 7919 * n, s)
-            xi = sample_cone_element(ctx, rng)
+            xi = sample_cone_element(ctx, seek(s))
             zeta = ctx.apply_first_factor(t_star, xi)
             bound = psd_tol(zeta)
             pairings = (eta_stack.conj() @ zeta.reshape(-1)).real

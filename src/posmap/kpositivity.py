@@ -42,6 +42,7 @@ from .errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
     CountOutOfRangeError,
+    DimensionMismatchError,
     KOutOfRangeError,
     NotHermitianError,
 )
@@ -343,11 +344,12 @@ def dk_compose(
     k-copositive map.
 
     The component checks are evidence-level searches; a violation verdict on
-    either component aborts with the corresponding error.  `residual` is the
-    Frobenius distance between the target and the sum of the parts.
+    either component aborts with the corresponding error, and a dimension
+    mismatch with `DimensionMismatchError`.  `residual` is the Frobenius
+    distance between the target and the sum of the parts.
     """
     if not (target.m, target.n) == (phi1.m, phi1.n) == (phi2.m, phi2.n):
-        raise ComponentNotKPositiveError("target and component dimensions differ")
+        raise DimensionMismatchError("target and component dimensions differ")
     v1 = is_k_positive(phi1, k, **search)
     if v1.is_violation:
         raise ComponentNotKPositiveError(f"first part violates {k}-positivity: {v1.value:.3e}")

@@ -7,12 +7,14 @@ its certificate.  `recheck_witness` re-evaluates a witness through plain
 quadratic forms and eigenvalue checks, never re-running any search, from one
 table of re-checks keyed by record id; `verify_report` runs it on every
 violation and pass record that holds a witness and reports the records whose
-stored values have gone stale.  A record that another record's verdict
-decided says so with stats["derived_from"] = <that record's id>, and
-`verify_report` checks that it restates that verdict.  The summary of a
-classify report is read from its records' kinds (`classify_summary`), and
-`verify_report` re-derives it, as it re-derives a `cone member` report's
-record and exact summary fields from its embedded input.
+stored values have gone stale or whose violation no longer violates; it
+accepts no classify pass but `cp`, which it re-derives, and `decomposable`.
+A record that another record's verdict decided says so with
+stats["derived_from"] = <that record's id>, and `verify_report` checks that
+it restates that verdict.  The summary of a classify report is read from its
+records' kinds (`classify_summary`), and `verify_report` re-derives it, as it
+re-derives a `cone member` report's record and exact summary fields from its
+embedded input.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -27,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .choi import MatrixMap
+from .choi import MatrixMap, cp_verdict
 from .cones import ConeMembership, bipartite_context, cone_member
 from .docio import cone_input_from_document, map_from_document, matrix_from_doc, matrix_to_doc
 from .errors import ParseError, StaleWitnessError
@@ -135,13 +137,6 @@ def _ppt_pairing(w: np.ndarray, h: np.ndarray, m: int, n: int) -> float:
     return float(np.trace(w @ h).real)
 
 
-def _recheck_cp(record_id: str, phi: MatrixMap, witness: dict) -> float:
-    val = _rayleigh(hermitian_part(phi.choi()), witness["vector"].reshape(-1))
-    if val >= 0:
-        raise StaleWitnessError("witness no longer certifies a negative eigenvalue")
-    return val
-
-
 def _recheck_k_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
     k = int(record_id.rsplit("_", 1)[1])
     target = phi.compose_transposition() if record_id.startswith("k_copositive_") else phi
@@ -213,7 +208,7 @@ def _recheck_weakdec(record_id: str, phi: MatrixMap, witness: dict) -> float:
 # order k stripped ("k_positive_2" -> "k_positive_").  Block positivity is
 # 1-positivity, so its witness is re-checked as a k_positive_1 witness.
 RECHECKS = {
-    "cp": _recheck_cp,
+    "cp": lambda _, phi, witness: _rayleigh(hermitian_part(phi.choi()), witness["vector"].reshape(-1)),
     "block_positivity": lambda _, phi, witness: _recheck_k_witness("k_positive_1", phi, witness),
     "k_positive_": _recheck_k_witness,
     "k_copositive_": _recheck_k_witness,
@@ -247,19 +242,21 @@ def verify_report(report: dict) -> list[str]:
     """Re-evaluate every stored witness; returns a list of failure messages.
 
     The witnesses of violation and pass records are re-checked; evidence
-    claims no proof.  A violation or a "decomposable" pass without a witness
-    is a failure, and so is a record derived from another (stats
-    "derived_from") whose kind or value does not restate it
-    (`_derived_failures`), the summary of a map report that differs from
-    the one its records give (`classify_summary`), and a `member` record or
-    member summary that one exact membership test of the embedded cone input
-    does not give (`_member_failures`).  Raises
+    claims no proof.  Failures: a violation or a "decomposable" pass without
+    a witness, a violation whose witness re-evaluates to >= 0, a derived
+    record (stats "derived_from") that does not restate its source
+    (`_derived_failures`), in a map report a pass `verify` cannot re-derive
+    (`_proof_failures`) and a summary its records do not give
+    (`classify_summary`), and a `member` record or member summary that one
+    exact membership test of the embedded cone input does not give
+    (`_member_failures`).  Raises
     ParseError when the report or one of its records is not a JSON object, a
     witnessed record lacks a string id or a finite value, its witness is not a
     JSON object or holds a matrix document that does not parse, or the
     embedded input does not parse: a map, for a report with a weakdec
     violation the cone input's map and first-factor state, and for a report
-    with a `member` record the cone input.
+    with a `member` record the cone input; NotHermitianError when a map
+    report's map is not Hermiticity-preserving, which classify refuses too.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -312,9 +309,12 @@ def verify_report(report: dict) -> list[str]:
         except Exception as exc:  # malformed witness payloads are stale too
             failures.append(f"{rid}: witness re-evaluation failed ({exc})")
         else:
+            if record.get("kind") == VIOLATION and value >= 0:
+                failures.append(f"{rid}: the witness re-evaluates to {value:.12e}, which violates nothing")
             if not _agrees(stated, value):
                 failures.append(f"{rid}: stated value {stated:.12e} re-evaluates to {value:.12e}")
     if phi is not None:  # a classify report, whose summary restates its records' kinds
+        failures += _proof_failures(phi, records)
         try:
             summary = classify_summary(records, report["params"]["k_max"])
         except (KeyError, TypeError):
@@ -325,6 +325,28 @@ def verify_report(report: dict) -> list[str]:
     if any(r.get("id") == "member" for r in records):
         failures += _member_failures(report, records)
     return failures + _derived_failures(records)
+
+
+def _proof_failures(phi: MatrixMap, records: list) -> list[str]:
+    """Failures of a map report's passes: a `cp` record that one `cp_verdict`
+    of the embedded map does not give, and a pass on any record but `cp` and
+    `decomposable`, the two proofs `verify` can re-derive."""
+    failures = [
+        f"{r.get('id')}: a pass that verify cannot re-derive" for r in records
+        if r.get("kind") == PASS and r.get("id") not in ("cp", "decomposable")
+    ]
+    cp = cp_verdict(phi)
+    return failures + _restated(records, "cp", cp.kind, cp.value)
+
+
+def _restated(records: list, record_id: str, kind: str, value: float) -> list[str]:
+    """A failure for each record `record_id` whose kind is not `kind` or
+    whose value is not `value` within VALUE_TOL."""
+    return [
+        f"{record_id}: stated {r.get('kind')} {r.get('value')!r}, the input gives {kind} {value:.12e}"
+        for r in records
+        if r.get("id") == record_id and (r.get("kind") != kind or not _agrees(r.get("value"), value))
+    ]
 
 
 def member_kind(membership: ConeMembership) -> str:
@@ -339,12 +361,7 @@ def _member_failures(report: dict, records: list) -> list[str]:
     cone_input = cone_input_from_document(report.get("input"))
     ctx = bipartite_context(cone_input.rho_a, cone_input.rho_b)
     membership = cone_member(ctx, cone_input.frame_vector(ctx))
-    kind, value = member_kind(membership), membership.p_min_eig
-    failures = [
-        f"member: stated {r.get('kind')} {r.get('value')!r}, the input gives {kind} {value:.12e}"
-        for r in records
-        if r.get("id") == "member" and (r.get("kind") != kind or not _agrees(r.get("value"), value))
-    ]
+    failures = _restated(records, "member", member_kind(membership), membership.p_min_eig)
     summary = report.get("summary")
     summary = summary if isinstance(summary, dict) else {}
     for field in MEMBER_FIELDS:

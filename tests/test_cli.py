@@ -11,7 +11,9 @@ from posmap import cli, kpositivity
 from posmap.cli import main
 from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
 from posmap.maps import choi_qutrit_map, identity_map, reduction_family, transposition_map
-from posmap.report import classify_summary, report_body
+from posmap.choi import MatrixMap
+from posmap.linalg import random_psd, rng_stream
+from posmap.report import classify_summary, input_digest, report_body
 from test_golden_corpus import GOLDEN, run_corpus
 
 CORPUS_VIOLATIONS = [
@@ -198,6 +200,21 @@ class TestClassify:
         path = tmp_path / "nh.json"
         dump_document(doc, str(path))
         assert main(["classify", str(path), "--seed", "1"]) == 2
+
+    def test_a_map_its_hermiticity_check_accepts_is_classified(self, tmp_path):
+        # ||h - h*||_F = 4.2e-9 passes the map's rule, 1e-8 max(1, ||h||_F),
+        # but not check_hermitian's 1e-8 ||h||_F = 1e-11, which cp_verdict
+        # applied a second time: classify exited 2 on a map it had accepted
+        g = random_psd(rng_stream(11), 4)
+        h = 1e-3 * g / np.linalg.norm(g)
+        h[0, 1] += 3e-9
+        phi = MatrixMap.from_choi(h, 2, 2)
+        assert phi.is_hermiticity_preserving()
+        doc = write_map_doc(tmp_path / "near.json", phi)
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "1", "--out", str(out)]) == 0
+        assert record_by_id(load_report(out), "cp")["kind"] == "pass"
+        assert main(["verify", str(out)]) == 0
 
 
 class TestDeterminism:
@@ -420,6 +437,15 @@ class TestCountOptions:
                        extra={"map": map_to_document(transposition_map(2), "choi"), "k": 1})
         assert main(["cone", sub, doc, "--seed", "1", "--samples", "0"]) == 2
 
+    def test_cone_member_rejects_negative_samples(self, tmp_path, capsys):
+        # zero means no hull sampling; a negative count used to be written as is
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        doc = cone_doc(tmp_path, [[eye, zero], [zero, eye]])
+        out = tmp_path / "r.json"
+        assert main(["cone", "member", doc, "--seed", "1", "--samples", "-5", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "hull_samples=-5 must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub", ["member", "pq", "flags", "polar"])
     def test_cone_accepts_zero_samples_where_nothing_is_sampled(self, tmp_path, sub):
         # member reads zero as exact membership with no hull sampling
@@ -562,6 +588,74 @@ class TestVerify:
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
         assert "summary: the records and k_max do not determine" in capsys.readouterr().err
+
+    def test_a_forged_cp_pass_fails_verify(self, tmp_path, capsys):
+        # cp and k_positive_2 relabelled pass without their witnesses, with
+        # the summary re-derived to claim complete positivity
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        for record_id in ("cp", "k_positive_2"):
+            record = record_by_id(report, record_id)
+            assert record["kind"] == "violation"
+            record["kind"] = "pass"
+            del record["witness"]
+        report["summary"] = classify_summary(report["records"], 2)
+        assert report["summary"]["completely_positive"] is True
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cp: stated pass" in err and "the input gives violation" in err
+        assert "k_positive_2: a pass that verify cannot re-derive" in err
+
+    def test_a_witnessed_violation_relabelled_pass_fails_verify(self, tmp_path, capsys):
+        # the witness still re-checks to the stated -1.0, but it proves a violation
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        record = record_by_id(report, "k_positive_2")
+        assert record["value"] == pytest.approx(-1.0, abs=1e-6) and "witness" in record
+        record["kind"] = "pass"
+        report["summary"] = classify_summary(report["records"], 2)
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "k_positive_2: a pass that verify cannot re-derive" in capsys.readouterr().err
+
+    def test_a_violation_at_a_positive_value_fails_verify(self, tmp_path, capsys):
+        # the identity is copositive on e0 (x) e0, where the swap has value +1:
+        # the witness re-checks to its stated value but violates nothing
+        doc = write_map_doc(tmp_path / "id.json", identity_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "1", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        record = record_by_id(report, "k_copositive_1")
+        assert record["kind"] == "evidence"
+        vector = np.zeros((4, 1))
+        vector[0, 0] = 1.0
+        record.update(kind="violation", value=1.0, witness={
+            "projection": matrix_to_doc(np.diag([1.0, 0.0])), "vector": matrix_to_doc(vector)})
+        report["summary"] = classify_summary(report["records"], 1)
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "k_copositive_1: the witness re-evaluates to 1.0" in capsys.readouterr().err
+
+    def test_a_non_hermitian_embedded_map_is_an_input_error(self, tmp_path, capsys):
+        # verify re-derives cp from the map, and cp_verdict refuses it as classify does
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        report["input"]["matrices"][0]["data"][1] = [5.0, 1.0]
+        report["input_digest"] = input_digest(report["input"])
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert "input error: map is not Hermiticity-preserving" in capsys.readouterr().err
 
     def test_rerun_same_seed_verifies_cross_report(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))

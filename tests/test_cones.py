@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import posmap.cones
 import posmap.linalg
 from posmap.cones import (
+    BipartiteConeContext,
     bipartite_context,
     cone_member,
     modular_factorization_defect,
@@ -24,7 +25,7 @@ from posmap.cones import (
     transposed_cone_consistency,
     weak_kdec_cone_check,
 )
-from posmap.errors import CountOutOfRangeError, NotInIntersectionError, NotInPError
+from posmap.errors import CountOutOfRangeError, KOutOfRangeError, NotInIntersectionError, NotInPError
 from posmap.kpositivity import sk_check
 from posmap.linalg import (
     alternate_ppt_projections,
@@ -39,7 +40,7 @@ from posmap.linalg import (
 from posmap.maps import identity_map, max_entangled_projector, random_map_near_cp, transposition_map
 from posmap.modular import gns_context, t_phi
 from posmap.verdicts import EVIDENCE, VIOLATION, Verdict
-from test_kpositivity import assert_same_verdict, count_validations, stream_position
+from test_kpositivity import assert_same_verdict, count_calls, count_validations, stream_position
 
 TRACIAL = np.eye(2, dtype=complex) / 2
 RHO_A = np.diag([1 / 3, 2 / 3]).astype(complex)
@@ -130,6 +131,13 @@ class TestConeMember:
         mem = cone_member(ctx, xi, hull_samples=50, seed=4)
         assert mem.in_hull_evidence
         assert mem.hull_pairing_min >= -1e-10
+
+    @pytest.mark.parametrize("hull_samples", [-1, -5])
+    def test_a_negative_hull_count_is_refused(self, hull_samples):
+        # zero is "no hull sampling"; below zero there is nothing to read
+        ctx = skew_ctx()
+        with pytest.raises(CountOutOfRangeError):
+            cone_member(ctx, ctx.omega, hull_samples=hull_samples, seed=0)
 
     def test_product_vectors_lie_in_the_intersection(self):
         # tensor products of single-system cone elements stay fixed under the
@@ -270,6 +278,94 @@ class TestSplitBounds:
             split_bound_margins(ctx, xi, etas[:size])
             counts.append(counter["calls"])
         assert counts[1] - counts[0] == 27
+
+
+def loop_split_bound_margins(ctx, xi, etas):
+    """`split_bound_margins` with each target built by the validating
+    kernels, as the removed context helpers built them: P, Q, the identity,
+    P_tot = (I + U_A (x) U_B) / 2 and the four (P_A or Q_A) (x) (P_B or Q_B)."""
+    a, b = ctx.dim_a, ctx.dim_b
+
+    def factor(m, sign_a, sign_b):
+        return (m + sign_a * partial_transpose(m, a, b, "first") + sign_b * ctx.utilde(m)
+                + sign_a * sign_b * m.T) / 4
+
+    m = np.asarray(xi, dtype=complex)
+    targets = [ctx.p_project(m), ctx.q_project(m), m, (m + m.T) / 2]
+    targets += [factor(m, sa, sb) for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
+    rows = [[hs_inner(eta, t).real for t in targets] for eta in etas]
+    margins = {key: np.inf for key in ("abs_q_vs_p", "pairing", "q_vs_total", "factor_sum",
+                                       "factor_diff", "qq_vs_ptot")}
+    for e_p, e_q, e_xi, e_ptot, e_pp, e_qp, e_pq, e_qq in rows:
+        for key, value in (("abs_q_vs_p", e_p - abs(e_q)), ("pairing", e_xi),
+                           ("q_vs_total", e_xi - 2 * e_q),
+                           ("factor_sum", (e_pp + e_qp) - (e_pq + e_qq)),
+                           ("factor_diff", (e_pp - e_qp) - (-e_pq + e_qq)),
+                           ("qq_vs_ptot", e_ptot - 2 * e_qq)):
+            margins[key] = min(margins[key], value)
+    margins["norm"] = frobenius(targets[0]) - frobenius(targets[1])
+    return margins
+
+
+def loop_cone_member(ctx, xi, hull_samples, seed):
+    """The fields of `cone_member` on the validating kernels: the
+    reconstruction rho^(-1/4) xi rho^(-1/4), the cross-check through the
+    partial swap, and `hs_inner` hull pairings."""
+    scale = ctx.eigenvalues ** -0.25
+    m = np.asarray(xi, dtype=complex)
+    x = scale[:, None] * m * scale[None, :]
+    swapped = ctx.utilde(m)
+    cross = frobenius(scale[:, None] * swapped * scale[None, :]
+                      - partial_transpose(x, ctx.dim_a, ctx.dim_b, "second"))
+    hull = [hs_inner(sample_intersection_element(ctx, rng_stream(seed, s)), m).real
+            for s in range(hull_samples)]
+    return x, cross, min(hull)
+
+
+class TestValidateOnce:
+    CONTEXTS = [tracial_ctx, skew_ctx,
+                lambda: bipartite_context(np.diag([0.2, 0.3, 0.5]).astype(complex), RHO_B)]
+
+    @pytest.mark.parametrize("make_ctx", CONTEXTS)
+    def test_margins_equal_the_validating_reference(self, make_ctx):
+        ctx = make_ctx()
+        for t in range(4):
+            xi = sample_intersection_element(ctx, rng_stream(92, t))
+            etas = [sample_cone_element(ctx, rng_stream(93 + t, s), rank=1 + s % 2) for s in range(12)]
+            assert split_bound_margins(ctx, xi, etas) == loop_split_bound_margins(ctx, xi, etas)
+
+    @pytest.mark.parametrize("make_ctx", CONTEXTS)
+    def test_membership_equals_the_validating_reference(self, make_ctx):
+        ctx = make_ctx()
+        for t in range(4):
+            xi = sample_cone_element(ctx, rng_stream(94, t))
+            got = cone_member(ctx, xi, hull_samples=6, seed=t)
+            x, cross, hull = loop_cone_member(ctx, xi, 6, t)
+            assert got.cross_route_defect == cross
+            assert got.hull_pairing_min == hull and type(got.hull_pairing_min) is float
+            assert type(got.in_hull_evidence) is bool
+            assert got.hermitian_defect == frobenius(x - x.conj().T)
+            assert np.array_equal(got.blocks, ctx.blocks(hermitian_part(x)))
+
+    def test_each_check_validates_its_vector_once(self, monkeypatch):
+        ctx = skew_ctx()
+        xi = sample_cone_element(ctx, rng_stream(95))
+        etas = [sample_cone_element(ctx, rng_stream(96, s)) for s in range(5)]
+        counter = count_calls(monkeypatch, "_require", module=BipartiteConeContext)
+        for check, calls in [
+            (lambda: ctx.utilde(xi), 1),
+            (lambda: ctx.p_project(xi), 1),
+            (lambda: ctx.q_project(xi), 1),
+            (lambda: cone_member(ctx, xi), 2),  # xi, and the blocks it returns
+            (lambda: split_bound_margins(ctx, xi, etas), 1 + len(etas)),
+            # its own, then cone_member on xi and on its nonzero odd part
+            (lambda: odd_part_flags(ctx, xi), 5),
+            # only the two samplers of each round validate their draws
+            (lambda: transposed_cone_consistency(ctx, samples=3, seed=1), 2 * 3),
+        ]:
+            counter["calls"] = 0
+            check()
+            assert counter["calls"] == calls
 
 
 class TestOddPartFlags:
@@ -442,6 +538,22 @@ class TestWeakDecomposability:
     def test_a_count_below_one_is_refused(self, samples):
         with pytest.raises(CountOutOfRangeError):
             weak_kdec_cone_check(gns_context(TRACIAL), identity_map(2), 1, samples=samples, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_a_block_size_below_one_is_a_k_out_of_range(self, k):
+        # as every other k < 1; the desk-scale guard stays a dimension error
+        with pytest.raises(KOutOfRangeError):
+            weak_kdec_cone_check(gns_context(TRACIAL), identity_map(2), k, samples=1, seed=0)
+
+    def test_the_xi_walk_reads_its_streams_from_one_seeker(self, monkeypatch):
+        # the reference loop draws xi through rng_stream; the walk seeks one
+        # bit generator per block size to the same streams
+        streams = count_calls(monkeypatch, "rng_stream", module=posmap.cones)
+        philox = count_calls(monkeypatch, "Philox", module=np.random)
+        verdict = weak_kdec_cone_check(gns_context(TRACIAL), identity_map(2), 2, samples=30, seed=1)
+        assert verdict.kind == EVIDENCE
+        assert streams["calls"] == 0
+        assert philox["calls"] == 4  # per block size, one for the etas and one for the walk
 
 
 def loop_sample_ppt_operator(rng, dim_a, dim_b):

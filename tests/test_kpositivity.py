@@ -13,6 +13,7 @@ from posmap.errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
     CountOutOfRangeError,
+    DimensionMismatchError,
     KOutOfRangeError,
     NotHermitianError,
 )
@@ -675,6 +676,11 @@ class TestDkCompose:
         zero = 0.0 * identity_map(2)
         with pytest.raises(ComponentNotKCopositiveError):
             dk_compose(identity_map(2), zero, identity_map(2), 2, restarts=8, seed=4)
+
+    def test_parts_of_other_dimensions_are_a_dimension_mismatch(self):
+        # a shape error, not a k-positivity verdict on the first part
+        with pytest.raises(DimensionMismatchError):
+            dk_compose(identity_map(2), identity_map(3), transposition_map(2), 2, restarts=8, seed=5)
 
 
 class TestDecomposabilityWitness:
