@@ -42,7 +42,7 @@ print(f"  ||tau - U Delta^(1/2)|| = {check_polar_factorization(ctx):.2e}")
 print("\n=== pointwise transposition through the conjugations ===")
 a = random_complex(rng, (3, 3))
 xi = random_complex(rng, (3, 3))
-lhs, rhs, gap = transpose_via_conjugations(ctx, a, xi)
+lhs, rhs, gap = transpose_via_conjugations(a, xi)
 print(f"  ||a^t xi - J a* J xi|| = {gap:.2e}")
 
 print("\n=== the induced operator of the eigenbasis transposition IS the carrier ===")

@@ -12,8 +12,8 @@ Subcommands:
   a report.
 
 Exit codes: 0 success, 1 verification/defect failure, 2 input error (a
-malformed document, a map beyond the desk-scale size, or a count option
-below 1).
+malformed document, a map or a `--k-max` beyond the desk-scale size, a count
+option below 1, or an input that drives a report value out of float range).
 Reports are byte-identical for identical input and seed; timing is only
 written when requested and lives in its own excluded field.
 """
@@ -21,7 +21,6 @@ written when requested and lives in its own excluded field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -53,6 +52,7 @@ from .kpositivity import (
     sk_check,
 )
 from .linalg import (
+    DESK_SCALE_DIM,
     HERMITIAN_RTOL,
     PSD_RTOL,
     hermitian_part,
@@ -86,17 +86,6 @@ def _require_counts(args, *names: str) -> None:
         value = getattr(args, name)
         if value < 1:
             raise ParseError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
-
-
-def _emit(report: dict, out: str | None, timing: dict | None) -> None:
-    if out:
-        write_report(report, out, timing=timing)
-    else:
-        payload = dict(report)
-        if timing is not None:
-            payload["timing"] = timing
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
 
 
 def _verdict_record(report: dict, record_id: str, verdict: Verdict, seed: int) -> None:
@@ -165,6 +154,9 @@ def cmd_classify(args) -> int:
     phi = map_from_document(doc)
     if not phi.is_hermiticity_preserving():
         raise ParseError("map is not Hermiticity-preserving; positivity tests need a Hermitian Choi matrix")
+    if args.k_max * phi.m > DESK_SCALE_DIM:
+        # sk_<k> samples blocks of size k * m; every k <= n stays legal, as m * n <= 36
+        raise ParseError(f"--k-max {args.k_max} gives blocks of size {args.k_max * phi.m} > {DESK_SCALE_DIM}")
     params = {
         "k_max": args.k_max,
         "restarts": args.restarts,
@@ -188,8 +180,26 @@ def cmd_classify(args) -> int:
         clock = time.perf_counter()
 
     report["summary"] = classify_summary(report["records"], args.k_max)
-    _emit(report, args.out, _timing(args, stages))
+    write_report(report, args.out, timing=_timing(args, stages))
     return 0
+
+
+def _modular_defects(rho, seed: int, t: int) -> dict[str, float]:
+    """Trial t's defect of each identity of the modular suite at the state rho."""
+    ctx = gns_context(rho)
+    defects = check_unitary_relations(ctx)
+    del defects["max"]
+    defects["polar"] = check_polar_factorization(ctx)
+    # ten (a, xi) pairs, each from four consecutive (d, d) normal draws
+    z = rng_stream(seed, 1000 + t).standard_normal((10, 4, ctx.dim, ctx.dim))
+    defects["transpose_identity"] = max(
+        transpose_via_conjugations(r[0] + 1j * r[1], r[2] + 1j * r[3])[2] for r in z
+    )
+    dual = v_beta_duality_check(ctx, 0.25, samples=20, seed=seed + t)
+    defects["cone_duality_imag"] = dual["max_imag_pairing"]
+    defects["cone_duality_negative"] = max(0.0, -dual["min_real_pairing"])
+    defects["cone_flip_failures"] = dual["flip_failures"]
+    return defects
 
 
 def cmd_modular_verify(args) -> int:
@@ -197,48 +207,26 @@ def cmd_modular_verify(args) -> int:
     if not 2 <= args.dim <= 8:
         raise ParseError(f"--dim must be in 2..8, got {args.dim}")
     if args.rho_file:
-        rhos = [state_from_document(load_document(args.rho_file))]
-        if rhos[0].shape != (args.dim, args.dim):
-            raise ParseError(f"state shape {rhos[0].shape} does not match --dim {args.dim}")
+        rho = state_from_document(load_document(args.rho_file))
+        if rho.shape != (args.dim, args.dim):
+            raise ParseError(f"state shape {rho.shape} does not match --dim {args.dim}")
+        trials, draw = 1, lambda t: rho
     else:
-        rhos = [
-            random_faithful_state(rng_stream(args.seed, t), args.dim) for t in range(args.trials)
-        ]
+        trials, draw = args.trials, lambda t: random_faithful_state(rng_stream(args.seed, t), args.dim)
     params = {
         "dim": args.dim,
-        "trials": len(rhos),
+        "trials": trials,
         "defect_limit": DEFECT_LIMIT,
         "rho_file": args.rho_file or "",
     }
-    input_doc = {"kind": "modular-suite", "dim": args.dim, "trials": len(rhos)}
+    input_doc = {"kind": "modular-suite", "dim": args.dim, "trials": trials}
     report = new_report(input_doc, args.seed, params)
 
+    # each state is drawn just before its own trial and dropped after it
     worst: dict[str, float] = {}
-    for t, rho in enumerate(rhos):
-        ctx = gns_context(rho)
-        rels = check_unitary_relations(ctx)
-        for name, val in rels.items():
-            if name != "max":
-                worst[name] = max(worst.get(name, 0.0), val)
-        worst["polar"] = max(worst.get("polar", 0.0), check_polar_factorization(ctx))
-        rng = rng_stream(args.seed, 1000 + t)
-        for _ in range(10):
-            a = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal(
-                (args.dim, args.dim)
-            )
-            xi = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal(
-                (args.dim, args.dim)
-            )
-            _, _, gap = transpose_via_conjugations(ctx, a, xi)
-            worst["transpose_identity"] = max(worst.get("transpose_identity", 0.0), gap)
-        dual = v_beta_duality_check(ctx, 0.25, samples=20, seed=args.seed + t)
-        worst["cone_duality_imag"] = max(worst.get("cone_duality_imag", 0.0), dual["max_imag_pairing"])
-        worst["cone_duality_negative"] = max(
-            worst.get("cone_duality_negative", 0.0), max(0.0, -dual["min_real_pairing"])
-        )
-        worst["cone_flip_failures"] = max(
-            worst.get("cone_flip_failures", 0.0), dual["flip_failures"]
-        )
+    for t in range(trials):
+        for name, value in _modular_defects(draw(t), args.seed, t).items():
+            worst[name] = max(worst.get(name, 0.0), value)
 
     failed = False
     for name in sorted(worst):
@@ -249,7 +237,7 @@ def cmd_modular_verify(args) -> int:
             defects={"max": worst[name]}, seed=args.seed,
         )
     report["summary"] = {"max_defect": max(worst.values()), "passed": not failed}
-    _emit(report, args.out, _timing(args))
+    write_report(report, args.out, timing=_timing(args))
     return 1 if failed else 0
 
 
@@ -336,7 +324,7 @@ def cmd_cone(args) -> int:
         }
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown cone subcommand {args.subcommand}")
-    _emit(report, args.out, _timing(args))
+    write_report(report, args.out, timing=_timing(args))
     return exit_code
 
 

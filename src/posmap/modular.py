@@ -37,6 +37,7 @@ from .errors import (
 )
 from .kpositivity import is_k_positive
 from .linalg import (
+    _stream_seeker,
     as_matrix,
     frobenius,
     herm_eig,
@@ -94,13 +95,6 @@ class Superoperator:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
-
-
-def superop_from_function(f, dim: int) -> Superoperator:
-    """Assemble the matrix of a linear superoperator by applying it to the
-    frame units: column (i, j) is vec(f(E_ij))."""
-    images = MatrixMap.from_function(f, dim, dim).unit_images.reshape(dim * dim, dim * dim)
-    return Superoperator(np.ascontiguousarray(images.T), False)
 
 
 @dataclass(frozen=True)
@@ -177,12 +171,13 @@ def gns_context(rho) -> GnsContext:
     d = r.shape[0]
     sqrt_lam = np.sqrt(lam)
 
-    u_op = superop_from_function(lambda e: e.T, d)
-    jm_op = Superoperator(u_op.matrix.copy(), antilinear=True)  # xi -> xi* = conj(xi^T)
+    # U E_ij = E_ji, a permutation; tau E_ij = rho^(-1/2) E_ji rho^(1/2) scales
+    # its row (p, q) by lam_q^(1/2) / lam_p^(1/2)
+    swap = matrix_units(d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    u_op = Superoperator(swap)
+    jm_op = Superoperator(swap.copy(), antilinear=True)  # xi -> xi* = conj(xi^T)
     j_op = Superoperator(np.eye(d * d, dtype=complex), antilinear=True)  # xi -> conj(xi)
-    tau_op = superop_from_function(
-        lambda e: (1 / sqrt_lam)[:, None] * e.T * sqrt_lam[None, :], d
-    )
+    tau_op = Superoperator(swap * np.outer(1 / sqrt_lam, sqrt_lam).reshape(-1, 1))
     return GnsContext(
         rho=r,
         eigenvalues=lam,
@@ -201,7 +196,7 @@ def gns_context(rho) -> GnsContext:
 # ---------------------------------------------------------------------------
 
 
-def transpose_via_conjugations(ctx: GnsContext, a, xi) -> tuple[np.ndarray, np.ndarray, float]:
+def transpose_via_conjugations(a, xi) -> tuple[np.ndarray, np.ndarray, float]:
     """Both sides of the identity a^t xi = J a* J xi on the representation space.
 
     `a` is an operator and `xi` a vector of the representation space, both as
@@ -301,7 +296,7 @@ def v_beta_member(ctx: GnsContext, beta: float, xi) -> ConeMembershipResult:
 
 def cone_vector(ctx: GnsContext, beta: float, a) -> np.ndarray:
     """Delta^beta (a Omega) as a frame matrix."""
-    return ctx.delta_apply(beta, as_matrix(a) @ ctx.Omega)
+    return ctx.delta_apply(beta, a @ ctx.Omega)
 
 
 def v_beta_duality_check(
@@ -318,14 +313,15 @@ def v_beta_duality_check(
     min_real = np.inf
     max_imag = 0.0
     flips_failed = 0
+    seek = _stream_seeker(seed)
     for s in range(samples):
-        rng = rng_stream(seed, s)
+        rng = seek(s)
         xi = cone_vector(ctx, beta, random_psd(rng, ctx.dim))
         eta = cone_vector(ctx, 0.5 - beta, random_psd(rng, ctx.dim))
         pairing = complex(np.vdot(eta, xi))
         min_real = min(min_real, pairing.real)
         max_imag = max(max_imag, abs(pairing.imag))
-        if not v_beta_member(ctx, 0.5 - beta, ctx.U.apply(xi)).member:
+        if not v_beta_member(ctx, 0.5 - beta, xi.T).member:  # U xi, exactly
             flips_failed += 1
     return {
         "min_real_pairing": float(min_real),
@@ -376,17 +372,16 @@ def t_phi(ctx: GnsContext, phi: MatrixMap) -> InducedOperator:
             stacklevel=2,
         )
 
-    x = ctx.basis
-    phi_frame = MatrixMap.from_function(
-        lambda e: x.conj().T @ phi(x @ e @ x.conj().T) @ x, ctx.dim, ctx.dim
-    )
-    omega_inv = np.diag(1.0 / np.sqrt(ctx.eigenvalues)).astype(complex)
-    t_op = superop_from_function(
-        lambda e: phi_frame(e @ omega_inv) @ ctx.Omega, ctx.dim
-    )
+    x, d = ctx.basis, ctx.dim
+    phi_frame = MatrixMap.from_function(lambda e: x.conj().T @ phi(x @ e @ x.conj().T) @ x, d, d)
+    # T E_ij = phi_frame(E_ij Omega^(-1)) Omega: column (i, j) of T is vec of
+    # phi_frame(E_ij) with its column b scaled by lam_b^(1/2) / lam_j^(1/2)
+    sqrt_lam = np.sqrt(ctx.eigenvalues)
+    images = phi_frame.unit_images * (1 / sqrt_lam)[None, :, None, None] * sqrt_lam
+    t_op = Superoperator(np.ascontiguousarray(images.reshape(d * d, d * d).T))
 
     ext = 0.0
-    for e in matrix_units(ctx.dim).reshape(-1, ctx.dim, ctx.dim):
+    for e in matrix_units(d).reshape(-1, d, d):
         ext = max(ext, frobenius(t_op.apply(e @ ctx.Omega) - phi_frame(e) @ ctx.Omega))
 
     delta = ctx.delta_power(1.0)

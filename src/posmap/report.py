@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -102,13 +103,23 @@ def _plain(v):
     return v
 
 
-def write_report(report: dict, path: str, *, timing: dict | None = None) -> None:
+def write_report(report: dict, path: str | None, *, timing: dict | None = None) -> None:
+    """Write the report as sorted, indented JSON to `path`, or to stdout when
+    no path is given.  The whole text is built before anything is written: a
+    non-finite value, which only an input beyond float range produces, is a
+    ParseError, and no file is created or truncated."""
     payload = dict(report)
     if timing is not None:
         payload["timing"] = timing
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ParseError(f"the input drives a report value out of float range ({exc})") from exc
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def report_body(report: dict) -> dict:

@@ -3,6 +3,7 @@ report determinism, and independent witness verification."""
 
 import json
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from posmap.choi import MatrixMap
 from posmap.linalg import random_psd, rng_stream
 from posmap.report import classify_summary, input_digest, report_body
 from test_golden_corpus import GOLDEN, run_corpus
+from test_kpositivity import count_calls
 
 CORPUS_VIOLATIONS = [
     (name, record["id"])
@@ -285,6 +287,33 @@ class TestModularVerify:
         assert report["summary"]["passed"] is True
         assert report["summary"]["max_defect"] <= 1e-9
 
+    def test_each_state_is_drawn_just_before_its_own_trial(self, tmp_path, monkeypatch):
+        # the suite holds one state at a time: when a state is drawn, every
+        # earlier state is gone, and each context is built from the state
+        # drawn just before it
+        draw, context = cli.random_faithful_state, cli.gns_context
+        events, drawn = [], []
+
+        def counted_draw(rng, dim):
+            assert all(ref() is None for ref in drawn)
+            rho = draw(rng, dim)
+            drawn.append(weakref.ref(rho))
+            events.append(("draw", id(rho)))
+            return rho
+
+        def counted_context(rho):
+            assert events[-1] == ("draw", id(rho))
+            events.append(("context", None))
+            return context(rho)
+
+        monkeypatch.setattr(cli, "random_faithful_state", counted_draw)
+        monkeypatch.setattr(cli, "gns_context", counted_context)
+        out = tmp_path / "mod.json"
+        assert main(["modular-verify", "--dim", "3", "--trials", "4", "--seed", "13",
+                     "--out", str(out)]) == 0
+        assert [kind for kind, _ in events] == ["draw", "context"] * 4
+        assert load_report(out)["params"]["trials"] == 4
+
     def test_singular_state_rejected(self, tmp_path):
         rho = np.diag([1.0, 0.0]).astype(complex)
         path = tmp_path / "rho.json"
@@ -460,6 +489,20 @@ class TestCountOptions:
     def test_modular_verify_rejects_trials_below_one(self, trials):
         assert main(["modular-verify", "--dim", "2", "--trials", trials, "--seed", "1"]) == 2
 
+    def test_k_max_beyond_the_desk_scale_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # sk_<k> samples blocks of size k * m: 13 * 3 = 39 > 36 is refused
+        # before any search runs, and 12 * 3 = 36 still runs
+        doc = write_map_doc(tmp_path / "id3.json", identity_map(3))
+        out = tmp_path / "r.json"
+        budget = ["--seed", "1", "--restarts", "2", "--samples", "2", "--projections", "2"]
+        certificates = count_calls(monkeypatch, "decomposition_certificate", module=cli)
+        assert main(["classify", doc, "--k-max", "13", *budget, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert certificates["calls"] == 0
+        assert "--k-max 13 gives blocks of size 39 > 36" in capsys.readouterr().err
+        assert main(["classify", doc, "--k-max", "12", *budget, "--out", str(out)]) == 0
+        assert record_by_id(load_report(out), "pk_12")["kind"] == "evidence"
+
     def test_oversized_map_is_rejected_before_parsing(self, tmp_path):
         # m = n = 300 would make from_kraus allocate m^2 n^2 unit images (about
         # 130 GB); the guard fires on the declared dimensions alone
@@ -520,6 +563,41 @@ class TestHostileDocuments:
         assert main(["cone", "weakdec", doc, "--seed", "1", "--samples", "2",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestNonFiniteReports:
+    """A report is valid JSON or an input error: a cone vector with every
+    entry 1e200 overflows `cone pq` (p_norm is inf, the Pythagoras defect
+    NaN)."""
+
+    def overflowing_doc(self, tmp_path):
+        return cone_doc(tmp_path, None, extra={"vector": matrix_to_doc(np.full((4, 4), 1e200))})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_report_file_is_never_written(self, tmp_path, capsys):
+        doc = self.overflowing_doc(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["cone", "pq", doc, "--out", str(out)]) == 2
+        assert not out.exists()
+        out.write_text("earlier report\n")
+        assert main(["cone", "pq", doc, "--out", str(out)]) == 2
+        assert out.read_text() == "earlier report\n"
+        assert "out of float range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_report_is_not_printed(self, tmp_path, capsys):
+        assert main(["cone", "pq", self.overflowing_doc(tmp_path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""  # no Infinity or NaN token, and no partial report
+        assert "out of float range" in printed.err
+
+    def test_stdout_and_out_carry_the_same_bytes(self, tmp_path, capsys):
+        out = tmp_path / "mod.json"
+        argv = ["modular-verify", "--dim", "3", "--trials", "2", "--seed", "9"]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 class TestStateGuards:

@@ -4,6 +4,7 @@ induced operators, and the balance adjoint."""
 import numpy as np
 import pytest
 
+import posmap.modular
 from linalg_helpers import frac_power
 from posmap.choi import MatrixMap
 from posmap.errors import (
@@ -33,6 +34,7 @@ from posmap.modular import (
     cone_state,
     cone_vector,
     db_adjoint,
+    frame_transposition_map,
     gns_context,
     schwarz_defect,
     swap_conjugate,
@@ -41,6 +43,7 @@ from posmap.modular import (
     v_beta_duality_check,
     v_beta_member,
 )
+from test_kpositivity import count_calls
 
 TRACIAL_2 = np.eye(2, dtype=complex) / 2
 # ascending spectrum keeps the frame equal to the standard basis
@@ -82,17 +85,57 @@ class TestGnsContext:
             gns_context(np.eye(2, dtype=complex))
 
 
+def loop_superoperator(f, d):
+    """The matrix of the linear superoperator f assembled one frame unit at a
+    time, column (i, j) being vec(f(E_ij)): the reference for the closed forms
+    of U, Jm, tau and T_phi."""
+    images = MatrixMap.from_function(f, d, d).unit_images.reshape(d * d, d * d)
+    return np.ascontiguousarray(images.T)
+
+
+def random_states(d, count=3):
+    rng = rng_stream(900 + d)
+    return [random_faithful_state(rng, d) for _ in range(count)]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_swap_conjugation_and_carrier_match_the_unit_loop(self, d):
+        for rho in random_states(d):
+            ctx = gns_context(rho)
+            s = np.sqrt(ctx.eigenvalues)
+            swap = loop_superoperator(lambda e: e.T, d)
+            assert np.array_equal(ctx.U.matrix, swap) and not ctx.U.antilinear
+            assert np.array_equal(ctx.Jm.matrix, swap) and ctx.Jm.antilinear
+            carrier = loop_superoperator(lambda e: (1 / s)[:, None] * e.T * s[None, :], d)
+            assert np.array_equal(ctx.tau.matrix, carrier) and not ctx.tau.antilinear
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.filterwarnings("ignore:state is not invariant")
+    def test_induced_operators_match_the_unit_loop(self, d):
+        for t, rho in enumerate(random_states(d)):
+            ctx = gns_context(rho)
+            x = ctx.basis
+            omega_inv = np.diag(1.0 / np.sqrt(ctx.eigenvalues)).astype(complex)
+            maps = [identity_map(d), transposition_map(d), frame_transposition_map(ctx),
+                    random_hermiticity_preserving(rng_stream(910 + d, t), d, d)]
+            for phi in maps:
+                phi_frame = MatrixMap.from_function(
+                    lambda e: x.conj().T @ phi(x @ e @ x.conj().T) @ x, d, d)
+                expected = loop_superoperator(lambda e: phi_frame(e @ omega_inv) @ ctx.Omega, d)
+                assert np.array_equal(t_phi(ctx, phi).operator.matrix, expected)
+
+
 class TestTransposeViaConjugations:
     def test_unit_at_tracial_state(self):
         ctx = gns_context(TRACIAL_2)
-        lhs, rhs, gap = transpose_via_conjugations(ctx, unit(0, 1, 2), ctx.Omega)
+        lhs, rhs, gap = transpose_via_conjugations(unit(0, 1, 2), ctx.Omega)
         assert gap <= 1e-12
         assert np.allclose(lhs, unit(1, 0, 2) / np.sqrt(2))
 
     def test_identity_operator_acts_trivially(self):
-        ctx = gns_context(DIAG_2)
         xi = random_complex(rng_stream(1), (2, 2))
-        lhs, rhs, gap = transpose_via_conjugations(ctx, np.eye(2), xi)
+        lhs, rhs, gap = transpose_via_conjugations(np.eye(2), xi)
         assert gap <= 1e-12
         assert np.allclose(lhs, xi)
 
@@ -100,10 +143,9 @@ class TestTransposeViaConjugations:
         rng = rng_stream(2)
         for trial in range(50):
             d = int(rng.integers(2, 6))
-            ctx = gns_context(random_faithful_state(rng, d))
             a = random_complex(rng, (d, d))
             xi = random_complex(rng, (d, d))
-            assert transpose_via_conjugations(ctx, a, xi)[2] <= 1e-10
+            assert transpose_via_conjugations(a, xi)[2] <= 1e-10
 
 
 class TestStructuralIdentities:
@@ -200,6 +242,14 @@ class TestConeFamily:
         report = v_beta_duality_check(ctx, 0.0, samples=50, seed=7)
         assert report["min_real_pairing"] >= -1e-10
         assert report["flip_failures"] == 0
+
+    def test_duality_check_reads_its_streams_from_one_seeker(self, monkeypatch):
+        streams = count_calls(monkeypatch, "rng_stream", module=posmap.modular)
+        philox = count_calls(monkeypatch, "Philox", module=np.random)
+        report = v_beta_duality_check(gns_context(DIAG_2), 0.25, samples=30, seed=6)
+        assert report["flip_failures"] == 0
+        assert streams["calls"] == 0
+        assert philox["calls"] == 1
 
     def test_flip_maps_between_dual_cones(self):
         ctx = gns_context(DIAG_2)
