@@ -60,7 +60,7 @@ cm = choi_qutrit_map()
 h = hermitian_part(cm.choi())
 primal = decomposition_certificate(h, 3, 3)
 print(f"  primal search: {primal.kind}, {primal.stats['termination']} at bound {primal.value:+.4f}")
-verdict = decomposability_witness(h, 3, 3, seed=4)
+verdict = decomposability_witness(h, 3, 3)
 print(f"  witness search: {verdict.kind}, pairing {verdict.value:+.4f}")
 w = verdict.witness["state"]
 print(f"  witness state min eigenvalue: {np.linalg.eigvalsh(w)[0]:+.2e} (a genuine PPT state)")

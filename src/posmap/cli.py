@@ -88,24 +88,17 @@ def _require_counts(args, *names: str) -> None:
             raise ParseError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _verdict_record(report: dict, record_id: str, verdict: Verdict, seed: int) -> None:
-    add_record(
-        report,
-        record_id,
-        verdict.kind,
-        verdict.value,
-        witness=verdict.witness,
-        stats=verdict.stats,
-        seed=seed,
-    )
+def _verdict_record(report: dict, record_id: str, verdict: Verdict) -> None:
+    add_record(report, record_id, verdict.kind, verdict.value, witness=verdict.witness, stats=verdict.stats)
 
 
 def _derived(source_id: str, verdict: Verdict) -> Verdict:
     """The verdict of record `source_id`, restated for a record it decides,
-    with stats["derived_from"] = `source_id`.  A pass is restated as evidence
-    at its value, without its witness."""
+    with the stats {"derived_from": `source_id`} alone: how the source was
+    reached is its own record's to say.  A pass is restated as evidence at
+    its value, without its witness."""
     kind, witness = (EVIDENCE, None) if verdict.kind == PASS else (verdict.kind, verdict.witness)
-    return Verdict(kind, verdict.value, witness, dict(verdict.stats, derived_from=source_id))
+    return Verdict(kind, verdict.value, witness, {"derived_from": source_id})
 
 
 def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
@@ -121,7 +114,10 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
       every sk_<k> and decomposability, from decomposable.  With h = P + Q^G,
       no PPT state pairs with h below the certificate's value,
       min(lambda_min(P), 0) + min(lambda_min(Q), 0), and neither does a
-      trace-one block that is PSD in both orderings, whatever k."""
+      trace-one block that is PSD in both orderings, whatever k.
+    For k > n, pk_<k> is the pk_<n> verdict itself, not a derived record:
+    `pk_check` draws its corner ranks from 1..min(k, n), so at every k >= n
+    it returns the same verdict bit for bit, and it runs once."""
     m, n = phi.m, phi.n
     certified = certificate.kind == PASS
     yield "cp", cp_verdict(phi)
@@ -140,12 +136,14 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
             yield f"sk_{k}", _derived("decomposable", certificate)
         else:
             yield f"sk_{k}", sk_check(phi, k, samples=args.samples, seed=args.seed)
-        yield f"pk_{k}", pk_check(phi, k, projections=args.projections, seed=args.seed)
+        if k <= n:
+            pv = pk_check(phi, k, projections=args.projections, seed=args.seed)
+        yield f"pk_{k}", pv
     yield "decomposable", certificate
     if certified:
         yield "decomposability", _derived("decomposable", certificate)
     else:
-        yield "decomposability", decomposability_witness(h, m, n, seed=args.seed)
+        yield "decomposability", decomposability_witness(h, m, n)
 
 
 def cmd_classify(args) -> int:
@@ -176,7 +174,7 @@ def cmd_classify(args) -> int:
     clock = time.perf_counter()
     for record_id, verdict in _classify_stages(phi, h, certificate, args):
         stages.setdefault(record_id, {"elapsed_s": time.perf_counter() - clock})
-        _verdict_record(report, record_id, verdict, args.seed)
+        _verdict_record(report, record_id, verdict)
         clock = time.perf_counter()
 
     report["summary"] = classify_summary(report["records"], args.k_max)
@@ -228,17 +226,12 @@ def cmd_modular_verify(args) -> int:
         for name, value in _modular_defects(draw(t), args.seed, t).items():
             worst[name] = max(worst.get(name, 0.0), value)
 
-    failed = False
     for name in sorted(worst):
-        ok = worst[name] <= DEFECT_LIMIT
-        failed = failed or not ok
-        add_record(
-            report, f"identity:{name}", "defect", worst[name],
-            defects={"max": worst[name]}, seed=args.seed,
-        )
-    report["summary"] = {"max_defect": max(worst.values()), "passed": not failed}
+        add_record(report, f"identity:{name}", "defect", worst[name])
+    passed = max(worst.values()) <= DEFECT_LIMIT
+    report["summary"] = {"max_defect": max(worst.values()), "passed": passed}
     write_report(report, args.out, timing=_timing(args))
-    return 1 if failed else 0
+    return 0 if passed else 1
 
 
 def cmd_cone(args) -> int:
@@ -266,7 +259,7 @@ def cmd_cone(args) -> int:
             "in_hull_evidence": membership.in_hull_evidence,
         }
         # a vector outside P is an answer, not a verification failure: exit 0
-        add_record(report, "member", member_kind(membership), membership.p_min_eig, seed=args.seed)
+        add_record(report, "member", member_kind(membership), membership.p_min_eig)
     elif args.subcommand == "pq":
         p_xi, q_xi = ctx.p_project(xi), ctx.q_project(xi)
         cross = abs(np.vdot(p_xi, q_xi))
@@ -279,13 +272,13 @@ def cmd_cone(args) -> int:
             "orthogonality_defect": float(cross),
             "pythagoras_defect": float(pythagoras),
         }
-        add_record(report, "pq", "defect", float(max(cross, pythagoras)), seed=args.seed)
+        add_record(report, "pq", "defect", float(max(cross, pythagoras)))
         exit_code = 0 if max(cross, pythagoras) <= DEFECT_LIMIT else 1
     elif args.subcommand == "bounds":
         margins = split_bounds_check(ctx, xi, eta_samples=args.samples, seed=args.seed)
         report["summary"] = {k: float(v) for k, v in margins.items()}
         add_record(report, "bounds", "pass" if margins["violations"] == 0 else "defect",
-                   margins["violations"], seed=args.seed)
+                   margins["violations"])
         exit_code = 0 if margins["violations"] == 0 else 1
     elif args.subcommand == "flags":
         flags = odd_part_flags(ctx, xi)
@@ -296,7 +289,7 @@ def cmd_cone(args) -> int:
             "agree": flags.agree(),
         }
         add_record(report, "flags", "pass" if flags.agree() else "defect",
-                   0.0 if flags.agree() else 1.0, seed=args.seed)
+                   0.0 if flags.agree() else 1.0)
         exit_code = 0 if flags.agree() else 1
     elif args.subcommand == "polar":
         polar = odd_part_polar(ctx, xi)
@@ -306,7 +299,7 @@ def cmd_cone(args) -> int:
             "degenerate": polar.degenerate,
             "xi_b_in_p": bool(xi_b_ok),
         }
-        add_record(report, "polar", "defect", polar.reconstruction_defect, seed=args.seed)
+        add_record(report, "polar", "defect", polar.reconstruction_defect)
         exit_code = 0 if polar.reconstruction_defect <= DEFECT_LIMIT and xi_b_ok else 1
     elif args.subcommand == "weakdec":
         if cone_input.map_doc is None:
@@ -314,7 +307,7 @@ def cmd_cone(args) -> int:
         phi = map_from_document(cone_input.map_doc)
         k = cone_input.k
         verdict = weak_kdec_cone_check(ctx.ctx_a, phi, k, samples=args.samples, seed=args.seed)
-        _verdict_record(report, f"weakdec_{k}", verdict, args.seed)
+        _verdict_record(report, f"weakdec_{k}", verdict)
         consistency = transposed_cone_consistency(ctx, samples=min(args.samples, 50), seed=args.seed)
         report["summary"] = {
             "weakdec": verdict.kind,

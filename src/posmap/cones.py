@@ -576,10 +576,6 @@ def weak_kdec_cone_check(
                     VIOLATION,
                     float(pairings[idx]),
                     witness={"n": n, "xi": xi, "eta": etas[idx].copy(), "zeta": zeta},
-                    stats={"samples": s + 1, "seed": seed, "min_value": float(pairings[idx])},
+                    stats={"samples": s + 1, "seed": seed},
                 )
-    return Verdict(
-        EVIDENCE,
-        float(worst),
-        stats={"samples": samples, "dual_samples": samples, "seed": seed, "min_value": float(worst)},
-    )
+    return Verdict(EVIDENCE, float(worst), stats={"samples": samples, "seed": seed})

@@ -154,7 +154,7 @@ def k_block_min(phi: MatrixMap, k: int, *, restarts: int = 32, seed: int = 0) ->
     if k == n:
         w, v = _eigh_phased(h)
         val = float(w[0])
-        stats = {"restarts": 1, "alternations": 0, "seed": seed, "min_value": val, "exact": True}
+        stats = {"restarts": 1, "alternations": 0, "exact": True}
         if val < -tol:
             witness = {"projection": np.eye(n, dtype=complex), "vector": v[:, 0]}
             return Verdict(VIOLATION, val, witness=witness, stats=stats)
@@ -198,13 +198,7 @@ def k_block_min(phi: MatrixMap, k: int, *, restarts: int = 32, seed: int = 0) ->
     projection = iso @ iso.conj().T
     lifted_vec = np.einsum("ak,ik->ia", iso, z.reshape(m, k)).reshape(-1)
     exact = float(np.vdot(lifted_vec, h @ lifted_vec).real)
-    stats = {
-        "restarts": restarts,
-        "alternations": total_alternations,
-        "seed": seed,
-        "min_value": exact,
-        "exact": False,
-    }
+    stats = {"restarts": restarts, "alternations": total_alternations, "seed": seed, "exact": False}
     if exact < -tol:
         witness = {"projection": projection, "vector": lifted_vec}
         return Verdict(VIOLATION, exact, witness=witness, stats=stats)
@@ -326,11 +320,10 @@ def sk_check(
         mins = np.linalg.eigvalsh(images)[:, 0].tolist()
         for i, min_eig in enumerate(mins):
             if min_eig < -psd_tol(images[i]):
-                witness = {"block": blocks[i], "sample": start + i}
-                stats = {"samples": start + i + 1, "seed": seed, "min_value": min_eig}
-                return Verdict(VIOLATION, min_eig, witness=witness, stats=stats)
+                stats = {"samples": start + i + 1, "seed": seed}
+                return Verdict(VIOLATION, min_eig, witness={"block": blocks[i]}, stats=stats)
         worst = min(worst, *mins)
-    return Verdict(EVIDENCE, worst, stats={"samples": samples, "seed": seed, "min_value": worst})
+    return Verdict(EVIDENCE, worst, stats={"samples": samples, "seed": seed})
 
 
 def dk_compose(
@@ -457,7 +450,7 @@ def _witness_stack(
 _WITNESS_MAX_ITER = 2000
 
 
-def decomposability_witness(h, m: int, n: int, *, seed: int = 0) -> Verdict:
+def decomposability_witness(h, m: int, n: int) -> Verdict:
     """Minimize Tr(w h) over PPT states w by projected gradient descent.
 
     A feasible w with Tr(w h) below tolerance is an exact certificate that the
@@ -465,7 +458,8 @@ def decomposability_witness(h, m: int, n: int, *, seed: int = 0) -> Verdict:
     partial transposition are exactly the functionals that must be
     nonnegative on the Choi matrices of decomposable maps).  The step starts
     at 1e-2 and halves on non-descent; the search stops when the step falls
-    below 1e-12 or after 2,000 iterations, and is deterministic.
+    below 1e-12 or after 2,000 iterations; it draws nothing and is
+    deterministic, so it takes no seed.
 
     The input is validated once; the search runs as a stack of one through
     the same lockstep loop that `pk_check` runs its corners in.
@@ -478,7 +472,7 @@ def decomposability_witness(h, m: int, n: int, *, seed: int = 0) -> Verdict:
     ((value, feasible, state, iters),) = _witness_stack(
         hm[None], m, n, max_iter=_WITNESS_MAX_ITER, stall_break=None
     )
-    stats = {"iterations": iters, "seed": seed, "min_value": value, "feasible": bool(feasible)}
+    stats = {"iterations": iters, "feasible": bool(feasible)}
     if feasible and value < -tol:
         return Verdict(VIOLATION, value, witness={"state": state}, stats=stats)
     return Verdict(EVIDENCE, value, stats=stats)
@@ -592,7 +586,7 @@ def pk_check(
             if value < -psd_tol(hc):
                 bottom = _eigh_bottom(hc)[1]
                 state = np.outer(bottom, bottom.conj())
-                first = (t, value, {"isometry": iso, "state": state, "rank": 1})
+                first = (t, value, {"isometry": iso, "state": state})
                 break
         for rank, corners in sorted(queued.items()):
             if first is not None:
@@ -605,22 +599,14 @@ def pk_check(
                 value, feasible, state, _ = result
                 values[t] = value
                 if feasible and value < -psd_tol(hc):
-                    first = (t, value, {"isometry": iso, "state": state, "rank": rank})
+                    first = (t, value, {"isometry": iso, "state": state})
                     break
         if first is not None:
             break
     if first is not None:
         t, value, witness = first
-        return Verdict(
-            VIOLATION,
-            value,
-            witness=witness,
-            stats={"projections": t + 1, "seed": seed, "min_value": value},
-        )
-    worst = min(values)
-    return Verdict(
-        EVIDENCE, worst, stats={"projections": projections, "seed": seed, "min_value": worst}
-    )
+        return Verdict(VIOLATION, value, witness=witness, stats={"projections": t + 1, "seed": seed})
+    return Verdict(EVIDENCE, min(values), stats={"projections": projections, "seed": seed})
 
 
 # a share of psd_tol(h), 1e-14 max(1, ||h||_F): the rounding that `spectral_bound`

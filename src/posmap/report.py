@@ -1,7 +1,10 @@
 """Machine-readable certification reports and independent witness re-checks.
 
 A report embeds its input document, a digest of the canonical input bytes,
-every tolerance and search parameter used, and one record per test.  Records
+its seed, every tolerance and search parameter used, and one record per
+test.  A record states each fact once: its id, kind and value, a witness,
+and the stats of its search, none repeating another field of the report
+(the report's seed, the record's value, another record's stats).  Records
 for violations carry complete witnesses, and a "decomposable" pass carries
 its certificate.  `recheck_witness` re-evaluates a witness through plain
 quadratic forms and eigenvalue checks, never re-running any search, from one
@@ -9,12 +12,13 @@ table of re-checks keyed by record id; `verify_report` runs it on every
 violation and pass record that holds a witness and reports the records whose
 stored values have gone stale or whose violation no longer violates; it
 accepts no classify pass but `cp`, which it re-derives, and `decomposable`.
-A record that another record's verdict decided says so with
-stats["derived_from"] = <that record's id>, and `verify_report` checks that
-it restates that verdict.  The summary of a classify report is read from its
-records' kinds (`classify_summary`), and `verify_report` re-derives it, as it
-re-derives a `cone member` report's record and exact summary fields from its
-embedded input.
+A record that another record's verdict decided says so with the stats
+{"derived_from": <that record's id>} alone, and `verify_report` checks that
+it restates that verdict.  `verify_report` reads no other stats key, so
+reports that still carry keys of an earlier format verify too.  The summary
+of a classify report is read from its records' kinds (`classify_summary`),
+and `verify_report` re-derives it, as it re-derives a `cone member` report's
+record and exact summary fields from its embedded input.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -74,8 +78,6 @@ def add_record(
     *,
     witness: dict | None = None,
     stats: dict | None = None,
-    defects: dict | None = None,
-    seed: int | None = None,
 ) -> None:
     record = {"id": record_id, "kind": kind, "value": float(value)}
     if witness is not None:
@@ -85,10 +87,6 @@ def add_record(
         }
     if stats:
         record["stats"] = {k: _plain(v) for k, v in stats.items()}
-    if defects:
-        record["defects"] = {k: float(v) for k, v in defects.items()}
-    if seed is not None:
-        record["seed"] = int(seed)
     report["records"].append(record)
 
 

@@ -2,8 +2,9 @@
 
 A "violation" verdict is an exact certificate: it carries a witness whose
 defining quadratic form re-evaluates to the stated negative value.  An
-"evidence" verdict never claims a proof; it records the search statistics
-(minimum value seen, sample/restart counts, seed) that produced it.  A
+"evidence" verdict never claims a proof.  Either way `stats` say how the
+search reached its `value` (its sample, restart or iteration counts, and its
+seed when it draws), never repeating `value` itself.  A
 "pass" verdict is a proof too, and comes only from an exact test (the
 spectral complete-positivity test) or from a certificate that `verify`
 re-checks (the decomposition h = P + Q^G behind a "decomposable" pass,

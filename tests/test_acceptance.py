@@ -338,7 +338,7 @@ def test_criterion_8_nondecomposable_detection():
                 oracle_best = min(oracle_best, float(np.trace(w @ h).real))
     assert oracle_best <= -1e-4
 
-    verdict = decomposability_witness(h, 3, 3, seed=8001)
+    verdict = decomposability_witness(h, 3, 3)
     assert verdict.kind == VIOLATION
     assert verdict.value <= -1e-4
     w = verdict.witness["state"]

@@ -11,7 +11,13 @@ import pytest
 from posmap import cli, kpositivity
 from posmap.cli import main
 from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
-from posmap.maps import choi_qutrit_map, identity_map, reduction_family, transposition_map
+from posmap.maps import (
+    choi_qutrit_map,
+    identity_map,
+    random_map_near_cp,
+    reduction_family,
+    transposition_map,
+)
 from posmap.choi import MatrixMap
 from posmap.linalg import random_psd, rng_stream
 from posmap.report import classify_summary, input_digest, report_body
@@ -122,8 +128,29 @@ class TestClassify:
         report = load_report(out)
         for name in ("k_positive", "k_copositive"):
             k2, k3 = record_by_id(report, f"{name}_2"), record_by_id(report, f"{name}_3")
-            assert k3["stats"] == dict(k2["stats"], derived_from=f"{name}_2")
+            assert k3["stats"] == {"derived_from": f"{name}_2"}
             assert {**k3, "id": k2["id"], "stats": k2["stats"]} == k2
+
+    # pk_check draws its corner ranks from 1..min(k, n), so every pk_<k> with
+    # k >= n is the pk_<n> verdict; a 2 x 2 map with --k-max 4 runs it at k = 1, 2
+    @pytest.mark.parametrize("phi", [transposition_map(2),
+                                     random_map_near_cp(rng_stream(41, 0), 2, 2, mix=0.3)],
+                             ids=["transposition", "near_cp"])
+    def test_pk_beyond_output_dimension_is_the_pk_n_verdict(self, tmp_path, monkeypatch, phi):
+        counter = count_calls(monkeypatch, "pk_check", cli)
+        doc = write_map_doc(tmp_path / "phi.json", phi)
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "6", "--out", str(out)]) == 0
+        assert counter["calls"] == 2
+        report = load_report(out)
+        for k in range(1, 5):
+            record, want = record_by_id(report, f"pk_{k}"), kpositivity.pk_check(phi, k, projections=6, seed=3)
+            assert (record["kind"], record["value"], record["stats"]) == (want.kind, want.value, want.stats)
+            assert sorted(record.get("witness", {})) == sorted(want.witness or {})
+            for key, arr in (want.witness or {}).items():
+                assert np.array_equal(matrix_from_doc(record["witness"][key]), arr), key
+        assert main(["verify", str(out)]) == 0
 
     def test_block_positivity_is_the_k1_search(self, tmp_path, monkeypatch):
         # positivity is 1-positivity: the k = 1 search runs once and writes
@@ -143,7 +170,7 @@ class TestClassify:
         assert block["value"] == k1["value"] == pytest.approx(-0.5, abs=1e-8)
         assert block["witness"] == k1["witness"]
         assert set(block["witness"]) == {"projection", "vector"}
-        assert block["stats"] == dict(k1["stats"], derived_from="k_positive_1")
+        assert block["stats"] == {"derived_from": "k_positive_1"}
         assert main(["verify", str(out)]) == 0
 
     def test_certified_map_runs_no_witness_iteration(self, tmp_path):
@@ -162,7 +189,7 @@ class TestClassify:
         for record_id in ("decomposability", "sk_1"):
             record = record_by_id(report, record_id)
             assert record["kind"] == "evidence" and "witness" not in record
-            assert record["stats"] == dict(cert["stats"], derived_from="decomposable")
+            assert record["stats"] == {"derived_from": "decomposable"}
             assert record["value"] == cert["value"] >= -1e-9
         assert report["summary"]["decomposable"] == "pass"
         assert report["summary"]["decomposability"] == "evidence"
@@ -624,6 +651,38 @@ class TestStateGuards:
         assert main(["cone", "pq", str(path), "--out", str(tmp_path / "r.json")]) == 2
 
 
+def with_parent_keys(report):
+    """A copy of `report` that carries again every key an earlier report
+    format wrote and that repeats another field of the report: each record's
+    `seed`, a modular record's `defects`, each search's `min_value`, weakdec's
+    `dual_samples`, a derived record's copy of its source's stats, the seed of
+    the draw-free decomposability and exact k = n searches, and the witness
+    keys `rank` (pk_) and `sample` (sk_)."""
+    report = json.loads(json.dumps(report))
+    by_id = {r["id"]: r for r in report["records"]}
+    for record in report["records"]:
+        rid, stats = record["id"], record.get("stats")
+        record["seed"] = report["seed"]
+        if rid.startswith("identity:"):
+            record["defects"] = {"max": record["value"]}
+        if stats is None or rid in ("cp", "decomposable"):
+            continue
+        if "derived_from" in stats:
+            stats.update(by_id[stats["derived_from"]]["stats"], derived_from=stats["derived_from"])
+            continue
+        stats["min_value"] = record["value"]
+        if rid == "decomposability" or stats.get("exact") is True:
+            stats["seed"] = report["seed"]
+        if rid.startswith("weakdec_") and record["kind"] == "evidence":
+            stats["dual_samples"] = stats["samples"]
+        witness = record.get("witness", {})
+        if rid.startswith("pk_") and witness:
+            witness["rank"] = witness["isometry"]["cols"]
+        if rid.startswith("sk_") and witness:
+            witness["sample"] = stats["samples"] - 1
+    return report
+
+
 class TestVerify:
     def test_fresh_report_verifies(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
@@ -748,9 +807,39 @@ class TestVerify:
     def corpus(self, tmp_path_factory):
         return run_corpus(str(tmp_path_factory.mktemp("corpus")))
 
-    def test_corpus_reports_verify(self, corpus):
+    def test_corpus_reports_verify(self, corpus, tmp_path):
+        # and so do they with every key an earlier format repeated
         for name, (_, path) in corpus.items():
             assert main(["verify", path]) == 0, name
+            older = tmp_path / f"{name}.json"
+            dump_document(with_parent_keys(load_report(path)), str(older))
+            assert main(["verify", str(older)]) == 0, name
+
+    def test_corpus_covers_every_record_writer(self, corpus):
+        # classify of a certified map with k > n, of violating maps and of the
+        # Choi qutrit map; every cone subcommand; modular-verify
+        reports = {name: load_report(path) for name, (_, path) in corpus.items()}
+        clamp = reports["classify_transposition_clamp"]
+        assert (clamp["params"]["k_max"], clamp["input"]["n"]) == (3, 2)
+        assert record_by_id(clamp, "decomposable")["kind"] == "pass"
+        assert {r["id"] for r in reports["classify_neg_identity"]["records"]
+                if r["kind"] == "violation"} >= {"sk_1", "pk_1", "decomposability"}
+        assert {r["id"] for report in reports.values() for r in report["records"]} >= {
+            "member", "pq", "bounds", "flags", "polar", "weakdec_2", "identity:polar"}
+
+    def test_no_record_repeats_another_field(self, corpus):
+        # a report states each fact once, and no search that draws nothing states a seed
+        for name, (_, path) in corpus.items():
+            for record in load_report(path)["records"]:
+                where = f"{name} {record['id']}"
+                assert not {"seed", "defects"} & set(record), where
+                stats, witness = record.get("stats", {}), record.get("witness", {})
+                assert not {"min_value", "dual_samples"} & set(stats), where
+                if "derived_from" in stats:
+                    assert set(stats) == {"derived_from"}, where
+                if record["id"] == "decomposability" or stats.get("exact") is True:
+                    assert "seed" not in stats, where
+                assert not {"rank", "sample"} & set(witness), where
 
     @pytest.mark.parametrize("name,record_id", CORPUS_VIOLATIONS)
     def test_shifted_value_detected(self, corpus, tmp_path, name, record_id):
@@ -957,3 +1046,4 @@ class TestVerify:
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
         assert "not an integer within the desk-scale guard" in capsys.readouterr().err
+

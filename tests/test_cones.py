@@ -594,9 +594,8 @@ def loop_weak_kdec_cone_check(ctx_a, phi, k, *, samples, seed):
             if pairings[idx] < -psd_tol(zeta) * eta_norms[idx]:
                 return Verdict(VIOLATION, float(pairings[idx]),
                                witness={"n": n, "xi": xi, "eta": etas[idx], "zeta": zeta},
-                               stats={"samples": s + 1, "seed": seed, "min_value": float(pairings[idx])})
-    stats = {"samples": samples, "dual_samples": samples, "seed": seed, "min_value": float(worst)}
-    return Verdict(EVIDENCE, float(worst), stats=stats)
+                               stats={"samples": s + 1, "seed": seed})
+    return Verdict(EVIDENCE, float(worst), stats={"samples": samples, "seed": seed})
 
 
 def failing_projections(a, *args):

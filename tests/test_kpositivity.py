@@ -94,8 +94,7 @@ def loop_k_block_min(phi, k, *, restarts=32, max_alternations=200, seed=0):
     iso, z = best
     vector = np.einsum("ak,ik->ia", iso, z.reshape(m, k)).reshape(-1)
     value = float(np.vdot(vector, h @ vector).real)
-    stats = {"restarts": restarts, "alternations": total, "seed": seed,
-             "min_value": value, "exact": False}
+    stats = {"restarts": restarts, "alternations": total, "seed": seed, "exact": False}
     if value < -psd_tol(h):
         witness = {"projection": iso @ iso.conj().T, "vector": vector}
         return Verdict(VIOLATION, value, witness=witness, stats=stats)
@@ -118,8 +117,7 @@ def loop_bisect_threshold(family, k, lo, hi, *, steps=40, restarts=64, seed=0):
     return (lo + hi) / 2
 
 
-def loop_decomposability_witness(h, m, n, *, step=1e-2, max_iter=2000, seed=0, tol=None,
-                                 stall_break=None):
+def loop_decomposability_witness(h, m, n, *, step=1e-2, max_iter=2000, tol=None, stall_break=None):
     """Reference for `decomposability_witness`: one projected-gradient search,
     one matrix at a time."""
     hm = hermitian_part(np.asarray(h, dtype=complex))
@@ -147,7 +145,7 @@ def loop_decomposability_witness(h, m, n, *, step=1e-2, max_iter=2000, seed=0, t
     w_cert = (1 - mix) * hermitian_part(w) + mix * np.eye(d, dtype=complex) / d
     value = float(np.trace(w_cert @ hm).real)
     feasible = min(ppt_min_eigs(w_cert, m, n, "first")) >= -1e-12
-    stats = {"iterations": iters, "seed": seed, "min_value": value, "feasible": bool(feasible)}
+    stats = {"iterations": iters, "feasible": bool(feasible)}
     if feasible and value < -tol:
         return Verdict(VIOLATION, value, witness={"state": w_cert}, stats=stats)
     return Verdict(EVIDENCE, value, stats=stats)
@@ -171,16 +169,15 @@ def loop_pk_check(phi, k, *, projections=100, seed=0, witness_iters=200, tol=Non
                 bottom = herm_eig(hc).eigenvectors[:, 0]
                 state = np.outer(bottom, bottom.conj())
         else:
-            sub = loop_decomposability_witness(hc, m, rank, max_iter=witness_iters, seed=seed,
-                                               tol=tol, stall_break=15)
+            sub = loop_decomposability_witness(hc, m, rank, max_iter=witness_iters, tol=tol,
+                                               stall_break=15)
             value, violated = sub.value, sub.is_violation
             state = sub.witness["state"] if violated else None
         worst = min(worst, value)
         if violated:
-            return Verdict(VIOLATION, value, witness={"isometry": iso, "state": state, "rank": rank},
-                           stats={"projections": t + 1, "seed": seed, "min_value": value})
-    return Verdict(EVIDENCE, worst, stats={"projections": projections, "seed": seed,
-                                           "min_value": worst})
+            return Verdict(VIOLATION, value, witness={"isometry": iso, "state": state},
+                           stats={"projections": t + 1, "seed": seed})
+    return Verdict(EVIDENCE, worst, stats={"projections": projections, "seed": seed})
 
 
 def loop_sample_doubly_psd_block(rng, k, m, *, max_tries=40):
@@ -224,9 +221,9 @@ def loop_sk_check(phi, k, *, samples=500, seed=0, tol=None):
         min_eig = float(np.linalg.eigvalsh(image)[0])
         worst = min(worst, min_eig)
         if min_eig < -bound:
-            return Verdict(VIOLATION, min_eig, witness={"block": a, "sample": s},
-                           stats={"samples": s + 1, "seed": seed, "min_value": min_eig})
-    return Verdict(EVIDENCE, worst, stats={"samples": samples, "seed": seed, "min_value": worst})
+            return Verdict(VIOLATION, min_eig, witness={"block": a},
+                           stats={"samples": s + 1, "seed": seed})
+    return Verdict(EVIDENCE, worst, stats={"samples": samples, "seed": seed})
 
 
 def assert_same_verdict(got, want):
@@ -603,7 +600,7 @@ class TestStackedSamples:
     def test_late_first_violation_equals_the_loop(self, case, k, first):
         phi = SK_MAPS[case]()
         got = sk_check(phi, k, samples=200, seed=1)
-        assert (got.kind, got.stats["samples"], got.witness["sample"]) == (VIOLATION, first, first - 1)
+        assert (got.kind, got.stats["samples"]) == (VIOLATION, first)
         assert_same_verdict(got, loop_sk_check(phi, k, samples=200, seed=1))
         assert recheck_witness(f"sk_{k}", phi, got.witness) == pytest.approx(got.value, abs=1e-10)
 
@@ -687,18 +684,18 @@ class TestDecomposabilityWitness:
     def test_psd_choi_gives_evidence(self):
         rng = rng_stream(506)
         h = random_psd(rng, 4)
-        v = decomposability_witness(h, 2, 2, seed=1)
+        v = decomposability_witness(h, 2, 2)
         assert v.kind == EVIDENCE
         assert v.value >= -1e-9
 
     def test_swap_gives_evidence(self):
-        v = decomposability_witness(swap_operator(2), 2, 2, seed=1)
+        v = decomposability_witness(swap_operator(2), 2, 2)
         assert v.kind == EVIDENCE
         assert v.value >= -1e-9
 
     def test_choi_qutrit_map_refuted(self):
         h = hermitian_part(choi_qutrit_map().choi())
-        v = decomposability_witness(h, 3, 3, seed=1)
+        v = decomposability_witness(h, 3, 3)
         assert v.kind == VIOLATION
         assert v.value <= -1e-4
         w = v.witness["state"]
@@ -749,7 +746,7 @@ class TestDecompositionCertificate:
         assert recheck_witness("decomposable", phi, cert.witness) == cert.value
         # cross-check: with a certificate, the full-budget dual search and the
         # corner search can find no violation
-        assert decomposability_witness(h, phi.m, phi.n, seed=1).kind == EVIDENCE
+        assert decomposability_witness(h, phi.m, phi.n).kind == EVIDENCE
         for k in range(1, phi.n + 1):
             assert pk_check(phi, k, projections=12, seed=k).kind == EVIDENCE
 
@@ -781,7 +778,7 @@ class TestDecompositionCertificate:
         assert cert.stats["termination"] in ("stalled", "max_iter")
         assert cert.stats["iterations"] <= 500
         # weak duality: the best bound is below every PPT pairing, the witness's too
-        witness = decomposability_witness(h, phi.m, phi.n, seed=1)
+        witness = decomposability_witness(h, phi.m, phi.n)
         assert witness.is_violation and witness.value >= cert.value
 
     def test_positive_maps_on_a_qubit_input_are_certified(self):
@@ -870,7 +867,8 @@ class TestStackedCorners:
     def test_matches_the_corner_loop_when_a_stacked_corner_violates_first(self, m, k, first):
         phi = random_map_near_cp(rng_stream(41, 2), m, 3, mix=0.3)
         got = pk_check(phi, k, projections=40, seed=2)
-        assert (got.kind, got.stats["projections"], got.witness["rank"] >= 2) == (VIOLATION, first, True)
+        rank = got.witness["isometry"].shape[1]
+        assert (got.kind, got.stats["projections"], rank >= 2) == (VIOLATION, first, True)
         assert_same_verdict(got, loop_pk_check(phi, k, projections=40, seed=2))
         assert recheck_witness(f"pk_{k}", phi, got.witness) == pytest.approx(got.value, abs=1e-10)
 
@@ -909,8 +907,7 @@ class TestStackedCorners:
     def test_witness_at_its_full_budget_matches_its_loop(self):
         phi = random_map_near_cp(rng_stream(512), 2, 3, mix=0.3)
         h = hermitian_part(phi.choi())
-        assert_same_verdict(decomposability_witness(h, 2, 3, seed=1),
-                            loop_decomposability_witness(h, 2, 3, seed=1))
+        assert_same_verdict(decomposability_witness(h, 2, 3), loop_decomposability_witness(h, 2, 3))
 
     def test_validation_does_not_grow_with_projections(self, monkeypatch):
         counter = count_validations(monkeypatch)
