@@ -111,13 +111,16 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     - for k > n, k_positive_<k> and k_copositive_<k>, from the exact tests at
       k = n;
     - when `certificate`, the `decomposition_certificate` of h, is a pass,
-      every sk_<k> and decomposability, from decomposable.  With h = P + Q^G,
-      no PPT state pairs with h below the certificate's value,
-      min(lambda_min(P), 0) + min(lambda_min(Q), 0), and neither does a
-      trace-one block that is PSD in both orderings, whatever k.
-    For k > n, pk_<k> is the pk_<n> verdict itself, not a derived record:
-    `pk_check` draws its corner ranks from 1..min(k, n), so at every k >= n
-    it returns the same verdict bit for bit, and it runs once."""
+      every sk_<k>, every pk_<k> and decomposability, from decomposable.
+      With h = P + Q^G, no PPT state pairs with h below the certificate's
+      value, min(lambda_min(P), 0) + min(lambda_min(Q), 0), and neither does
+      a trace-one block that is PSD in both orderings, whatever k.  Nor does
+      one pair with a corner's Choi matrix h_V: compressing by I (x) V
+      commutes with the input-side partial transpose, so h_V = P_V + Q_V^G.
+    On a map the certificate leaves open, pk_<k> for k > n is the pk_<n>
+    verdict itself, not a derived record: `pk_check` draws its corner ranks
+    from 1..min(k, n), so at every k >= n it returns the same verdict bit for
+    bit, and it runs once."""
     m, n = phi.m, phi.n
     certified = certificate.kind == PASS
     yield "cp", cp_verdict(phi)
@@ -134,11 +137,12 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
             yield f"k_copositive_{k}", _derived(f"k_copositive_{n}", kc)
         if certified:
             yield f"sk_{k}", _derived("decomposable", certificate)
+            yield f"pk_{k}", _derived("decomposable", certificate)
         else:
             yield f"sk_{k}", sk_check(phi, k, samples=args.samples, seed=args.seed)
-        if k <= n:
-            pv = pk_check(phi, k, projections=args.projections, seed=args.seed)
-        yield f"pk_{k}", pv
+            if k <= n:
+                pv = pk_check(phi, k, projections=args.projections, seed=args.seed)
+            yield f"pk_{k}", pv
     yield "decomposable", certificate
     if certified:
         yield "decomposability", _derived("decomposable", certificate)

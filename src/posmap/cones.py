@@ -145,23 +145,6 @@ def _product_context(ctx_a: GnsContext, ctx_b: GnsContext) -> BipartiteConeConte
     return BipartiteConeContext(ctx_a, ctx_b, ctx_a.dim, ctx_b.dim, lam)
 
 
-def modular_factorization_defect(ctx: BipartiteConeContext, *, samples: int = 8, seed: int = 0) -> float:
-    """Defect of J_m = J_A (x) J_B on sampled product vectors.
-
-    The product modular conjugation is the matrix adjoint in the product
-    frame, which on xi_A (x) xi_B must agree with the factorwise adjoints.
-    """
-    worst = 0.0
-    for s in range(samples):
-        rng = rng_stream(seed, s)
-        xa = random_complex(rng, (ctx.dim_a, ctx.dim_a))
-        xb = random_complex(rng, (ctx.dim_b, ctx.dim_b))
-        total = np.kron(xa, xb).conj().T
-        factorwise = np.kron(xa.conj().T, xb.conj().T)
-        worst = max(worst, frobenius(total - factorwise))
-    return worst
-
-
 @dataclass(frozen=True)
 class ConeMembership:
     """Membership of a vector in the cone, its transposed cone, and diagnostics."""

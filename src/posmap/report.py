@@ -46,6 +46,8 @@ from .verdicts import EVIDENCE, PASS, VIOLATION
 TOOL_NAME = "posmap"
 TOOL_VERSION = "0.1.0"
 VALUE_TOL = 1e-10
+# the records whose condition every decomposable map meets, by id or k-stripped id
+_IMPLIED_BY_DECOMPOSABLE = ("block_positivity", "k_positive_1", "k_copositive_1", "sk_", "pk_", "decomposability")
 # the summary fields of a `cone member` report that one exact membership test decides
 MEMBER_FIELDS = ("in_p", "in_ptau", "in_intersection", "p_min_eig", "ptau_min_eig")
 
@@ -255,7 +257,8 @@ def verify_report(report: dict) -> list[str]:
     a witness, a violation whose witness re-evaluates to >= 0, a derived
     record (stats "derived_from") that does not restate its source
     (`_derived_failures`), in a map report a pass `verify` cannot re-derive
-    (`_proof_failures`) and a summary its records do not give
+    or a violation that a `decomposable` pass refutes (`_proof_failures`)
+    and a summary its records do not give
     (`classify_summary`), and a `member` record or member summary that one
     exact membership test of the embedded cone input does not give
     (`_member_failures`).  Raises
@@ -338,12 +341,22 @@ def verify_report(report: dict) -> list[str]:
 
 def _proof_failures(phi: MatrixMap, records: list) -> list[str]:
     """Failures of a map report's passes: a `cp` record that one `cp_verdict`
-    of the embedded map does not give, and a pass on any record but `cp` and
-    `decomposable`, the two proofs `verify` can re-derive."""
+    of the embedded map does not give, a pass on any record but `cp` and
+    `decomposable`, the two proofs `verify` can re-derive, and beside a
+    `decomposable` pass a violation of a condition every decomposable map
+    meets (positivity, copositivity, every sk_<k> and pk_<k>, and
+    decomposability)."""
     failures = [
         f"{r.get('id')}: a pass that verify cannot re-derive" for r in records
         if r.get("kind") == PASS and r.get("id") not in ("cp", "decomposable")
     ]
+    if any((r.get("id"), r.get("kind")) == ("decomposable", PASS) for r in records):
+        failures += [
+            f"{r['id']}: a violation beside the decomposable pass, which implies it holds"
+            for r in records
+            if r.get("kind") == VIOLATION and isinstance(r.get("id"), str)
+            and (r["id"] in _IMPLIED_BY_DECOMPOSABLE or r["id"].rstrip("0123456789") in _IMPLIED_BY_DECOMPOSABLE)
+        ]
     cp = cp_verdict(phi)
     return failures + _restated(records, "cp", cp.kind, cp.value)
 

@@ -132,20 +132,30 @@ class TestClassify:
             assert {**k3, "id": k2["id"], "stats": k2["stats"]} == k2
 
     # pk_check draws its corner ranks from 1..min(k, n), so every pk_<k> with
-    # k >= n is the pk_<n> verdict; a 2 x 2 map with --k-max 4 runs it at k = 1, 2
-    @pytest.mark.parametrize("phi", [transposition_map(2),
-                                     random_map_near_cp(rng_stream(41, 0), 2, 2, mix=0.3)],
+    # k >= n is the pk_<n> verdict; a 2 x 2 map with --k-max 4 runs it at k = 1, 2.
+    # A map the certificate proves decomposable runs it at no k: every
+    # compressed corner of it is decomposable, and each pk_<k> restates the pass
+    @pytest.mark.parametrize("phi, certified",
+                             [(transposition_map(2), True),
+                              (random_map_near_cp(rng_stream(41, 0), 2, 2, mix=0.3), False)],
                              ids=["transposition", "near_cp"])
-    def test_pk_beyond_output_dimension_is_the_pk_n_verdict(self, tmp_path, monkeypatch, phi):
+    def test_pk_beyond_output_dimension_is_the_pk_n_verdict(self, tmp_path, monkeypatch, phi, certified):
         counter = count_calls(monkeypatch, "pk_check", cli)
         doc = write_map_doc(tmp_path / "phi.json", phi)
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
                      "--samples", "10", "--projections", "6", "--out", str(out)]) == 0
-        assert counter["calls"] == 2
         report = load_report(out)
+        decomposable = record_by_id(report, "decomposable")
+        assert (decomposable["kind"] == "pass") is certified
+        assert counter["calls"] == (0 if certified else 2)
         for k in range(1, 5):
-            record, want = record_by_id(report, f"pk_{k}"), kpositivity.pk_check(phi, k, projections=6, seed=3)
+            record = record_by_id(report, f"pk_{k}")
+            if certified:
+                assert record == {"id": f"pk_{k}", "kind": "evidence", "value": decomposable["value"],
+                                  "stats": {"derived_from": "decomposable"}}
+                continue
+            want = kpositivity.pk_check(phi, k, projections=6, seed=3)
             assert (record["kind"], record["value"], record["stats"]) == (want.kind, want.value, want.stats)
             assert sorted(record.get("witness", {})) == sorted(want.witness or {})
             for key, arr in (want.witness or {}).items():

@@ -14,7 +14,6 @@ from posmap.cones import (
     BipartiteConeContext,
     bipartite_context,
     cone_member,
-    modular_factorization_defect,
     odd_part_flags,
     odd_part_polar,
     sample_cone_element,
@@ -83,9 +82,6 @@ class TestBipartiteContext:
         assert frobenius(ctx.p_project(q)) <= 1e-12
         assert frobenius(p + q - xi) <= 1e-12
         assert frobenius(ctx.utilde(ctx.utilde(xi)) - xi) == 0.0
-
-    def test_modular_conjugation_factorizes(self):
-        assert modular_factorization_defect(skew_ctx(), samples=10, seed=1) <= 1e-12
 
     def test_block_round_trip(self):
         ctx = skew_ctx()

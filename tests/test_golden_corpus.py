@@ -135,6 +135,19 @@ def test_corpus_covers_every_run(replay):
     assert sorted(replay) == sorted(GOLDEN)
 
 
+def test_a_violation_beside_the_decomposable_pass_fails_verify(replay, tmp_path, capsys):
+    # every compressed corner of a decomposable map is decomposable, so a pk_
+    # violation beside the certificate contradicts it along the lattice
+    with open(replay["classify_transposition_clamp"][1], encoding="utf-8") as fh:
+        report = json.load(fh)
+    next(r for r in report["records"] if r["id"] == "pk_2")["kind"] = "violation"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(edited)]) == 1
+    assert "pk_2: a violation beside the decomposable pass" in capsys.readouterr().err
+
+
 def moved_records(old: dict, new: dict) -> list[str]:
     """One line per record whose kind, value or stats differ between two
     frozen corpora, as run, record id, and old -> new; a run or record that

@@ -313,7 +313,7 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
         assert all(kinds[rid] != "violation" for rid in kinds
                    if rid == "decomposability" or rid.startswith("pk_"))
         expected.update({rid: "decomposable" for rid in kinds
-                         if rid == "decomposability" or rid.startswith("sk_")})
+                         if rid == "decomposability" or rid.startswith(("sk_", "pk_"))})
     assert derived == expected and set(derived.values()) <= set(kinds)
     assert main(["verify", str(out)]) == 0
     # a derived record whose value no longer restates its source fails verify
