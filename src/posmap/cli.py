@@ -13,9 +13,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/defect failure, 2 input error (a
 malformed document, a map or a `--k-max` beyond the desk-scale size, a count
-option below 1, or an input that drives a report value out of float range).
-Reports are byte-identical for identical input and seed; timing is only
-written when requested and lives in its own excluded field.
+option below 1, an input that drives a report value out of float range, or
+an `--out` path that cannot be written).  Reports are byte-identical for
+identical input and seed, and state a seed and sample count only when their
+command draws; timing is only written on request, in its own excluded field.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .cones import (
     odd_part_flags,
     odd_part_polar,
     split_bounds_check,
-    transposed_cone_consistency,
     weak_kdec_cone_check,
 )
 from .docio import (
@@ -168,7 +168,7 @@ def cmd_classify(args) -> int:
         "psd_rtol": PSD_RTOL,
         "hermitian_rtol": HERMITIAN_RTOL,
     }
-    report = new_report(doc, args.seed, params)
+    report = new_report(doc, params, args.seed)
     h = hermitian_part(phi.choi())
     # record id -> {"elapsed_s": seconds its search took}, for --timings; the
     # certificate may decide sk_ records, so it runs first and keeps its own time
@@ -222,7 +222,7 @@ def cmd_modular_verify(args) -> int:
         "rho_file": args.rho_file or "",
     }
     input_doc = {"kind": "modular-suite", "dim": args.dim, "trials": trials}
-    report = new_report(input_doc, args.seed, params)
+    report = new_report(input_doc, params, args.seed)
 
     # each state is drawn just before its own trial and dropped after it
     worst: dict[str, float] = {}
@@ -240,18 +240,17 @@ def cmd_modular_verify(args) -> int:
 
 def cmd_cone(args) -> int:
     doc = load_document(args.input)
-    if args.seed is None:
-        if args.subcommand in ("member", "bounds", "weakdec"):
-            raise ParseError(f"cone {args.subcommand} samples; --seed is mandatory")
-        args.seed = 0
+    # pq, flags and polar draw nothing, so their reports state no seed or samples
+    draws = args.subcommand in ("member", "bounds", "weakdec")
+    if draws and args.seed is None:
+        raise ParseError(f"cone {args.subcommand} samples; --seed is mandatory")
     if args.subcommand in ("bounds", "weakdec"):
-        # member reads --samples 0 as "no hull sampling"; pq, flags and
-        # polar draw no samples
+        # member reads --samples 0 as "no hull sampling"
         _require_counts(args, "samples")
     cone_input = cone_input_from_document(doc)
     ctx = bipartite_context(cone_input.rho_a, cone_input.rho_b)
-    params = {"subcommand": args.subcommand, "samples": args.samples}
-    report = new_report(doc, args.seed, params)
+    params = {"subcommand": args.subcommand} | ({"samples": args.samples} if draws else {})
+    report = new_report(doc, params, args.seed if draws else None)
     exit_code = 0
     xi = None if args.subcommand == "weakdec" else cone_input.frame_vector(ctx)
 
@@ -312,13 +311,7 @@ def cmd_cone(args) -> int:
         k = cone_input.k
         verdict = weak_kdec_cone_check(ctx.ctx_a, phi, k, samples=args.samples, seed=args.seed)
         _verdict_record(report, f"weakdec_{k}", verdict)
-        consistency = transposed_cone_consistency(ctx, samples=min(args.samples, 50), seed=args.seed)
-        report["summary"] = {
-            "weakdec": verdict.kind,
-            "k": k,
-            "min_pairing": verdict.value,
-            "transposed_cone_identity_defect": consistency["identity_defect"],
-        }
+        report["summary"] = {"weakdec": verdict.kind, "k": k, "min_pairing": verdict.value}
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown cone subcommand {args.subcommand}")
     write_report(report, args.out, timing=_timing(args))

@@ -334,8 +334,6 @@ def transposed_cone_consistency(
         "commutant_pairing_min": float(commutant_min),
         "duality_pairing_min": float(duality_min),
         "imag_max": imag_max,
-        "samples": float(samples),
-        "seed": float(seed),
     }
 
 
@@ -386,9 +384,9 @@ def split_bounds_check(
     against sampled cone elements; raises when xi is not in the intersection.
 
     The eta sample mixes rank-1 extreme-ray surrogates with interior points.
-    Returns the margin dictionary of `split_bound_margins` plus a violation
-    count (margins below -1e-9); `eta_samples` < 1 raises
-    `CountOutOfRangeError`, since a pass needs samples to rest on."""
+    Returns the margins of `split_bound_margins` and a violation count
+    (margins below -1e-9), not the caller's `eta_samples`; a count below 1
+    raises `CountOutOfRangeError`, since a pass needs samples to rest on."""
     if eta_samples < 1:
         raise CountOutOfRangeError(f"eta_samples={eta_samples} must be >= 1")
     membership = cone_member(ctx, xi)
@@ -400,8 +398,7 @@ def split_bounds_check(
     etas = [sample_cone_element(ctx, rng_stream(seed, s), rank=1 if s % 2 == 0 else None)
             for s in range(eta_samples)]
     margins = split_bound_margins(ctx, xi, etas)
-    margins["violations"] = float(sum(1 for k, v in margins.items() if k != "violations" and v < -1e-9))
-    margins["samples"] = float(eta_samples)
+    margins["violations"] = float(sum(1 for v in margins.values() if v < -1e-9))
     return margins
 
 

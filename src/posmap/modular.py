@@ -327,8 +327,6 @@ def v_beta_duality_check(
         "min_real_pairing": float(min_real),
         "max_imag_pairing": float(max_imag),
         "flip_failures": float(flips_failed),
-        "samples": float(samples),
-        "seed": float(seed),
     }
 
 
@@ -341,7 +339,6 @@ def v_beta_duality_check(
 class InducedOperator:
     """Hilbert-space operator implementing a map against the cyclic vector."""
 
-    source: MatrixMap
     operator: Superoperator
     invariance_defect: float
     extension_defect: float
@@ -387,7 +384,7 @@ def t_phi(ctx: GnsContext, phi: MatrixMap) -> InducedOperator:
     delta = ctx.delta_power(1.0)
     comm = frobenius(t_op.matrix @ delta.matrix - delta.matrix @ t_op.matrix)
     contraction = max(0.0, t_op.norm() - 1.0)
-    return InducedOperator(phi, t_op, invariance_defect, ext, comm, contraction)
+    return InducedOperator(t_op, invariance_defect, ext, comm, contraction)
 
 
 def frame_transposition_map(ctx: GnsContext) -> MatrixMap:

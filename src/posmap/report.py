@@ -1,11 +1,12 @@
 """Machine-readable certification reports and independent witness re-checks.
 
 A report embeds its input document, a digest of the canonical input bytes,
-its seed, every tolerance and search parameter used, and one record per
-test.  A record states each fact once: its id, kind and value, a witness,
-and the stats of its search, none repeating another field of the report
-(the report's seed, the record's value, another record's stats).  Records
-for violations carry complete witnesses, and a "decomposable" pass carries
+its seed when its command draws, every tolerance and search parameter used,
+and one record per test.  It states each fact once, and only what its
+command computed: a record holds its id, kind and value, a witness, and the
+stats of its search, none repeating another field of the report (the
+report's seed, the record's value, another record's stats).  Records for
+violations carry complete witnesses, and a "decomposable" pass carries
 its certificate.  `recheck_witness` re-evaluates a witness through plain
 quadratic forms and eigenvalue checks, never re-running any search, from one
 table of re-checks keyed by record id; `verify_report` runs it on every
@@ -60,12 +61,13 @@ def input_digest(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def new_report(input_doc, seed: int, params: dict) -> dict:
+def new_report(input_doc, params: dict, seed: int | None = None) -> dict:
+    """An empty report; it states `seed` when given, as its command draws."""
     return {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "input": input_doc,
         "input_digest": input_digest(input_doc),
-        "seed": seed,
+        **({} if seed is None else {"seed": seed}),
         "params": params,
         "records": [],
         "summary": {},
@@ -107,7 +109,8 @@ def write_report(report: dict, path: str | None, *, timing: dict | None = None) 
     """Write the report as sorted, indented JSON to `path`, or to stdout when
     no path is given.  The whole text is built before anything is written: a
     non-finite value, which only an input beyond float range produces, is a
-    ParseError, and no file is created or truncated."""
+    ParseError, and no file is created or truncated; so is a path that
+    cannot be opened for writing."""
     payload = dict(report)
     if timing is not None:
         payload["timing"] = timing
@@ -118,7 +121,11 @@ def write_report(report: dict, path: str | None, *, timing: dict | None = None) 
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path} ({exc.strerror})") from exc
+    with fh:
         fh.write(text)
 
 

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from posmap import cli, kpositivity
+from posmap import cli, cones, kpositivity
 from posmap.cli import main
 from posmap.docio import dump_document, map_to_document, matrix_from_doc, matrix_to_doc
 from posmap.maps import (
@@ -458,9 +458,34 @@ class TestCone:
         out = tmp_path / "r.json"
         assert main(["cone", "weakdec", doc, "--seed", "5", "--samples", "30",
                      "--out", str(out)]) == 0
-        summary = load_report(out)["summary"]
-        assert summary["weakdec"] == "evidence"
-        assert summary["transposed_cone_identity_defect"] <= 1e-10
+        assert load_report(out)["summary"]["weakdec"] == "evidence"
+
+    def test_each_cone_report_states_only_what_its_subcommand_computed(self, tmp_path, monkeypatch):
+        # pq, flags and polar draw nothing, so even under --seed they state no
+        # seed or samples; weakdec runs no transposed-cone consistency sampler,
+        # the one rng_stream caller on its path
+        eye, sym = np.eye(2), np.array([[0.2, 0.1], [0.1, 0.3]])
+        blocks = cone_doc(tmp_path, [[eye, sym], [sym, eye]])
+        weak = cone_doc(tmp_path, None, name="weak.json",
+                        extra={"map": map_to_document(transposition_map(2), "choi"), "k": 2})
+        streams = count_calls(monkeypatch, "rng_stream", module=cones)
+        reports = {}
+        for sub in ("member", "pq", "bounds", "flags", "polar", "weakdec"):
+            out, older = tmp_path / f"{sub}.json", tmp_path / f"{sub}.older.json"
+            streams["calls"] = 0
+            assert main(["cone", sub, weak if sub == "weakdec" else blocks, "--seed", "6",
+                         "--samples", "20", "--out", str(out)]) == 0
+            reports[sub] = load_report(out)
+            assert main(["verify", str(out)]) == 0, sub
+            dump_document(with_parent_keys(reports[sub]), str(older))
+            assert main(["verify", str(older)]) == 0, sub
+        assert streams["calls"] == 0
+        assert set(reports["weakdec"]["summary"]) == {"weakdec", "k", "min_pairing"}
+        assert "samples" not in reports["bounds"]["summary"]
+        for sub in ("pq", "flags", "polar"):
+            assert "seed" not in reports[sub] and reports[sub]["params"] == {"subcommand": sub}
+        for sub in ("member", "bounds", "weakdec"):
+            assert (reports[sub]["seed"], reports[sub]["params"]) == (6, {"subcommand": sub, "samples": 20})
 
     def test_weakdec_violation_witness_verifies(self, tmp_path):
         import warnings
@@ -637,6 +662,28 @@ class TestNonFiniteReports:
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be opened for writing is an input error:
+    exit 2, and nothing is written."""
+
+    def test_an_out_in_a_missing_directory(self, tmp_path, capsys):
+        eye = np.eye(2)
+        doc = cone_doc(tmp_path, [[eye, np.zeros((2, 2))], [np.zeros((2, 2)), eye]])
+        out = tmp_path / "missing" / "r.json"
+        assert main(["cone", "pq", doc, "--out", str(out)]) == 2
+        assert not out.parent.exists()
+        assert f"input error: cannot write {out}" in capsys.readouterr().err
+
+    def test_an_out_that_is_a_directory(self, tmp_path, capsys):
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
+        out = tmp_path / "reports"
+        out.mkdir()
+        assert main(["classify", doc, "--k-max", "1", "--seed", "1", "--restarts", "4", "--samples", "20",
+                     "--projections", "5", "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        assert f"input error: cannot write {out}" in capsys.readouterr().err
+
+
 class TestStateGuards:
     @pytest.mark.parametrize("state_dim,dim", [(3, 2), (12, 8)])
     def test_rho_file_must_match_dim(self, tmp_path, capsys, state_dim, dim):
@@ -667,8 +714,18 @@ def with_parent_keys(report):
     `seed`, a modular record's `defects`, each search's `min_value`, weakdec's
     `dual_samples`, a derived record's copy of its source's stats, the seed of
     the draw-free decomposability and exact k = n searches, and the witness
-    keys `rank` (pk_) and `sample` (sk_)."""
+    keys `rank` (pk_) and `sample` (sk_); and the keys a cone report stated
+    without computing them: the seed 0 and default samples of the draw-free
+    pq, flags and polar, bounds' `samples` summary and weakdec's
+    `transposed_cone_identity_defect`."""
     report = json.loads(json.dumps(report))
+    params, summary = report["params"], report["summary"]
+    if params.get("subcommand") in ("pq", "flags", "polar"):
+        report["seed"], params["samples"] = 0, 100
+    elif params.get("subcommand") == "bounds":
+        summary["samples"] = float(params["samples"])
+    elif params.get("subcommand") == "weakdec":
+        summary["transposed_cone_identity_defect"] = 0.0
     by_id = {r["id"]: r for r in report["records"]}
     for record in report["records"]:
         rid, stats = record["id"], record.get("stats")

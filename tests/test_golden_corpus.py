@@ -12,7 +12,8 @@ modular suite, all with small search budgets.
 Regenerate the fixture (only when a change of verdicts is intended) with
 ``PYTHONPATH=src python tests/test_golden_corpus.py``.  Before it rewrites
 the fixture it prints each record whose kind, value or stats moved against
-the committed one, as run, record id, and old -> new.
+the committed one, as run, record id, and old -> new, and each summary key
+that moved.
 """
 
 import json
@@ -150,10 +151,15 @@ def test_a_violation_beside_the_decomposable_pass_fails_verify(replay, tmp_path,
 
 def moved_records(old: dict, new: dict) -> list[str]:
     """One line per record whose kind, value or stats differ between two
-    frozen corpora, as run, record id, and old -> new; a run or record that
-    only one side holds is listed against None."""
+    frozen corpora, as run, record id, and old -> new, and one per summary
+    key that differs, as run, summary.<key>, and old -> new; a run, record or
+    key that only one side holds is listed against None."""
     lines = []
     for name in sorted(set(old) | set(new)):
+        was, now = old.get(name, {}).get("summary", {}), new.get(name, {}).get("summary", {})
+        for key in sorted(set(was) | set(now)):
+            if was.get(key) != now.get(key):
+                lines.append(f"{name} summary.{key}: {was.get(key)!r} -> {now.get(key)!r}")
         before = {r["id"]: r for r in old.get(name, {}).get("records", [])}
         after = {r["id"]: r for r in new.get(name, {}).get("records", [])}
         for rid in list(before) + [rid for rid in after if rid not in before]:
@@ -172,7 +178,7 @@ if __name__ == "__main__":
             for name, (code, path) in run_corpus(tmp).items()
         }
     moved = moved_records(GOLDEN, frozen)
-    print("\n".join(moved) if moved else "no record moved")
+    print("\n".join(moved) if moved else "nothing moved")
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(frozen, fh, indent=1, sort_keys=True)
         fh.write("\n")
