@@ -28,6 +28,7 @@ from .errors import (
     KOutOfRangeError,
     NotInIntersectionError,
     NotInPError,
+    require_integer,
 )
 from .linalg import (
     DESK_SCALE_DIM,
@@ -522,10 +523,8 @@ def weak_kdec_cone_check(
     of at most `_SLICE_ENTRIES` matrix entries (`_ppt_streams`); the image
     vectors one at a time, since the walk stops at the first violation.
     """
-    if k < 1:
-        raise KOutOfRangeError(f"block size k={k} must be >= 1")
-    if samples < 1:
-        raise CountOutOfRangeError(f"samples={samples} must be >= 1")
+    require_integer("k", k, 1, KOutOfRangeError)
+    require_integer("samples", samples, 1, CountOutOfRangeError)
     if ctx_a.dim * k > DESK_SCALE_DIM:
         raise DimensionMismatchError(
             f"product dimension {ctx_a.dim}*{k} exceeds the desk-scale guard"

@@ -1,4 +1,7 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the check of the integer
+arguments (block sizes and counts) that two of them report."""
+
+from numbers import Integral
 
 
 class PosmapError(Exception):
@@ -67,3 +70,11 @@ class ParseError(PosmapError, ValueError):
 
 class StaleWitnessError(PosmapError):
     """A stored witness no longer re-evaluates to its recorded value."""
+
+
+def require_integer(name: str, value, low: int, error: type[PosmapError]) -> None:
+    """Raise `error` unless `value` is an integer (a Python or numpy one, not a
+    bool) of at least `low`: a float or bool block size or count is refused,
+    never rounded or read as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise error(f"{name}={value!r} must be an integer >= {low}")

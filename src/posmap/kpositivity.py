@@ -15,7 +15,7 @@ Four related conditions are certified separately here:
 
 - `k_block_min` / `is_k_positive` / `is_k_copositive`: compression tests,
   with `spectral_bound` a proof of k-positivity from the spectrum of h alone,
-  which `bisect_threshold` tries before any search;
+  which `bisect_threshold` tries after its draw-free probe, before any search;
 - `sk_check`: images of doubly-PSD block matrices stay PSD;
 - `pk_check`: compressed corners admit no witness against decomposability;
 - `decomposability_witness`: search for a PPT state pairing negatively with
@@ -45,6 +45,7 @@ from .errors import (
     DimensionMismatchError,
     KOutOfRangeError,
     NotHermitianError,
+    require_integer,
 )
 from .linalg import (
     PPT_TOL,
@@ -105,8 +106,7 @@ def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:
     h, lambda_j < 0 the others, with eigenvectors e_j, and sigma_k(e) the sum of the k
     largest squared Schmidt coefficients of e, which bounds |<e|psi>|^2.  It is -inf,
     deciding nothing, when h has no nonnegative eigenvalue; h is not validated."""
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be >= 1")
+    require_integer("k", k, 1, KOutOfRangeError)
     w, v = np.linalg.eigh(h)
     neg = int(np.searchsorted(w, 0.0))
     if neg == w.size:
@@ -145,8 +145,8 @@ def k_block_min(phi: MatrixMap, k: int, *, restarts: int = 32, seed: int = 0) ->
     matrix, whose Rayleigh quotient is the negative `value`.
     """
     m, n = phi.m, phi.n
-    if restarts < 1:
-        raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
+    require_integer("k", k, 1, KOutOfRangeError)
+    require_integer("restarts", restarts, 1, CountOutOfRangeError)
     h = _search_choi(phi, k)
     tol = psd_tol(h)
     h4 = h.reshape(m, n, m, n)
@@ -306,10 +306,8 @@ def sk_check(
     Sample s draws from `rng_stream(seed, s)`; samples run as stacks over the chunks of
     `pk_check`, and a violation is the first violating sample, with `samples` = s + 1.
     """
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be >= 1")
-    if samples < 1:
-        raise CountOutOfRangeError(f"samples={samples} must be >= 1")
+    require_integer("k", k, 1, KOutOfRangeError)
+    require_integer("samples", samples, 1, CountOutOfRangeError)
     m, n = phi.m, phi.n
     worst = np.inf
     most = max(1, min(_MAX_CHUNK, _STACK_ENTRIES // (2 * k * m) ** 2))  # 4 tries a sample
@@ -560,10 +558,8 @@ def pk_check(
     violating corner, with `projections` = t + 1, as when deciding corners
     one at a time; otherwise it is evidence at the minimum corner value.
     """
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be >= 1")
-    if projections < 1:
-        raise CountOutOfRangeError(f"projections={projections} must be >= 1")
+    require_integer("k", k, 1, KOutOfRangeError)
+    require_integer("projections", projections, 1, CountOutOfRangeError)
     m, n = phi.m, phi.n
     values: list = []
     first = None  # (t, value, witness) of the first violating corner
@@ -617,16 +613,17 @@ _ROUNDING_SHARE = 1e-5
 
 def _violates(phi: MatrixMap, k: int, restarts: int, seed: int) -> bool:
     """Whether `k_block_min(phi, k, restarts=restarts, seed=seed)` is a violation, read
-    from one Choi matrix h by the certificate or the probe when either settles it."""
+    from one Choi matrix h by the first of `bisect_threshold`'s paths that settles it:
+    1. the probe, 2. the certificate, 3. the full search."""
+    m, n = phi.m, phi.n
     h = _search_choi(phi, k)
     tol = psd_tol(h)
     margin = _ROUNDING_SHARE * tol
-    if spectral_bound(h, phi.m, phi.n, k) >= -tol + margin:
-        return False
-    h4 = h.reshape(phi.m, phi.n, phi.m, phi.n)
-    probe = _eigh_bottom(hermitian_part(_compressed_choi(h4, np.eye(phi.n, k)[None])))[0]
-    if probe[0] < -tol - margin:
+    corner = h.reshape(m, n, m, n)[:, :k, :, :k].reshape(m * k, m * k)
+    if np.linalg.eigh(corner)[0][0] < -tol - margin:
         return True
+    if spectral_bound(h, m, n, k) >= -tol + margin:
+        return False
     return k_block_min(phi, k, restarts=restarts, seed=seed).is_violation
 
 
@@ -646,24 +643,27 @@ def bisect_threshold(
     decided as `k_block_min(family(lam), k, restarts=restarts, seed=seed)` decides
     them, step i (from 0) as that search at seed + i + 1, and the result is the
     midpoint after `steps` halvings.  Each decision takes the first of three paths
-    that settles it, and each gives that search's kind:
+    that settles it, cheapest first, and each gives that search's kind:
 
-    1. Certificate: a `spectral_bound` of the Choi matrix h at or above -psd_tol(h)
+    1. Probe: the search's first value of restart 0, which draws nothing: the bottom
+       eigenvalue of h's principal (m k)-corner, bit for bit h compressed by the
+       coordinate isometry (a product with exact zeros and ones).  The search keeps
+       a best value at or below it, so a probe violation is its violation.
+    2. Certificate: a `spectral_bound` of the Choi matrix h at or above -psd_tol(h)
        proves that no vector of Schmidt rank <= k, so no see-saw value, is below it.
-    2. Probe: the search's first value of restart 0, which draws nothing: the bottom
-       eigenvalue of h compressed by the coordinate isometry.  The search keeps a
-       best value at or below it, so a probe violation is its violation.
     3. Full search: otherwise `k_block_min` itself decides.
 
     Both shortcuts keep a margin of 1e-14 max(1, ||h||_F) from -psd_tol(h) for
-    rounding.  Each map is checked as `k_block_min` checks it before it is decided
-    (`KOutOfRangeError`, `NotHermitianError`); `restarts` < 1 and `steps` < 0 raise
-    `CountOutOfRangeError` first.
+    rounding; the probe's value is never below the certificate's bound, so the two
+    never both fire and their order decides nothing.  A `k` that is not an integer
+    >= 1 raises `KOutOfRangeError`, and `restarts` < 1 or `steps` < 0 (or either
+    not an integer) `CountOutOfRangeError`, before any map is built; each map is
+    then checked as `k_block_min` checks it before it is decided (`KOutOfRangeError`
+    for k above its output dimension, `NotHermitianError`).
     """
-    if restarts < 1:
-        raise CountOutOfRangeError(f"restarts={restarts} must be >= 1")
-    if steps < 0:
-        raise CountOutOfRangeError(f"steps={steps} must be >= 0")
+    require_integer("k", k, 1, KOutOfRangeError)
+    require_integer("restarts", restarts, 1, CountOutOfRangeError)
+    require_integer("steps", steps, 0, CountOutOfRangeError)
     if not _violates(family(lo), k, restarts, seed) or _violates(family(hi), k, restarts, seed):
         raise ValueError("bisection bracket does not straddle the threshold")
     for step_idx in range(steps):

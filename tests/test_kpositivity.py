@@ -9,6 +9,7 @@ import posmap.choi
 import posmap.kpositivity
 import posmap.linalg
 from posmap.choi import MatrixMap, cp_verdict
+from posmap.cones import weak_kdec_cone_check
 from posmap.errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
@@ -34,6 +35,7 @@ from posmap.kpositivity import (
     spectral_bound,
 )
 from posmap.linalg import (
+    _eigh_bottom,
     alternate_ppt_projections,
     frobenius,
     haar_isometry,
@@ -59,6 +61,7 @@ from posmap.maps import (
     swap_operator,
     transposition_map,
 )
+from posmap.modular import gns_context
 from posmap.report import recheck_witness
 from posmap.verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
@@ -115,6 +118,21 @@ def loop_bisect_threshold(family, k, lo, hi, *, steps=40, restarts=64, seed=0):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def loop_violates(phi, k, restarts, seed):
+    """Reference for `_violates` in its former order: the certificate first, then the
+    probe through the compression kernel and `_eigh_bottom`, then the full search."""
+    h = posmap.kpositivity._search_choi(phi, k)
+    tol = psd_tol(h)
+    margin = posmap.kpositivity._ROUNDING_SHARE * tol
+    if spectral_bound(h, phi.m, phi.n, k) >= -tol + margin:
+        return False
+    h4 = h.reshape(phi.m, phi.n, phi.m, phi.n)
+    probe = _eigh_bottom(hermitian_part(_compressed_choi(h4, np.eye(phi.n, k)[None])))[0]
+    if probe[0] < -tol - margin:
+        return True
+    return k_block_min(phi, k, restarts=restarts, seed=seed).is_violation
 
 
 def loop_decomposability_witness(h, m, n, *, step=1e-2, max_iter=2000, tol=None, stall_break=None):
@@ -931,6 +949,56 @@ class TestStackedCorners:
             call()
 
 
+def integer_arguments():
+    """One param (call of one argument value, error) for every block size and count of
+    the k-positivity searches and the weak-decomposability cone check."""
+    phi, family = identity_map(2), lambda lam: reduction_family(lam, 3)
+    ctx = gns_context(np.eye(2) / 2)
+    calls = {
+        "k_block_min-k": lambda v: k_block_min(phi, v, restarts=2),
+        "is_k_positive-k": lambda v: is_k_positive(phi, v, restarts=2),
+        "is_k_copositive-k": lambda v: is_k_copositive(phi, v, restarts=2),
+        "sk_check-k": lambda v: sk_check(phi, v, samples=2),
+        "pk_check-k": lambda v: pk_check(phi, v, projections=2),
+        "spectral_bound-k": lambda v: spectral_bound(np.eye(4), 2, 2, v),
+        "bisect_threshold-k": lambda v: bisect_threshold(family, v, 0.2, 2.0, steps=2),
+        "weak_kdec_cone_check-k": lambda v: weak_kdec_cone_check(ctx, phi, v, samples=2),
+        "k_block_min-restarts": lambda v: k_block_min(phi, 1, restarts=v),
+        "sk_check-samples": lambda v: sk_check(phi, 1, samples=v),
+        "pk_check-projections": lambda v: pk_check(phi, 1, projections=v),
+        "bisect_threshold-restarts": lambda v: bisect_threshold(family, 1, 0.2, 2.0, steps=2,
+                                                                restarts=v),
+        "bisect_threshold-steps": lambda v: bisect_threshold(family, 1, 0.2, 2.0, steps=v),
+        "weak_kdec_cone_check-samples": lambda v: weak_kdec_cone_check(ctx, phi, 1, samples=v),
+    }
+    return [
+        pytest.param(call, KOutOfRangeError if name.endswith("-k") else CountOutOfRangeError, id=name)
+        for name, call in calls.items()
+    ]
+
+
+class TestIntegerArguments:
+    """A block size or count that is a float or a bool is an input error, never a
+    silent answer; numpy integers are integers."""
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(2.0), True, False, "2"])
+    @pytest.mark.parametrize("call, error", integer_arguments())
+    def test_a_non_integer_is_refused_before_any_work(self, monkeypatch, call, error, value):
+        choi = count_calls(monkeypatch, "choi", module=MatrixMap)
+        streams = count_stream_work(monkeypatch)
+        with pytest.raises(error):
+            call(value)
+        assert choi["calls"] == 0 and streams == {"philox": 0, "rng_stream": 0}
+
+    @pytest.mark.parametrize("call, error", integer_arguments())
+    def test_a_numpy_integer_is_accepted(self, call, error):
+        got, want = call(np.int64(2)), call(2)
+        if isinstance(want, Verdict):
+            assert_same_verdict(got, want)
+        else:
+            assert got == want
+
+
 class TestConditionChain:
     def test_composed_certificates_pass_block_and_corner_checks(self):
         # k-decomposable constructions satisfy the block-matrix and corner
@@ -1041,16 +1109,18 @@ class TestThresholdShortcuts:
     def test_a_probe_violation_is_a_violation_of_the_full_search(self, monkeypatch):
         # every decision of _violates is the full search's; a violation that no
         # full search decided is the probe's (at least 10 occur); where the full
-        # search runs, its first bottom eigenvalue of restart 0 is the probe's bits
+        # search runs, its first bottom eigenvalue of restart 0 is the probe's bits.
+        # A searched decision calls eigh on the probe's corner, then on h (the
+        # certificate), then on the search's first stack, whose member 0 is restart 0
         full, probed, searched, firsts = count_calls(monkeypatch, "k_block_min"), 0, 0, []
-        bottom = posmap.kpositivity._eigh_bottom
+        eigh = np.linalg.eigh
 
         def recorded(a):
-            w, v = bottom(a)
-            firsts.append(w[0])
-            return w, v
+            result = eigh(a)
+            firsts.append(result[0].reshape(-1, a.shape[-1])[0, 0])
+            return result
 
-        monkeypatch.setattr(posmap.kpositivity, "_eigh_bottom", recorded)
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
         for t in range(40):
             rng = rng_stream(72, t)
             m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -1061,9 +1131,56 @@ class TestThresholdShortcuts:
                 probed += decided and full["calls"] == 0
                 if full["calls"]:
                     searched += 1
-                    assert firsts[1] == firsts[0]
+                    assert firsts[2] == firsts[0]
                 assert decided == k_block_min(phi, k, restarts=32, seed=t).is_violation
         assert probed >= 10 and searched >= 10
+
+    @pytest.mark.parametrize("family", ["reduction", "near_cp", "loose_certificate"])
+    def test_decides_as_the_certificate_first_order(self, family):
+        # the probe runs before the certificate; the order decides nothing, since
+        # the probe's value is never below the certificate's bound
+        cases = []
+        if family == "reduction":
+            for n in (3, 4):
+                for k in range(1, n + 1):
+                    for d in (-0.5, -1e-3, -1e-8, -1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-3, 0.5):
+                        cases.append((reduction_family(k + d, n), k))
+        elif family == "near_cp":
+            for t in range(40):
+                rng = rng_stream(74, t)
+                m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+                phi = random_map_near_cp(rng, m, n, mix=float(rng.choice([0.3, 0.6, 1.0])))
+                cases += [(phi, k) for k in range(1, n + 1)]
+        else:
+            for h0 in [hermitian_part(choi_qutrit_map().choi()), *map(random_hermitian_choi, (0, 1))]:
+                w = np.linalg.eigvalsh(h0)
+                for t in np.linspace(-w[-1] - 0.5, -w[0] + 0.5, 25):
+                    cases += [(shifted_family(h0, 3, 3)(t), k) for k in (1, 2)]
+        decided = [posmap.kpositivity._violates(phi, k, 16, 3) for phi, k in cases]
+        assert decided == [loop_violates(phi, k, 16, 3) for phi, k in cases]
+        assert any(decided) and not all(decided)
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    def test_the_certificate_runs_only_on_the_steps_the_probe_leaves_open(self, monkeypatch,
+                                                                           n, k):
+        # the benchmark's threshold settings: the probe decides every violating
+        # step alone, the certificate every other, and nothing is compressed
+        bound = count_calls(monkeypatch, "spectral_bound")
+        full = count_calls(monkeypatch, "k_block_min")
+        compressed = count_calls(monkeypatch, "_compressed_choi")
+        violates, decisions = posmap.kpositivity._violates, []
+
+        def recorded(*args):
+            before = bound["calls"]
+            decided = violates(*args)
+            decisions.append((decided, bound["calls"] - before))
+            return decided
+
+        monkeypatch.setattr(posmap.kpositivity, "_violates", recorded)
+        bisect_threshold(lambda lam: reduction_family(lam, n), k, 0.2, k + 1, restarts=64, seed=11)
+        assert len(decisions) == 42
+        assert [calls for _, calls in decisions] == [int(not decided) for decided, _ in decisions]
+        assert (full["calls"], compressed["calls"]) == (0, 0)
 
     def test_a_shortcut_decision_builds_one_choi_matrix(self, monkeypatch):
         # on the reduction family the certificate or the probe decides both ends

@@ -263,8 +263,10 @@ def test_a_hostile_field_is_an_exit_code_never_a_traceback(hostile_cases, kind, 
        seed=seeds)
 def test_the_spectral_bound_is_below_every_schmidt_rank_k_value(m, n, mix, seed):
     # two maps and every k in 1..n: at least 400 (map, k) pairs over the 100 examples,
-    # each met by 50 random unit vectors of Schmidt rank <= k and the see-saw; the
-    # allowance is the rounding margin `bisect_threshold` grants the bound
+    # each met by 50 random unit vectors of Schmidt rank <= k, the see-saw and the
+    # bottom eigenvalue of h's principal (m k)-corner (`bisect_threshold`'s probe, so
+    # its probe and certificate never both fire); the allowance is the rounding
+    # margin `bisect_threshold` grants the bound
     rng = rng_stream(seed)
     for phi in (random_map_near_cp(rng, m, n, mix=mix), random_hermiticity_preserving(rng, m, n)):
         h = hermitian_part(phi.choi())
@@ -276,6 +278,8 @@ def test_the_spectral_bound_is_below_every_schmidt_rank_k_value(m, n, mix, seed)
             values = np.einsum("si,ij,sj->s", psi.conj(), h, psi).real
             assert bound <= values.min() + allowance
             assert bound <= k_block_min(phi, k, restarts=8, seed=seed % 1000).value + allowance
+            corner = h.reshape(m, n, m, n)[:, :k, :, :k].reshape(m * k, m * k)
+            assert np.linalg.eigh(corner)[0][0] >= bound - allowance
 
 
 # ---------------------------------------------------------------------------
