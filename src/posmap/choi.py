@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import HERMITIAN_RTOL, _eigh_phased, as_matrix, frobenius, hermitian_part, matrix_units, psd_tol
+from .linalg import HERMITIAN_RTOL, _eigh_phased, as_matrix, frobenius, matrix_units, psd_tol
 from .verdicts import PASS, VIOLATION, Verdict
 
 
@@ -41,7 +41,7 @@ class MatrixMap:
             raise DimensionMismatchError(
                 f"unit images must have shape (m, m, n, n), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("unit images contain non-finite entries")
         self.unit_images = arr
 
@@ -117,7 +117,8 @@ class MatrixMap:
     def is_hermiticity_preserving(self) -> bool:
         """phi(a*) = phi(a)* for all a: the Choi matrix is Hermitian within
         HERMITIAN_RTOL * max(1, ||h||_F) in Frobenius norm."""
-        return _is_hermitian_choi(self.choi())
+        h = self.choi()
+        return _is_hermitian_choi(h, h.conj().T)
 
     def norm_distance(self, other: "MatrixMap") -> float:
         return frobenius(self.unit_images - other.unit_images)
@@ -161,10 +162,20 @@ def kernel_transpose_gap(phi: MatrixMap) -> float:
     return frobenius(phi.choi() - trace_kernel(phi).T)
 
 
-def _is_hermitian_choi(h: np.ndarray) -> bool:
-    """The test of `MatrixMap.is_hermiticity_preserving` on a Choi matrix
-    already built."""
-    return frobenius(h - h.conj().T) <= HERMITIAN_RTOL * max(1.0, frobenius(h))
+def _is_hermitian_choi(h: np.ndarray, hh: np.ndarray) -> bool:
+    """The test of `MatrixMap.is_hermiticity_preserving` on a Choi matrix h
+    already built, given hh = h*."""
+    return frobenius(h - hh) <= HERMITIAN_RTOL * max(1.0, frobenius(h))
+
+
+def _hermitian_choi(h: np.ndarray) -> np.ndarray:
+    """The Hermitian part (h + h*) / 2 of a Choi matrix already built, bit for
+    bit `hermitian_part(h)`, once h passes `_is_hermitian_choi`
+    (`NotHermitianError` otherwise); one conjugate transpose serves both."""
+    hh = h.conj().T
+    if not _is_hermitian_choi(h, hh):
+        raise NotHermitianError("map is not Hermiticity-preserving")
+    return (h + hh) / 2
 
 
 def cp_verdict(phi: MatrixMap) -> Verdict:
@@ -174,9 +185,7 @@ def cp_verdict(phi: MatrixMap) -> Verdict:
     bottom eigenvector; `value` is the smallest Choi eigenvalue.
     """
     h = phi.choi()
-    if not _is_hermitian_choi(h):
-        raise NotHermitianError("map is not Hermiticity-preserving")
-    w, v = _eigh_phased(hermitian_part(h))
+    w, v = _eigh_phased(_hermitian_choi(h))
     min_eig = float(w[0])
     if min_eig >= -psd_tol(h):
         return Verdict(PASS, min_eig)

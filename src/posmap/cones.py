@@ -292,6 +292,7 @@ def transposed_cone_consistency(
     the first-factor algebra tensored with the second-factor commutant; and
     (iii) the duality between the intersection cone and the hull generators.
     """
+    require_integer("samples", samples, 1, CountOutOfRangeError)
     identity_defect = 0.0
     commutant_min = np.inf
     duality_min = np.inf

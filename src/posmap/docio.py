@@ -81,7 +81,7 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
             out[idx] = complex(pair[0], pair[1])
         except OverflowError as exc:
             raise ParseError(f"{where}: entry {idx} is out of range") from exc
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if not np.isfinite(out).all():
         raise ParseError(f"{where}: non-finite entries")
     return out.reshape(rows, cols)
 

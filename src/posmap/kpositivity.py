@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .choi import MatrixMap, _is_hermitian_choi
+from .choi import MatrixMap, _hermitian_choi
 from .errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
     CountOutOfRangeError,
     DimensionMismatchError,
     KOutOfRangeError,
-    NotHermitianError,
     require_integer,
 )
 from .linalg import (
@@ -93,10 +92,7 @@ def _search_choi(phi: MatrixMap, k: int) -> np.ndarray:
     preserves Hermiticity: the input checks of a compression search."""
     if not 1 <= k <= phi.n:
         raise KOutOfRangeError(f"k={k} outside 1..{phi.n}")
-    h = phi.choi()
-    if not _is_hermitian_choi(h):
-        raise NotHermitianError("map is not Hermiticity-preserving")
-    return hermitian_part(h)
+    return _hermitian_choi(phi.choi())
 
 
 def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .choi import MatrixMap
@@ -21,13 +23,24 @@ def trace_times_identity(n: int) -> MatrixMap:
     return MatrixMap(np.eye(n)[:, :, None, None] * np.eye(n))
 
 
+@lru_cache(maxsize=None)
+def _reduction_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit images T of a -> Tr(a) I and U of the identity on B(C^n), built
+    once per n.  Both are read-only: a map holds the new array lam * T - U."""
+    t = np.eye(n)[:, :, None, None] * np.eye(n)
+    u = matrix_units(n)
+    t.flags.writeable = u.flags.writeable = False
+    return t, u
+
+
 def reduction_family(lam: float, n: int = 3) -> MatrixMap:
     """The one-parameter family a -> lam * Tr(a) I - a on B(C^n).
 
     Its k-positivity threshold sits exactly at lam = k, which makes the family
     the standard calibration target for the bisection experiments.
     """
-    return MatrixMap(lam * np.eye(n)[:, :, None, None] * np.eye(n) - matrix_units(n))
+    t, u = _reduction_terms(n)
+    return MatrixMap(lam * t - u)
 
 
 def choi_qutrit_map() -> MatrixMap:

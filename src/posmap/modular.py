@@ -29,11 +29,13 @@ import numpy as np
 from .choi import MatrixMap
 from .errors import (
     BetaOutOfRangeError,
+    CountOutOfRangeError,
     DimensionMismatchError,
     InconsistentSystemError,
     NotAStateError,
     NotFaithfulError,
     NotInNaturalConeError,
+    require_integer,
 )
 from .kpositivity import is_k_positive
 from .linalg import (
@@ -310,6 +312,7 @@ def v_beta_duality_check(
     """
     if not 0.0 <= beta <= 0.5:
         raise BetaOutOfRangeError(f"beta={beta} outside [0, 1/2]")
+    require_integer("samples", samples, 1, CountOutOfRangeError)
     min_real = np.inf
     max_imag = 0.0
     flips_failed = 0
@@ -411,6 +414,7 @@ def schwarz_defect(
     that anti-multiplicative maps satisfy (transposition fulfils it with
     equality, while it fails the direct order).
     """
+    require_integer("samples", samples, 1, CountOutOfRangeError)
     worst = 0.0
     for s in range(samples):
         rng = rng_stream(seed, s)

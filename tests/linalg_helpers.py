@@ -1,10 +1,12 @@
 """Matrix helpers that only the tests use: an eigendecomposition power to
-cross-check the modular operator's own powers, Haar-random projections, and
-random Hermitian matrices.  The package reaches none of them: `modular`
+cross-check the modular operator's own powers, Haar-random projections,
+random Hermitian matrices, and complex entries with one non-finite part.
+The package reaches none of them: `modular`
 raises the modular operator to a power entrywise from the state's spectrum,
 and the searches draw isometries, not projections."""
 
 import numpy as np
+import pytest
 
 from posmap.linalg import (
     haar_isometry,
@@ -45,3 +47,11 @@ def haar_projection(dim: int, rank: int, seed: int) -> np.ndarray:
         raise ValueError(f"rank {rank} outside 1..{dim}")
     v = haar_isometry(rng_stream(seed), dim, rank)
     return v @ v.conj().T
+
+
+# (real, imaginary) parts of one complex entry, exactly one of them NaN or +-inf:
+# a one-pass finiteness check on the complex array must refuse each
+NON_FINITE_PARTS = [
+    *[pytest.param(bad, 0.5, id=f"real-{bad}") for bad in (np.nan, np.inf, -np.inf)],
+    *[pytest.param(0.5, bad, id=f"imag-{bad}") for bad in (np.nan, np.inf, -np.inf)],
+]

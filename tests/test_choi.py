@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import posmap.maps
+from linalg_helpers import NON_FINITE_PARTS
 from posmap.choi import (
     MatrixMap,
     block_positivity_forms,
@@ -85,6 +87,34 @@ class TestNamedMaps:
         for lam in LAMBDAS:
             want = MatrixMap.from_function(lambda a: lam * np.trace(a) * np.eye(n) - a, n, n)
             assert reduction_family(lam, n).unit_images.tobytes() == want.unit_images.tobytes(), lam
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_writing_into_a_reduction_map_changes_no_later_one(self, n):
+        want = reduction_family(2.5, n).unit_images.tobytes()
+        written = reduction_family(2.5, n)
+        written.unit_images[...] = 7.0
+        written.unit_images[0, 0] = np.nan
+        assert reduction_family(2.5, n).unit_images.tobytes() == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_cached_reduction_terms_are_read_only(self, n):
+        t, u = posmap.maps._reduction_terms(n)
+        again = posmap.maps._reduction_terms(n)
+        assert again[0] is t and again[1] is u
+        for term in (t, u):
+            assert not term.flags.writeable
+            with pytest.raises(ValueError):
+                term[0, 0, 0, 0] = 5.0
+            assert not np.shares_memory(term, reduction_family(1.5, n).unit_images)
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("re_part, im_part", NON_FINITE_PARTS)
+    def test_a_map_with_one_non_finite_part_is_refused(self, re_part, im_part):
+        images = identity_map(2).unit_images.copy()
+        images[0, 1, 1, 0] = complex(re_part, im_part)
+        with pytest.raises(ValueError, match="^unit images contain non-finite entries$"):
+            MatrixMap(images)
 
 
 class TestTraceKernel:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from linalg_helpers import NON_FINITE_PARTS
 from posmap.docio import (
     cone_input_from_document,
     load_document,
@@ -40,6 +41,12 @@ class TestMatrixDoc:
     def test_rejects_bare_number_entries(self):
         with pytest.raises(ParseError, match="pair"):
             matrix_from_doc({"rows": 1, "cols": 1, "data": [1.0]})
+
+    @pytest.mark.parametrize("re_part, im_part", NON_FINITE_PARTS)
+    def test_rejects_one_non_finite_part(self, re_part, im_part):
+        data = [[1.0, 0.0], [0.0, 0.0], [float(re_part), float(im_part)], [1.0, 0.0]]
+        with pytest.raises(ParseError, match="^matrix: non-finite entries$"):
+            matrix_from_doc({"rows": 2, "cols": 2, "data": data})
 
 
 class TestMapDoc:

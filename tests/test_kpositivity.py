@@ -9,7 +9,7 @@ import posmap.choi
 import posmap.kpositivity
 import posmap.linalg
 from posmap.choi import MatrixMap, cp_verdict
-from posmap.cones import weak_kdec_cone_check
+from posmap.cones import bipartite_context, transposed_cone_consistency, weak_kdec_cone_check
 from posmap.errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
@@ -61,7 +61,7 @@ from posmap.maps import (
     swap_operator,
     transposition_map,
 )
-from posmap.modular import gns_context
+from posmap.modular import gns_context, schwarz_defect, v_beta_duality_check
 from posmap.report import recheck_witness
 from posmap.verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
@@ -951,9 +951,11 @@ class TestStackedCorners:
 
 def integer_arguments():
     """One param (call of one argument value, error) for every block size and count of
-    the k-positivity searches and the weak-decomposability cone check."""
+    the k-positivity searches, the weak-decomposability cone check and the sampled
+    modular and cone checks."""
     phi, family = identity_map(2), lambda lam: reduction_family(lam, 3)
     ctx = gns_context(np.eye(2) / 2)
+    pair = bipartite_context(np.eye(2) / 2, np.diag([0.7, 0.3]))
     calls = {
         "k_block_min-k": lambda v: k_block_min(phi, v, restarts=2),
         "is_k_positive-k": lambda v: is_k_positive(phi, v, restarts=2),
@@ -970,6 +972,9 @@ def integer_arguments():
                                                                 restarts=v),
         "bisect_threshold-steps": lambda v: bisect_threshold(family, 1, 0.2, 2.0, steps=v),
         "weak_kdec_cone_check-samples": lambda v: weak_kdec_cone_check(ctx, phi, 1, samples=v),
+        "v_beta_duality_check-samples": lambda v: v_beta_duality_check(ctx, 0.25, samples=v),
+        "schwarz_defect-samples": lambda v: schwarz_defect(phi, samples=v),
+        "transposed_cone_consistency-samples": lambda v: transposed_cone_consistency(pair, samples=v),
     }
     return [
         pytest.param(call, KOutOfRangeError if name.endswith("-k") else CountOutOfRangeError, id=name)
@@ -1041,6 +1046,22 @@ class TestThresholdBisection:
     def test_bracket_must_straddle(self):
         with pytest.raises(ValueError):
             bisect_threshold(lambda lam: reduction_family(lam, 3), 1, 1.5, 2.0, steps=4, restarts=4, seed=1)
+
+    # float.hex of each bench setting's bisection value at seed 301 (steps=40,
+    # restarts=64): any change that moves one decision moves these bits
+    PINNED = {
+        (3, 1): "0x1.ffffffe23fccdp-1",
+        (3, 2): "0x1.ffffffe753cccp+0",
+        (4, 1): "0x1.ffffffd5ea99ap-1",
+        (4, 2): "0x1.ffffffdda3000p+0",
+        (4, 3): "0x1.7fffffe6f4d9cp+1",
+    }
+
+    @pytest.mark.parametrize("n, k", list(PINNED))
+    def test_the_bench_settings_keep_their_bisection_bits(self, n, k):
+        value = bisect_threshold(lambda lam: reduction_family(lam, n), k, 0.2, k + 1, steps=40,
+                                 restarts=64, seed=301)
+        assert float(value).hex() == self.PINNED[n, k]
 
     def test_a_negative_step_count_is_refused(self):
         family = lambda lam: reduction_family(lam, 3)  # noqa: E731

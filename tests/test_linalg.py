@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from linalg_helpers import frac_power, haar_projection, random_hermitian
+from linalg_helpers import NON_FINITE_PARTS, frac_power, haar_projection, random_hermitian
 from posmap.errors import DimensionMismatchError, NotHermitianError, NotSquareError
 from posmap.linalg import (
     _eigh_bottom,
     _eigh_phased,
     _haar_from_gaussian,
+    as_matrix,
     frobenius,
     haar_isometry,
     herm_eig,
@@ -26,6 +27,15 @@ from posmap.maps import max_entangled_projector, swap_operator
 
 def unit(i, j, d):
     return matrix_units(d)[i, j]
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("re_part, im_part", NON_FINITE_PARTS)
+    def test_one_non_finite_part_is_refused(self, re_part, im_part):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = complex(re_part, im_part)
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            as_matrix(a)
 
 
 class TestHermEig:

@@ -7,8 +7,10 @@ import pytest
 import posmap.modular
 from linalg_helpers import frac_power
 from posmap.choi import MatrixMap
+from posmap.cones import bipartite_context, transposed_cone_consistency
 from posmap.errors import (
     BetaOutOfRangeError,
+    CountOutOfRangeError,
     NotAStateError,
     NotFaithfulError,
     NotInNaturalConeError,
@@ -43,7 +45,7 @@ from posmap.modular import (
     v_beta_duality_check,
     v_beta_member,
 )
-from test_kpositivity import count_calls
+from test_kpositivity import count_calls, count_stream_work
 
 TRACIAL_2 = np.eye(2, dtype=complex) / 2
 # ascending spectrum keeps the frame equal to the standard basis
@@ -346,6 +348,27 @@ class TestSchwarzDefect:
 
     def test_scaled_identity_fails(self):
         assert schwarz_defect(2.0 * identity_map(2), samples=30, seed=3) > 0.1
+
+
+class TestSampleCounts:
+    """A sampled check over no samples would state a vacuous result (an infinite
+    pairing minimum, a Schwarz defect of 0), so a count below 1 is refused before
+    any draw.  A count that is not an integer is refused by
+    `test_kpositivity.TestIntegerArguments`."""
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("check", [
+        pytest.param(lambda s: v_beta_duality_check(gns_context(DIAG_2), 0.25, samples=s),
+                     id="v_beta_duality_check"),
+        pytest.param(lambda s: schwarz_defect(identity_map(2), samples=s), id="schwarz_defect"),
+        pytest.param(lambda s: transposed_cone_consistency(bipartite_context(DIAG_2, DIAG_2), samples=s),
+                     id="transposed_cone_consistency"),
+    ])
+    def test_a_count_below_one_is_refused(self, monkeypatch, check, samples):
+        streams = count_stream_work(monkeypatch)
+        with pytest.raises(CountOutOfRangeError, match="^samples="):
+            check(samples)
+        assert streams == {"philox": 0, "rng_stream": 0}
 
 
 class TestBalanceAdjoint:
