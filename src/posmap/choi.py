@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import HERMITIAN_RTOL, _eigh_phased, as_matrix, frobenius, matrix_units, psd_tol
+from .linalg import HERMITIAN_RTOL, _eigh_phased, as_matrix, bounded_norm, frobenius, matrix_units, psd_tol
 from .verdicts import PASS, VIOLATION, Verdict
 
 
@@ -116,7 +116,7 @@ class MatrixMap:
 
     def is_hermiticity_preserving(self) -> bool:
         """phi(a*) = phi(a)* for all a: the Choi matrix is Hermitian within
-        HERMITIAN_RTOL * max(1, ||h||_F) in Frobenius norm."""
+        HERMITIAN_RTOL * max(1, ||h||_F) in Frobenius norm (`bounded_norm`)."""
         h = self.choi()
         return _is_hermitian_choi(h, h.conj().T)
 
@@ -165,7 +165,7 @@ def kernel_transpose_gap(phi: MatrixMap) -> float:
 def _is_hermitian_choi(h: np.ndarray, hh: np.ndarray) -> bool:
     """The test of `MatrixMap.is_hermiticity_preserving` on a Choi matrix h
     already built, given hh = h*."""
-    return frobenius(h - hh) <= HERMITIAN_RTOL * max(1.0, frobenius(h))
+    return frobenius(h - hh) <= HERMITIAN_RTOL * max(1.0, bounded_norm(h))
 
 
 def _hermitian_choi(h: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/defect failure, 2 input error (a
 malformed document, a map or a `--k-max` beyond the desk-scale size, a count
-option below 1, an input that drives a report value out of float range, or
-an `--out` path that cannot be written).  Reports are byte-identical for
-identical input and seed, and state a seed and sample count only when their
+option below 1, an input that drives a report value or a tolerance out of float
+range, or an `--out` path that cannot be written).  Reports are byte-identical
+for identical input and seed, and state a seed and sample count only when their
 command draws; timing is only written on request, in its own excluded field.
 """
 
@@ -93,12 +93,10 @@ def _verdict_record(report: dict, record_id: str, verdict: Verdict) -> None:
 
 
 def _derived(source_id: str, verdict: Verdict) -> Verdict:
-    """The verdict of record `source_id`, restated for a record it decides,
-    with the stats {"derived_from": `source_id`} alone: how the source was
-    reached is its own record's to say.  A pass is restated as evidence at
-    its value, without its witness."""
-    kind, witness = (EVIDENCE, None) if verdict.kind == PASS else (verdict.kind, verdict.witness)
-    return Verdict(kind, verdict.value, witness, {"derived_from": source_id})
+    """The verdict of record `source_id` restated, by its kind and value alone, for a record
+    it decides, with the stats {"derived_from": `source_id`}; a pass reads as evidence."""
+    kind = EVIDENCE if verdict.kind == PASS else verdict.kind
+    return Verdict(kind, verdict.value, stats={"derived_from": source_id})
 
 
 def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
@@ -106,43 +104,40 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     search runs when its pair is asked for, so the caller can time it.
 
     A record that another verdict decides restates that verdict (`_derived`):
-    - block_positivity, from k_positive_1: positivity is 1-positivity, so the
-      k = 1 search runs once, for the block_positivity pair;
-    - for k > n, k_positive_<k> and k_copositive_<k>, from the exact tests at
-      k = n;
+    - block_positivity, k_copositive_1, sk_1 and pk_1, from k_positive_1: each
+      is positivity of phi (so is phi o T), so the k = 1 search runs once;
+    - for k > n, k_positive_<k> and k_copositive_<k>, from the exact tests at n;
     - when `certificate`, the `decomposition_certificate` of h, is a pass,
-      every sk_<k>, every pk_<k> and decomposability, from decomposable.
+      every other sk_<k>, pk_<k> and decomposability, from decomposable.
       With h = P + Q^G, no PPT state pairs with h below the certificate's
       value, min(lambda_min(P), 0) + min(lambda_min(Q), 0), and neither does
       a trace-one block that is PSD in both orderings, whatever k.  Nor does
       one pair with a corner's Choi matrix h_V: compressing by I (x) V
       commutes with the input-side partial transpose, so h_V = P_V + Q_V^G.
     On a map the certificate leaves open, pk_<k> for k > n is the pk_<n>
-    verdict itself, not a derived record: `pk_check` draws its corner ranks
-    from 1..min(k, n), so at every k >= n it returns the same verdict bit for
-    bit, and it runs once."""
+    verdict itself (at n = 1, pk_1's): `pk_check` draws its corner ranks from
+    1..min(k, n), so at every k >= n it returns the same verdict bit for bit."""
     m, n = phi.m, phi.n
     certified = certificate.kind == PASS
     yield "cp", cp_verdict(phi)
     positive = is_k_positive(phi, 1, restarts=args.restarts, seed=args.seed)
-    yield "block_positivity", _derived("k_positive_1", positive)
+    yield "block_positivity", (positivity := _derived("k_positive_1", positive))
     for k in range(1, args.k_max + 1):
         if k <= n:
             kv = positive if k == 1 else is_k_positive(phi, k, restarts=args.restarts, seed=args.seed)
             yield f"k_positive_{k}", kv
-            kc = is_k_copositive(phi, k, restarts=args.restarts, seed=args.seed)
+            kc = positivity if k == 1 else is_k_copositive(phi, k, restarts=args.restarts, seed=args.seed)
             yield f"k_copositive_{k}", kc
         else:
             yield f"k_positive_{k}", _derived(f"k_positive_{n}", kv)
             yield f"k_copositive_{k}", _derived(f"k_copositive_{n}", kc)
-        if certified:
-            yield f"sk_{k}", _derived("decomposable", certificate)
-            yield f"pk_{k}", _derived("decomposable", certificate)
+        if k == 1 or certified:
+            yield f"sk_{k}", (pv := positivity if k == 1 else _derived("decomposable", certificate))
         else:
             yield f"sk_{k}", sk_check(phi, k, samples=args.samples, seed=args.seed)
             if k <= n:
                 pv = pk_check(phi, k, projections=args.projections, seed=args.seed)
-            yield f"pk_{k}", pv
+        yield f"pk_{k}", pv
     yield "decomposable", certificate
     if certified:
         yield "decomposability", _derived("decomposable", certificate)

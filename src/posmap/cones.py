@@ -175,11 +175,10 @@ def cone_member(
     membership in P is its positivity, membership in the transposed cone is
     positivity of the block transpose.  The second route through the partial
     swap of xi is computed as a cross-check.  `hull_samples` > 0 attaches
-    sampled dual-pairing evidence of hull membership; below 0 it raises
-    `CountOutOfRangeError`.
+    sampled dual-pairing evidence of hull membership; it must be an integer
+    >= 0 (`CountOutOfRangeError`).
     """
-    if hull_samples < 0:
-        raise CountOutOfRangeError(f"hull_samples={hull_samples} must be >= 0")
+    require_integer("hull_samples", hull_samples, 0, CountOutOfRangeError)
     m = ctx._require(xi)
     x = ctx._sandwich(m, -0.25)
     bound = psd_tol(x)
@@ -387,10 +386,9 @@ def split_bounds_check(
 
     The eta sample mixes rank-1 extreme-ray surrogates with interior points.
     Returns the margins of `split_bound_margins` and a violation count
-    (margins below -1e-9), not the caller's `eta_samples`; a count below 1
-    raises `CountOutOfRangeError`, since a pass needs samples to rest on."""
-    if eta_samples < 1:
-        raise CountOutOfRangeError(f"eta_samples={eta_samples} must be >= 1")
+    (margins below -1e-9), not the caller's `eta_samples`, which must be an
+    integer >= 1 (`CountOutOfRangeError`), since a pass needs samples."""
+    require_integer("eta_samples", eta_samples, 1, CountOutOfRangeError)
     membership = cone_member(ctx, xi)
     if not membership.in_intersection:
         raise NotInIntersectionError(

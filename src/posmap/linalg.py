@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
+from .errors import DimensionMismatchError, NotHermitianError, NotSquareError, PosmapError
 
 HERMITIAN_RTOL = 1e-8
 PSD_RTOL = 1e-9
@@ -42,10 +42,17 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def bounded_norm(a) -> float:
+    """frobenius(a), refused when it overflows: a tolerance it scales would pass anything."""
+    if (norm := frobenius(a)) == np.inf:
+        raise PosmapError("matrix norm overflows float range; rescale the input")
+    return norm
+
+
 def psd_tol(a) -> float:
     """Scale-aware PSD tolerance: a Hermitian matrix counts as PSD when its
     smallest eigenvalue is >= -psd_tol(a)."""
-    return PSD_RTOL * max(1.0, frobenius(a))
+    return PSD_RTOL * max(1.0, bounded_norm(a))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -59,7 +66,7 @@ def check_hermitian(a) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected square matrix, got shape {m.shape}")
     defect = frobenius(m - m.conj().T)
-    if defect > HERMITIAN_RTOL * max(frobenius(m), 1e-300):
+    if defect > HERMITIAN_RTOL * max(bounded_norm(m), 1e-300):
         raise NotHermitianError(f"Hermitian defect {defect:.3e} exceeds tolerance")
     return hermitian_part(m)
 

@@ -41,6 +41,7 @@ from .kpositivity import is_k_positive
 from .linalg import (
     _stream_seeker,
     as_matrix,
+    bounded_norm,
     frobenius,
     herm_eig,
     hermitian_part,
@@ -151,7 +152,7 @@ def gns_context(rho) -> GnsContext:
     r = as_matrix(rho)
     if r.shape[0] != r.shape[1]:
         raise NotAStateError(f"state matrix must be square, got {r.shape}")
-    if frobenius(r - r.conj().T) > 1e-10 * max(1.0, frobenius(r)):
+    if frobenius(r - r.conj().T) > 1e-10 * max(1.0, bounded_norm(r)):
         raise NotAStateError("state matrix is not Hermitian")
     if abs(np.trace(r).real - 1.0) > TRACE_TOL or abs(np.trace(r).imag) > TRACE_TOL:
         raise NotAStateError(

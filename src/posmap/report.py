@@ -1,25 +1,23 @@
 """Machine-readable certification reports and independent witness re-checks.
 
-A report embeds its input document, a digest of the canonical input bytes,
-its seed when its command draws, every tolerance and search parameter used,
-and one record per test.  It states each fact once, and only what its
-command computed: a record holds its id, kind and value, a witness, and the
-stats of its search, none repeating another field of the report (the
-report's seed, the record's value, another record's stats).  Records for
-violations carry complete witnesses, and a "decomposable" pass carries
-its certificate.  `recheck_witness` re-evaluates a witness through plain
-quadratic forms and eigenvalue checks, never re-running any search, from one
-table of re-checks keyed by record id; `verify_report` runs it on every
-violation and pass record that holds a witness and reports the records whose
-stored values have gone stale or whose violation no longer violates; it
-accepts no classify pass but `cp`, which it re-derives, and `decomposable`.
-A record that another record's verdict decided says so with the stats
-{"derived_from": <that record's id>} alone, and `verify_report` checks that
-it restates that verdict.  `verify_report` reads no other stats key, so
-reports that still carry keys of an earlier format verify too.  The summary
-of a classify report is read from its records' kinds (`classify_summary`),
-and `verify_report` re-derives it, as it re-derives a `cone member` report's
-record and exact summary fields from its embedded input.
+A report embeds its input document, a digest of the canonical input bytes, its
+seed when its command draws, every tolerance and search parameter used, and one
+record per test.  It states each fact once, and only what its command computed:
+a record holds its id, kind and value, a witness, and the stats of its search,
+none repeating another field of the report (the report's seed, the record's
+value, another record's stats).  A searched violation carries a complete
+witness, a "decomposable" pass its certificate, and a record that another
+record's verdict decided only that verdict's kind and value and the stats
+{"derived_from": <its id>}.  `recheck_witness` re-evaluates a witness through
+plain quadratic forms and eigenvalue checks, never re-running any search, from
+one table of re-checks keyed by record id; `verify_report` runs it on every
+searched violation and pass with a witness, checks a derived record through its
+source and one table of implications, and accepts no classify pass but `cp`,
+which it re-derives, and `decomposable`.  It reads no other stats key, so
+reports that still carry keys of an earlier format verify too.  The summary of
+a classify report is read from its records' kinds (`classify_summary`), and
+`verify_report` re-derives it, as it re-derives a `cone member` report's record
+and exact summary fields from its embedded input.
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -47,6 +45,9 @@ from .verdicts import EVIDENCE, PASS, VIOLATION
 TOOL_NAME = "posmap"
 TOOL_VERSION = "0.1.0"
 VALUE_TOL = 1e-10
+# source -> the records (by id or k-stripped id) its violation violates; theorems: positivity is
+# 1-copositivity (T: x (x) y -> conj(x) (x) y), and a product vector violates sk_1 and every pk_<k>
+_IMPLIED_VIOLATIONS = {"k_positive_1": ("block_positivity", "k_copositive_1", "sk_1", "pk_")}
 # the records whose condition every decomposable map meets, by id or k-stripped id
 _IMPLIED_BY_DECOMPOSABLE = ("block_positivity", "k_positive_1", "k_copositive_1", "sk_", "pk_", "decomposability")
 # the summary fields of a `cone member` report that one exact membership test decides
@@ -259,23 +260,23 @@ def recheck_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
 def verify_report(report: dict) -> list[str]:
     """Re-evaluate every stored witness; returns a list of failure messages.
 
-    The witnesses of violation and pass records are re-checked; evidence
-    claims no proof.  Failures: a violation or a "decomposable" pass without
-    a witness, a violation whose witness re-evaluates to >= 0, a derived
-    record (stats "derived_from") that does not restate its source
-    (`_derived_failures`), in a map report a pass `verify` cannot re-derive
-    or a violation that a `decomposable` pass refutes (`_proof_failures`)
-    and a summary its records do not give
-    (`classify_summary`), and a `member` record or member summary that one
-    exact membership test of the embedded cone input does not give
-    (`_member_failures`).  Raises
-    ParseError when the report or one of its records is not a JSON object, a
-    witnessed record lacks a string id or a finite value, its witness is not a
-    JSON object or holds a matrix document that does not parse, or the
-    embedded input does not parse: a map, for a report with a weakdec
-    violation the cone input's map and first-factor state, and for a report
-    with a `member` record the cone input; NotHermitianError when a map
-    report's map is not Hermiticity-preserving, which classify refuses too.
+    The witnesses of searched violation and pass records are re-checked;
+    evidence claims no proof.  Failures: a searched violation or a
+    "decomposable" pass without a witness, a violation whose witness
+    re-evaluates to >= 0, a derived record (stats "derived_from") that does not
+    restate its source or is a violation its source's does not imply
+    (`_derived_failures`), in a map report a pass `verify` cannot re-derive or a
+    violation that a `decomposable` pass refutes (`_proof_failures`) and a
+    summary its records do not give (`classify_summary`), and a `member` record
+    or member summary that one exact membership test of the embedded cone input
+    does not give (`_member_failures`).  Raises ParseError when the report or one
+    of its records is not a JSON object, a witnessed record lacks a string id or
+    a finite value, its witness is not a JSON object or holds a matrix document
+    that does not parse, or the embedded input does not parse: a map, for a
+    report with a weakdec violation the cone input's map and first-factor state,
+    and for a report with a `member` record the cone input; NotHermitianError
+    when a map report's map is not Hermiticity-preserving, which classify
+    refuses too; PosmapError when a norm that sets a tolerance overflows.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -289,11 +290,12 @@ def verify_report(report: dict) -> list[str]:
     phi = weak = None
     if isinstance(input_doc, dict) and input_doc.get("kind") == "map":
         phi = map_from_document(input_doc)
-    # a violation or a pass claims a proof, so its witness is re-checked; a
-    # violation or a decomposable pass without one proves nothing
-    witnessed = [r for r in records if r.get("kind") in (VIOLATION, PASS) and "witness" in r]
+    # a searched violation or pass claims a proof, so its witness is re-checked, and without one
+    # it proves nothing; a derived record is checked through its source (`_derived_failures`)
+    searched = [r for r in records if not _is_derived(r)]
+    witnessed = [r for r in searched if r.get("kind") in (VIOLATION, PASS) and "witness" in r]
     failures += [
-        f"{r.get('id')}: no witness to re-check" for r in records if "witness" not in r
+        f"{r.get('id')}: no witness to re-check" for r in searched if "witness" not in r
         and (r.get("kind") == VIOLATION or (r.get("kind"), r.get("id")) == (PASS, "decomposable"))
     ]
     if any(isinstance(r.get("id"), str) and r["id"].startswith("weakdec") for r in witnessed):
@@ -430,17 +432,28 @@ def _agrees(stated, value: float) -> bool:
     return numeric and abs(stated - value) <= VALUE_TOL * max(1.0, abs(stated))
 
 
+def _is_derived(record: dict) -> bool:
+    """Whether another verdict decided `record`, as its stats name; no witness it holds is read."""
+    return isinstance(record.get("stats"), dict) and "derived_from" in record["stats"]
+
+
+def _implies(source: str, target: str) -> bool:
+    """Whether a violation of record `source` is one of record `target`: by
+    _IMPLIED_VIOLATIONS, or as a j-(co)positive violation is one at every k > j."""
+    name, other = source.rstrip("0123456789"), target.rstrip("0123456789")
+    j, k = source[len(name):], target[len(other):]  # (len, digits) orders them as numbers
+    return bool({target, other} & set(_IMPLIED_VIOLATIONS.get(source, ()))
+                or name == other in ("k_positive_", "k_copositive_") and (len(k), k) > (len(j), j))
+
+
 def _derived_failures(records: list) -> list[str]:
-    """Failures of the records another verdict decided.  A record with
-    stats["derived_from"] = X restates record X of the same report: it
-    repeats X's value exactly and X's kind, a pass read as evidence."""
+    """Failures of the records another verdict decided.  A record with stats["derived_from"] = X
+    restates record X of the same report: X's value exactly and X's kind, a pass read as
+    evidence, and a violation only where X's implies it (`_implies`)."""
     by_id = {r["id"]: r for r in records if isinstance(r.get("id"), str)}
     failures = []
-    for record in records:
-        stats = record.get("stats")
-        if not isinstance(stats, dict) or "derived_from" not in stats:
-            continue
-        rid, source = record.get("id"), stats["derived_from"]
+    for record in filter(_is_derived, records):
+        rid, source = record.get("id"), record["stats"]["derived_from"]
         origin = by_id.get(source) if isinstance(source, str) else None
         if origin is None:
             failures.append(f"{rid}: derived from {source!r}, which is not a record of this report")
@@ -448,4 +461,6 @@ def _derived_failures(records: list) -> list[str]:
         kind = EVIDENCE if origin.get("kind") == PASS else origin.get("kind")
         if (kind, origin.get("value")) != (record.get("kind"), record.get("value")):
             failures.append(f"{rid}: kind or value differs from the record {source!r} it is derived from")
+        elif kind == VIOLATION and not (isinstance(rid, str) and _implies(source, rid)):
+            failures.append(f"{rid}: a violation of {source!r} does not imply one of it")
     return failures

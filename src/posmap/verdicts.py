@@ -27,8 +27,7 @@ class Verdict:
     `witness` is None for evidence and for the exact complete-positivity
     pass; its keys are the record-payload names of the test that produced it
     (for example {"vector"} for complete positivity, {"projection",
-    "vector"} for k-positivity and for block positivity, which is
-    1-positivity, and {"q"} for a decomposition certificate).
+    "vector"} for k-positivity and {"q"} for a decomposition certificate).
     """
 
     kind: str

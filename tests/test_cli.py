@@ -115,7 +115,8 @@ class TestClassify:
                 in capsys.readouterr().err)
 
     def test_k_max_beyond_output_dimension_runs_the_exact_test_once(self, tmp_path, monkeypatch):
-        # k = 1 and k = 2 search twice each; k = 3 reuses the k = 2 verdicts
+        # k = 1 searches once (every k = 1 record restates k_positive_1), k = 2
+        # twice; k = 3 reuses the k = 2 verdicts
         calls = []
         search = kpositivity.k_block_min
         monkeypatch.setattr(kpositivity, "k_block_min",
@@ -124,17 +125,20 @@ class TestClassify:
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "8",
                      "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
-        assert calls == [1, 1, 2, 2]
+        assert calls == [1, 2, 2]
         report = load_report(out)
+        # a derived record restates its source's kind and value, and no witness
         for name in ("k_positive", "k_copositive"):
             k2, k3 = record_by_id(report, f"{name}_2"), record_by_id(report, f"{name}_3")
             assert k3["stats"] == {"derived_from": f"{name}_2"}
-            assert {**k3, "id": k2["id"], "stats": k2["stats"]} == k2
+            assert {**k3, "id": k2["id"], "stats": k2["stats"]} == {
+                key: value for key, value in k2.items() if key != "witness"}
 
     # pk_check draws its corner ranks from 1..min(k, n), so every pk_<k> with
-    # k >= n is the pk_<n> verdict; a 2 x 2 map with --k-max 4 runs it at k = 1, 2.
-    # A map the certificate proves decomposable runs it at no k: every
-    # compressed corner of it is decomposable, and each pk_<k> restates the pass
+    # k >= n is the pk_<n> verdict; a 2 x 2 map with --k-max 4 runs it at k = 2
+    # alone, as pk_1 restates k_positive_1.  A map the certificate proves
+    # decomposable runs it at no k: every compressed corner of it is
+    # decomposable, and each pk_<k> with k >= 2 restates the pass
     @pytest.mark.parametrize("phi, certified",
                              [(transposition_map(2), True),
                               (random_map_near_cp(rng_stream(41, 0), 2, 2, mix=0.3), False)],
@@ -148,8 +152,11 @@ class TestClassify:
         report = load_report(out)
         decomposable = record_by_id(report, "decomposable")
         assert (decomposable["kind"] == "pass") is certified
-        assert counter["calls"] == (0 if certified else 2)
-        for k in range(1, 5):
+        assert counter["calls"] == (0 if certified else 1)
+        k1 = record_by_id(report, "k_positive_1")
+        assert record_by_id(report, "pk_1") == {"id": "pk_1", "kind": k1["kind"], "value": k1["value"],
+                                                "stats": {"derived_from": "k_positive_1"}}
+        for k in range(2, 5):
             record = record_by_id(report, f"pk_{k}")
             if certified:
                 assert record == {"id": f"pk_{k}", "kind": "evidence", "value": decomposable["value"],
@@ -162,31 +169,44 @@ class TestClassify:
                 assert np.array_equal(matrix_from_doc(record["witness"][key]), arr), key
         assert main(["verify", str(out)]) == 0
 
-    def test_block_positivity_is_the_k1_search(self, tmp_path, monkeypatch):
-        # positivity is 1-positivity: the k = 1 search runs once and writes
-        # both records; a map with n = 3 and --k-max 4 searches k = 1..3 twice each
+    @pytest.mark.parametrize("phi, kind", [(reduction_family(0.5, 3), "violation"),
+                                           (transposition_map(3), "evidence")],
+                             ids=["reduction", "certified-transposition"])
+    def test_block_positivity_is_the_k1_search(self, tmp_path, monkeypatch, phi, kind):
+        # positivity is 1-positivity, 1-copositivity and the block conditions at
+        # k = 1: the k = 1 search runs once and writes all five records, certified
+        # or not, and no sk_ or pk_ search runs at k = 1; a map with n = 3 and
+        # --k-max 4 searches k = 2, 3 twice each
         calls = []
         search = kpositivity.k_block_min
         monkeypatch.setattr(kpositivity, "k_block_min",
                             lambda phi, k, **kw: calls.append(k) or search(phi, k, **kw))
-        doc = write_map_doc(tmp_path / "r.json", reduction_family(0.5, 3))
+        blocks = []
+        for name in ("sk_check", "pk_check"):
+            check = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda phi, k, check=check, **kw: blocks.append(k) or check(phi, k, **kw))
+        doc = write_map_doc(tmp_path / "r.json", phi)
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
                      "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
-        assert len(calls) == 2 * min(4, 3)
+        assert sorted(calls) == [1, 2, 2, 3, 3] and 1 not in blocks
         report = load_report(out)
-        block, k1 = record_by_id(report, "block_positivity"), record_by_id(report, "k_positive_1")
-        assert block["kind"] == k1["kind"] == "violation"
-        assert block["value"] == k1["value"] == pytest.approx(-0.5, abs=1e-8)
-        assert block["witness"] == k1["witness"]
-        assert set(block["witness"]) == {"projection", "vector"}
-        assert block["stats"] == {"derived_from": "k_positive_1"}
+        k1 = record_by_id(report, "k_positive_1")
+        assert k1["kind"] == kind and ("witness" in k1) == (kind == "violation")
+        if kind == "violation":
+            assert k1["value"] == pytest.approx(-0.5, abs=1e-8)
+        else:
+            assert record_by_id(report, "decomposable")["kind"] == "pass"
+        for record_id in ("block_positivity", "k_copositive_1", "sk_1", "pk_1"):
+            assert record_by_id(report, record_id) == {
+                "id": record_id, "kind": k1["kind"], "value": k1["value"],
+                "stats": {"derived_from": "k_positive_1"}}
         assert main(["verify", str(out)]) == 0
 
     def test_certified_map_runs_no_witness_iteration(self, tmp_path):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "report.json"
-        assert main(["classify", doc, "--k-max", "1", "--seed", "3", "--restarts", "4",
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
                      "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
         report = load_report(out)
         ids = [r["id"] for r in report["records"]]
@@ -195,8 +215,8 @@ class TestClassify:
         assert cert["kind"] == "pass" and set(cert["witness"]) == {"q"}
         assert cert["stats"]["termination"] == "converged"
         # the certificate decides the witness search and the block-matrix
-        # condition: both restate it as evidence, and no sample is drawn
-        for record_id in ("decomposability", "sk_1"):
+        # condition above k = 1: both restate it as evidence, and no sample is drawn
+        for record_id in ("decomposability", "sk_2"):
             record = record_by_id(report, record_id)
             assert record["kind"] == "evidence" and "witness" not in record
             assert record["stats"] == {"derived_from": "decomposable"}
@@ -208,14 +228,14 @@ class TestClassify:
     def test_uncertified_map_runs_the_full_witness_search(self, tmp_path):
         doc = write_map_doc(tmp_path / "c.json", choi_qutrit_map())
         out = tmp_path / "report.json"
-        assert main(["classify", doc, "--k-max", "1", "--seed", "2", "--restarts", "4",
+        assert main(["classify", doc, "--k-max", "2", "--seed", "2", "--restarts", "4",
                      "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
         report = load_report(out)
         cert = record_by_id(report, "decomposable")
         assert cert["kind"] == "evidence" and "witness" not in cert
         dec = record_by_id(report, "decomposability")
         assert dec["kind"] == "violation" and "derived_from" not in dec["stats"]
-        sk = record_by_id(report, "sk_1")
+        sk = record_by_id(report, "sk_2")
         assert sk["stats"]["samples"] == 20 and "derived_from" not in sk["stats"]
         assert report["summary"]["decomposable"] == "evidence"
 
@@ -287,7 +307,7 @@ class TestDeterminism:
     def test_timings_time_every_classify_stage_and_leave_the_body_alone(self, tmp_path,
                                                                           monkeypatch):
         # the certificate runs before the k loop; a slowed one shows in its own
-        # stage, not in the sk_ stages it decides
+        # stage, not in the sk_ stages it decides (sk_1 restates k_positive_1)
         certificate = cli.decomposition_certificate
 
         def slow_certificate(*args):
@@ -310,7 +330,8 @@ class TestDeterminism:
         assert sum(stage["elapsed_s"] for stage in stages.values()) <= report["timing"]["elapsed_s"]
         assert stages["decomposable"]["elapsed_s"] >= 0.2
         for k in (1, 2, 3):
-            assert record_by_id(report, f"sk_{k}")["stats"]["derived_from"] == "decomposable"
+            source = "k_positive_1" if k == 1 else "decomposable"
+            assert record_by_id(report, f"sk_{k}")["stats"]["derived_from"] == source
             assert stages[f"sk_{k}"]["elapsed_s"] < 0.2
 
 
@@ -509,6 +530,38 @@ class TestCone:
             assert main(["verify", str(out)]) == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:state condition number")
+class TestNormOverflow:
+    """Finite input whose tolerance would overflow to inf is refused with exit
+    2 and no report, instead of passing every test that tolerance scales."""
+
+    @pytest.mark.parametrize("h", [-1e160 * np.eye(4), np.pad([[0.0, 1e160]], ((0, 3), (0, 2)))],
+                             ids=["negative-multiple-of-identity", "one-off-diagonal-entry"])
+    def test_a_choi_matrix_whose_norm_overflows_is_refused(self, tmp_path, capsys, h):
+        doc = write_map_doc(tmp_path / "huge.json", MatrixMap.from_choi(h, 2, 2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "input error: matrix norm overflows float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, code", [(1e146, 0), (1e150, 2)])
+    def test_a_cone_vector_whose_reconstruction_overflows_is_refused(self, tmp_path, scale, code):
+        # the product of the states has the eigenvalue 1e-16, so xi = -scale E_00
+        # has a finite norm and its reconstruction the norm 1e8 scale: its squared
+        # norm overflows at 1e150, and at 1e146 the vector is rightly outside P
+        thin = np.diag([1 - 1e-8, 1e-8])
+        xi = np.zeros((4, 4))
+        xi[0, 0] = -scale
+        doc = cone_doc(tmp_path, None, extra={"rho_a": matrix_to_doc(thin), "rho_b": matrix_to_doc(thin),
+                                              "vector": matrix_to_doc(xi)})
+        out = tmp_path / "report.json"
+        assert main(["cone", "member", doc, "--seed", "1", "--samples", "0", "--out", str(out)]) == code
+        if code == 0:
+            assert load_report(out)["summary"]["in_p"] is False
+        else:
+            assert not out.exists()
+
+
 class TestCountOptions:
     @pytest.mark.parametrize("option,value", [
         ("--restarts", "0"), ("--samples", "0"), ("--samples", "-3"),
@@ -535,7 +588,7 @@ class TestCountOptions:
         out = tmp_path / "r.json"
         assert main(["cone", "member", doc, "--seed", "1", "--samples", "-5", "--out", str(out)]) == 2
         assert not out.exists()
-        assert "hull_samples=-5 must be >= 0" in capsys.readouterr().err
+        assert "hull_samples=-5 must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["member", "pq", "flags", "polar"])
     def test_cone_accepts_zero_samples_where_nothing_is_sampled(self, tmp_path, sub):
@@ -712,7 +765,8 @@ def with_parent_keys(report):
     """A copy of `report` that carries again every key an earlier report
     format wrote and that repeats another field of the report: each record's
     `seed`, a modular record's `defects`, each search's `min_value`, weakdec's
-    `dual_samples`, a derived record's copy of its source's stats, the seed of
+    `dual_samples`, a derived record's copy of its source's stats and a
+    derived violation's copy of its source's witness, the seed of
     the draw-free decomposability and exact k = n searches, and the witness
     keys `rank` (pk_) and `sample` (sk_); and the keys a cone report stated
     without computing them: the seed 0 and default samples of the draw-free
@@ -735,7 +789,10 @@ def with_parent_keys(report):
         if stats is None or rid in ("cp", "decomposable"):
             continue
         if "derived_from" in stats:
-            stats.update(by_id[stats["derived_from"]]["stats"], derived_from=stats["derived_from"])
+            source = by_id[stats["derived_from"]]
+            stats.update(source["stats"], derived_from=stats["derived_from"])
+            if record["kind"] == "violation" and "witness" in source:
+                record["witness"] = source["witness"]
             continue
         stats["min_value"] = record["value"]
         if rid == "decomposability" or stats.get("exact") is True:
@@ -830,23 +887,24 @@ class TestVerify:
         assert "k_positive_2: a pass that verify cannot re-derive" in capsys.readouterr().err
 
     def test_a_violation_at_a_positive_value_fails_verify(self, tmp_path, capsys):
-        # the identity is copositive on e0 (x) e0, where the swap has value +1:
-        # the witness re-checks to its stated value but violates nothing
-        doc = write_map_doc(tmp_path / "id.json", identity_map(2))
+        # the transposition is 2-copositive, and on e0 (x) e0 the Choi matrix of
+        # T o T = id has value +1: the witness re-checks to its stated value but
+        # violates nothing
+        doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "report.json"
-        assert main(["classify", doc, "--k-max", "1", "--seed", "3", "--out", str(out)]) == 0
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
         report = load_report(out)
-        record = record_by_id(report, "k_copositive_1")
-        assert record["kind"] == "evidence"
+        record = record_by_id(report, "k_copositive_2")
+        assert record["kind"] == "evidence" and "derived_from" not in record["stats"]
         vector = np.zeros((4, 1))
         vector[0, 0] = 1.0
         record.update(kind="violation", value=1.0, witness={
             "projection": matrix_to_doc(np.diag([1.0, 0.0])), "vector": matrix_to_doc(vector)})
-        report["summary"] = classify_summary(report["records"], 1)
+        report["summary"] = classify_summary(report["records"], 2)
         dump_document(report, str(out))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
-        assert "k_copositive_1: the witness re-evaluates to 1.0" in capsys.readouterr().err
+        assert "k_copositive_2: the witness re-evaluates to 1.0" in capsys.readouterr().err
 
     def test_a_non_hermitian_embedded_map_is_an_input_error(self, tmp_path, capsys):
         # verify re-derives cp from the map, and cp_verdict refuses it as classify does
@@ -903,7 +961,7 @@ class TestVerify:
                 stats, witness = record.get("stats", {}), record.get("witness", {})
                 assert not {"min_value", "dual_samples"} & set(stats), where
                 if "derived_from" in stats:
-                    assert set(stats) == {"derived_from"}, where
+                    assert set(stats) == {"derived_from"} and "witness" not in record, where
                 if record["id"] == "decomposability" or stats.get("exact") is True:
                     assert "seed" not in stats, where
                 assert not {"rank", "sample"} & set(witness), where
@@ -1010,7 +1068,8 @@ class TestVerify:
     ], ids=["deleted", "edited-value"])
     def test_a_derived_record_without_its_certificate_detected(self, corpus, tmp_path, capsys,
                                                                tamper, message):
-        # the sk_ and decomposability records of a certified map restate the certificate
+        # the sk_ records above k = 1 and the decomposability record of a
+        # certified map restate the certificate
         report = load_report(corpus["classify_transposition_clamp"][1])
         cert = record_by_id(report, "decomposable")
         if tamper == "edited-value":
@@ -1021,7 +1080,7 @@ class TestVerify:
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 1
         err = capsys.readouterr().err
-        for record_id in ("sk_1", "sk_2", "sk_3", "decomposability"):
+        for record_id in ("sk_2", "sk_3", "pk_2", "pk_3", "decomposability"):
             assert record_by_id(report, record_id)["stats"]["derived_from"] == "decomposable"
             assert f"stale witness: {record_id}: {message}" in err
 
@@ -1044,6 +1103,87 @@ class TestVerify:
         assert (f"{record_id}: kind or value differs from the record {source!r}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("record_id,source", [("decomposability", "k_positive_1"),
+                                                  ("sk_2", "k_positive_2")])
+    def test_a_derived_violation_outside_the_table_detected(self, corpus, tmp_path, capsys,
+                                                            record_id, source):
+        # each restates its source's kind and value, but no row of the table of
+        # implications leads from the source to it
+        report = load_report(corpus["classify_neg_identity"][1])
+        record, origin = record_by_id(report, record_id), record_by_id(report, source)
+        assert origin["kind"] == "violation" and "derived_from" not in origin["stats"]
+        record.pop("witness")
+        record.update(kind=origin["kind"], value=origin["value"], stats={"derived_from": source})
+        out = tmp_path / "derived.json"
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert (f"stale witness: {record_id}: a violation of {source!r} does not imply one of it"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("stats", ["derived_from", ["derived_from"], None])
+    def test_an_unwitnessed_violation_without_a_stats_object_detected(self, corpus, tmp_path,
+                                                                      capsys, stats):
+        # only a stats object naming a source makes a record derived
+        report = load_report(corpus["classify_neg_identity"][1])
+        record = record_by_id(report, "k_positive_1")
+        del record["witness"]
+        record["stats"] = stats
+        out = tmp_path / "unwitnessed.json"
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "stale witness: k_positive_1: no witness to re-check" in capsys.readouterr().err
+
+    def test_an_edited_source_witness_fails_through_the_source(self, corpus, tmp_path, capsys):
+        # block_positivity, k_copositive_1, sk_1 and pk_1 hold no witness: the
+        # k_positive_1 witness they restate is re-checked once, as its own record's
+        report = load_report(corpus["classify_neg_identity"][1])
+        derived = [r["id"] for r in report["records"]
+                   if r.get("stats", {}).get("derived_from") == "k_positive_1"]
+        assert derived == ["block_positivity", "k_copositive_1", "sk_1", "pk_1"]
+        assert not any("witness" in record_by_id(report, rid) for rid in derived)
+        source = record_by_id(report, "k_positive_1")
+        vector = matrix_from_doc(source["witness"]["vector"])
+        source["witness"]["vector"] = matrix_to_doc(np.roll(vector, 1))
+        out = tmp_path / "edited.json"
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "stale witness: k_positive_1:" in err
+        assert not any(f"stale witness: {rid}:" in err for rid in derived)
+
+    def test_an_earlier_derived_violation_with_a_witness_copy_verifies(self, corpus, tmp_path):
+        # an earlier format copied the source's witness into each derived
+        # violation; verify reads only the source's
+        report = load_report(corpus["classify_transposition_clamp"][1])
+        copies = 0
+        for record in report["records"]:
+            source = record.get("stats", {}).get("derived_from")
+            if record["kind"] == "violation" and source:
+                record["witness"] = record_by_id(report, source)["witness"]
+                copies += 1
+        assert copies == 1  # k_positive_3, from k_positive_2
+        out = tmp_path / "earlier.json"
+        dump_document(report, str(out))
+        assert main(["verify", str(out)]) == 0
+
+    def test_a_map_to_scalars_restates_every_pk_from_k_positive_1(self, tmp_path):
+        # at n = 1 every pk_<k> is the pk_1 verdict, and a product vector is a
+        # rank-1 corner's violation at every k
+        doc = write_map_doc(tmp_path / "neg.json", MatrixMap.from_choi(-np.eye(2), 2, 1))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "3", "--seed", "4", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        assert record_by_id(report, "k_positive_1")["kind"] == "violation"
+        for k in (1, 2, 3):
+            record = record_by_id(report, f"pk_{k}")
+            assert record["kind"] == "violation" and record["stats"] == {"derived_from": "k_positive_1"}
+        assert record_by_id(report, "k_copositive_3")["stats"] == {"derived_from": "k_copositive_1"}
+        assert main(["verify", str(out)]) == 0
+
     @pytest.mark.parametrize("name,record_id", [
         ("classify_neg_identity", "k_positive_1"),
         ("classify_transposition_clamp", "decomposability"),
@@ -1065,22 +1205,23 @@ class TestVerify:
         assert main(["verify", str(out)]) == 1
 
     def test_a_corner_of_rank_above_k_is_refused(self, tmp_path, capsys):
-        # the Choi map is positive, so no pk_1 violation exists; its pk_3
-        # violation comes from a rank-3 corner, which must not pass as rank 1
+        # the Choi map's pk_3 violation comes from a rank-3 corner, which must
+        # not pass as a violation of the searched pk_2
         doc = write_map_doc(tmp_path / "choi.json", choi_qutrit_map())
         out = tmp_path / "report.json"
         argv = ["classify", doc, "--k-max", "3", "--seed", "5", "--projections", "40", "--out"]
         assert main([*argv, str(out)]) == 0
         assert main(["verify", str(out)]) == 0
         report = load_report(out)
-        source, forged = record_by_id(report, "pk_3"), record_by_id(report, "pk_1")
+        source, forged = record_by_id(report, "pk_3"), record_by_id(report, "pk_2")
         assert source["kind"] == "violation" and source["witness"]["isometry"]["cols"] == 3
+        assert "derived_from" not in forged["stats"]
         forged.update(kind="violation", value=source["value"], witness=source["witness"])
         report["summary"] = classify_summary(report["records"], 3)
         dump_document(report, str(out))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
-        assert "pk_1: stored isometry has rank 3, above the record's k" in capsys.readouterr().err
+        assert "pk_2: stored isometry has rank 3, above the record's k" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper", [
         lambda w: w["q"].update(rows="4"),

@@ -1,5 +1,7 @@
 """k-positivity searches, block-matrix conditions, decomposability witnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,14 @@ import posmap.choi
 import posmap.kpositivity
 import posmap.linalg
 from posmap.choi import MatrixMap, cp_verdict
-from posmap.cones import bipartite_context, transposed_cone_consistency, weak_kdec_cone_check
+from posmap.cones import (
+    ConeMembership,
+    bipartite_context,
+    cone_member,
+    split_bounds_check,
+    transposed_cone_consistency,
+    weak_kdec_cone_check,
+)
 from posmap.errors import (
     ComponentNotKCopositiveError,
     ComponentNotKPositiveError,
@@ -952,7 +961,7 @@ class TestStackedCorners:
 def integer_arguments():
     """One param (call of one argument value, error) for every block size and count of
     the k-positivity searches, the weak-decomposability cone check and the sampled
-    modular and cone checks."""
+    modular and cone checks, cone membership's hull sampling among them."""
     phi, family = identity_map(2), lambda lam: reduction_family(lam, 3)
     ctx = gns_context(np.eye(2) / 2)
     pair = bipartite_context(np.eye(2) / 2, np.diag([0.7, 0.3]))
@@ -975,6 +984,8 @@ def integer_arguments():
         "v_beta_duality_check-samples": lambda v: v_beta_duality_check(ctx, 0.25, samples=v),
         "schwarz_defect-samples": lambda v: schwarz_defect(phi, samples=v),
         "transposed_cone_consistency-samples": lambda v: transposed_cone_consistency(pair, samples=v),
+        "cone_member-hull_samples": lambda v: cone_member(pair, pair.omega, hull_samples=v),
+        "split_bounds_check-eta_samples": lambda v: split_bounds_check(pair, pair.omega, eta_samples=v),
     }
     return [
         pytest.param(call, KOutOfRangeError if name.endswith("-k") else CountOutOfRangeError, id=name)
@@ -1000,6 +1011,9 @@ class TestIntegerArguments:
         got, want = call(np.int64(2)), call(2)
         if isinstance(want, Verdict):
             assert_same_verdict(got, want)
+        elif isinstance(want, ConeMembership):  # holds arrays, so compared field by field
+            for field in dataclasses.fields(ConeMembership):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
         else:
             assert got == want
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from linalg_helpers import NON_FINITE_PARTS, frac_power, haar_projection, random_hermitian
-from posmap.errors import DimensionMismatchError, NotHermitianError, NotSquareError
+from posmap.choi import MatrixMap
+from posmap.errors import DimensionMismatchError, NotHermitianError, NotSquareError, PosmapError
 from posmap.linalg import (
     _eigh_bottom,
     _eigh_phased,
     _haar_from_gaussian,
     as_matrix,
+    check_hermitian,
     frobenius,
     haar_isometry,
     herm_eig,
@@ -18,11 +20,13 @@ from posmap.linalg import (
     partial_transpose,
     ppt_min_eigs,
     psd_min_eig,
+    psd_tol,
     random_complex,
     random_psd,
     rng_stream,
 )
 from posmap.maps import max_entangled_projector, swap_operator
+from posmap.modular import gns_context
 
 
 def unit(i, j, d):
@@ -281,3 +285,27 @@ class TestHaarProjection:
         draws = np.array([random_complex(rng_stream(3, r), (dim, rank)) for r in range(6)])
         one_by_one = [haar_isometry(rng_stream(3, r), dim, rank) for r in range(6)]
         assert np.array_equal(_haar_from_gaussian(draws), one_by_one)
+
+
+class TestNormOverflow:
+    """A tolerance scaled by a norm that overflows to inf would pass every
+    test, so each test that forms one refuses such a matrix instead."""
+
+    HUGE_OFF_DIAGONAL = np.array([[0.5, 1e160], [1e160, 0.5]])  # Hermitian, trace one
+    ONE_ENTRY = np.pad([[0.0, 1e160]], ((0, 3), (0, 2)))  # 4 x 4, far from Hermitian
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("call", [
+        lambda: psd_tol(-1e160 * np.eye(4)),
+        lambda: check_hermitian(TestNormOverflow.HUGE_OFF_DIAGONAL),
+        lambda: gns_context(TestNormOverflow.HUGE_OFF_DIAGONAL),
+        lambda: MatrixMap.from_choi(TestNormOverflow.ONE_ENTRY, 2, 2).is_hermiticity_preserving(),
+    ], ids=["psd_tol", "check_hermitian", "gns_context", "is_hermiticity_preserving"])
+    def test_an_overflowing_norm_is_refused(self, call):
+        with pytest.raises(PosmapError, match="matrix norm overflows float range"):
+            call()
+
+    def test_the_largest_finite_norm_keeps_its_tolerance(self):
+        a = -2.0**510 * np.eye(4)
+        assert psd_tol(a) == 1e-9 * frobenius(a) < np.inf
+        assert np.array_equal(check_hermitian(a), a)

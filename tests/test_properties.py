@@ -3,10 +3,15 @@ partial transpose is an involution, the Choi encoding round-trips, a
 counter-built stream equals the jumped one, a stream reached by the shared
 seeker equals its `rng_stream`, no hostile field in a document makes the
 CLI raise, the spectral bound is below every value of Schmidt rank <= k,
-and every violation and certificate `posmap classify` writes
-re-verifies, while a derived record whose value is edited does not."""
+every violation and certificate `posmap classify` writes
+re-verifies, while a derived record whose value is edited does not, and an
+input scaled by 2^j keeps its kinds until its tolerance would overflow,
+where it is refused."""
 
+import contextlib
 import copy
+import io
+import itertools
 import json
 import re
 import warnings
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 
 from posmap.choi import MatrixMap
 from posmap.cli import main
+from posmap.cones import bipartite_context
 from posmap.docio import map_to_document, matrix_to_doc
 from posmap.kpositivity import k_block_min, spectral_bound
 from posmap.linalg import (
@@ -36,6 +42,7 @@ from posmap.maps import (
     identity_map,
     random_hermiticity_preserving,
     random_map_near_cp,
+    reduction_family,
     transposition_map,
 )
 
@@ -305,10 +312,15 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
     for rid, kind in kinds.items():
         if kind == "violation":
             event(f"violation {rid.rstrip('0123456789')}")
-    # the records no search of their own produced restate a record of the report
+    # the records no search of their own produced restate a record of the
+    # report, with no witness: every k = 1 record restates k_positive_1, and so
+    # does every pk_<k> at n = 1, where pk_<k> is the pk_<n> verdict
     derived = {r["id"]: r["stats"]["derived_from"] for r in report["records"]
                if "derived_from" in r.get("stats", {})}
-    expected = {"block_positivity": "k_positive_1"}
+    assert not any("witness" in r for r in report["records"] if r["id"] in derived)
+    expected = {rid: "k_positive_1" for rid in kinds
+                if rid in ("block_positivity", "k_copositive_1", "sk_1", "pk_1")
+                or rid.startswith("pk_") and n == 1}
     for k in range(n + 1, k_max + 1):
         expected.update({f"k_positive_{k}": f"k_positive_{n}", f"k_copositive_{k}": f"k_copositive_{n}"})
     if kinds["decomposable"] == "pass":
@@ -317,7 +329,8 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
         assert all(kinds[rid] != "violation" for rid in kinds
                    if rid == "decomposability" or rid.startswith("pk_"))
         expected.update({rid: "decomposable" for rid in kinds
-                         if rid == "decomposability" or rid.startswith(("sk_", "pk_"))})
+                         if rid == "decomposability" or rid.startswith(("sk_", "pk_"))
+                         and rid not in ("sk_1", "pk_1")})
     assert derived == expected and set(derived.values()) <= set(kinds)
     assert main(["verify", str(out)]) == 0
     # a derived record whose value no longer restates its source fails verify
@@ -327,3 +340,95 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
             edited["records"][index]["value"] += 1e-3
             out.write_text(json.dumps(edited), encoding="utf-8")
             assert main(["verify", str(out)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# scale: no tolerance overflows
+# ---------------------------------------------------------------------------
+
+
+def first_overflow(a) -> int:
+    """The least j >= 0 at which the Frobenius norm of 2^j a is beyond float range."""
+    with np.errstate(over="ignore"):
+        return next(j for j in itertools.count() if np.linalg.norm(2.0**j * a) == np.inf)
+
+
+def _thin_state():
+    return np.diag([1 - 1e-8, 1e-8])
+
+
+def scaled_runs():
+    """name -> (argv for an input file, document of the input scaled by 2^j,
+    j of the refusal): the refusal is the first j at which the norm of the
+    matrix a tolerance is scaled by overflows (the Choi matrix of a map; the
+    reconstruction rho^(-1/4) xi rho^(-1/4) of a cone vector)."""
+    runs = {}
+    for name, phi in (("neg_identity", -1.0 * identity_map(2)), ("reduction", reduction_family(0.5, 3))):
+        runs[name] = (lambda path: ["classify", path, "--k-max", "2", "--seed", "3", "--restarts", "4",
+                                    "--samples", "8", "--projections", "6"],
+                      lambda j, phi=phi: map_to_document(2.0**j * phi, "choi"),
+                      first_overflow(phi.choi()))
+    # outside P: the swap (in the transposed cone only), and -E_00 in the frame
+    # of two states whose product has the eigenvalue 1e-16
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    thin_xi = np.zeros((4, 4))
+    thin_xi[0, 0] = -1.0
+    for name, rho_a, rho_b, xi in (
+        ("swap", np.diag([0.3, 0.7]), np.eye(2) / 2, None),
+        ("thin", _thin_state(), _thin_state(), thin_xi),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ctx = bipartite_context(rho_a, rho_b)
+        xi = ctx._sandwich(swap.astype(complex), 0.25) if xi is None else xi
+        runs[name] = (lambda path: ["cone", "member", path, "--seed", "1", "--samples", "0"],
+                      lambda j, rho_a=rho_a, rho_b=rho_b, xi=xi: {
+                          "kind": "cone-input", "rho_a": matrix_to_doc(rho_a),
+                          "rho_b": matrix_to_doc(rho_b), "vector": matrix_to_doc(2.0**j * xi)},
+                      first_overflow(ctx._sandwich(xi.astype(complex), -0.25)))
+    return runs
+
+
+SCALED = scaled_runs()
+
+
+def run_scaled(tmp, name, j):
+    """(exit code, record kinds and membership summary, verify's exit code), or
+    (exit code, None, stderr) when no report was written."""
+    argv, document, _ = SCALED[name]
+    source, out = tmp / "input.json", tmp / "report.json"
+    source.write_text(json.dumps(document(j)), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    # the thin states exceed the modular condition guard, which only warns
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("ignore")
+        code = main([*argv(str(source)), "--out", str(out)])
+        if not out.exists():
+            return code, None, err.getvalue()
+        verified = main(["verify", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8"))
+    kinds = [r["kind"] for r in report["records"]]
+    summary = report["summary"]
+    membership = (summary["in_p"], summary["in_ptau"]) if "in_p" in summary else None
+    return code, (kinds, membership), verified
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(SCALED)), back=st.integers(0, 520))
+@example(name="thin", back=0)
+@example(name="thin", back=1)
+@example(name="neg_identity", back=0)
+@example(name="neg_identity", back=1)
+def test_a_scaled_input_keeps_its_kinds_up_to_the_refusal(tmp_path_factory, name, back):
+    # scaling by 2^j is exact: below the refusal every kind, and the verdict of
+    # verify, is the unscaled input's; at it the input is refused with no report
+    tmp = tmp_path_factory.mktemp("scaled")
+    refusal = SCALED[name][2]
+    j = max(refusal - back, 0)
+    code, kinds, verified = run_scaled(tmp, name, j)
+    if j == refusal:
+        assert (code, kinds) == (2, None)
+        assert "matrix norm overflows float range" in verified
+        return
+    assert (code, kinds, verified) == run_scaled(tmp, name, 0)
+    event(f"{name} below the refusal")
