@@ -22,20 +22,14 @@ command draws; timing is only written on request, in its own excluded field.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
 import numpy as np
 
 from .choi import cp_verdict
-from .cones import (
-    bipartite_context,
-    cone_member,
-    odd_part_flags,
-    odd_part_polar,
-    split_bounds_check,
-    weak_kdec_cone_check,
-)
+from .cones import bipartite_context, cone_member, weak_kdec_cone_check
 from .docio import (
     cone_input_from_document,
     load_document,
@@ -67,17 +61,17 @@ from .modular import (
     v_beta_duality_check,
 )
 from .report import (
+    DEFECT_LIMIT,
     MEMBER_FIELDS,
     add_record,
     classify_summary,
+    cone_outcome,
     member_kind,
     new_report,
     verify_report,
     write_report,
 )
 from .verdicts import EVIDENCE, PASS, Verdict
-
-DEFECT_LIMIT = 1e-9
 
 
 def _require_counts(args, *names: str) -> None:
@@ -235,11 +229,11 @@ def cmd_modular_verify(args) -> int:
 
 def cmd_cone(args) -> int:
     doc = load_document(args.input)
-    # pq, flags and polar draw nothing, so their reports state no seed or samples
-    draws = args.subcommand in ("member", "bounds", "weakdec")
+    # pq, bounds, flags and polar draw nothing, so their reports state no seed or samples
+    draws = args.subcommand in ("member", "weakdec")
     if draws and args.seed is None:
         raise ParseError(f"cone {args.subcommand} samples; --seed is mandatory")
-    if args.subcommand in ("bounds", "weakdec"):
+    if args.subcommand == "weakdec":
         # member reads --samples 0 as "no hull sampling"
         _require_counts(args, "samples")
     cone_input = cone_input_from_document(doc)
@@ -258,47 +252,15 @@ def cmd_cone(args) -> int:
         }
         # a vector outside P is an answer, not a verification failure: exit 0
         add_record(report, "member", member_kind(membership), membership.p_min_eig)
-    elif args.subcommand == "pq":
-        p_xi, q_xi = ctx.p_project(xi), ctx.q_project(xi)
-        cross = abs(np.vdot(p_xi, q_xi))
-        pythagoras = abs(
-            np.vdot(xi, xi).real - np.vdot(p_xi, p_xi).real - np.vdot(q_xi, q_xi).real
-        )
-        report["summary"] = {
-            "p_norm": float(np.linalg.norm(p_xi)),
-            "q_norm": float(np.linalg.norm(q_xi)),
-            "orthogonality_defect": float(cross),
-            "pythagoras_defect": float(pythagoras),
-        }
-        add_record(report, "pq", "defect", float(max(cross, pythagoras)))
-        exit_code = 0 if max(cross, pythagoras) <= DEFECT_LIMIT else 1
     elif args.subcommand == "bounds":
-        margins = split_bounds_check(ctx, xi, eta_samples=args.samples, seed=args.seed)
-        report["summary"] = {k: float(v) for k, v in margins.items()}
-        add_record(report, "bounds", "pass" if margins["violations"] == 0 else "defect",
-                   margins["violations"])
-        exit_code = 0 if margins["violations"] == 0 else 1
-    elif args.subcommand == "flags":
-        flags = odd_part_flags(ctx, xi)
-        report["summary"] = {
-            "q_in_p": flags.q_in_p,
-            "q_zero": flags.q_zero,
-            "fixed": flags.fixed,
-            "agree": flags.agree(),
-        }
-        add_record(report, "flags", "pass" if flags.agree() else "defect",
-                   0.0 if flags.agree() else 1.0)
-        exit_code = 0 if flags.agree() else 1
-    elif args.subcommand == "polar":
-        polar = odd_part_polar(ctx, xi)
-        xi_b_ok = polar.degenerate or cone_member(ctx, polar.xi_b).in_p
-        report["summary"] = {
-            "reconstruction_defect": polar.reconstruction_defect,
-            "degenerate": polar.degenerate,
-            "xi_b_in_p": bool(xi_b_ok),
-        }
-        add_record(report, "polar", "defect", polar.reconstruction_defect)
-        exit_code = 0 if polar.reconstruction_defect <= DEFECT_LIMIT and xi_b_ok else 1
+        # exact: a violation's witness is the eta attaining the smallest floor
+        verdict, report["summary"], holds = cone_outcome("bounds", ctx, xi)
+        _verdict_record(report, "bounds", verdict)
+        exit_code = 0 if holds else 1
+    elif args.subcommand in ("pq", "flags", "polar"):
+        verdict, report["summary"], holds = cone_outcome(args.subcommand, ctx, xi)
+        add_record(report, args.subcommand, verdict.kind, verdict.value)
+        exit_code = 0 if holds else 1
     elif args.subcommand == "weakdec":
         if cone_input.map_doc is None:
             raise ParseError("cone weakdec needs a 'map' entry in the input document")
@@ -336,6 +298,9 @@ def _timing(args, stages: dict | None = None) -> dict | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line.  Each subcommand's handler is looked
+    up by name when it runs, so the one parser `main` keeps calls whatever
+    `cmd_*` function the module holds then."""
     parser = argparse.ArgumentParser(
         prog="posmap",
         description="Positivity classification of maps between matrix algebras",
@@ -354,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--restarts", type=int, default=32)
     p_classify.add_argument("--samples", type=int, default=200)
     p_classify.add_argument("--projections", type=int, default=40)
-    p_classify.set_defaults(func=cmd_classify)
+    p_classify.set_defaults(func=lambda args: cmd_classify(args))
 
     p_mod = sub.add_parser(
         "modular-verify", parents=[output], help="verify the modular identity suite"
@@ -363,25 +328,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--trials", type=int, default=10)
     p_mod.add_argument("--seed", type=int, required=True)
     p_mod.add_argument("--rho-file", dest="rho_file")
-    p_mod.set_defaults(func=cmd_modular_verify)
+    p_mod.set_defaults(func=lambda args: cmd_modular_verify(args))
 
     p_cone = sub.add_parser("cone", parents=[output], help="bipartite cone diagnostics")
     p_cone.add_argument("subcommand", choices=["member", "pq", "bounds", "flags", "polar", "weakdec"])
     p_cone.add_argument("input")
     p_cone.add_argument("--seed", type=int, default=None,
-                        help="mandatory for the sampling subcommands member/bounds/weakdec")
+                        help="mandatory for the sampling subcommands member/weakdec")
     p_cone.add_argument("--samples", type=int, default=100)
-    p_cone.set_defaults(func=cmd_cone)
+    p_cone.set_defaults(func=lambda args: cmd_cone(args))
 
     p_verify = sub.add_parser("verify", help="re-check every witness stored in a report")
     p_verify.add_argument("report")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=lambda args: cmd_verify(args))
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
         return args.func(args)

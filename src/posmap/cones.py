@@ -52,6 +52,8 @@ from .verdicts import EVIDENCE, VIOLATION, Verdict
 
 # matrix entries a stack of sampled intersection elements may hold
 _SLICE_ENTRIES = 2**14
+# a split-inequality margin below -SPLIT_TOL is a violation
+SPLIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -374,6 +376,43 @@ def split_bound_margins(ctx: BipartiteConeContext, xi, etas) -> dict[str, float]
     return margins
 
 
+def _require_intersection(ctx: BipartiteConeContext, xi) -> None:
+    """Raise NotInIntersectionError unless xi lies in P and in the transposed cone."""
+    membership = cone_member(ctx, xi)
+    if not membership.in_intersection:
+        raise NotInIntersectionError(
+            f"vector not in the intersection (min eigs {membership.p_min_eig:.3e}, "
+            f"{membership.ptau_min_eig:.3e})"
+        )
+
+
+def split_bound_floors(ctx: BipartiteConeContext, xi) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+    """Exact floors of the margins of `split_bound_margins` for an intersection
+    vector xi over every eta = rho^(1/4) x rho^(1/4) with x PSD of unit trace,
+    the elements `split_bounds_check` samples, and for each margin but 'norm'
+    an eta that attains its floor; raises when xi is not in the intersection.
+
+    Re (eta, t) = Tr(x Y_t) with Y_t = herm(rho^(1/4) t rho^(1/4)), so a margin
+    linear in eta has the floor lambda_min(Y_t), attained at x = v v* for a
+    bottom eigenvector v.  The margins reduce to four targets: 'pairing' reads
+    xi, 'q_vs_total' and 'factor_sum' U_B xi, 'factor_diff' U_A xi and
+    'qq_vs_ptot' (U_A xi + U_B xi) / 2; 'abs_q_vs_p' is the smaller of the
+    pairings with xi and U_B xi, so its floor is the smaller of theirs.  One
+    stacked `eigh` decides all four; 'norm' is ||P xi|| - ||Q xi|| as there."""
+    _require_intersection(ctx, xi)
+    m = ctx._require(xi)
+    u_a, u_b = ctx._pt(m, "first"), ctx._pt(m, "second")
+    w, v = np.linalg.eigh(hermitian_part(ctx._sandwich(np.stack([m, u_b, u_a, (u_a + u_b) / 2]), 0.25)))
+    bottom = v[:, :, :1]
+    etas = ctx._sandwich(bottom @ bottom.conj().swapaxes(-1, -2), 0.25)
+    lows = w[:, 0].tolist()
+    target = {"abs_q_vs_p": int(lows[1] < lows[0]), "pairing": 0, "q_vs_total": 1,
+              "factor_sum": 1, "factor_diff": 2, "qq_vs_ptot": 3}
+    floors = {key: lows[t] for key, t in target.items()}
+    floors["norm"] = frobenius((m + u_b) / 2) - frobenius((m - u_b) / 2)
+    return floors, {key: etas[t] for key, t in target.items()}
+
+
 def split_bounds_check(
     ctx: BipartiteConeContext,
     xi,
@@ -386,19 +425,14 @@ def split_bounds_check(
 
     The eta sample mixes rank-1 extreme-ray surrogates with interior points.
     Returns the margins of `split_bound_margins` and a violation count
-    (margins below -1e-9), not the caller's `eta_samples`, which must be an
+    (margins below -SPLIT_TOL), not the caller's `eta_samples`, which must be an
     integer >= 1 (`CountOutOfRangeError`), since a pass needs samples."""
     require_integer("eta_samples", eta_samples, 1, CountOutOfRangeError)
-    membership = cone_member(ctx, xi)
-    if not membership.in_intersection:
-        raise NotInIntersectionError(
-            f"vector not in the intersection (min eigs {membership.p_min_eig:.3e}, "
-            f"{membership.ptau_min_eig:.3e})"
-        )
+    _require_intersection(ctx, xi)
     etas = [sample_cone_element(ctx, rng_stream(seed, s), rank=1 if s % 2 == 0 else None)
             for s in range(eta_samples)]
     margins = split_bound_margins(ctx, xi, etas)
-    margins["violations"] = float(sum(1 for v in margins.values() if v < -1e-9))
+    margins["violations"] = float(sum(1 for v in margins.values() if v < -SPLIT_TOL))
     return margins
 
 

@@ -37,6 +37,7 @@ from .errors import ParseError
 from .linalg import DESK_SCALE_DIM
 
 ENCODINGS = ("choi", "unit-action", "kraus", "kraus-like-sum-of-conjugations")
+_REAL = (int, float)  # the types of a JSON number; bool, a subclass of int, is not one
 
 
 def matrix_to_doc(m) -> dict:
@@ -71,7 +72,24 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
             f"{where}: data length {len(data) if isinstance(data, list) else '?'} "
             f"!= rows*cols = {rows * cols}"
         )
-    out = np.empty(rows * cols, dtype=complex)
+    out = _entries(data, where)
+    if not np.isfinite(out).all():
+        raise ParseError(f"{where}: non-finite entries")
+    return out.reshape(rows, cols)
+
+
+def _entries(data: list, where: str) -> np.ndarray:
+    """The [re, im] pairs of a matrix document as complex entries.  When every
+    pair is a two-element list of JSON numbers, numpy reads them in one call,
+    bit for bit as `complex(re, im)`; otherwise, or beyond float range, the
+    loop names the first entry at fault."""
+    if all(type(pair) is list and len(pair) == 2 and type(pair[0]) in _REAL and type(pair[1]) in _REAL
+           for pair in data):
+        try:
+            return np.array(data, dtype=float).view(complex)[:, 0]
+        except OverflowError:
+            pass
+    out = np.empty(len(data), dtype=complex)
     for idx, pair in enumerate(data):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{where}: entry {idx} is not an [re, im] pair")
@@ -81,9 +99,7 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
             out[idx] = complex(pair[0], pair[1])
         except OverflowError as exc:
             raise ParseError(f"{where}: entry {idx} is out of range") from exc
-    if not np.isfinite(out).all():
-        raise ParseError(f"{where}: non-finite entries")
-    return out.reshape(rows, cols)
+    return out
 
 
 def map_to_document(phi: MatrixMap, encoding: str = "choi", metadata: dict | None = None) -> dict:

@@ -42,6 +42,7 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+@np.errstate(over="ignore")  # refused below, so numpy's overflow warning would only precede the error
 def bounded_norm(a) -> float:
     """frobenius(a), refused when it overflows: a tolerance it scales would pass anything."""
     if (norm := frobenius(a)) == np.inf:

@@ -16,8 +16,9 @@ source and one table of implications, and accepts no classify pass but `cp`,
 which it re-derives, and `decomposable`.  It reads no other stats key, so
 reports that still carry keys of an earlier format verify too.  The summary of
 a classify report is read from its records' kinds (`classify_summary`), and
-`verify_report` re-derives it, as it re-derives a `cone member` report's record
-and exact summary fields from its embedded input.
+`verify_report` re-derives it, as it re-derives the record and the exact
+summary fields of a `cone member`, `pq`, `bounds`, `flags` or `polar` report
+from its embedded input (`cone_outcome`).
 
 Timing is never part of the canonical payload; when requested it is written
 into the separate top-level "timing" field, which comparisons exclude.
@@ -34,17 +35,28 @@ import warnings
 import numpy as np
 
 from .choi import MatrixMap, cp_verdict
-from .cones import ConeMembership, bipartite_context, cone_member
+from .cones import (
+    SPLIT_TOL,
+    BipartiteConeContext,
+    ConeMembership,
+    bipartite_context,
+    cone_member,
+    odd_part_flags,
+    odd_part_polar,
+    split_bound_floors,
+    split_bound_margins,
+)
 from .docio import cone_input_from_document, map_from_document, matrix_from_doc, matrix_to_doc
 from .errors import ParseError, StaleWitnessError
 from .kpositivity import decomposition_bound
 from .linalg import DESK_SCALE_DIM, PPT_TOL, frobenius, hermitian_part, ppt_min_eigs, psd_tol
 from .modular import t_phi
-from .verdicts import EVIDENCE, PASS, VIOLATION
+from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
 TOOL_NAME = "posmap"
 TOOL_VERSION = "0.1.0"
 VALUE_TOL = 1e-10
+DEFECT_LIMIT = 1e-9
 # source -> the records (by id or k-stripped id) its violation violates; theorems: positivity is
 # 1-copositivity (T: x (x) y -> conj(x) (x) y), and a product vector violates sk_1 and every pk_<k>
 _IMPLIED_VIOLATIONS = {"k_positive_1": ("block_positivity", "k_copositive_1", "sk_1", "pk_")}
@@ -52,6 +64,8 @@ _IMPLIED_VIOLATIONS = {"k_positive_1": ("block_positivity", "k_copositive_1", "s
 _IMPLIED_BY_DECOMPOSABLE = ("block_positivity", "k_positive_1", "k_copositive_1", "sk_", "pk_", "decomposability")
 # the summary fields of a `cone member` report that one exact membership test decides
 MEMBER_FIELDS = ("in_p", "in_ptau", "in_intersection", "p_min_eig", "ptau_min_eig")
+# the cone subcommands whose record `verify_report` re-derives from the embedded input
+CONE_REDERIVED = ("member", "pq", "bounds", "flags", "polar")
 
 
 def canonical_json(obj) -> str:
@@ -205,6 +219,13 @@ def _recheck_decomposable(record_id: str, phi: MatrixMap, witness: dict) -> floa
     return bound
 
 
+def _recheck_bounds(record_id: str, ctx: BipartiteConeContext, witness: dict) -> float:
+    eta = witness["eta"]
+    if not cone_member(ctx, eta).in_p:
+        raise StaleWitnessError("stored eta left the positive cone")
+    return min(split_bound_margins(ctx, witness["xi"], [eta]).values())
+
+
 def _recheck_weakdec(record_id: str, phi: MatrixMap, witness: dict) -> float:
     n = witness["n"]
     if type(n) is not int or not 1 <= n * witness["rho_a"].shape[0] <= DESK_SCALE_DIM:
@@ -236,20 +257,24 @@ RECHECKS = {
     "decomposability": _recheck_decomposability,
     "decomposable": _recheck_decomposable,
     "weakdec_": _recheck_weakdec,
+    "bounds": _recheck_bounds,
 }
 
 
-def recheck_witness(record_id: str, phi: MatrixMap, witness: dict) -> float:
-    """Re-evaluate the witness of record `record_id` against `phi`: a
+def recheck_witness(record_id: str, phi: MatrixMap | BipartiteConeContext, witness: dict) -> float:
+    """Re-evaluate the witness of record `record_id` against `phi`, the
+    report's map (for `bounds`, the cone context of its input): a
     violation's, or the certificate of a "decomposable" pass.
 
     `witness` holds arrays under the record's witness keys, as the verdicts
     return them; a weakdec witness also needs the first-factor state under
-    "rho_a".  Returns the recomputed value for the caller to compare with the
-    stated one.  Raises StaleWitnessError for an unknown record id or a
-    structurally invalid witness (say, a projection that is not a rank-<=k
-    orthogonal projection, a state that is not PPT, or a certificate whose
-    bound falls below -psd_tol(h)).
+    "rho_a", and a bounds witness the input vector under "xi".  A bounds
+    witness eta must lie in P, and re-evaluates to the smallest margin of
+    `split_bound_margins` at eta.  Returns the recomputed value for the
+    caller to compare with the stated one.  Raises StaleWitnessError for an
+    unknown record id or a structurally invalid witness (say, a projection
+    that is not a rank-<=k orthogonal projection, a state that is not PPT, or
+    a certificate whose bound falls below -psd_tol(h)).
     """
     recheck = RECHECKS.get(record_id.rstrip("0123456789"))
     if recheck is None:
@@ -267,16 +292,20 @@ def verify_report(report: dict) -> list[str]:
     restate its source or is a violation its source's does not imply
     (`_derived_failures`), in a map report a pass `verify` cannot re-derive or a
     violation that a `decomposable` pass refutes (`_proof_failures`) and a
-    summary its records do not give (`classify_summary`), and a `member` record
-    or member summary that one exact membership test of the embedded cone input
-    does not give (`_member_failures`).  Raises ParseError when the report or one
-    of its records is not a JSON object, a witnessed record lacks a string id or
-    a finite value, its witness is not a JSON object or holds a matrix document
-    that does not parse, or the embedded input does not parse: a map, for a
-    report with a weakdec violation the cone input's map and first-factor state,
-    and for a report with a `member` record the cone input; NotHermitianError
-    when a map report's map is not Hermiticity-preserving, which classify
-    refuses too; PosmapError when a norm that sets a tolerance overflows.
+    summary its records do not give (`classify_summary`), and in a report of
+    `cone member`, `pq`, `bounds`, `flags` or `polar` (by its params or a
+    record id) a missing record, or a record or summary field that one
+    `cone_outcome` of the embedded cone input does not give (`_cone_failures`).
+    Raises ParseError when the report or one of its records is not a JSON
+    object, a witnessed record lacks a string id or a finite value, its witness
+    is not a JSON object or holds a matrix document that does not parse, or the
+    embedded input does not parse: a map, for a report with a weakdec violation
+    the cone input's map and first-factor state, and for a report of those five
+    cone subcommands the cone input; NotInIntersectionError when a `bounds`
+    report's vector is not in the intersection, which the command refuses too;
+    NotHermitianError when a map report's map is not Hermiticity-preserving,
+    which classify refuses too; PosmapError when a norm that sets a tolerance
+    overflows.
     """
     if not isinstance(report, dict):
         raise ParseError("a report must be a JSON object")
@@ -287,9 +316,14 @@ def verify_report(report: dict) -> list[str]:
     if report.get("input_digest") != input_digest(report.get("input")):
         failures.append("input_digest: embedded input does not match its digest")
     input_doc = report.get("input")
-    phi = weak = None
+    phi = weak = cone = None
     if isinstance(input_doc, dict) and input_doc.get("kind") == "map":
         phi = map_from_document(input_doc)
+    subcommands = _cone_subcommands(report, records)
+    if subcommands:  # a draw-free cone answer, re-derived from the embedded cone input
+        cone_input = cone_input_from_document(input_doc)
+        ctx = bipartite_context(cone_input.rho_a, cone_input.rho_b)
+        cone = ctx, cone_input.frame_vector(ctx)
     # a searched violation or pass claims a proof, so its witness is re-checked, and without one
     # it proves nothing; a derived record is checked through its source (`_derived_failures`)
     searched = [r for r in records if not _is_derived(r)]
@@ -322,6 +356,8 @@ def verify_report(report: dict) -> list[str]:
             subject = phi
             if rid.startswith("weakdec"):
                 subject, witness["rho_a"] = weak
+            elif rid == "bounds":
+                subject, witness["xi"] = cone
             if subject is None:
                 raise StaleWitnessError("no input map available to re-check the witness")
             value = recheck_witness(rid, subject, witness)
@@ -343,8 +379,8 @@ def verify_report(report: dict) -> list[str]:
         else:
             if json.dumps(report.get("summary"), sort_keys=True) != json.dumps(summary, sort_keys=True):
                 failures.append("summary: does not restate the kinds of the records")
-    if any(r.get("id") == "member" for r in records):
-        failures += _member_failures(report, records)
+    for subcommand in subcommands:
+        failures += _cone_failures(report, records, subcommand, *cone)
     return failures + _derived_failures(records)
 
 
@@ -385,20 +421,85 @@ def member_kind(membership: ConeMembership) -> str:
     return PASS if membership.in_p else "defect"
 
 
-def _member_failures(report: dict, records: list) -> list[str]:
-    """Failures of a `cone member` report: its `member` record and the
-    MEMBER_FIELDS of its summary, re-derived from the embedded cone input by
-    one exact `cone_member` call with no hull sampling."""
-    cone_input = cone_input_from_document(report.get("input"))
-    ctx = bipartite_context(cone_input.rho_a, cone_input.rho_b)
-    membership = cone_member(ctx, cone_input.frame_vector(ctx))
-    failures = _restated(records, "member", member_kind(membership), membership.p_min_eig)
+def cone_outcome(subcommand: str, ctx: BipartiteConeContext, xi) -> tuple[Verdict, dict, bool]:
+    """The record verdict, the summary and whether the answer holds (exit 0)
+    of `cone <subcommand>` on xi, from one exact call; `cli.cmd_cone` writes
+    it and `verify_report` re-derives it from the embedded input.
+
+    - member: `member_kind` at p_min_eig and the MEMBER_FIELDS of one
+      `cone_member` test with no hull sampling, which the command extends by
+      its sampled hull evidence;
+    - pq: a `defect` record at the larger of the P/Q split's orthogonality
+      and Pythagoras defects, which holds up to DEFECT_LIMIT;
+    - bounds: the seven `split_bound_floors`, a `pass` at the smallest, or
+      below -SPLIT_TOL a `violation` whose witness is the eta attaining
+      the smallest floor that depends on eta;
+    - flags: `odd_part_flags`, a `pass` at 0 when its three flags agree and
+      a `defect` at 1 when not;
+    - polar: `odd_part_polar`, a `defect` record at its reconstruction
+      defect, which holds up to DEFECT_LIMIT when xi_b lies in P."""
+    if subcommand == "member":
+        membership = cone_member(ctx, xi)
+        summary = {field: getattr(membership, field) for field in MEMBER_FIELDS}
+        return Verdict(member_kind(membership), membership.p_min_eig), summary, True
+    if subcommand == "pq":
+        p_xi, q_xi = ctx.p_project(xi), ctx.q_project(xi)
+        cross = abs(np.vdot(p_xi, q_xi))
+        pythagoras = abs(np.vdot(xi, xi).real - np.vdot(p_xi, p_xi).real - np.vdot(q_xi, q_xi).real)
+        summary = {
+            "p_norm": float(np.linalg.norm(p_xi)),
+            "q_norm": float(np.linalg.norm(q_xi)),
+            "orthogonality_defect": float(cross),
+            "pythagoras_defect": float(pythagoras),
+        }
+        defect = float(max(cross, pythagoras))
+        return Verdict("defect", defect), summary, defect <= DEFECT_LIMIT
+    if subcommand == "bounds":
+        floors, etas = split_bound_floors(ctx, xi)
+        low = min(floors.values())
+        if low >= -SPLIT_TOL:
+            return Verdict(PASS, low), floors, True
+        eta = etas[min(etas, key=floors.__getitem__)]
+        return Verdict(VIOLATION, low, witness={"eta": eta}), floors, False
+    if subcommand == "flags":
+        flags = odd_part_flags(ctx, xi)
+        agree = flags.agree()
+        summary = {"q_in_p": flags.q_in_p, "q_zero": flags.q_zero, "fixed": flags.fixed, "agree": agree}
+        return Verdict(PASS if agree else "defect", 0.0 if agree else 1.0), summary, agree
+    if subcommand == "polar":
+        polar = odd_part_polar(ctx, xi)
+        xi_b_in_p = polar.degenerate or cone_member(ctx, polar.xi_b).in_p
+        summary = {
+            "reconstruction_defect": polar.reconstruction_defect,
+            "degenerate": polar.degenerate,
+            "xi_b_in_p": xi_b_in_p,
+        }
+        defect = polar.reconstruction_defect
+        return Verdict("defect", defect), summary, defect <= DEFECT_LIMIT and xi_b_in_p
+    raise ParseError(f"unknown cone subcommand {subcommand!r}")
+
+
+def _cone_subcommands(report: dict, records: list) -> list[str]:
+    """The CONE_REDERIVED subcommands a report names, by its params or a record id."""
+    params = report.get("params")
+    named = [r.get("id") for r in records] + [params.get("subcommand") if isinstance(params, dict) else None]
+    return [subcommand for subcommand in CONE_REDERIVED if subcommand in named]
+
+
+def _cone_failures(report: dict, records: list, subcommand: str, ctx: BipartiteConeContext, xi) -> list[str]:
+    """Failures of a `cone <subcommand>` report against one `cone_outcome`
+    of its embedded input: no record named after the subcommand, a record
+    whose kind or value differs, and a summary field of the outcome that
+    differs; a summary key the outcome does not give is not read."""
+    verdict, derived, _ = cone_outcome(subcommand, ctx, xi)
+    failures = [] if any(r.get("id") == subcommand for r in records) else [f"{subcommand}: no record"]
+    failures += _restated(records, subcommand, verdict.kind, verdict.value)
     summary = report.get("summary")
     summary = summary if isinstance(summary, dict) else {}
-    for field in MEMBER_FIELDS:
-        stated, derived = summary.get(field), getattr(membership, field)
-        if not (stated is derived if isinstance(derived, bool) else _agrees(stated, derived)):
-            failures.append(f"summary: {field} does not restate the input's membership")
+    for field, value in derived.items():
+        stated = summary.get(field)
+        if not (stated is value if isinstance(value, bool) else _agrees(stated, value)):
+            failures.append(f"summary: {field} does not restate the input's {subcommand}")
     return failures
 
 

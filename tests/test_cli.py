@@ -2,6 +2,10 @@
 report determinism, and independent witness verification."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import weakref
 
@@ -22,7 +26,7 @@ from posmap.choi import MatrixMap
 from posmap.linalg import random_psd, rng_stream
 from posmap.report import classify_summary, input_digest, report_body
 from test_golden_corpus import GOLDEN, run_corpus
-from test_kpositivity import count_calls
+from test_kpositivity import count_calls, count_stream_work
 
 CORPUS_VIOLATIONS = [
     (name, record["id"])
@@ -458,17 +462,72 @@ class TestCone:
         assert summary["q_in_p"] and summary["q_zero"] and summary["fixed"] and summary["agree"]
 
     def test_pq_bounds_polar_subcommands(self, tmp_path):
+        # bounds draws nothing, so it needs no --seed
         eye = np.eye(2)
         sym = np.array([[0.2, 0.1], [0.1, 0.3]])
         doc = cone_doc(tmp_path, [[eye, sym], [sym, eye]])
-        for sub in ("pq", "polar"):
+        for sub in ("pq", "bounds", "polar"):
             out = tmp_path / f"{sub}.json"
             assert main(["cone", sub, doc, "--samples", "50", "--out", str(out)]) == 0
-        out = tmp_path / "bounds.json"
-        assert main(["cone", "bounds", doc, "--samples", "50", "--out", str(out)]) == 2
-        assert main(["cone", "bounds", doc, "--seed", "6", "--samples", "50", "--out", str(out)]) == 0
-        assert load_report(tmp_path / "bounds.json")["summary"]["violations"] == 0
+        bounds = load_report(tmp_path / "bounds.json")
+        assert set(bounds["summary"]) == {"abs_q_vs_p", "pairing", "q_vs_total", "factor_sum",
+                                          "factor_diff", "qq_vs_ptot", "norm"}
+        assert record_by_id(bounds, "bounds")["kind"] == "pass"
+        assert record_by_id(bounds, "bounds")["value"] == min(bounds["summary"].values())
         assert load_report(tmp_path / "polar.json")["summary"]["degenerate"] is True
+
+    def test_bounds_draws_nothing(self, tmp_path, monkeypatch):
+        eye, sym = np.eye(2), np.array([[0.2, 0.1], [0.1, 0.3]])
+        doc = cone_doc(tmp_path, [[eye, sym], [sym, eye]])
+        streams = count_calls(monkeypatch, "rng_stream", module=cones)
+        work = count_stream_work(monkeypatch)
+        out = tmp_path / "r.json"
+        assert main(["cone", "bounds", doc, "--seed", "6", "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        assert (streams["calls"], work["philox"], work["rng_stream"]) == (0, 0, 0)
+
+    def test_bounds_outside_the_intersection_is_an_input_error(self, tmp_path, capsys):
+        # [[I, 2X], [2X, I]] has the eigenvalue -1, so it lies outside P
+        eye, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        doc = cone_doc(tmp_path, [[eye, 2 * x], [2 * x, eye]])
+        out = tmp_path / "r.json"
+        assert main(["cone", "bounds", doc, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "not in the intersection" in capsys.readouterr().err
+
+    def test_a_boundary_vector_gives_a_bounds_violation_that_verifies(self, tmp_path, capsys):
+        # x = diag(1000, 1000, 1000, -1e-7) passes as PSD in both orderings
+        # (psd_tol(x) is about 1.7e-6), but in the tracial frame xi = x / 2
+        # pairs with eta = E_33 / 2 at -2.5e-8, below the -1e-9 tolerance
+        xi = np.diag([1000.0, 1000.0, 1000.0, -1e-7]) / 2
+        doc = cone_doc(tmp_path, None, extra={"vector": matrix_to_doc(xi)})
+        out = tmp_path / "r.json"
+        assert main(["cone", "bounds", doc, "--out", str(out)]) == 1
+        report = load_report(out)
+        record = record_by_id(report, "bounds")
+        assert record["kind"] == "violation"
+        assert record["value"] == pytest.approx(-2.5e-8, rel=1e-9)
+        eta = matrix_from_doc(record["witness"]["eta"])
+        assert np.allclose(eta, np.diag([0.0, 0.0, 0.0, 0.5]))
+        assert main(["verify", str(out)]) == 0
+        # an eta that pairs nonnegatively proves nothing
+        record["witness"]["eta"] = matrix_to_doc(np.diag([0.5, 0.0, 0.0, 0.0]))
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "bounds: the witness re-evaluates to" in capsys.readouterr().err
+
+    def test_main_builds_one_parser_and_calls_the_current_handler(self, tmp_path, monkeypatch):
+        # the parser is built on the first call, and each call looks its
+        # handler up anew, so a wrapped or patched cmd_* takes effect
+        cli._parser.cache_clear()
+        builds = count_calls(monkeypatch, "build_parser", module=cli)
+        handled = []
+        monkeypatch.setattr(cli, "cmd_cone", lambda args: handled.append(args.subcommand) or 0)
+        assert main(["cone", "pq", "a.json"]) == 0
+        assert main(["cone", "flags", "b.json"]) == 0
+        assert (builds["calls"], handled) == (1, ["pq", "flags"])
+        assert cli.build_parser() is not cli._parser()
 
     def test_weakdec_on_transposition(self, tmp_path):
         doc = cone_doc(
@@ -482,9 +541,9 @@ class TestCone:
         assert load_report(out)["summary"]["weakdec"] == "evidence"
 
     def test_each_cone_report_states_only_what_its_subcommand_computed(self, tmp_path, monkeypatch):
-        # pq, flags and polar draw nothing, so even under --seed they state no
-        # seed or samples; weakdec runs no transposed-cone consistency sampler,
-        # the one rng_stream caller on its path
+        # pq, bounds, flags and polar draw nothing, so even under --seed they
+        # state no seed or samples; weakdec runs no transposed-cone consistency
+        # sampler, the one rng_stream caller on its path
         eye, sym = np.eye(2), np.array([[0.2, 0.1], [0.1, 0.3]])
         blocks = cone_doc(tmp_path, [[eye, sym], [sym, eye]])
         weak = cone_doc(tmp_path, None, name="weak.json",
@@ -503,9 +562,9 @@ class TestCone:
         assert streams["calls"] == 0
         assert set(reports["weakdec"]["summary"]) == {"weakdec", "k", "min_pairing"}
         assert "samples" not in reports["bounds"]["summary"]
-        for sub in ("pq", "flags", "polar"):
+        for sub in ("pq", "bounds", "flags", "polar"):
             assert "seed" not in reports[sub] and reports[sub]["params"] == {"subcommand": sub}
-        for sub in ("member", "bounds", "weakdec"):
+        for sub in ("member", "weakdec"):
             assert (reports[sub]["seed"], reports[sub]["params"]) == (6, {"subcommand": sub, "samples": 20})
 
     def test_weakdec_violation_witness_verifies(self, tmp_path):
@@ -544,6 +603,19 @@ class TestNormOverflow:
         assert not out.exists()
         assert "input error: matrix norm overflows float range" in capsys.readouterr().err
 
+    def test_the_refusal_prints_only_the_input_error(self, tmp_path):
+        # numpy's overflow warning used to come first, two lines naming its own source
+        doc = write_map_doc(tmp_path / "huge.json", MatrixMap.from_choi(-1e160 * np.eye(4), 2, 2))
+        out = tmp_path / "report.json"
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "posmap.cli", "classify", doc, "--seed", "1",
+                               "--out", str(out)], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: matrix norm overflows float range; rescale the input\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale, code", [(1e146, 0), (1e150, 2)])
     def test_a_cone_vector_whose_reconstruction_overflows_is_refused(self, tmp_path, scale, code):
         # the product of the states has the eigenvalue 1e-16, so xi = -scale E_00
@@ -574,7 +646,7 @@ class TestCountOptions:
         assert not out.exists()
         assert f"{option} must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sub", ["bounds", "weakdec"])
+    @pytest.mark.parametrize("sub", ["weakdec"])
     def test_cone_rejects_zero_samples(self, tmp_path, sub):
         eye, zero = np.eye(2), np.zeros((2, 2))
         doc = cone_doc(tmp_path, [[eye, zero], [zero, eye]],
@@ -590,7 +662,7 @@ class TestCountOptions:
         assert not out.exists()
         assert "hull_samples=-5 must be an integer >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sub", ["member", "pq", "flags", "polar"])
+    @pytest.mark.parametrize("sub", ["member", "pq", "bounds", "flags", "polar"])
     def test_cone_accepts_zero_samples_where_nothing_is_sampled(self, tmp_path, sub):
         # member reads zero as exact membership with no hull sampling
         eye, zero = np.eye(2), np.zeros((2, 2))
@@ -770,14 +842,12 @@ def with_parent_keys(report):
     the draw-free decomposability and exact k = n searches, and the witness
     keys `rank` (pk_) and `sample` (sk_); and the keys a cone report stated
     without computing them: the seed 0 and default samples of the draw-free
-    pq, flags and polar, bounds' `samples` summary and weakdec's
+    pq, bounds, flags and polar and weakdec's
     `transposed_cone_identity_defect`."""
     report = json.loads(json.dumps(report))
     params, summary = report["params"], report["summary"]
-    if params.get("subcommand") in ("pq", "flags", "polar"):
+    if params.get("subcommand") in ("pq", "bounds", "flags", "polar"):
         report["seed"], params["samples"] = 0, 100
-    elif params.get("subcommand") == "bounds":
-        summary["samples"] = float(params["samples"])
     elif params.get("subcommand") == "weakdec":
         summary["transposed_cone_identity_defect"] = 0.0
     by_id = {r["id"]: r for r in report["records"]}

@@ -19,6 +19,7 @@ from posmap.cones import (
     sample_cone_element,
     sample_intersection_element,
     sample_ppt_operator,
+    split_bound_floors,
     split_bound_margins,
     split_bounds_check,
     transposed_cone_consistency,
@@ -274,6 +275,48 @@ class TestSplitBounds:
             split_bound_margins(ctx, xi, etas[:size])
             counts.append(counter["calls"])
         assert counts[1] - counts[0] == 27
+
+
+class TestSplitBoundFloors:
+    """The exact floors against the sampled check, on the contexts of
+    acceptance criterion 5 and its intersection vectors."""
+
+    @pytest.mark.parametrize("make_ctx", [tracial_ctx, skew_ctx])
+    def test_each_floor_is_attained_and_below_the_sampled_margin(self, make_ctx):
+        ctx = make_ctx()
+        for s in range(12):
+            xi = sample_intersection_element(ctx, rng_stream(5002, s))
+            floors, etas = split_bound_floors(ctx, xi)
+            sampled = split_bounds_check(ctx, xi, eta_samples=500, seed=5003 + s)
+            assert set(floors) == set(sampled) - {"violations"}
+            assert all(floors[key] <= sampled[key] for key in floors), s
+            assert floors["norm"] == sampled["norm"]
+            assert set(etas) == set(floors) - {"norm"}
+            for key, eta in etas.items():
+                assert cone_member(ctx, eta).in_p
+                assert abs(split_bound_margins(ctx, xi, [eta])[key] - floors[key]) <= 1e-12, (s, key)
+
+    def test_the_floors_reduce_to_four_partial_transposes(self):
+        # pairing reads xi, q_vs_total and factor_sum U_B xi, factor_diff U_A xi
+        ctx = skew_ctx()
+        xi = sample_intersection_element(ctx, rng_stream(5002, 3))
+        floors, _ = split_bound_floors(ctx, xi)
+        quarter = ctx.eigenvalues**0.25
+
+        def floor(t):
+            return np.linalg.eigvalsh(hermitian_part(quarter[:, None] * t * quarter[None, :]))[0]
+
+        u_a, u_b = partial_transpose(xi, 2, 2, "first"), partial_transpose(xi, 2, 2, "second")
+        assert floors["pairing"] == pytest.approx(floor(xi), abs=1e-15)
+        assert floors["q_vs_total"] == floors["factor_sum"] == pytest.approx(floor(u_b), abs=1e-15)
+        assert floors["factor_diff"] == pytest.approx(floor(u_a), abs=1e-15)
+        assert floors["qq_vs_ptot"] == pytest.approx(floor((u_a + u_b) / 2), abs=1e-15)
+        assert floors["abs_q_vs_p"] == min(floors["pairing"], floors["q_vs_total"])
+
+    def test_rejects_non_intersection_vectors(self):
+        ctx = skew_ctx()
+        with pytest.raises(NotInIntersectionError):
+            split_bound_floors(ctx, ctx.cone_vector(max_entangled_projector(2)))
 
 
 def loop_split_bound_margins(ctx, xi, etas):

@@ -199,6 +199,27 @@ class TestHostileDocuments:
         with pytest.raises(ParseError, match=f"entry 0 is (not numeric|out of range)"):
             matrix_from_doc({"rows": 1, "cols": 1, "data": [entry]})
 
+    def test_entries_read_as_complex_of_each_pair(self):
+        # ints, signed zeros and large ints read bit for bit as complex(re, im)
+        rng = rng_stream(91)
+        data = [[float(a), float(b)] for a, b in rng.standard_normal((9, 2))]
+        data[1:5] = [[1, -2], [0.0, -0.0], [-0.0, 0], [10**300, -(10**200)]]
+        got = matrix_from_doc({"rows": 3, "cols": 3, "data": data}).reshape(-1)
+        want = np.array([complex(re, im) for re, im in data])
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+    @pytest.mark.parametrize("entry, message", [
+        ([True, 0.0], "entry 7 is not numeric"), (["1", 0.0], "entry 7 is not numeric"),
+        ([1.0], r"entry 7 is not an \[re, im\] pair"), ((1.0, 0.0), r"entry 7 is not an \[re, im\] pair"),
+        ([10**400, 0.0], "entry 7 is out of range"), ([float("inf"), 0.0], "non-finite entries"),
+    ])
+    def test_a_bad_entry_among_good_ones_is_named(self, entry, message):
+        data = [[1.0, 0.0]] * 9
+        data[7] = entry
+        with pytest.raises(ParseError, match=f"^m: {message}$"):
+            matrix_from_doc({"rows": 3, "cols": 3, "data": data}, "m")
+
     @pytest.mark.parametrize("k", ["2", "x", True, 1.5, 0, -1])
     def test_cone_input_k_is_an_integer_at_least_one(self, k):
         with pytest.raises(ParseError, match="k must be"):

@@ -149,6 +149,37 @@ def test_a_violation_beside_the_decomposable_pass_fails_verify(replay, tmp_path,
     assert "pk_2: a violation beside the decomposable pass" in capsys.readouterr().err
 
 
+def _edits(report: dict):
+    """(what, edited copy) for every edit of a draw-free cone report's record
+    (its id, its kind swapped between pass and defect, its value set to 123)
+    and of each summary field (a bool negated, a number set to 7)."""
+    def edited(change):
+        copy = json.loads(json.dumps(report))
+        change(copy)
+        return copy
+
+    record = report["records"][0]
+    swapped = "defect" if record["kind"] == "pass" else "pass"
+    yield "id", edited(lambda r: r["records"][0].update(id="renamed"))
+    yield "kind", edited(lambda r: r["records"][0].update(kind=swapped))
+    yield "value", edited(lambda r: r["records"][0].update(value=123.0))
+    for field, value in report["summary"].items():
+        new = (not value) if isinstance(value, bool) else 7.0
+        yield f"summary.{field}", edited(lambda r, f=field, v=new: r["summary"].update({f: v}))
+
+
+@pytest.mark.parametrize("name", ["cone_pq", "cone_bounds", "cone_flags", "cone_polar"])
+def test_every_edit_of_a_draw_free_cone_report_fails_verify(replay, tmp_path, name):
+    # verify re-derives the record and the summary from the embedded cone input
+    with open(replay[name][1], encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert main(["verify", replay[name][1]]) == 0
+    for what, copy in _edits(report):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(copy), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1, what
+
+
 def moved_records(old: dict, new: dict) -> list[str]:
     """One line per record whose kind, value or stats differ between two
     frozen corpora, as run, record id, and old -> new, and one per summary
