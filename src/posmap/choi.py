@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import HERMITIAN_RTOL, _eigh_phased, as_matrix, bounded_norm, frobenius, matrix_units, psd_tol
+from .linalg import HERMITIAN_RTOL, _eigh_phased, _finite_norm, as_matrix, frobenius, matrix_units, psd_tol
 from .verdicts import PASS, VIOLATION, Verdict
 
 
@@ -116,9 +116,12 @@ class MatrixMap:
 
     def is_hermiticity_preserving(self) -> bool:
         """phi(a*) = phi(a)* for all a: the Choi matrix is Hermitian within
-        HERMITIAN_RTOL * max(1, ||h||_F) in Frobenius norm (`bounded_norm`)."""
-        h = self.choi()
-        return _is_hermitian_choi(h, h.conj().T)
+        HERMITIAN_RTOL * max(1, ||h||_F) in Frobenius norm (`_hermitian_choi`)."""
+        try:
+            _hermitian_choi(self.choi())
+        except NotHermitianError:
+            return False
+        return True
 
     def norm_distance(self, other: "MatrixMap") -> float:
         return frobenius(self.unit_images - other.unit_images)
@@ -162,20 +165,21 @@ def kernel_transpose_gap(phi: MatrixMap) -> float:
     return frobenius(phi.choi() - trace_kernel(phi).T)
 
 
-def _is_hermitian_choi(h: np.ndarray, hh: np.ndarray) -> bool:
-    """The test of `MatrixMap.is_hermiticity_preserving` on a Choi matrix h
-    already built, given hh = h*."""
-    return frobenius(h - hh) <= HERMITIAN_RTOL * max(1.0, bounded_norm(h))
-
-
-def _hermitian_choi(h: np.ndarray) -> np.ndarray:
-    """The Hermitian part (h + h*) / 2 of a Choi matrix already built, bit for
-    bit `hermitian_part(h)`, once h passes `_is_hermitian_choi`
-    (`NotHermitianError` otherwise); one conjugate transpose serves both."""
+@np.errstate(over="ignore")  # an overflowing norm is refused, so numpy's warning would only precede it
+def _hermitian_choi(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Hermitian part (h + h*) / 2 of a Choi matrix already built, bit for bit
+    `hermitian_part(h)`, and its Frobenius norm, once h passes the test of
+    `MatrixMap.is_hermiticity_preserving` (`NotHermitianError` otherwise, and
+    `PosmapError` for a norm that overflows).  One conjugate transpose serves the test
+    and the part; when h - h* is exactly 0 the part is h bit for bit, and the norm the
+    test takes serves the part too."""
     hh = h.conj().T
-    if not _is_hermitian_choi(h, hh):
+    norm = _finite_norm(h)
+    defect = frobenius(h - hh)
+    if defect > HERMITIAN_RTOL * max(1.0, norm):
         raise NotHermitianError("map is not Hermiticity-preserving")
-    return (h + hh) / 2
+    part = (h + hh) / 2
+    return part, norm if defect == 0.0 else frobenius(part)
 
 
 def cp_verdict(phi: MatrixMap) -> Verdict:
@@ -185,7 +189,7 @@ def cp_verdict(phi: MatrixMap) -> Verdict:
     bottom eigenvector; `value` is the smallest Choi eigenvalue.
     """
     h = phi.choi()
-    w, v = _eigh_phased(_hermitian_choi(h))
+    w, v = _eigh_phased(_hermitian_choi(h)[0])
     min_eig = float(w[0])
     if min_eig >= -psd_tol(h):
         return Verdict(PASS, min_eig)

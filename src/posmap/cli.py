@@ -44,11 +44,13 @@ from .kpositivity import (
     is_k_positive,
     pk_check,
     sk_check,
+    spectral_certificate,
 )
 from .linalg import (
     DESK_SCALE_DIM,
     HERMITIAN_RTOL,
     PSD_RTOL,
+    _partial_transpose,
     hermitian_part,
     random_faithful_state,
     rng_stream,
@@ -97,9 +99,16 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     """(record id, verdict) for each classify record, in report order; each
     search runs when its pair is asked for, so the caller can time it.
 
+    For 1 <= k < n, k_positive_<k> is first tried by `spectral_certificate` on h
+    and k_copositive_<k> by the same rule on h^G, the input-side partial transpose
+    of h and the Choi matrix of phi o T; the rule's pass is the record, a proof
+    that `verify` re-derives from the embedded map, and the see-saw runs only when
+    the rule gives nothing.  At k = n the search's exact path decides.
+
     A record that another verdict decides restates that verdict (`_derived`):
     - block_positivity, k_copositive_1, sk_1 and pk_1, from k_positive_1: each
-      is positivity of phi (so is phi o T), so the k = 1 search runs once;
+      is positivity of phi (so is phi o T), so the k = 1 search runs at most
+      once, and a spectral pass reads as evidence there;
     - for k > n, k_positive_<k> and k_copositive_<k>, from the exact tests at n;
     - when `certificate`, the `decomposition_certificate` of h, is a pass,
       every other sk_<k>, pk_<k> and decomposability, from decomposable.
@@ -113,14 +122,19 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     1..min(k, n), so at every k >= n it returns the same verdict bit for bit."""
     m, n = phi.m, phi.n
     certified = certificate.kind == PASS
+    h_gamma = _partial_transpose(h, m, n, "first")
+
+    def proved_or_searched(choi: np.ndarray, k: int, search) -> Verdict:
+        return spectral_certificate(choi, m, n, k) or search(phi, k, restarts=args.restarts, seed=args.seed)
+
     yield "cp", cp_verdict(phi)
-    positive = is_k_positive(phi, 1, restarts=args.restarts, seed=args.seed)
+    positive = proved_or_searched(h, 1, is_k_positive)
     yield "block_positivity", (positivity := _derived("k_positive_1", positive))
     for k in range(1, args.k_max + 1):
         if k <= n:
-            kv = positive if k == 1 else is_k_positive(phi, k, restarts=args.restarts, seed=args.seed)
+            kv = positive if k == 1 else proved_or_searched(h, k, is_k_positive)
             yield f"k_positive_{k}", kv
-            kc = positivity if k == 1 else is_k_copositive(phi, k, restarts=args.restarts, seed=args.seed)
+            kc = positivity if k == 1 else proved_or_searched(h_gamma, k, is_k_copositive)
             yield f"k_copositive_{k}", kc
         else:
             yield f"k_positive_{k}", _derived(f"k_positive_{n}", kv)

@@ -13,9 +13,14 @@ the Haar start of each restart; its alternations draw nothing.
 
 Four related conditions are certified separately here:
 
-- `k_block_min` / `is_k_positive` / `is_k_copositive`: compression tests,
-  with `spectral_bound` a proof of k-positivity from the spectrum of h alone,
-  which `bisect_threshold` tries after its draw-free probe, before any search;
+- `k_block_min` / `is_k_positive` / `is_k_copositive`: compression searches,
+  which stay pure searches.  Beside them, `spectral_certificate` is the one rule
+  that proves k-positivity for 1 <= k < n from the spectrum of h alone (the
+  Chruscinski-Kossakowski `spectral_bound` clearing -psd_tol(h)), and
+  k-copositivity from that of h^G, the Choi matrix of phi o T.  Its pass is a
+  proof with no witness: `bisect_threshold` tries it after its draw-free probe,
+  `classify` tries it before each search with k < n and writes its pass, and
+  `verify` accepts that pass only where the same rule re-derives it;
 - `sk_check`: images of doubly-PSD block matrices stay PSD;
 - `pk_check`: compressed corners admit no witness against decomposability;
 - `decomposability_witness`: search for a PPT state pairing negatively with
@@ -48,6 +53,7 @@ from .errors import (
 )
 from .linalg import (
     PPT_TOL,
+    PSD_RTOL,
     _eigh_bottom,
     _eigh_phased,
     _haar_from_gaussian,
@@ -87,12 +93,14 @@ _IMPROVE_TOL = 1e-12  # a restart leaves the see-saw once its value gains less t
 _MAX_ALTERNATIONS = 200  # and after this many alternations in any case
 
 
-def _search_choi(phi: MatrixMap, k: int) -> np.ndarray:
-    """The Hermitian part of phi's Choi matrix, once k lies in 1..n and phi
-    preserves Hermiticity: the input checks of a compression search."""
+def _search_choi(phi: MatrixMap, k: int) -> tuple[np.ndarray, float]:
+    """The Hermitian part h of phi's Choi matrix and psd_tol(h), once k lies in 1..n
+    and phi preserves Hermiticity: the input checks of a compression search, under
+    one overflow errstate and, for an exactly Hermitian Choi matrix, one norm."""
     if not 1 <= k <= phi.n:
         raise KOutOfRangeError(f"k={k} outside 1..{phi.n}")
-    return _hermitian_choi(phi.choi())
+    h, norm = _hermitian_choi(phi.choi())
+    return h, PSD_RTOL * max(1.0, norm)
 
 
 def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:
@@ -103,6 +111,11 @@ def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:
     largest squared Schmidt coefficients of e, which bounds |<e|psi>|^2.  It is -inf,
     deciding nothing, when h has no nonnegative eigenvalue; h is not validated."""
     require_integer("k", k, 1, KOutOfRangeError)
+    return _spectral_bound(h, m, n, k)
+
+
+def _spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:
+    """`spectral_bound` without the check of k."""
     w, v = np.linalg.eigh(h)
     neg = int(np.searchsorted(w, 0.0))
     if neg == w.size:
@@ -110,6 +123,31 @@ def spectral_bound(h: np.ndarray, m: int, n: int, k: int) -> float:
     schmidt = np.linalg.svd(v[:, :neg].T.reshape(neg, m, n), compute_uv=False)
     sigma = (schmidt[:, :k] ** 2).sum(axis=1)
     return float(w[neg] - ((w[neg] - w[:neg]) * sigma).sum())
+
+
+# a share of psd_tol(h), 1e-14 max(1, ||h||_F): the rounding that `spectral_bound`
+# and a see-saw value (an eigenvalue or the Rayleigh quotient `k_block_min`
+# reports) may each carry, kept clear of the tolerance by both threshold shortcuts
+_ROUNDING_SHARE = 1e-5
+
+
+def spectral_certificate(h: np.ndarray, m: int, n: int, k: int, tol: float | None = None) -> Verdict | None:
+    """The spectral proof that the map with Choi matrix h is k-positive, for
+    1 <= k < n and a validated Hermitian h: Verdict(PASS, bound, stats={"certificate":
+    "spectral"}) when its `spectral_bound` is at or above -psd_tol(h) by a rounding
+    share of the tolerance, -psd_tol(h) + 1e-5 psd_tol(h); otherwise, and at any other
+    k, None.  No value of Schmidt rank <= k lies below the bound, so no compression
+    search can find a violation.  Applied to h^G, the input-side partial transpose of
+    h and the Choi matrix of phi o T, it proves k-copositivity.  `tol` is psd_tol(h),
+    for a caller that holds it already; k is not validated."""
+    if not 1 <= k < n:
+        return None
+    if tol is None:
+        tol = psd_tol(h)
+    bound = _spectral_bound(h, m, n, k)
+    if bound >= -tol + _ROUNDING_SHARE * tol:
+        return Verdict(PASS, bound, stats={"certificate": "spectral"})
+    return None
 
 
 def k_block_min(phi: MatrixMap, k: int, *, restarts: int = 32, seed: int = 0) -> Verdict:
@@ -143,8 +181,7 @@ def k_block_min(phi: MatrixMap, k: int, *, restarts: int = 32, seed: int = 0) ->
     m, n = phi.m, phi.n
     require_integer("k", k, 1, KOutOfRangeError)
     require_integer("restarts", restarts, 1, CountOutOfRangeError)
-    h = _search_choi(phi, k)
-    tol = psd_tol(h)
+    h, tol = _search_choi(phi, k)
     h4 = h.reshape(m, n, m, n)
 
     if k == n:
@@ -601,24 +638,16 @@ def pk_check(
     return Verdict(EVIDENCE, min(values), stats={"projections": projections, "seed": seed})
 
 
-# a share of psd_tol(h), 1e-14 max(1, ||h||_F): the rounding that `spectral_bound`
-# and a see-saw value (an eigenvalue or the Rayleigh quotient `k_block_min`
-# reports) may each carry, kept clear of the tolerance by both shortcuts
-_ROUNDING_SHARE = 1e-5
-
-
 def _violates(phi: MatrixMap, k: int, restarts: int, seed: int) -> bool:
     """Whether `k_block_min(phi, k, restarts=restarts, seed=seed)` is a violation, read
-    from one Choi matrix h by the first of `bisect_threshold`'s paths that settles it:
-    1. the probe, 2. the certificate, 3. the full search."""
+    from one Choi matrix h and its one tolerance by the first of `bisect_threshold`'s
+    paths that settles it: 1. the probe, 2. `spectral_certificate`, 3. the full search."""
     m, n = phi.m, phi.n
-    h = _search_choi(phi, k)
-    tol = psd_tol(h)
-    margin = _ROUNDING_SHARE * tol
+    h, tol = _search_choi(phi, k)
     corner = h.reshape(m, n, m, n)[:, :k, :, :k].reshape(m * k, m * k)
-    if np.linalg.eigh(corner)[0][0] < -tol - margin:
+    if np.linalg.eigh(corner)[0][0] < -tol - _ROUNDING_SHARE * tol:
         return True
-    if spectral_bound(h, m, n, k) >= -tol + margin:
+    if spectral_certificate(h, m, n, k, tol) is not None:
         return False
     return k_block_min(phi, k, restarts=restarts, seed=seed).is_violation
 
@@ -645,17 +674,19 @@ def bisect_threshold(
        eigenvalue of h's principal (m k)-corner, bit for bit h compressed by the
        coordinate isometry (a product with exact zeros and ones).  The search keeps
        a best value at or below it, so a probe violation is its violation.
-    2. Certificate: a `spectral_bound` of the Choi matrix h at or above -psd_tol(h)
-       proves that no vector of Schmidt rank <= k, so no see-saw value, is below it.
+    2. Certificate: a `spectral_certificate` of the Choi matrix h, the rule `classify`
+       writes as a pass, proves that no vector of Schmidt rank <= k, so no see-saw
+       value, is below -psd_tol(h); it decides nothing at k = n.
     3. Full search: otherwise `k_block_min` itself decides.
 
     Both shortcuts keep a margin of 1e-14 max(1, ||h||_F) from -psd_tol(h) for
     rounding; the probe's value is never below the certificate's bound, so the two
-    never both fire and their order decides nothing.  A `k` that is not an integer
-    >= 1 raises `KOutOfRangeError`, and `restarts` < 1 or `steps` < 0 (or either
-    not an integer) `CountOutOfRangeError`, before any map is built; each map is
-    then checked as `k_block_min` checks it before it is decided (`KOutOfRangeError`
-    for k above its output dimension, `NotHermitianError`).
+    never both fire and their order decides nothing.  A decision takes one norm of h
+    (when its Choi matrix is exactly Hermitian) under one overflow errstate.  A `k`
+    that is not an integer >= 1 raises `KOutOfRangeError`, and `restarts` < 1 or
+    `steps` < 0 (or either not an integer) `CountOutOfRangeError`, before any map is
+    built; each map is then checked as `k_block_min` checks it before it is decided
+    (`KOutOfRangeError` for k above its output dimension, `NotHermitianError`).
     """
     require_integer("k", k, 1, KOutOfRangeError)
     require_integer("restarts", restarts, 1, CountOutOfRangeError)

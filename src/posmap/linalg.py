@@ -42,12 +42,18 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-@np.errstate(over="ignore")  # refused below, so numpy's overflow warning would only precede the error
-def bounded_norm(a) -> float:
-    """frobenius(a), refused when it overflows: a tolerance it scales would pass anything."""
+def _finite_norm(a) -> float:
+    """frobenius(a), refused when it overflows: a tolerance it scales would pass anything.
+    It warns as numpy does; a caller that silences overflow does so once for all its norms."""
     if (norm := frobenius(a)) == np.inf:
         raise PosmapError("matrix norm overflows float range; rescale the input")
     return norm
+
+
+@np.errstate(over="ignore")  # refused, so numpy's overflow warning would only precede the error
+def bounded_norm(a) -> float:
+    """`_finite_norm` with numpy's overflow warning silenced."""
+    return _finite_norm(a)
 
 
 def psd_tol(a) -> float:

@@ -12,8 +12,9 @@ record's verdict decided only that verdict's kind and value and the stats
 plain quadratic forms and eigenvalue checks, never re-running any search, from
 one table of re-checks keyed by record id; `verify_report` runs it on every
 searched violation and pass with a witness, checks a derived record through its
-source and one table of implications, and accepts no classify pass but `cp`,
-which it re-derives, and `decomposable`.  It reads no other stats key, so
+source and one table of implications, and accepts no classify pass but `cp`
+and the spectral `k_positive_<k>` and `k_copositive_<k>` passes, which it
+re-derives from the embedded map, and `decomposable`.  It reads no other stats key, so
 reports that still carry keys of an earlier format verify too.  The summary of
 a classify report is read from its records' kinds (`classify_summary`), and
 `verify_report` re-derives it, as it re-derives the record and the exact
@@ -48,8 +49,8 @@ from .cones import (
 )
 from .docio import cone_input_from_document, map_from_document, matrix_from_doc, matrix_to_doc
 from .errors import ParseError, StaleWitnessError
-from .kpositivity import decomposition_bound
-from .linalg import DESK_SCALE_DIM, PPT_TOL, frobenius, hermitian_part, ppt_min_eigs, psd_tol
+from .kpositivity import decomposition_bound, spectral_certificate
+from .linalg import DESK_SCALE_DIM, PPT_TOL, _partial_transpose, frobenius, hermitian_part, ppt_min_eigs, psd_tol
 from .modular import t_phi
 from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
@@ -291,7 +292,8 @@ def verify_report(report: dict) -> list[str]:
     re-evaluates to >= 0, a derived record (stats "derived_from") that does not
     restate its source or is a violation its source's does not imply
     (`_derived_failures`), in a map report a pass `verify` cannot re-derive or a
-    violation that a `decomposable` pass refutes (`_proof_failures`) and a
+    violation that a `decomposable` or spectral k-(co)positivity pass refutes
+    (`_proof_failures`) and a
     summary its records do not give (`classify_summary`), and in a report of
     `cone member`, `pq`, `bounds`, `flags` or `polar` (by its params or a
     record id) a missing record, or a record or summary field that one
@@ -386,24 +388,53 @@ def verify_report(report: dict) -> list[str]:
 
 def _proof_failures(phi: MatrixMap, records: list) -> list[str]:
     """Failures of a map report's passes: a `cp` record that one `cp_verdict`
-    of the embedded map does not give, a pass on any record but `cp` and
-    `decomposable`, the two proofs `verify` can re-derive, and beside a
-    `decomposable` pass a violation of a condition every decomposable map
-    meets (positivity, copositivity, every sk_<k> and pk_<k>, and
-    decomposability)."""
-    failures = [
-        f"{r.get('id')}: a pass that verify cannot re-derive" for r in records
-        if r.get("kind") == PASS and r.get("id") not in ("cp", "decomposable")
-    ]
+    of the embedded map does not give; a k_positive_<k> or k_copositive_<k> pass
+    that the `spectral_certificate` of the embedded map's h (of h^G for
+    k_copositive_<k>) does not give, at its kind and, within VALUE_TOL, its value;
+    a pass on any other record but `decomposable`, the proofs `verify` can
+    re-derive; and the violations such a pass refutes: beside a `decomposable`
+    pass a violation of a condition every decomposable map meets (positivity,
+    copositivity, every sk_<k> and pk_<k>, and decomposability), and beside a
+    k_positive_<k> (k_copositive_<k>) pass a violation of k_positive_<j>
+    (k_copositive_<j>) at some j < k, which implies one at k (`_implies`)."""
+    m, n = phi.m, phi.n
+    h = hermitian_part(phi.choi())
+    chois = {"k_positive_": h, "k_copositive_": _partial_transpose(h, m, n, "first")}
+    failures, passes = [], []
+    for r in records:
+        rid = r.get("id")
+        if r.get("kind") != PASS or rid in ("cp", "decomposable"):
+            continue
+        name, k = _family_order(rid)
+        proof = spectral_certificate(chois[name], m, n, k) if name in chois else None
+        if proof is None:
+            failures.append(f"{rid}: a pass that verify cannot re-derive")
+        else:
+            failures += _restated([r], rid, proof.kind, proof.value)
+        if name in chois:
+            passes.append(rid)
+    violations = [r["id"] for r in records if r.get("kind") == VIOLATION and isinstance(r.get("id"), str)]
     if any((r.get("id"), r.get("kind")) == ("decomposable", PASS) for r in records):
         failures += [
-            f"{r['id']}: a violation beside the decomposable pass, which implies it holds"
-            for r in records
-            if r.get("kind") == VIOLATION and isinstance(r.get("id"), str)
-            and (r["id"] in _IMPLIED_BY_DECOMPOSABLE or r["id"].rstrip("0123456789") in _IMPLIED_BY_DECOMPOSABLE)
+            f"{v}: a violation beside the decomposable pass, which implies it holds" for v in violations
+            if v in _IMPLIED_BY_DECOMPOSABLE or v.rstrip("0123456789") in _IMPLIED_BY_DECOMPOSABLE
         ]
+    failures += [f"{v}: a violation beside the {p} pass, which implies it holds"
+                 for p in passes for v in violations if _implies(v, p)]
     cp = cp_verdict(phi)
     return failures + _restated(records, "cp", cp.kind, cp.value)
+
+
+def _family_order(record_id) -> tuple[str | None, int]:
+    """(name, k) of a record id `<name><k>` with k a positive integer written without
+    leading zeros, as "k_positive_2" -> ("k_positive_", 2); (None, 0) for any other id."""
+    if not isinstance(record_id, str):
+        return None, 0
+    name = record_id.rstrip("0123456789")
+    digits = record_id[len(name):]
+    if not digits or digits[0] == "0":
+        return None, 0
+    return name, int(digits)
 
 
 def _restated(records: list, record_id: str, kind: str, value: float) -> list[str]:
@@ -505,8 +536,9 @@ def _cone_failures(report: dict, records: list, subcommand: str, ctx: BipartiteC
 
 def classify_summary(records: list, k_max: int) -> dict:
     """The summary of a classify report, read from its records' kinds: a table
-    k -> kind per k-indexed test for k = 1..k_max, the largest k with evidence
-    at every order 1..k, and the kinds of the other tests (KeyError if absent)."""
+    k -> kind per k-indexed test for k = 1..k_max, the largest k at whose every
+    order 1..k the k-positivity (k-copositivity) record holds, as evidence or a
+    pass, and the kinds of the other tests (KeyError if absent)."""
     kinds = {record["id"]: record["kind"] for record in records}
     tables = {
         name: {str(k): kinds[f"{name}_{k}"] for k in range(1, k_max + 1)}
@@ -514,7 +546,7 @@ def classify_summary(records: list, k_max: int) -> dict:
     }
 
     def highest_evidence(table: dict[str, str]) -> int:
-        return next((k for k, kind in enumerate(table.values()) if kind != EVIDENCE), len(table))
+        return next((k for k, kind in enumerate(table.values()) if kind not in (EVIDENCE, PASS)), len(table))
 
     return {
         "completely_positive": kinds["cp"] == PASS,

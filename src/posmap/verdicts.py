@@ -6,7 +6,8 @@ defining quadratic form re-evaluates to the stated negative value.  An
 search reached its `value` (its sample, restart or iteration counts, and its
 seed when it draws), never repeating `value` itself.  A
 "pass" verdict is a proof too, and comes only from an exact test (the
-spectral complete-positivity test, the split-inequality floors of
+spectral complete-positivity test, the spectral certificate of k-positivity
+`kpositivity.spectral_certificate`, the split-inequality floors of
 `cones.split_bound_floors`) or from a certificate that `verify`
 re-checks (the decomposition h = P + Q^G behind a "decomposable" pass,
 witness {"q"}).

@@ -61,8 +61,10 @@ class TestClassify:
         report = load_report(out)
         assert record_by_id(report, "cp")["kind"] == "violation"
         assert record_by_id(report, "cp")["value"] == pytest.approx(-1.0, abs=1e-10)
+        # the transposition is positive, and at n = 2 the spectral certificate proves it
         assert record_by_id(report, "block_positivity")["kind"] == "evidence"
-        assert record_by_id(report, "k_positive_1")["kind"] == "evidence"
+        k1 = record_by_id(report, "k_positive_1")
+        assert (k1["kind"], k1["stats"]) == ("pass", {"certificate": "spectral"})
         k2 = record_by_id(report, "k_positive_2")
         assert k2["kind"] == "violation"
         assert k2["value"] == pytest.approx(-1.0, abs=1e-6)
@@ -77,7 +79,9 @@ class TestClassify:
         assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
         report = load_report(out)
         assert report["summary"]["completely_positive"] is True
-        for rid in ("k_positive_1", "k_positive_2", "sk_1", "sk_2", "pk_1", "pk_2"):
+        # a PSD Choi matrix clears the spectral certificate at k = 1 < n; k = n is the exact test
+        assert record_by_id(report, "k_positive_1")["kind"] == "pass"
+        for rid in ("k_positive_2", "sk_1", "sk_2", "pk_1", "pk_2"):
             assert record_by_id(report, rid)["kind"] == "evidence"
 
     def test_negated_identity_violates_everything(self, tmp_path):
@@ -119,8 +123,8 @@ class TestClassify:
                 in capsys.readouterr().err)
 
     def test_k_max_beyond_output_dimension_runs_the_exact_test_once(self, tmp_path, monkeypatch):
-        # k = 1 searches once (every k = 1 record restates k_positive_1), k = 2
-        # twice; k = 3 reuses the k = 2 verdicts
+        # k = 1 is the spectral certificate's pass (every k = 1 record restates
+        # k_positive_1), k = 2 searches twice; k = 3 reuses the k = 2 verdicts
         calls = []
         search = kpositivity.k_block_min
         monkeypatch.setattr(kpositivity, "k_block_min",
@@ -129,7 +133,7 @@ class TestClassify:
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "8",
                      "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
-        assert calls == [1, 2, 2]
+        assert calls == [2, 2]
         report = load_report(out)
         # a derived record restates its source's kind and value, and no witness
         for name in ("k_positive", "k_copositive"):
@@ -158,7 +162,8 @@ class TestClassify:
         assert (decomposable["kind"] == "pass") is certified
         assert counter["calls"] == (0 if certified else 1)
         k1 = record_by_id(report, "k_positive_1")
-        assert record_by_id(report, "pk_1") == {"id": "pk_1", "kind": k1["kind"], "value": k1["value"],
+        kind = "evidence" if k1["kind"] == "pass" else k1["kind"]  # a derived pass reads as evidence
+        assert record_by_id(report, "pk_1") == {"id": "pk_1", "kind": kind, "value": k1["value"],
                                                 "stats": {"derived_from": "k_positive_1"}}
         for k in range(2, 5):
             record = record_by_id(report, f"pk_{k}")
@@ -173,14 +178,15 @@ class TestClassify:
                 assert np.array_equal(matrix_from_doc(record["witness"][key]), arr), key
         assert main(["verify", str(out)]) == 0
 
-    @pytest.mark.parametrize("phi, kind", [(reduction_family(0.5, 3), "violation"),
-                                           (transposition_map(3), "evidence")],
+    @pytest.mark.parametrize("phi, kind, searched", [(reduction_family(0.5, 3), "violation", [1, 2, 2, 3, 3]),
+                                                     (transposition_map(3), "evidence", [1, 2, 3, 3])],
                              ids=["reduction", "certified-transposition"])
-    def test_block_positivity_is_the_k1_search(self, tmp_path, monkeypatch, phi, kind):
+    def test_block_positivity_is_the_k1_search(self, tmp_path, monkeypatch, phi, kind, searched):
         # positivity is 1-positivity, 1-copositivity and the block conditions at
         # k = 1: the k = 1 search runs once and writes all five records, certified
         # or not, and no sk_ or pk_ search runs at k = 1; a map with n = 3 and
-        # --k-max 4 searches k = 2, 3 twice each
+        # --k-max 4 searches k = 2, 3 twice each, but where the spectral certificate
+        # proves k_copositive_2 of the transposition (phi o T is the identity map)
         calls = []
         search = kpositivity.k_block_min
         monkeypatch.setattr(kpositivity, "k_block_min",
@@ -193,7 +199,7 @@ class TestClassify:
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
                      "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
-        assert sorted(calls) == [1, 2, 2, 3, 3] and 1 not in blocks
+        assert sorted(calls) == searched and 1 not in blocks
         report = load_report(out)
         k1 = record_by_id(report, "k_positive_1")
         assert k1["kind"] == kind and ("witness" in k1) == (kind == "violation")
@@ -205,6 +211,31 @@ class TestClassify:
             assert record_by_id(report, record_id) == {
                 "id": record_id, "kind": k1["kind"], "value": k1["value"],
                 "stats": {"derived_from": "k_positive_1"}}
+        assert main(["verify", str(out)]) == 0
+
+    def test_the_spectral_certificate_leaves_only_the_exact_search(self, tmp_path, monkeypatch):
+        # the reduction map at lam = 2.5 is k-positive for k <= 2 with spectral bound
+        # lam - k, and phi o T has the PSD Choi matrix 2.5 I - F (F the flip): every
+        # record with k < n = 3 is a spectral pass, and k_block_min runs only on the
+        # exact k = 3 path, once for k_positive_3 and once for k_copositive_3
+        calls = []
+        search = kpositivity.k_block_min
+        monkeypatch.setattr(kpositivity, "k_block_min",
+                            lambda phi, k, **kw: calls.append(k) or search(phi, k, **kw))
+        doc = write_map_doc(tmp_path / "r.json", reduction_family(2.5, 3))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        assert calls == [3, 3]
+        report = load_report(out)
+        for k, value in ((1, 1.5), (2, 0.5)):
+            record = record_by_id(report, f"k_positive_{k}")
+            assert (record["kind"], record["stats"]) == ("pass", {"certificate": "spectral"})
+            assert record["value"] == pytest.approx(value, abs=1e-12)
+        assert record_by_id(report, "k_copositive_2")["kind"] == "pass"
+        assert record_by_id(report, "k_positive_3")["kind"] == "violation"
+        assert report["summary"]["highest_k_positive_evidence"] == 2
+        assert report["summary"]["highest_k_copositive_evidence"] == 3
         assert main(["verify", str(out)]) == 0
 
     def test_certified_map_runs_no_witness_iteration(self, tmp_path):
@@ -955,6 +986,79 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
         assert "k_positive_2: a pass that verify cannot re-derive" in capsys.readouterr().err
+
+    def test_an_edited_spectral_pass_value_fails_verify(self, tmp_path, capsys):
+        doc = write_map_doc(tmp_path / "r.json", reduction_family(2.5, 3))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        record = record_by_id(report, "k_positive_2")
+        assert record["kind"] == "pass" and "witness" not in record
+        record["value"] += 1e-6
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "k_positive_2: stated pass" in err and "the input gives pass 5.0" in err
+
+    def test_a_pass_whose_spectral_bound_does_not_clear_fails_verify(self, tmp_path, capsys):
+        # a near-CP 3 x 3 map whose h^G has a spectral bound far below -psd_tol:
+        # k_copositive_2 relabelled pass, whatever its search found, proves nothing
+        phi = random_map_near_cp(rng_stream(44, 0), 3, 3, mix=1.0)
+        h = kpositivity.hermitian_part(phi.choi())
+        h_gamma = kpositivity._partial_transpose(h, 3, 3, "first")
+        assert kpositivity.spectral_bound(h_gamma, 3, 3, 2) < -0.1
+        doc = write_map_doc(tmp_path / "near.json", phi)
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        record = record_by_id(report, "k_copositive_2")
+        assert record["kind"] != "pass"
+        record["kind"] = "pass"
+        record.pop("witness", None)
+        report["summary"] = classify_summary(report["records"], 2)
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "k_copositive_2: a pass that verify cannot re-derive" in capsys.readouterr().err
+
+    def test_a_pass_at_k_equal_to_n_fails_verify(self, tmp_path, capsys):
+        # the identity's Choi matrix is PSD, so its spectral bound clears at every k,
+        # but the rule proves nothing at k = n, where the exact search's evidence stands
+        doc = write_map_doc(tmp_path / "id.json", identity_map(2))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--out", str(out)]) == 0
+        report = load_report(out)
+        record = record_by_id(report, "k_positive_2")
+        assert record["kind"] == "evidence" and record["stats"]["exact"] is True
+        record["kind"] = "pass"
+        report["summary"] = classify_summary(report["records"], 2)
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "k_positive_2: a pass that verify cannot re-derive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["k_positive", "k_copositive"])
+    def test_a_pass_beside_a_violation_at_a_lower_order_fails_verify(self, tmp_path, capsys, name):
+        # a k-positive map is j-positive for every j <= k: a k = 2 pass beside the
+        # k = 1 violation of the same family (searched, or restated from k_positive_1)
+        doc = write_map_doc(tmp_path / "r.json", reduction_family(0.5, 3))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        report = load_report(out)
+        assert record_by_id(report, f"{name}_1")["kind"] == "violation"
+        record = record_by_id(report, f"{name}_2")
+        record.update(kind="pass", value=0.0, stats={"certificate": "spectral"})
+        record.pop("witness", None)
+        report["summary"] = classify_summary(report["records"], 2)
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert (f"{name}_1: a violation beside the {name}_2 pass, which implies it holds"
+                in capsys.readouterr().err)
 
     def test_a_violation_at_a_positive_value_fails_verify(self, tmp_path, capsys):
         # the transposition is 2-copositive, and on e0 (x) e0 the Choi matrix of

@@ -42,6 +42,7 @@ from posmap.kpositivity import (
     pk_check,
     sk_check,
     spectral_bound,
+    spectral_certificate,
 )
 from posmap.linalg import (
     _eigh_bottom,
@@ -132,8 +133,7 @@ def loop_bisect_threshold(family, k, lo, hi, *, steps=40, restarts=64, seed=0):
 def loop_violates(phi, k, restarts, seed):
     """Reference for `_violates` in its former order: the certificate first, then the
     probe through the compression kernel and `_eigh_bottom`, then the full search."""
-    h = posmap.kpositivity._search_choi(phi, k)
-    tol = psd_tol(h)
+    h, tol = posmap.kpositivity._search_choi(phi, k)
     margin = posmap.kpositivity._ROUNDING_SHARE * tol
     if spectral_bound(h, phi.m, phi.n, k) >= -tol + margin:
         return False
@@ -1200,7 +1200,7 @@ class TestThresholdShortcuts:
                                                                            n, k):
         # the benchmark's threshold settings: the probe decides every violating
         # step alone, the certificate every other, and nothing is compressed
-        bound = count_calls(monkeypatch, "spectral_bound")
+        bound = count_calls(monkeypatch, "spectral_certificate")
         full = count_calls(monkeypatch, "k_block_min")
         compressed = count_calls(monkeypatch, "_compressed_choi")
         violates, decisions = posmap.kpositivity._violates, []
@@ -1237,6 +1237,20 @@ class TestThresholdShortcuts:
         assert posmap.kpositivity._violates(reduction_family(lam, 3), 2, 32, 0) == decided
         assert (choi["calls"], full["calls"]) == (1, 0)
 
+    @pytest.mark.parametrize("skew", [0.0, 1e-12])
+    def test_a_decision_takes_one_choi_norm_and_keeps_the_tolerance_bits(self, monkeypatch, skew):
+        # an exactly Hermitian Choi matrix hands the Hermiticity test's norm to the
+        # tolerance; a slightly skew one keeps its Hermitian part's norm; both read
+        # psd_tol(hermitian_part(h)) bit for bit
+        raw = random_hermitian_choi(2) + skew * 1j * np.eye(9)
+        phi = MatrixMap.from_choi(raw, 3, 3)
+        h, tol = posmap.kpositivity._search_choi(phi, 2)
+        assert np.array_equal(h, hermitian_part(phi.choi())) and tol.hex() == psd_tol(h).hex()
+        norms = count_calls(monkeypatch, "_finite_norm", module=posmap.choi)
+        frob = count_calls(monkeypatch, "frobenius", module=posmap.choi)
+        posmap.kpositivity._violates(phi, 2, 4, 0)
+        assert (norms["calls"], frob["calls"]) == (1, 1 if skew == 0.0 else 2)
+
 
 class TestSpectralBound:
     @pytest.mark.parametrize("n", [3, 4])
@@ -1256,3 +1270,13 @@ class TestSpectralBound:
     def test_k_below_one_is_refused(self):
         with pytest.raises(KOutOfRangeError):
             spectral_bound(np.eye(4), 2, 2, 0)
+
+    def test_the_certificate_proves_nothing_outside_1_to_n_minus_1(self):
+        # a PSD Choi matrix clears the bound at every k, but k >= n is the exact
+        # test's, and a map with n = 1 has no k the rule may decide
+        h = random_psd(rng_stream(75), 6)
+        proof = spectral_certificate(h, 2, 3, 2)
+        assert (proof.kind, proof.value, proof.stats) == ("pass", spectral_bound(h, 2, 3, 2),
+                                                           {"certificate": "spectral"})
+        assert [spectral_certificate(h, 2, 3, k) for k in (0, 3, 4)] == [None] * 3
+        assert spectral_certificate(h, 6, 1, 1) is None

@@ -3,6 +3,7 @@ partial transpose is an involution, the Choi encoding round-trips, a
 counter-built stream equals the jumped one, a stream reached by the shared
 seeker equals its `rng_stream`, no hostile field in a document makes the
 CLI raise, the spectral bound is below every value of Schmidt rank <= k,
+and a spectral pass leaves the see-saw no violation and nothing below it,
 every violation and certificate `posmap classify` writes
 re-verifies, while a derived record whose value is edited does not, and an
 input scaled by 2^j keeps its kinds until its tolerance would overflow,
@@ -25,7 +26,7 @@ from posmap.choi import MatrixMap
 from posmap.cli import main
 from posmap.cones import bipartite_context
 from posmap.docio import map_to_document, matrix_to_doc
-from posmap.kpositivity import k_block_min, spectral_bound
+from posmap.kpositivity import is_k_copositive, is_k_positive, k_block_min, spectral_bound, spectral_certificate
 from posmap.linalg import (
     _partial_transpose,
     _stream_seeker,
@@ -287,6 +288,40 @@ def test_the_spectral_bound_is_below_every_schmidt_rank_k_value(m, n, mix, seed)
             assert bound <= k_block_min(phi, k, restarts=8, seed=seed % 1000).value + allowance
             corner = h.reshape(m, n, m, n)[:, :k, :, :k].reshape(m * k, m * k)
             assert np.linalg.eigh(corner)[0][0] >= bound - allowance
+
+
+@settings(max_examples=60)
+@given(m=st.integers(2, 3), n=st.integers(2, 3), mix=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+       seed=seeds)
+@example(m=2, n=2, mix=0.0, seed=0)  # CP, so the rule passes on h at k = 1
+def test_a_spectral_pass_leaves_the_search_nothing_to_find(m, n, mix, seed):
+    # wherever the rule passes on h (on h^G, the Choi matrix of phi o T), the
+    # k-positivity (k-copositivity) search finds no violation, and its value is
+    # at or above the pass value up to rounding
+    rng = rng_stream(seed)
+    for phi in (random_map_near_cp(rng, m, n, mix=mix), random_hermiticity_preserving(rng, m, n)):
+        h = hermitian_part(phi.choi())
+        allowance = 1e-12 * max(1.0, np.linalg.norm(h))
+        for k in range(1, n):
+            for choi, search in ((h, is_k_positive), (_partial_transpose(h, m, n, "first"), is_k_copositive)):
+                proof = spectral_certificate(choi, m, n, k)
+                event(f"pass: {proof is not None}")
+                if proof is None:
+                    continue
+                assert (proof.kind, proof.stats) == ("pass", {"certificate": "spectral"})
+                found = search(phi, k, restarts=8, seed=seed % 1000)
+                assert not found.is_violation
+                assert found.value >= proof.value - allowance
+
+
+@settings(max_examples=60)
+@given(n=st.integers(3, 4), data=st.data())
+def test_a_spectral_pass_on_the_reduction_family_is_lam_minus_k(n, data):
+    k = data.draw(st.integers(1, n - 1))
+    lam = data.draw(st.floats(k, n, exclude_max=True))
+    proof = spectral_certificate(hermitian_part(reduction_family(lam, n).choi()), n, n, k)
+    assert proof is not None and proof.kind == "pass"
+    assert abs(proof.value - (lam - k)) <= 1e-12 * max(1.0, lam)
 
 
 # ---------------------------------------------------------------------------
