@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import HERMITIAN_RTOL, _eigh_phased, _finite_norm, as_matrix, frobenius, matrix_units, psd_tol
+from .linalg import HERMITIAN_RTOL, PSD_RTOL, _eigh_phased, _finite_norm, as_matrix, frobenius, matrix_units
 from .verdicts import PASS, VIOLATION, Verdict
 
 
@@ -166,32 +166,34 @@ def kernel_transpose_gap(phi: MatrixMap) -> float:
 
 
 @np.errstate(over="ignore")  # an overflowing norm is refused, so numpy's warning would only precede it
-def _hermitian_choi(h: np.ndarray) -> tuple[np.ndarray, float]:
+def _hermitian_choi(h: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The Hermitian part (h + h*) / 2 of a Choi matrix already built, bit for bit
-    `hermitian_part(h)`, and its Frobenius norm, once h passes the test of
-    `MatrixMap.is_hermiticity_preserving` (`NotHermitianError` otherwise, and
-    `PosmapError` for a norm that overflows).  One conjugate transpose serves the test
-    and the part; when h - h* is exactly 0 the part is h bit for bit, and the norm the
-    test takes serves the part too."""
+    `hermitian_part(h)`, the Frobenius norm of the part and that of h, once h passes
+    the test of `MatrixMap.is_hermiticity_preserving` (`NotHermitianError` otherwise,
+    and `PosmapError` for a norm that overflows).  One conjugate transpose serves the
+    test and the part, and the norm of h serves the test; when h - h* is exactly 0 the
+    part is h bit for bit, and that norm is the part's too."""
     hh = h.conj().T
     norm = _finite_norm(h)
     defect = frobenius(h - hh)
     if defect > HERMITIAN_RTOL * max(1.0, norm):
         raise NotHermitianError("map is not Hermiticity-preserving")
     part = (h + hh) / 2
-    return part, norm if defect == 0.0 else frobenius(part)
+    return part, norm if defect == 0.0 else frobenius(part), norm
 
 
 def cp_verdict(phi: MatrixMap) -> Verdict:
     """Exact complete-positivity test: phi is CP iff its Choi matrix is PSD.
 
     The verdict is "pass" or a "violation" whose witness {"vector"} is the
-    bottom eigenvector; `value` is the smallest Choi eigenvalue.
+    bottom eigenvector; `value` is the smallest Choi eigenvalue.  The tolerance
+    is psd_tol(h), of the Choi matrix h itself, from the norm its Hermiticity
+    test takes.
     """
-    h = phi.choi()
-    w, v = _eigh_phased(_hermitian_choi(h)[0])
+    part, _, norm = _hermitian_choi(phi.choi())
+    w, v = _eigh_phased(part)
     min_eig = float(w[0])
-    if min_eig >= -psd_tol(h):
+    if min_eig >= -PSD_RTOL * max(1.0, norm):
         return Verdict(PASS, min_eig)
     return Verdict(VIOLATION, min_eig, witness={"vector": v[:, 0]})
 

@@ -73,7 +73,7 @@ from .report import (
     verify_report,
     write_report,
 )
-from .verdicts import EVIDENCE, PASS, Verdict
+from .verdicts import EVIDENCE, PASS, VIOLATION, Verdict
 
 
 def _require_counts(args, *names: str) -> None:
@@ -116,12 +116,15 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
       value, min(lambda_min(P), 0) + min(lambda_min(Q), 0), and neither does
       a trace-one block that is PSD in both orderings, whatever k.  Nor does
       one pair with a corner's Choi matrix h_V: compressing by I (x) V
-      commutes with the input-side partial transpose, so h_V = P_V + Q_V^G.
-    On a map the certificate leaves open, pk_<k> for k > n is the pk_<n>
-    verdict itself (at n = 1, pk_1's): `pk_check` draws its corner ranks from
-    1..min(k, n), so at every k >= n it returns the same verdict bit for bit."""
+      commutes with the input-side partial transpose, so h_V = P_V + Q_V^G;
+    - otherwise, when k_positive_1 is a violation or n = 1, every other sk_<k>
+      and pk_<k>, from k_positive_1: the violating x (x) y is a product state,
+      PPT, so it violates every block condition, and at n = 1 each block
+      condition is positivity of a functional, which k_positive_1 decides.
+    On a map neither rule decides, pk_<k> for k > n is the pk_<n> verdict
+    itself: `pk_check` draws its corner ranks from 1..min(k, n), so at every
+    k >= n it returns the same verdict bit for bit."""
     m, n = phi.m, phi.n
-    certified = certificate.kind == PASS
     h_gamma = _partial_transpose(h, m, n, "first")
 
     def proved_or_searched(choi: np.ndarray, k: int, search) -> Verdict:
@@ -130,6 +133,10 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     yield "cp", cp_verdict(phi)
     positive = proved_or_searched(h, 1, is_k_positive)
     yield "block_positivity", (positivity := _derived("k_positive_1", positive))
+    certified = certificate.kind == PASS
+    # the verdict every sk_<k> and pk_<k> with k >= 2 restates, None where they are searched
+    blocks = (_derived("decomposable", certificate) if certified
+              else positivity if positive.kind == VIOLATION or n == 1 else None)
     for k in range(1, args.k_max + 1):
         if k <= n:
             kv = positive if k == 1 else proved_or_searched(h, k, is_k_positive)
@@ -139,8 +146,8 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
         else:
             yield f"k_positive_{k}", _derived(f"k_positive_{n}", kv)
             yield f"k_copositive_{k}", _derived(f"k_copositive_{n}", kc)
-        if k == 1 or certified:
-            yield f"sk_{k}", (pv := positivity if k == 1 else _derived("decomposable", certificate))
+        if k == 1 or blocks is not None:
+            yield f"sk_{k}", (pv := positivity if k == 1 else blocks)
         else:
             yield f"sk_{k}", sk_check(phi, k, samples=args.samples, seed=args.seed)
             if k <= n:

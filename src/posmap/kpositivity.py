@@ -99,7 +99,7 @@ def _search_choi(phi: MatrixMap, k: int) -> tuple[np.ndarray, float]:
     one overflow errstate and, for an exactly Hermitian Choi matrix, one norm."""
     if not 1 <= k <= phi.n:
         raise KOutOfRangeError(f"k={k} outside 1..{phi.n}")
-    h, norm = _hermitian_choi(phi.choi())
+    h, norm, _ = _hermitian_choi(phi.choi())
     return h, PSD_RTOL * max(1.0, norm)
 
 

@@ -59,8 +59,9 @@ TOOL_VERSION = "0.1.0"
 VALUE_TOL = 1e-10
 DEFECT_LIMIT = 1e-9
 # source -> the records (by id or k-stripped id) its violation violates; theorems: positivity is
-# 1-copositivity (T: x (x) y -> conj(x) (x) y), and a product vector violates sk_1 and every pk_<k>
-_IMPLIED_VIOLATIONS = {"k_positive_1": ("block_positivity", "k_copositive_1", "sk_1", "pk_")}
+# 1-copositivity (T: x (x) y -> conj(x) (x) y), and a product vector x (x) y, a PPT state,
+# violates every sk_<k> (through a block E_11 (x) a, a of rank 1) and every pk_<k> (a rank-1 corner's)
+_IMPLIED_VIOLATIONS = {"k_positive_1": ("block_positivity", "k_copositive_1", "sk_", "pk_")}
 # the records whose condition every decomposable map meets, by id or k-stripped id
 _IMPLIED_BY_DECOMPOSABLE = ("block_positivity", "k_positive_1", "k_copositive_1", "sk_", "pk_", "decomposability")
 # the summary fields of a `cone member` report that one exact membership test decides

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import posmap.choi
+import posmap.linalg
 import posmap.maps
 from linalg_helpers import NON_FINITE_PARTS
 from posmap.choi import (
@@ -15,8 +17,10 @@ from posmap.choi import (
 from posmap.errors import NotHermitianError
 from posmap.kpositivity import is_k_positive
 from posmap.linalg import (
+    PSD_RTOL,
     frobenius,
     hermitian_part,
+    psd_tol,
     random_psd,
     random_unit_vector,
     rng_stream,
@@ -32,6 +36,7 @@ from posmap.maps import (
 )
 from posmap.report import recheck_witness
 from posmap.verdicts import EVIDENCE, PASS, VIOLATION
+from test_kpositivity import count_calls
 
 
 class TestChoiMatrix:
@@ -175,6 +180,22 @@ class TestCpVerdict:
         v = cp_verdict(trace_times_identity(2))
         assert v.kind == PASS
         assert v.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-9])
+    def test_takes_one_choi_norm_and_keeps_the_tolerance_of_h(self, monkeypatch, skew):
+        # the Hermiticity test's norm of the Choi matrix h sets the tolerance,
+        # psd_tol(h) bit for bit, also where h - h* is not exactly 0: a bottom
+        # eigenvalue at -psd_tol(h) passes, and the next float below it does not
+        phi = MatrixMap.from_choi(random_psd(rng_stream(83), 9) + skew * 1j * np.eye(9), 3, 3)
+        tol = psd_tol(phi.choi())
+        assert tol > PSD_RTOL
+        norms = count_calls(monkeypatch, "frobenius", module=posmap.linalg)  # what every norm taken calls
+        for bottom, kind in [(-tol, PASS), (np.nextafter(-tol, -np.inf), VIOLATION)]:
+            monkeypatch.setattr(posmap.choi, "_eigh_phased",
+                                lambda a, b=bottom: (np.array([b, 1.0]), np.eye(9, 2, dtype=complex)))
+            norms["calls"] = 0
+            assert cp_verdict(phi).kind == kind
+            assert norms["calls"] == 1
 
     def test_rejects_non_hermiticity_preserving(self):
         units = np.zeros((2, 2, 2, 2), dtype=complex)

@@ -25,6 +25,7 @@ from posmap.maps import (
 from posmap.choi import MatrixMap
 from posmap.linalg import random_psd, rng_stream
 from posmap.report import classify_summary, input_digest, report_body
+from posmap.verdicts import Verdict
 from test_golden_corpus import GOLDEN, run_corpus
 from test_kpositivity import count_calls, count_stream_work
 
@@ -143,14 +144,14 @@ class TestClassify:
                 key: value for key, value in k2.items() if key != "witness"}
 
     # pk_check draws its corner ranks from 1..min(k, n), so every pk_<k> with
-    # k >= n is the pk_<n> verdict; a 2 x 2 map with --k-max 4 runs it at k = 2
-    # alone, as pk_1 restates k_positive_1.  A map the certificate proves
-    # decomposable runs it at no k: every compressed corner of it is
-    # decomposable, and each pk_<k> with k >= 2 restates the pass
+    # k >= n is the pk_<n> verdict; the Choi map (n = 3, positive and not
+    # decomposable) with --k-max 4 runs it at k = 2 and 3 alone, as pk_1
+    # restates k_positive_1.  A map the certificate proves decomposable runs it
+    # at no k: every compressed corner of it is decomposable, and each pk_<k>
+    # with k >= 2 restates the pass
     @pytest.mark.parametrize("phi, certified",
-                             [(transposition_map(2), True),
-                              (random_map_near_cp(rng_stream(41, 0), 2, 2, mix=0.3), False)],
-                             ids=["transposition", "near_cp"])
+                             [(transposition_map(2), True), (choi_qutrit_map(), False)],
+                             ids=["transposition", "choi_qutrit"])
     def test_pk_beyond_output_dimension_is_the_pk_n_verdict(self, tmp_path, monkeypatch, phi, certified):
         counter = count_calls(monkeypatch, "pk_check", cli)
         doc = write_map_doc(tmp_path / "phi.json", phi)
@@ -160,8 +161,9 @@ class TestClassify:
         report = load_report(out)
         decomposable = record_by_id(report, "decomposable")
         assert (decomposable["kind"] == "pass") is certified
-        assert counter["calls"] == (0 if certified else 1)
+        assert counter["calls"] == (0 if certified else 2)
         k1 = record_by_id(report, "k_positive_1")
+        assert k1["kind"] != "violation"
         kind = "evidence" if k1["kind"] == "pass" else k1["kind"]  # a derived pass reads as evidence
         assert record_by_id(report, "pk_1") == {"id": "pk_1", "kind": kind, "value": k1["value"],
                                                 "stats": {"derived_from": "k_positive_1"}}
@@ -186,7 +188,9 @@ class TestClassify:
         # k = 1: the k = 1 search runs once and writes all five records, certified
         # or not, and no sk_ or pk_ search runs at k = 1; a map with n = 3 and
         # --k-max 4 searches k = 2, 3 twice each, but where the spectral certificate
-        # proves k_copositive_2 of the transposition (phi o T is the identity map)
+        # proves k_copositive_2 of the transposition (phi o T is the identity map).
+        # Neither map runs an sk_ or pk_ search at any k: the reduction map at
+        # lam = 0.5 is refuted at k = 1, and the transposition is certified
         calls = []
         search = kpositivity.k_block_min
         monkeypatch.setattr(kpositivity, "k_block_min",
@@ -199,7 +203,7 @@ class TestClassify:
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
                      "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
-        assert sorted(calls) == searched and 1 not in blocks
+        assert sorted(calls) == searched and blocks == []
         report = load_report(out)
         k1 = record_by_id(report, "k_positive_1")
         assert k1["kind"] == kind and ("witness" in k1) == (kind == "violation")
@@ -211,6 +215,54 @@ class TestClassify:
             assert record_by_id(report, record_id) == {
                 "id": record_id, "kind": k1["kind"], "value": k1["value"],
                 "stats": {"derived_from": "k_positive_1"}}
+        assert main(["verify", str(out)]) == 0
+
+    # a k_positive_1 violation at x (x) y is a product state, PPT, so it violates
+    # every sk_<k> and pk_<k>: a map refuted at k = 1 searches neither at any k
+    @pytest.mark.parametrize("phi", [reduction_family(0.5, 3),
+                                     random_map_near_cp(rng_stream(1), 2, 3, mix=0.3)],
+                             ids=["reduction", "near_cp"])
+    def test_a_map_refuted_at_k1_runs_no_block_search(self, tmp_path, monkeypatch, phi):
+        counters = {name: count_calls(monkeypatch, name, cli) for name in ("sk_check", "pk_check")}
+        doc = write_map_doc(tmp_path / "phi.json", phi)
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        assert {name: counter["calls"] for name, counter in counters.items()} == {"sk_check": 0, "pk_check": 0}
+        report = load_report(out)
+        k1 = record_by_id(report, "k_positive_1")
+        assert k1["kind"] == "violation" and record_by_id(report, "decomposable")["kind"] != "pass"
+        for record_id in (f"{name}_{k}" for name in ("sk", "pk") for k in (1, 2, 3)):
+            assert record_by_id(report, record_id) == {
+                "id": record_id, "kind": "violation", "value": k1["value"],
+                "stats": {"derived_from": "k_positive_1"}}
+        assert main(["verify", str(out)]) == 0
+
+    # at n = 1 each block condition is positivity of a functional, which the
+    # exact k_positive_1 test decides, so every sk_<k> and pk_<k> restates it,
+    # refuted or not, and nothing is sampled or searched; the positive map,
+    # which the certificate proves decomposable, is handed an evidence
+    # certificate, so that no decomposable pass decides its block conditions
+    @pytest.mark.parametrize("choi, kind", [(-np.eye(2), "violation"), (np.diag([1.0, 0.0]), "evidence")],
+                             ids=["refuted", "positive"])
+    def test_a_map_to_scalars_searches_no_block_condition(self, tmp_path, monkeypatch, choi, kind):
+        if kind == "evidence":
+            monkeypatch.setattr(cli, "decomposition_certificate",
+                                lambda h, m, n: Verdict("evidence", 0.0, stats={"iterations": 0}))
+        counters = {name: count_calls(monkeypatch, name, cli) for name in ("sk_check", "pk_check")}
+        doc = write_map_doc(tmp_path / "scalar.json", MatrixMap.from_choi(choi, 2, 1))
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "3", "--seed", "4", "--restarts", "4",
+                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+        assert {name: counter["calls"] for name, counter in counters.items()} == {"sk_check": 0, "pk_check": 0}
+        report = load_report(out)
+        k1 = record_by_id(report, "k_positive_1")
+        assert k1["kind"] == kind and record_by_id(report, "decomposable")["kind"] == "evidence"
+        for record_id in (f"{name}_{k}" for name in ("sk", "pk") for k in (1, 2, 3)):
+            assert record_by_id(report, record_id) == {
+                "id": record_id, "kind": kind, "value": k1["value"],
+                "stats": {"derived_from": "k_positive_1"}}
+        assert record_by_id(report, "k_copositive_3")["stats"] == {"derived_from": "k_copositive_1"}
         assert main(["verify", str(out)]) == 0
 
     def test_the_spectral_certificate_leaves_only_the_exact_search(self, tmp_path, monkeypatch):
@@ -1286,7 +1338,7 @@ class TestVerify:
         report = load_report(corpus["classify_neg_identity"][1])
         record, origin = record_by_id(report, record_id), record_by_id(report, source)
         assert origin["kind"] == "violation" and "derived_from" not in origin["stats"]
-        record.pop("witness")
+        record.pop("witness", None)
         record.update(kind=origin["kind"], value=origin["value"], stats={"derived_from": source})
         out = tmp_path / "derived.json"
         dump_document(report, str(out))
@@ -1310,12 +1362,13 @@ class TestVerify:
         assert "stale witness: k_positive_1: no witness to re-check" in capsys.readouterr().err
 
     def test_an_edited_source_witness_fails_through_the_source(self, corpus, tmp_path, capsys):
-        # block_positivity, k_copositive_1, sk_1 and pk_1 hold no witness: the
-        # k_positive_1 witness they restate is re-checked once, as its own record's
+        # block_positivity, k_copositive_1 and every sk_<k> and pk_<k> of a map
+        # refuted at k = 1 hold no witness: the k_positive_1 witness they restate
+        # is re-checked once, as its own record's
         report = load_report(corpus["classify_neg_identity"][1])
         derived = [r["id"] for r in report["records"]
                    if r.get("stats", {}).get("derived_from") == "k_positive_1"]
-        assert derived == ["block_positivity", "k_copositive_1", "sk_1", "pk_1"]
+        assert derived == ["block_positivity", "k_copositive_1", "sk_1", "pk_1", "sk_2", "pk_2"]
         assert not any("witness" in record_by_id(report, rid) for rid in derived)
         source = record_by_id(report, "k_positive_1")
         vector = matrix_from_doc(source["witness"]["vector"])
@@ -1343,20 +1396,32 @@ class TestVerify:
         dump_document(report, str(out))
         assert main(["verify", str(out)]) == 0
 
-    def test_a_map_to_scalars_restates_every_pk_from_k_positive_1(self, tmp_path):
-        # at n = 1 every pk_<k> is the pk_1 verdict, and a product vector is a
-        # rank-1 corner's violation at every k
-        doc = write_map_doc(tmp_path / "neg.json", MatrixMap.from_choi(-np.eye(2), 2, 1))
+    @pytest.mark.parametrize("tamper, record_id, message", [
+        (lambda report: record_by_id(report, "k_positive_1").update(kind="evidence"),
+         "sk_2", "kind or value differs from the record 'k_positive_1'"),
+        (lambda report: record_by_id(report, "sk_2").update(value=record_by_id(report, "sk_2")["value"] + 1e-3),
+         "sk_2", "kind or value differs from the record 'k_positive_1'"),
+        (lambda report: record_by_id(report, "decomposability").update(
+            kind="violation", value=record_by_id(report, "k_positive_1")["value"],
+            stats={"derived_from": "k_positive_1"}),
+         "decomposability", "a violation of 'k_positive_1' does not imply one of it"),
+    ], ids=["source-edited-to-evidence", "value-off-by-1e-3", "decomposability-outside-the-table"])
+    def test_an_edited_restatement_of_a_k1_violation_detected(self, tmp_path, capsys, tamper, record_id,
+                                                              message):
+        # the reduction map at lam = 0.5 is refuted at k = 1, so sk_2 restates
+        # k_positive_1; no row of the table leads from k_positive_1 to decomposability
+        doc = write_map_doc(tmp_path / "r.json", reduction_family(0.5, 3))
         out = tmp_path / "report.json"
-        assert main(["classify", doc, "--k-max", "3", "--seed", "4", "--restarts", "4",
+        assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
                      "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
         report = load_report(out)
-        assert record_by_id(report, "k_positive_1")["kind"] == "violation"
-        for k in (1, 2, 3):
-            record = record_by_id(report, f"pk_{k}")
-            assert record["kind"] == "violation" and record["stats"] == {"derived_from": "k_positive_1"}
-        assert record_by_id(report, "k_copositive_3")["stats"] == {"derived_from": "k_copositive_1"}
-        assert main(["verify", str(out)]) == 0
+        assert record_by_id(report, "sk_2")["stats"] == {"derived_from": "k_positive_1"}
+        tamper(report)
+        record_by_id(report, record_id).pop("witness", None)
+        dump_document(report, str(out))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert f"stale witness: {record_id}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,record_id", [
         ("classify_neg_identity", "k_positive_1"),

@@ -349,13 +349,15 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
             event(f"violation {rid.rstrip('0123456789')}")
     # the records no search of their own produced restate a record of the
     # report, with no witness: every k = 1 record restates k_positive_1, and so
-    # does every pk_<k> at n = 1, where pk_<k> is the pk_<n> verdict
+    # does every sk_<k> and pk_<k> of a map refuted at k = 1 (a product state
+    # violates them all) or with n = 1 (each is positivity of a functional)
     derived = {r["id"]: r["stats"]["derived_from"] for r in report["records"]
                if "derived_from" in r.get("stats", {})}
     assert not any("witness" in r for r in report["records"] if r["id"] in derived)
+    decided = kinds["k_positive_1"] == "violation" or n == 1
     expected = {rid: "k_positive_1" for rid in kinds
                 if rid in ("block_positivity", "k_copositive_1", "sk_1", "pk_1")
-                or rid.startswith("pk_") and n == 1}
+                or rid.startswith(("sk_", "pk_")) and decided}
     for k in range(n + 1, k_max + 1):
         expected.update({f"k_positive_{k}": f"k_positive_{n}", f"k_copositive_{k}": f"k_copositive_{n}"})
     if kinds["decomposable"] == "pass":
