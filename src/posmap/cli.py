@@ -43,7 +43,6 @@ from .kpositivity import (
     is_k_copositive,
     is_k_positive,
     pk_check,
-    sk_check,
     spectral_certificate,
 )
 from .linalg import (
@@ -120,10 +119,13 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     - otherwise, when k_positive_1 is a violation or n = 1, every other sk_<k>
       and pk_<k>, from k_positive_1: the violating x (x) y is a product state,
       PPT, so it violates every block condition, and at n = 1 each block
-      condition is positivity of a functional, which k_positive_1 decides.
-    On a map neither rule decides, pk_<k> for k > n is the pk_<n> verdict
-    itself: `pk_check` draws its corner ranks from 1..min(k, n), so at every
-    k >= n it returns the same verdict bit for bit."""
+      condition is positivity of a functional, which k_positive_1 decides;
+    - otherwise, for k > n, pk_<k> from pk_<n>: `pk_check` draws its corner
+      ranks from 1..min(k, n), so at every k >= n it gives the same verdict;
+    - otherwise, every sk_<k> with k >= 2, from pk_<k>: the two state one block
+      condition, <v|(id_k (x) phi)(X)|v> = Tr(w h_V) (`sk_check`), so `pk_check`
+      is the one block search per k <= n.  It runs when sk_<k>, the first record
+      that reads it, is asked for, so its time is sk_<k>'s stage."""
     m, n = phi.m, phi.n
     h_gamma = _partial_transpose(h, m, n, "first")
 
@@ -134,7 +136,7 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
     positive = proved_or_searched(h, 1, is_k_positive)
     yield "block_positivity", (positivity := _derived("k_positive_1", positive))
     certified = certificate.kind == PASS
-    # the verdict every sk_<k> and pk_<k> with k >= 2 restates, None where they are searched
+    # the verdict every sk_<k> and pk_<k> with k >= 2 restates, None where pk_<k> is searched
     blocks = (_derived("decomposable", certificate) if certified
               else positivity if positive.kind == VIOLATION or n == 1 else None)
     for k in range(1, args.k_max + 1):
@@ -147,11 +149,12 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
             yield f"k_positive_{k}", _derived(f"k_positive_{n}", kv)
             yield f"k_copositive_{k}", _derived(f"k_copositive_{n}", kc)
         if k == 1 or blocks is not None:
-            yield f"sk_{k}", (pv := positivity if k == 1 else blocks)
+            pv = sv = positivity if k == 1 else blocks
         else:
-            yield f"sk_{k}", sk_check(phi, k, samples=args.samples, seed=args.seed)
-            if k <= n:
-                pv = pk_check(phi, k, projections=args.projections, seed=args.seed)
+            pv = (pk_check(phi, k, projections=args.projections, seed=args.seed) if k <= n
+                  else _derived(f"pk_{n}", pv))
+            sv = _derived(f"pk_{k}", pv)
+        yield f"sk_{k}", sv
         yield f"pk_{k}", pv
     yield "decomposable", certificate
     if certified:
@@ -161,18 +164,18 @@ def _classify_stages(phi, h: np.ndarray, certificate: Verdict, args):
 
 
 def cmd_classify(args) -> int:
-    _require_counts(args, "k_max", "restarts", "samples", "projections")
+    _require_counts(args, "k_max", "restarts", "projections")
     doc = load_document(args.input)
     phi = map_from_document(doc)
     if not phi.is_hermiticity_preserving():
         raise ParseError("map is not Hermiticity-preserving; positivity tests need a Hermitian Choi matrix")
     if args.k_max * phi.m > DESK_SCALE_DIM:
-        # sk_<k> samples blocks of size k * m; every k <= n stays legal, as m * n <= 36
+        # the desk-scale bound on a block of size k * m on C^k (x) C^m stays the input
+        # contract, though no search builds one; every k <= n stays legal, as m * n <= 36
         raise ParseError(f"--k-max {args.k_max} gives blocks of size {args.k_max * phi.m} > {DESK_SCALE_DIM}")
     params = {
         "k_max": args.k_max,
         "restarts": args.restarts,
-        "samples": args.samples,
         "projections": args.projections,
         "defect_limit": DEFECT_LIMIT,
         "psd_rtol": PSD_RTOL,
@@ -338,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--k-max", type=int, default=2, dest="k_max")
     p_classify.add_argument("--seed", type=int, required=True)
     p_classify.add_argument("--restarts", type=int, default=32)
-    p_classify.add_argument("--samples", type=int, default=200)
     p_classify.add_argument("--projections", type=int, default=40)
     p_classify.set_defaults(func=lambda args: cmd_classify(args))
 

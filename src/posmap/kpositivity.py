@@ -11,7 +11,7 @@ so `is_k_positive(phi, 1)` is the block-positivity test of h: a map is
 positive exactly when it is 1-positive.  The see-saw behind it draws only
 the Haar start of each restart; its alternations draw nothing.
 
-Four related conditions are certified separately here:
+Related conditions are certified here:
 
 - `k_block_min` / `is_k_positive` / `is_k_copositive`: compression searches,
   which stay pure searches.  Beside them, `spectral_certificate` is the one rule
@@ -21,8 +21,10 @@ Four related conditions are certified separately here:
   proof with no witness: `bisect_threshold` tries it after its draw-free probe,
   `classify` tries it before each search with k < n and writes its pass, and
   `verify` accepts that pass only where the same rule re-derives it;
-- `sk_check`: images of doubly-PSD block matrices stay PSD;
 - `pk_check`: compressed corners admit no witness against decomposability;
+- `sk_check`: images of blocks PSD in both orderings stay PSD, the same block
+  condition as `pk_check`'s, which decides it and whose violating corner is
+  carried to a violating block;
 - `decomposability_witness`: search for a PPT state pairing negatively with
   the Choi matrix (an exact certificate of non-decomposability when found).
 
@@ -32,10 +34,10 @@ a search for P, Q >= 0 with h = P + Q^G.  A certificate it finds is a proof
 (a "pass" with a witness that `verify` re-checks through
 `decomposition_bound`), and then no witness can exist: a decomposable map's
 compressed corners are decomposable too, so a `pk_` violation on a certified
-map would be a bug.  A certificate also bounds `sk_check` for every k: the
-image of a trace-one doubly-PSD block has no eigenvalue below its value, so
-`classify` derives the `sk_` and `decomposability` records of a certified map
-from it, with no sample drawn and no witness iteration run.
+map would be a bug.  A certificate also bounds the block condition for every
+k: the image of a trace-one block PSD in both orderings has no eigenvalue below
+its value, so `sk_check` and `classify` read the condition from it, with no
+corner searched and no witness iteration run.
 """
 
 from __future__ import annotations
@@ -58,18 +60,15 @@ from .linalg import (
     _eigh_phased,
     _haar_from_gaussian,
     _partial_transpose,
-    _psd_from_normals,
     _stream_normals,
     _stream_seeker,
     alternate_ppt_projections,
     check_hermitian,
-    frobenius,
     haar_isometry,
     hermitian_part,
     ppt_min_eigs,
     project_psd,
     psd_tol,
-    rng_stream,
 )
 from .verdicts import EVIDENCE, PASS, VIOLATION, DecompCertificate, Verdict
 
@@ -248,113 +247,6 @@ def is_k_copositive(phi: MatrixMap, k: int, **search) -> Verdict:
     """k-copositivity: run the k-positivity search on the map precomposed with
     transposition (its Choi blocks are the originals swapped)."""
     return k_block_min(phi.compose_transposition(), k, **search)
-
-
-# ---------------------------------------------------------------------------
-# block-matrix condition: images of doubly PSD blocks stay PSD
-# ---------------------------------------------------------------------------
-
-
-_FIRST_CHUNK = 4
-_MAX_CHUNK = 32
-_STACK_ENTRIES = 2**14  # matrix entries a stack of sampled blocks may hold, k m permitting
-
-
-def _chunks(total: int, first: int = _FIRST_CHUNK, most: int = _MAX_CHUNK):
-    """(start, stop) of the chunks [0, first), [first, 2 first), ... of range(total), at
-    most `most` long: each as long as the walk before it, so members run past a first
-    violation cost no more than the members before it."""
-    start = 0
-    while start < total:
-        stop = min(max(2 * start, first), start + most, total)
-        yield start, stop
-        start = stop
-
-
-def _separable(rng: np.random.Generator, k: int, m: int, terms: int) -> np.ndarray:
-    """sum_r p_r (x) q_r over `terms` pairs of `random_psd` draws p_r (k x k)
-    and q_r (m x m), drawn in the order p_1, q_1, p_2, q_2, ... in one call."""
-    z = rng.standard_normal((terms, 2 * (k * k + m * m)))
-    p = _psd_from_normals(z[:, : 2 * k * k].reshape(terms, 2, k, k))
-    q = _psd_from_normals(z[:, 2 * k * k :].reshape(terms, 2, m, m))
-    return sum(np.kron(pr, qr) for pr, qr in zip(p, q))
-
-
-def _doubly_psd_blocks(rngs: list, k: int, m: int, *, max_tries: int = 40) -> np.ndarray:
-    """(S, km, km) stack of block matrices on C^k (x) C^m, PSD in both block
-    orderings, one per stream: a separable form with probability 1/2, else
-    the first of `max_tries` PSD draws with a PSD first-factor partial
-    transpose, else 25 rounds of alternating PSD projections, else a product.
-    Tries run in lockstep rounds [0, 1), [1, 2), [2, 4), [4, 8), [8, 12), ...
-    drawn in one call per stream; a stream accepted early in a round is
-    rewound and redrawn up to that try, so it ends where a one-at-a-time
-    sampler ends, with the same block."""
-    d = k * m
-    out = np.empty((len(rngs), d, d), dtype=complex)
-    pending = []
-    for i, rng in enumerate(rngs):
-        if rng.random() < 0.5:
-            a = _separable(rng, k, m, int(rng.integers(1, 5)))
-            out[i] = a / max(np.trace(a).real, 1e-300)
-        else:
-            pending.append(i)
-    for start, stop in _chunks(max_tries, 1, 4):
-        if not pending:
-            break
-        states = [rngs[i].bit_generator.state for i in pending]
-        z = np.array([rngs[i].standard_normal((stop - start, 2, d, d)) for i in pending])
-        a = _psd_from_normals(z)
-        a /= a.trace(axis1=-2, axis2=-1).real[..., None, None]
-        pt = _partial_transpose(a, k, m, "first")
-        accepted = np.linalg.eigvalsh(hermitian_part(pt))[..., 0] >= -1e-14
-        for j in np.flatnonzero(accepted.any(axis=1)):
-            rng, t = rngs[pending[j]], int(accepted[j].argmax())
-            out[pending[j]] = a[j, t]
-            if t < stop - start - 1:
-                rng.bit_generator.state = states[j]
-                rng.standard_normal((t + 1, 2, d, d))
-        pending = [i for j, i in enumerate(pending) if not accepted[j].any()]
-    if pending:
-        seeds = _psd_from_normals(np.array([rngs[i].standard_normal((2, d, d)) for i in pending]))
-        a = alternate_ppt_projections(seeds, k, m, "first", 25)
-        pt_min = np.linalg.eigvalsh(hermitian_part(_partial_transpose(a, k, m, "first")))[:, 0]
-        for j, i in enumerate(pending):
-            if np.trace(a[j]).real < 1e-12 or pt_min[j] < -1e-11 * max(1.0, frobenius(a[j])):
-                a[j] = _separable(rngs[i], k, m, 1)
-            out[i] = a[j] / np.trace(a[j]).real
-    return out
-
-
-def sk_check(
-    phi: MatrixMap,
-    k: int,
-    *,
-    samples: int = 500,
-    seed: int = 0,
-) -> Verdict:
-    """Sample block matrices PSD in both orderings and test that their images
-    under id_k (x) phi are PSD.  A negative image eigenvalue is an exact
-    violation; surviving the budget is evidence.
-
-    Sample s draws from `rng_stream(seed, s)`; samples run as stacks over the chunks of
-    `pk_check`, and a violation is the first violating sample, with `samples` = s + 1.
-    """
-    require_integer("k", k, 1, KOutOfRangeError)
-    require_integer("samples", samples, 1, CountOutOfRangeError)
-    m, n = phi.m, phi.n
-    worst = np.inf
-    most = max(1, min(_MAX_CHUNK, _STACK_ENTRIES // (2 * k * m) ** 2))  # 4 tries a sample
-    for start, stop in _chunks(samples, most=most):
-        blocks = _doubly_psd_blocks([rng_stream(seed, s) for s in range(start, stop)], k, m)
-        images = np.einsum("sipjq,pqab->siajb", blocks.reshape(-1, k, m, k, m), phi.unit_images)
-        images = hermitian_part(images.reshape(-1, k * n, k * n))
-        mins = np.linalg.eigvalsh(images)[:, 0].tolist()
-        for i, min_eig in enumerate(mins):
-            if min_eig < -psd_tol(images[i]):
-                stats = {"samples": start + i + 1, "seed": seed}
-                return Verdict(VIOLATION, min_eig, witness={"block": blocks[i]}, stats=stats)
-        worst = min(worst, *mins)
-    return Verdict(EVIDENCE, worst, stats={"samples": samples, "seed": seed})
 
 
 def dk_compose(
@@ -568,6 +460,21 @@ def decomposition_certificate(h, m: int, n: int) -> Verdict:
     return Verdict(EVIDENCE, max(bounds), stats={"iterations": it, "termination": termination})
 
 
+_FIRST_CHUNK = 4
+_MAX_CHUNK = 32
+
+
+def _chunks(total: int):
+    """(start, stop) of the chunks [0, 4), [4, 8), [8, 16), ... of range(total), at most
+    32 long: each as long as the walk before it, so members run past a first violation
+    cost no more than the members before it."""
+    start = 0
+    while start < total:
+        stop = min(max(2 * start, _FIRST_CHUNK), start + _MAX_CHUNK, total)
+        yield start, stop
+        start = stop
+
+
 def pk_check(
     phi: MatrixMap,
     k: int,
@@ -636,6 +543,39 @@ def pk_check(
         t, value, witness = first
         return Verdict(VIOLATION, value, witness=witness, stats={"projections": t + 1, "seed": seed})
     return Verdict(EVIDENCE, min(values), stats={"projections": projections, "seed": seed})
+
+
+def sk_check(phi: MatrixMap, k: int, *, samples: int = 500, seed: int = 0) -> Verdict:
+    """The block-matrix condition at block size k: every block X on C^k (x) C^m that is
+    PSD in both orderings has a PSD image under id_k (x) phi.  It is the corner
+    condition of `pk_check` restated: for v = sum_i e_i (x) V e_i, V an n x k matrix,
+    <v|(id_k (x) phi)(X)|v> = Tr(w h_V) with w = swap(X)^T, h_V the Choi matrix of the
+    corner a -> V* phi(a) V, and w a PPT state exactly when X is a trace-one such block.
+
+    A `decomposition_certificate` pass of phi's Choi matrix decides first, as evidence at
+    the certificate's value, below which no such image has an eigenvalue, with the
+    stats {"certificate": "decomposition"}.  Otherwise `pk_check(phi, k,
+    projections=samples, seed=seed)` decides: its evidence is the verdict, and its
+    violation, a rank-r corner V with PPT state w, is carried to the block
+    X = swap(w^T) zero-padded from C^r (x) C^m to C^k (x) C^m, the witness {"block": X},
+    valued at the bottom eigenvalue of (id_k (x) phi)(X), at most Tr(w h_V) / r < 0
+    (|v|^2 = r), with the corner's stats.
+    """
+    require_integer("k", k, 1, KOutOfRangeError)
+    require_integer("samples", samples, 1, CountOutOfRangeError)
+    m = phi.m
+    certificate = decomposition_certificate(hermitian_part(phi.choi()), m, phi.n)
+    if certificate.kind == PASS:
+        return Verdict(EVIDENCE, certificate.value, stats={"certificate": "decomposition"})
+    corner = pk_check(phi, k, projections=samples, seed=seed)
+    if corner.kind != VIOLATION:
+        return corner
+    state, rank = corner.witness["state"], corner.witness["isometry"].shape[1]
+    block = np.zeros((k, m, k, m), dtype=complex)
+    block[:rank, :, :rank] = state.T.reshape(m, rank, m, rank).transpose(1, 0, 3, 2)
+    block = block.reshape(k * m, k * m)
+    value = float(np.linalg.eigvalsh(hermitian_part(phi.apply_blockwise(block, k)))[0])
+    return Verdict(VIOLATION, value, witness={"block": block}, stats=corner.stats)
 
 
 def _violates(phi: MatrixMap, k: int, restarts: int, seed: int) -> bool:

@@ -573,11 +573,13 @@ def _is_derived(record: dict) -> bool:
 
 def _implies(source: str, target: str) -> bool:
     """Whether a violation of record `source` is one of record `target`: by
-    _IMPLIED_VIOLATIONS, or as a j-(co)positive violation is one at every k > j."""
-    name, other = source.rstrip("0123456789"), target.rstrip("0123456789")
-    j, k = source[len(name):], target[len(other):]  # (len, digits) orders them as numbers
-    return bool({target, other} & set(_IMPLIED_VIOLATIONS.get(source, ()))
-                or name == other in ("k_positive_", "k_copositive_") and (len(k), k) > (len(j), j))
+    _IMPLIED_VIOLATIONS, as a j-(co)positive violation is one at every k > j, or as
+    a pk_<j> violation, a rank-<=j corner's PPT state, is one of every pk_<k> and,
+    carried to a block zero-padded to size k (`sk_check`), of every sk_<k>, k >= j."""
+    (name, j), (other, k) = _family_order(source), _family_order(target)
+    return bool({target, target.rstrip("0123456789")} & set(_IMPLIED_VIOLATIONS.get(source, ()))
+                or name == other in ("k_positive_", "k_copositive_") and k > j
+                or name == "pk_" and other in ("sk_", "pk_") and k >= j)
 
 
 def _derived_failures(records: list) -> list[str]:

@@ -101,7 +101,7 @@ class TestClassify:
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "8",
-                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+                     "--projections", "5", "--out", str(out)]) == 0
         report = load_report(out)
         k3 = record_by_id(report, "k_positive_3")
         assert k3["kind"] == "violation"
@@ -113,7 +113,7 @@ class TestClassify:
         doc = write_map_doc(tmp_path / "id.json", identity_map(2))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+                     "--projections", "4", "--out", str(out)]) == 0
         report = load_report(out)
         k3 = record_by_id(report, "k_positive_3")
         assert (k3["kind"], k3["value"]) == ("evidence", record_by_id(report, "k_positive_2")["value"])
@@ -133,7 +133,7 @@ class TestClassify:
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "8",
-                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+                     "--projections", "5", "--out", str(out)]) == 0
         assert calls == [2, 2]
         report = load_report(out)
         # a derived record restates its source's kind and value, and no witness
@@ -144,11 +144,11 @@ class TestClassify:
                 key: value for key, value in k2.items() if key != "witness"}
 
     # pk_check draws its corner ranks from 1..min(k, n), so every pk_<k> with
-    # k >= n is the pk_<n> verdict; the Choi map (n = 3, positive and not
-    # decomposable) with --k-max 4 runs it at k = 2 and 3 alone, as pk_1
-    # restates k_positive_1.  A map the certificate proves decomposable runs it
-    # at no k: every compressed corner of it is decomposable, and each pk_<k>
-    # with k >= 2 restates the pass
+    # k > n restates the pk_<n> verdict, with no witness; the Choi map (n = 3,
+    # positive and not decomposable) with --k-max 4 runs it at k = 2 and 3 alone,
+    # as pk_1 restates k_positive_1.  A map the certificate proves decomposable
+    # runs it at no k: every compressed corner of it is decomposable, and each
+    # pk_<k> with k >= 2 restates the pass
     @pytest.mark.parametrize("phi, certified",
                              [(transposition_map(2), True), (choi_qutrit_map(), False)],
                              ids=["transposition", "choi_qutrit"])
@@ -157,7 +157,7 @@ class TestClassify:
         doc = write_map_doc(tmp_path / "phi.json", phi)
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "6", "--out", str(out)]) == 0
+                     "--projections", "6", "--out", str(out)]) == 0
         report = load_report(out)
         decomposable = record_by_id(report, "decomposable")
         assert (decomposable["kind"] == "pass") is certified
@@ -172,6 +172,11 @@ class TestClassify:
             if certified:
                 assert record == {"id": f"pk_{k}", "kind": "evidence", "value": decomposable["value"],
                                   "stats": {"derived_from": "decomposable"}}
+                continue
+            if k > phi.n:
+                pk_n = record_by_id(report, f"pk_{phi.n}")
+                assert record == {"id": f"pk_{k}", "kind": pk_n["kind"], "value": pk_n["value"],
+                                  "stats": {"derived_from": f"pk_{phi.n}"}}
                 continue
             want = kpositivity.pk_check(phi, k, projections=6, seed=3)
             assert (record["kind"], record["value"], record["stats"]) == (want.kind, want.value, want.stats)
@@ -189,20 +194,20 @@ class TestClassify:
         # or not, and no sk_ or pk_ search runs at k = 1; a map with n = 3 and
         # --k-max 4 searches k = 2, 3 twice each, but where the spectral certificate
         # proves k_copositive_2 of the transposition (phi o T is the identity map).
-        # Neither map runs an sk_ or pk_ search at any k: the reduction map at
-        # lam = 0.5 is refuted at k = 1, and the transposition is certified
+        # Neither map runs a pk_ search, the one block search, at any k: the
+        # reduction map at lam = 0.5 is refuted at k = 1, and the transposition
+        # is certified
         calls = []
         search = kpositivity.k_block_min
         monkeypatch.setattr(kpositivity, "k_block_min",
                             lambda phi, k, **kw: calls.append(k) or search(phi, k, **kw))
         blocks = []
-        for name in ("sk_check", "pk_check"):
-            check = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda phi, k, check=check, **kw: blocks.append(k) or check(phi, k, **kw))
+        check = cli.pk_check
+        monkeypatch.setattr(cli, "pk_check", lambda phi, k, **kw: blocks.append(k) or check(phi, k, **kw))
         doc = write_map_doc(tmp_path / "r.json", phi)
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "4", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+                     "--projections", "4", "--out", str(out)]) == 0
         assert sorted(calls) == searched and blocks == []
         report = load_report(out)
         k1 = record_by_id(report, "k_positive_1")
@@ -218,17 +223,17 @@ class TestClassify:
         assert main(["verify", str(out)]) == 0
 
     # a k_positive_1 violation at x (x) y is a product state, PPT, so it violates
-    # every sk_<k> and pk_<k>: a map refuted at k = 1 searches neither at any k
+    # every sk_<k> and pk_<k>: a map refuted at k = 1 runs no corner search at any k
     @pytest.mark.parametrize("phi", [reduction_family(0.5, 3),
                                      random_map_near_cp(rng_stream(1), 2, 3, mix=0.3)],
                              ids=["reduction", "near_cp"])
     def test_a_map_refuted_at_k1_runs_no_block_search(self, tmp_path, monkeypatch, phi):
-        counters = {name: count_calls(monkeypatch, name, cli) for name in ("sk_check", "pk_check")}
+        searches = count_calls(monkeypatch, "pk_check", cli)
         doc = write_map_doc(tmp_path / "phi.json", phi)
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
-        assert {name: counter["calls"] for name, counter in counters.items()} == {"sk_check": 0, "pk_check": 0}
+                     "--projections", "4", "--out", str(out)]) == 0
+        assert searches["calls"] == 0
         report = load_report(out)
         k1 = record_by_id(report, "k_positive_1")
         assert k1["kind"] == "violation" and record_by_id(report, "decomposable")["kind"] != "pass"
@@ -249,12 +254,12 @@ class TestClassify:
         if kind == "evidence":
             monkeypatch.setattr(cli, "decomposition_certificate",
                                 lambda h, m, n: Verdict("evidence", 0.0, stats={"iterations": 0}))
-        counters = {name: count_calls(monkeypatch, name, cli) for name in ("sk_check", "pk_check")}
+        searches = count_calls(monkeypatch, "pk_check", cli)
         doc = write_map_doc(tmp_path / "scalar.json", MatrixMap.from_choi(choi, 2, 1))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "4", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
-        assert {name: counter["calls"] for name, counter in counters.items()} == {"sk_check": 0, "pk_check": 0}
+                     "--projections", "4", "--out", str(out)]) == 0
+        assert searches["calls"] == 0
         report = load_report(out)
         k1 = record_by_id(report, "k_positive_1")
         assert k1["kind"] == kind and record_by_id(report, "decomposable")["kind"] == "evidence"
@@ -264,6 +269,46 @@ class TestClassify:
                 "stats": {"derived_from": "k_positive_1"}}
         assert record_by_id(report, "k_copositive_3")["stats"] == {"derived_from": "k_copositive_1"}
         assert main(["verify", str(out)]) == 0
+
+    # sk_<k> and pk_<k> state one block condition, so the corner search decides
+    # both: on the Choi map (n = 3, positive, not decomposable) no sk_<k> is
+    # evidence beside a pk_<k> violation, each sk_<k> restates its pk_<k>, and
+    # pk_4 restates pk_3.  verify refuses a derived sk_ whose kind or value was
+    # edited, and an sk_2 derived from the pk_3 violation, which has no rank-2
+    # corner; the summary is re-read after each edit, so only the restatement fails
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_sk_restates_its_pk_on_the_choi_map(self, tmp_path, capsys, seed):
+        doc = write_map_doc(tmp_path / "choi.json", choi_qutrit_map())
+        out = tmp_path / "report.json"
+        assert main(["classify", doc, "--k-max", "4", "--seed", str(seed), "--out", str(out)]) == 0
+        report = load_report(out)
+        for k in range(1, 5):
+            sk, pk = record_by_id(report, f"sk_{k}"), record_by_id(report, f"pk_{k}")
+            assert (sk["kind"], pk["kind"]) != ("evidence", "violation"), k
+        assert record_by_id(report, "pk_3")["kind"] == "violation"
+        for record_id, source in (("sk_3", "pk_3"), ("sk_4", "pk_4"), ("pk_4", "pk_3")):
+            origin = record_by_id(report, source)
+            assert record_by_id(report, record_id) == {
+                "id": record_id, "kind": origin["kind"], "value": origin["value"],
+                "stats": {"derived_from": source}}
+        assert main(["verify", str(out)]) == 0
+
+        pk_3 = record_by_id(report, "pk_3")
+        edits = {
+            "sk_3": ({"kind": "evidence"}, "kind or value differs from the record 'pk_3' it is derived from"),
+            "sk_4": ({"value": pk_3["value"] + 1e-3},
+                     "kind or value differs from the record 'pk_4' it is derived from"),
+            "sk_2": ({"kind": "violation", "value": pk_3["value"], "stats": {"derived_from": "pk_3"}},
+                     "a violation of 'pk_3' does not imply one of it"),
+        }
+        for record_id, (fields, message) in edits.items():
+            edited = json.loads(json.dumps(report))
+            record_by_id(edited, record_id).update(fields)
+            edited["summary"] = classify_summary(edited["records"], 4)
+            dump_document(edited, str(out))
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 1, record_id
+            assert capsys.readouterr().err == f"stale witness: {record_id}: {message}\n"
 
     def test_the_spectral_certificate_leaves_only_the_exact_search(self, tmp_path, monkeypatch):
         # the reduction map at lam = 2.5 is k-positive for k <= 2 with spectral bound
@@ -277,7 +322,7 @@ class TestClassify:
         doc = write_map_doc(tmp_path / "r.json", reduction_family(2.5, 3))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "3", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+                     "--projections", "4", "--out", str(out)]) == 0
         assert calls == [3, 3]
         report = load_report(out)
         for k, value in ((1, 1.5), (2, 0.5)):
@@ -294,7 +339,7 @@ class TestClassify:
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
-                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+                     "--projections", "5", "--out", str(out)]) == 0
         report = load_report(out)
         ids = [r["id"] for r in report["records"]]
         assert ids[-2:] == ["decomposable", "decomposability"]
@@ -316,21 +361,24 @@ class TestClassify:
         doc = write_map_doc(tmp_path / "c.json", choi_qutrit_map())
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "2", "--seed", "2", "--restarts", "4",
-                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+                     "--projections", "5", "--out", str(out)]) == 0
         report = load_report(out)
         cert = record_by_id(report, "decomposable")
         assert cert["kind"] == "evidence" and "witness" not in cert
         dec = record_by_id(report, "decomposability")
         assert dec["kind"] == "violation" and "derived_from" not in dec["stats"]
-        sk = record_by_id(report, "sk_2")
-        assert sk["stats"]["samples"] == 20 and "derived_from" not in sk["stats"]
+        # the corner search decides the block condition, which sk_2 restates
+        pk = record_by_id(report, "pk_2")
+        assert pk["stats"]["seed"] == 2 and "derived_from" not in pk["stats"]
+        assert record_by_id(report, "sk_2") == {"id": "sk_2", "kind": pk["kind"], "value": pk["value"],
+                                                "stats": {"derived_from": "pk_2"}}
         assert report["summary"]["decomposable"] == "evidence"
 
     def test_boolean_stats_are_json_booleans(self, tmp_path):
         doc = write_map_doc(tmp_path / "neg.json", -1.0 * identity_map(2))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "1", "--seed", "3", "--restarts", "4",
-                     "--samples", "20", "--projections", "5", "--out", str(out)]) == 0
+                     "--projections", "5", "--out", str(out)]) == 0
         report = load_report(out)
         assert record_by_id(report, "k_positive_1")["stats"]["exact"] is False
         assert record_by_id(report, "decomposability")["stats"]["feasible"] is True
@@ -368,7 +416,7 @@ class TestDeterminism:
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["classify", doc, "--k-max", "2", "--seed", "11", "--restarts", "8",
-                "--samples", "40", "--projections", "10"]
+                "--projections", "10"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -384,7 +432,7 @@ class TestDeterminism:
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "rt.json"
         args = ["classify", doc, "--k-max", "1", "--seed", "2", "--restarts", "4",
-                "--samples", "10", "--projections", "4", "--timings", "--out", str(out)]
+                "--projections", "4", "--timings", "--out", str(out)]
         assert main(args) == 0
         report = load_report(out)
         assert "timing" in report
@@ -405,7 +453,7 @@ class TestDeterminism:
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
         args = ["classify", doc, "--k-max", "3", "--seed", "2", "--restarts", "4",
-                "--samples", "10", "--projections", "4"]
+                "--projections", "4"]
         assert main([*args, "--out", str(plain)]) == 0
         assert main([*args, "--timings", "--out", str(timed)]) == 0
         report = load_report(timed)
@@ -719,8 +767,7 @@ class TestNormOverflow:
 
 class TestCountOptions:
     @pytest.mark.parametrize("option,value", [
-        ("--restarts", "0"), ("--samples", "0"), ("--samples", "-3"),
-        ("--projections", "0"), ("--k-max", "0"),
+        ("--restarts", "0"), ("--projections", "0"), ("--k-max", "0"),
     ])
     def test_classify_rejects_counts_below_one(self, tmp_path, capsys, option, value):
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
@@ -760,11 +807,11 @@ class TestCountOptions:
         assert main(["modular-verify", "--dim", "2", "--trials", trials, "--seed", "1"]) == 2
 
     def test_k_max_beyond_the_desk_scale_is_an_input_error(self, tmp_path, capsys, monkeypatch):
-        # sk_<k> samples blocks of size k * m: 13 * 3 = 39 > 36 is refused
+        # a block of size k * m beyond the desk scale: 13 * 3 = 39 > 36 is refused
         # before any search runs, and 12 * 3 = 36 still runs
         doc = write_map_doc(tmp_path / "id3.json", identity_map(3))
         out = tmp_path / "r.json"
-        budget = ["--seed", "1", "--restarts", "2", "--samples", "2", "--projections", "2"]
+        budget = ["--seed", "1", "--restarts", "2", "--projections", "2"]
         certificates = count_calls(monkeypatch, "decomposition_certificate", module=cli)
         assert main(["classify", doc, "--k-max", "13", *budget, "--out", str(out)]) == 2
         assert not out.exists()
@@ -788,7 +835,7 @@ class TestHostileDocuments:
         doc = map_to_document(transposition_map(2), "choi", metadata={"x": "INF"})
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(doc).replace('"INF"', "Infinity"), encoding="utf-8")
-        assert main(["classify", str(path), "--seed", "1", "--restarts", "2", "--samples", "2",
+        assert main(["classify", str(path), "--seed", "1", "--restarts", "2",
                      "--projections", "2"]) == 2
 
     @pytest.mark.parametrize("literal", ["1e400", "-1e999"])
@@ -798,7 +845,7 @@ class TestHostileDocuments:
         doc = map_to_document(transposition_map(2), "choi", metadata={"x": "HUGE"})
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc).replace('"HUGE"', literal), encoding="utf-8")
-        assert main(["classify", str(path), "--seed", "1", "--restarts", "2", "--samples", "2",
+        assert main(["classify", str(path), "--seed", "1", "--restarts", "2",
                      "--projections", "2"]) == 2
         out = tmp_path / "report.json"
         source = write_map_doc(tmp_path / "t.json", transposition_map(2))
@@ -886,7 +933,7 @@ class TestUnwritableOut:
         doc = write_map_doc(tmp_path / "t.json", transposition_map(2))
         out = tmp_path / "reports"
         out.mkdir()
-        assert main(["classify", doc, "--k-max", "1", "--seed", "1", "--restarts", "4", "--samples", "20",
+        assert main(["classify", doc, "--k-max", "1", "--seed", "1", "--restarts", "4",
                      "--projections", "5", "--out", str(out)]) == 2
         assert list(out.iterdir()) == []
         assert f"input error: cannot write {out}" in capsys.readouterr().err
@@ -1043,7 +1090,7 @@ class TestVerify:
         doc = write_map_doc(tmp_path / "r.json", reduction_family(2.5, 3))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+                     "--projections", "4", "--out", str(out)]) == 0
         report = load_report(out)
         record = record_by_id(report, "k_positive_2")
         assert record["kind"] == "pass" and "witness" not in record
@@ -1064,7 +1111,7 @@ class TestVerify:
         doc = write_map_doc(tmp_path / "near.json", phi)
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+                     "--projections", "4", "--out", str(out)]) == 0
         report = load_report(out)
         record = record_by_id(report, "k_copositive_2")
         assert record["kind"] != "pass"
@@ -1099,7 +1146,7 @@ class TestVerify:
         doc = write_map_doc(tmp_path / "r.json", reduction_family(0.5, 3))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+                     "--projections", "4", "--out", str(out)]) == 0
         report = load_report(out)
         assert record_by_id(report, f"{name}_1")["kind"] == "violation"
         record = record_by_id(report, f"{name}_2")
@@ -1413,7 +1460,7 @@ class TestVerify:
         doc = write_map_doc(tmp_path / "r.json", reduction_family(0.5, 3))
         out = tmp_path / "report.json"
         assert main(["classify", doc, "--k-max", "2", "--seed", "3", "--restarts", "4",
-                     "--samples", "10", "--projections", "4", "--out", str(out)]) == 0
+                     "--projections", "4", "--out", str(out)]) == 0
         report = load_report(out)
         assert record_by_id(report, "sk_2")["stats"] == {"derived_from": "k_positive_1"}
         tamper(report)

@@ -8,6 +8,12 @@ README.md.  A re-export from the package ``__init__`` is not a reference: it
 would keep alive a function nothing calls.  Dunder methods are exempt: the
 interpreter calls them.
 
+A module-level constant of the package is read somewhere in the package, the
+tests, the demos or the benchmark (a load of the name or of an attribute of
+that name), and every name a package module imports is read in that module;
+the package ``__init__`` reads what it lists in ``__all__``.  Dunder names are
+exempt.
+
 The package's public API, ``posmap.__all__``, is the API the README documents.
 
 An option that no call ever sets has one value in use, so it belongs inside
@@ -69,6 +75,43 @@ def _referenced_names():
                 names.add(node.name.rsplit(".", 1)[-1])
     names.update(_readme_words())
     return names
+
+
+def _module_names(path: Path):
+    """(constants, imports) of a package module: the names its top-level
+    assignments bind and the names its imports bind, dunders and
+    ``from __future__`` imports left out."""
+    constants, imports = [], []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            constants += [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imports += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    return [n for n in constants if not n.startswith("__")], [n for n in imports if not n.startswith("__")]
+
+
+def _loaded_names(path: Path) -> set:
+    """The names a file reads: loaded identifiers and loaded attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_constant_and_import_is_read():
+    files = [*SOURCES, PACKAGE / "__init__.py", *sorted((ROOT / "bench").rglob("*.py"))]
+    read = set().union(*(_loaded_names(path) for path in files))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        constants, imports = _module_names(path)
+        unread += [f"{path.stem}.{name}" for name in constants if name not in read]
+        local = _loaded_names(path) | (set(posmap.__all__) if path.stem == "__init__" else set())
+        unread += [f"{path.stem}: import {name}" for name in imports if name not in local]
+    assert not unread, f"module-level names nothing reads: {', '.join(unread)}"
 
 
 def _readme_words():

@@ -29,7 +29,7 @@ from posmap.docio import dump_document, map_to_document, matrix_to_doc
 from posmap.maps import choi_qutrit_map, identity_map, transposition_map
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_corpus.json")
-SMALL = ["--restarts", "4", "--samples", "20", "--projections", "5"]
+SMALL = ["--restarts", "4", "--projections", "5"]
 
 
 def _map_doc(tmp, name, phi):

@@ -4,8 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import posmap.choi
 import posmap.kpositivity
@@ -45,6 +43,7 @@ from posmap.kpositivity import (
     spectral_certificate,
 )
 from posmap.linalg import (
+    PPT_TOL,
     _eigh_bottom,
     alternate_ppt_projections,
     frobenius,
@@ -208,8 +207,10 @@ def loop_pk_check(phi, k, *, projections=100, seed=0, witness_iters=200, tol=Non
 
 
 def loop_sample_doubly_psd_block(rng, k, m, *, max_tries=40):
-    """Reference for `_doubly_psd_blocks`: one stream's block, drawn one try
-    at a time."""
+    """A block on C^k (x) C^m, PSD in both orderings, drawn from one stream: a
+    separable form with probability 1/2, else the first of `max_tries` PSD draws
+    with a PSD first-factor partial transpose, else 25 rounds of alternating PSD
+    projections, else a product."""
     if rng.random() < 0.5:
         terms = int(rng.integers(1, 5))
         a = np.zeros((k * m, k * m), dtype=complex)
@@ -224,8 +225,7 @@ def loop_sample_doubly_psd_block(rng, k, m, *, max_tries=40):
         pt = partial_transpose(a, k, m, "first")
         if np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-14:
             return a
-    # looked up at call time, so a test can swap the projections out
-    a = posmap.linalg.alternate_ppt_projections(random_psd(rng, k * m), k, m, "first", 25)
+    a = alternate_ppt_projections(random_psd(rng, k * m), k, m, "first", 25)
     pt = partial_transpose(a, k, m, "first")
     if (
         np.trace(a).real < 1e-12
@@ -238,8 +238,10 @@ def loop_sample_doubly_psd_block(rng, k, m, *, max_tries=40):
 
 
 def loop_sk_check(phi, k, *, samples=500, seed=0, tol=None):
-    """Reference for `sk_check`: its samples are drawn and tested one after
-    another."""
+    """An oracle for `sk_check` independent of its corner search: sample s draws
+    its block from `rng_stream(seed, s)` (`loop_sample_doubly_psd_block`), and
+    the first block whose image under id_k (x) phi has a negative eigenvalue is
+    the violation."""
     worst = np.inf
     for s in range(samples):
         a = loop_sample_doubly_psd_block(rng_stream(seed, s), k, phi.m)
@@ -559,13 +561,6 @@ class TestIsKCopositive:
 
 
 class TestBlockMatrixCondition:
-    def test_sampler_produces_doubly_psd_blocks(self):
-        blocks = posmap.kpositivity._doubly_psd_blocks([rng_stream(503, s) for s in range(40)], 2, 3)
-        for a in blocks:
-            assert psd_min_eig(hermitian_part(a)) >= -1e-9
-            pt = partial_transpose(a, 2, 3, side="first")
-            assert psd_min_eig(hermitian_part(pt)) >= -1e-9
-
     def test_decomposable_map_passes(self):
         rng = rng_stream(504)
         total, phi1, phi2 = random_decomposable_map(rng, 2, 2)
@@ -576,7 +571,7 @@ class TestBlockMatrixCondition:
     def test_negative_identity_violates_immediately(self):
         v = sk_check(-1.0 * identity_map(2), 2, samples=10, seed=0)
         assert v.kind == VIOLATION
-        assert v.stats["samples"] == 1
+        assert v.stats["projections"] == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_transposition_passes_every_k(self, k):
@@ -591,8 +586,8 @@ def stream_position(rng):
             state["has_uint32"], state["uinteger"])
 
 
-# maps whose first sk_check violation (samples=200, seed=1) falls at various
-# samples s, early and in late chunks, and maps that survive the budget
+# maps whose first sampled block violation (loop_sk_check, samples=200, seed=1)
+# falls at various samples s, and maps that survive the budget
 SK_MAPS = {
     **{f"near_cp_{t}": (lambda t=t: random_map_near_cp(rng_stream(41, t), 2 + t % 2, 3, mix=0.3))
        for t in range(8)},
@@ -603,64 +598,22 @@ SK_MAPS = {
 }
 
 
-class TestStackedSamples:
-    @given(k=st.integers(1, 3), m=st.integers(1, 3), size=st.integers(1, 12),
-           max_tries=st.sampled_from([1, 3, 40]), seed=st.integers(0, 2**32 - 1))
-    def test_blocks_and_stream_positions_equal_the_one_at_a_time_sampler(self, k, m, size,
-                                                                         max_tries, seed):
-        streams = [rng_stream(seed, s) for s in range(size)]
-        got = posmap.kpositivity._doubly_psd_blocks(streams, k, m, max_tries=max_tries)
-        for s, rng in enumerate(streams):
-            ref = rng_stream(seed, s)
-            assert np.array_equal(got[s], loop_sample_doubly_psd_block(ref, k, m, max_tries=max_tries))
-            assert stream_position(rng) == stream_position(ref)
+class TestCornerRoute:
+    """`sk_check` decides the block condition through the corner search; the
+    sampled blocks of `loop_sk_check` are its independent oracle."""
 
-    @given(case=st.sampled_from(sorted(SK_MAPS)), k=st.integers(1, 3),
-           samples=st.integers(1, 120), seed=st.integers(0, 5))
-    def test_verdict_equals_the_one_at_a_time_loop(self, case, k, samples, seed):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(SK_MAPS))
+    def test_every_sampled_violation_is_found_and_every_block_rechecks(self, case, k):
         phi = SK_MAPS[case]()
-        assert_same_verdict(sk_check(phi, k, samples=samples, seed=seed),
-                            loop_sk_check(phi, k, samples=samples, seed=seed))
-
-    # first violations in late chunks, at k * m = 4 and k * m = 9
-    @pytest.mark.parametrize("case,k,first", [("near_cp_0", 2, 164), ("near_cp_3", 3, 48)])
-    def test_late_first_violation_equals_the_loop(self, case, k, first):
-        phi = SK_MAPS[case]()
-        got = sk_check(phi, k, samples=200, seed=1)
-        assert (got.kind, got.stats["samples"]) == (VIOLATION, first)
-        assert_same_verdict(got, loop_sk_check(phi, k, samples=200, seed=1))
-        assert recheck_witness(f"sk_{k}", phi, got.witness) == pytest.approx(got.value, abs=1e-10)
-
-    def test_final_separable_fallback_equals_the_loop(self, monkeypatch):
-        # without the alternating projections a 9 x 9 rejection leftover is
-        # almost never PPT, so the sampler falls through to its last resort
-        for module in (posmap.linalg, posmap.kpositivity):
-            monkeypatch.setattr(module, "alternate_ppt_projections", lambda a, *_: a)
-        streams = [rng_stream(517, s) for s in range(40)]
-        got = posmap.kpositivity._doubly_psd_blocks(streams, 3, 3)
-        for s, rng in enumerate(streams):
-            ref = rng_stream(517, s)
-            assert np.array_equal(got[s], loop_sample_doubly_psd_block(ref, 3, 3))
-            assert stream_position(rng) == stream_position(ref)
-        phi = SK_MAPS["decomposable_3x3"]()
-        assert_same_verdict(sk_check(phi, 3, samples=40, seed=2),
-                            loop_sk_check(phi, 3, samples=40, seed=2))
-
-    def test_large_blocks_walk_in_small_chunks_and_equal_the_loop(self, monkeypatch):
-        # at k m = 39 a chunk holds 2 samples, so that 4 tries of each fit
-        # the stack budget
-        sizes = []
-        original = posmap.kpositivity._doubly_psd_blocks
-
-        def counted(rngs, k, m):
-            sizes.append(len(rngs))
-            return original(rngs, k, m)
-
-        monkeypatch.setattr(posmap.kpositivity, "_doubly_psd_blocks", counted)
-        phi = SK_MAPS["decomposable_3x3"]()
-        assert_same_verdict(sk_check(phi, 13, samples=5, seed=3),
-                            loop_sk_check(phi, 13, samples=5, seed=3))
-        assert sizes == [2, 2, 1]
+        for seed in range(3):
+            got = sk_check(phi, k, samples=200, seed=seed)
+            if loop_sk_check(phi, k, samples=200, seed=seed).is_violation:
+                assert got.is_violation, (case, k, seed, got.value)
+            if got.is_violation:
+                block = got.witness["block"]
+                assert min(ppt_min_eigs(block, k, phi.m, "first")) >= -PPT_TOL
+                assert recheck_witness(f"sk_{k}", phi, got.witness) == pytest.approx(got.value, abs=1e-10)
 
     def test_validation_does_not_grow_with_samples(self, monkeypatch):
         counter = count_validations(monkeypatch)
@@ -785,7 +738,7 @@ class TestDecompositionCertificate:
         cert = decomposition_certificate(hermitian_part(phi.choi()), phi.m, phi.n)
         assert cert.kind == PASS
         for k in range(1, phi.n + 1):
-            sampled = sk_check(phi, k, samples=200, seed=k)
+            sampled = loop_sk_check(phi, k, samples=200, seed=k)
             assert sampled.kind == EVIDENCE, (name, k, sampled.value)
             assert sampled.value >= cert.value - 1e-12, (name, k, sampled.value, cert.value)
 

@@ -184,7 +184,7 @@ def replaced(doc, path, value):
 
 
 def classify_argv(path, sub):
-    return ["classify", path, "--k-max", "1", "--restarts", "2", "--samples", "2",
+    return ["classify", path, "--k-max", "1", "--restarts", "2",
             "--projections", "2", "--seed", "1"]
 
 
@@ -339,7 +339,7 @@ def test_every_violation_classify_writes_verifies(tmp_path_factory, m, n, mix, m
     tmp = tmp_path_factory.mktemp("replay")
     source, out = tmp / "map.json", tmp / "report.json"
     source.write_text(json.dumps(map_to_document(phi, "choi")), encoding="utf-8")
-    argv = ["classify", str(source), "--k-max", str(k_max), "--restarts", "4", "--samples", "8",
+    argv = ["classify", str(source), "--k-max", str(k_max), "--restarts", "4",
             "--projections", "6", "--seed", str(seed), "--out", str(out)]
     assert main(argv) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -402,7 +402,7 @@ def scaled_runs():
     runs = {}
     for name, phi in (("neg_identity", -1.0 * identity_map(2)), ("reduction", reduction_family(0.5, 3))):
         runs[name] = (lambda path: ["classify", path, "--k-max", "2", "--seed", "3", "--restarts", "4",
-                                    "--samples", "8", "--projections", "6"],
+                                    "--projections", "6"],
                       lambda j, phi=phi: map_to_document(2.0**j * phi, "choi"),
                       first_overflow(phi.choi()))
     # outside P: the swap (in the transposed cone only), and -E_00 in the frame
